@@ -18,7 +18,7 @@ from oracles import build_store, enumerate_paths, random_graph_lines, random_que
 from dualtrack.chain import SearchConfig, search_paths
 from dualtrack.classifier import Question
 from dualtrack.denoise import DenoiseConfig
-from dualtrack.engine import PACKAGED_PROMPTS
+from dualtrack.engine import PACKAGED_PROMPTS, Pipeline
 from dualtrack.kg import EntityRef
 from dualtrack.llm import StubLLM, load_templates
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
@@ -46,10 +46,17 @@ def main() -> int:
         origin = EntityRef("Q1", "node1")
 
         t0 = time.perf_counter()
-        completed, _ = search_paths(
-            origin, question, search, scoring, store,
-            StubLLM(default="no"), templates, embedder, reranker, denoising,
+        pipe = Pipeline(
+            store=store,
+            llm=StubLLM(default="no"),
+            templates=templates,
+            embedder=embedder,
+            reranker=reranker,
+            scoring=scoring,
+            search=search,
+            denoising=denoising,
         )
+        completed, _ = search_paths(origin, question, pipe)
         search_time += time.perf_counter() - t0
 
         t0 = time.perf_counter()

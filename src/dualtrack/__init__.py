@@ -9,8 +9,8 @@ denoiser, and every provider (KG, LLM, embedding, rerank) is pluggable.
 
 __version__ = "0.1.0"
 
-from .chain import Answer, ReasoningPath, SearchConfig
-from .classifier import Question, QuestionType
+from .chain import ReasoningPath, SearchConfig
+from .classifier import Answer, Question, QuestionType
 from .config import EngineConfig, load_config
 from .denoise import DenoiseConfig
 from .engine import Engine

@@ -13,21 +13,18 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .classifier import Question, QuestionType
-from .denoise import DenoiseConfig, denoise
-from .kg import EntityRef, KGStore, LiteralValue, ObjectTerm, Triple, fetch_relations
-from .linking import DEFAULT_SIMILARITY_FLOOR, LinkFailure, link_surface
-from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import (
-    EmbeddingProvider,
-    RerankProvider,
-    ScoredCandidate,
-    ScoringConfig,
-    score_candidates,
-    top_n,
-)
+from .classifier import Answer, Question, QuestionType
+from .denoise import denoise
+from .kg import EntityRef, LiteralValue, ObjectTerm, Triple, fetch_relations
+from .linking import LinkFailure, link_surface
+from .llm import Unparseable, ask, parse_yes_no
+from .scoring import ScoredCandidate, score_candidates, top_n
+
+if TYPE_CHECKING:
+    from .engine import Pipeline
 
 log = logging.getLogger(__name__)
 
@@ -119,9 +116,6 @@ class SearchConfig:
     llm_select_trigger: int = 8
     top_k_paths: int = 3
     max_expansions: int = 500  # global budget per question
-    # sufficiency is checked after each completed expansion; a per-layer mode
-    # is reserved but not implemented
-    sufficiency_mode: str = "per_expansion"
 
     def __post_init__(self):
         if self.d_max < 1:
@@ -136,70 +130,28 @@ class SearchConfig:
             raise ValueError(f"top_k_paths must be >= 1, got {self.top_k_paths}")
         if self.max_expansions < 1:
             raise ValueError(f"max_expansions must be >= 1, got {self.max_expansions}")
-        if self.sufficiency_mode != "per_expansion":
-            raise ValueError(f"unsupported sufficiency_mode {self.sufficiency_mode!r}")
 
 
-@dataclass
-class Answer:
-    """Final engine output for either track."""
-
-    text: str
-    track: QuestionType | None = None
-    supporting_paths: list[ReasoningPath] = field(default_factory=list)
-    verification: list = field(default_factory=list)  # VerificationResult items
-    draft: str | None = None  # parallel track only
-    flags: set[str] = field(default_factory=set)
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "track": self.track.value if self.track else None,
-            "flags": sorted(self.flags),
-            "draft": self.draft,
-            "supporting_paths": [p.to_dict() for p in self.supporting_paths],
-            "verification": [v.to_dict() for v in self.verification],
-        }
-
-
-def extract_central_entity(
-    question: Question,
-    store: KGStore,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-    floor: float = DEFAULT_SIMILARITY_FLOOR,
-) -> EntityRef:
+def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
     """LLM-extract the question's core entity surface form and link it."""
-    reply = ask(llm, templates["extract_entity"], question=question.text)
+    reply = ask(pipe.llm, pipe.templates["extract_entity"], question=question.text)
     lines = [line.strip().strip('"') for line in reply.splitlines()]
     surface = next((line for line in lines if line), "")
     if not surface:
         raise LinkFailure(f"entity extraction produced nothing for {question.id}")
-    return link_surface(surface, store, floor)
+    return link_surface(surface, pipe.store, pipe.link_floor)
 
 
-def expand(
-    path: ReasoningPath,
-    question: Question,
-    search: SearchConfig,
-    scoring: ScoringConfig,
-    store: KGStore,
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
-    denoising: DenoiseConfig,
-    llm: LLMProvider | None = None,
-    templates: dict[str, PromptTemplate] | None = None,
-) -> list[ReasoningPath]:
+def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[ReasoningPath]:
     """One expansion step: retrieve, denoise, score, prune, extend.
 
     Returns one extended path per surviving relation, best score first.
-    Passing no LLM disables the necessity layer and the selection prompt
-    (used by oracle tests and model-free runs).
     """
+    search = pipe.search
     tip = path.tip()
     if not isinstance(tip, EntityRef) or path.depth() >= search.d_max:
         return []
-    relations = fetch_relations(store, tip)
+    relations = fetch_relations(pipe.store, tip)
     visited = path.visited_ids()
     candidates: list[Triple] = []
     direction_by_key: dict[str, tuple[str, ObjectTerm]] = {}
@@ -213,15 +165,14 @@ def expand(
             direction_by_key[triple.key()] = (direction, far)
             candidates.append(triple)
 
-    pool = denoise(candidates, question.text, denoising)  # rule layer only
-    scored = score_candidates(question.text, pool, scoring, embedder, reranker)
-    if llm is not None and templates is not None:
-        # necessity layer sits after the scorer's top-N cut to bound LLM calls
-        scored = denoise(scored, question.text, denoising, llm, templates["necessity"])
+    pool = denoise(candidates, question.text, pipe.denoising)  # rule layer only
+    scored = score_candidates(question.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
+    # necessity layer sits after the scorer's top-N cut to bound LLM calls
+    scored = denoise(scored, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
     survivors = [c for c in scored if c.combined >= search.theta_search]
     survivors = top_n(survivors, search.w_max, key="combined")
-    if llm is not None and templates is not None and len(survivors) > search.llm_select_trigger:
-        survivors = _llm_select(survivors, question, llm, templates)
+    if len(survivors) > search.llm_select_trigger:
+        survivors = _llm_select(survivors, question, pipe)
     return [
         path.extend(
             Hop(
@@ -234,16 +185,11 @@ def expand(
     ]
 
 
-def _llm_select(
-    survivors: list[ScoredCandidate],
-    question: Question,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-) -> list[ScoredCandidate]:
+def _llm_select(survivors: list[ScoredCandidate], question: Question, pipe: Pipeline) -> list[ScoredCandidate]:
     """Ask the LLM to pick at most three relations from a crowded candidate
     set; on a reply naming nothing recognizable, keep the top three by score."""
     listing = "\n".join(f"- {_relation_label(c)}" for c in survivors)
-    reply = ask(llm, templates["select_relations"], question=question.text, relations=listing)
+    reply = ask(pipe.llm, pipe.templates["select_relations"], question=question.text, relations=listing)
     named = {token.strip().lower() for token in re.split(r"[,;\n]", reply) if token.strip()}
     picked = [c for c in survivors if _relation_label(c).lower() in named]
     if not picked:
@@ -257,15 +203,10 @@ def _relation_label(candidate: ScoredCandidate) -> str:
     return relation.label or relation.id
 
 
-def check_sufficiency(
-    path: ReasoningPath,
-    question: Question,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-) -> bool:
+def check_sufficiency(path: ReasoningPath, question: Question, pipe: Pipeline) -> bool:
     """LLM judgment: does the path already hold every fact the question
     needs? Unparseable replies mean "keep searching"."""
-    reply = ask(llm, templates["sufficiency"], question=question.text, path=path.verbalize())
+    reply = ask(pipe.llm, pipe.templates["sufficiency"], question=question.text, path=path.verbalize())
     try:
         return parse_yes_no(reply)
     except Unparseable:
@@ -273,17 +214,7 @@ def check_sufficiency(
 
 
 def search_paths(
-    origin: EntityRef,
-    question: Question,
-    search: SearchConfig,
-    scoring: ScoringConfig,
-    store: KGStore,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
-    denoising: DenoiseConfig,
-    trace: list | None = None,
+    origin: EntityRef, question: Question, pipe: Pipeline, trace: list | None = None
 ) -> tuple[list[ReasoningPath], bool]:
     """Depth-first search from the origin honoring all constraints.
 
@@ -293,6 +224,7 @@ def search_paths(
     are visited in descending score order so high-score paths are reached
     before the budget runs out.
     """
+    search = pipe.search
     completed: list[ReasoningPath] = []
     expansions = 0
     stopped = False
@@ -307,9 +239,7 @@ def search_paths(
                 completed.append(path)
             return
         expansions += 1
-        children = expand(
-            path, question, search, scoring, store, embedder, reranker, denoising, llm, templates
-        )
+        children = expand(path, question, pipe)
         if not children:
             if path.depth():
                 completed.append(path)  # dead end: maximal as-is
@@ -319,7 +249,7 @@ def search_paths(
                 return
             if trace is not None:
                 trace.append((child.depth(), child.hops[-1].describe(), child.hops[-1].score))
-            if check_sufficiency(child, question, llm, templates):
+            if check_sufficiency(child, question, pipe):
                 completed.append(child)
                 stopped = True
                 return
@@ -332,20 +262,7 @@ def search_paths(
     return completed, stopped
 
 
-def run_chain_branch(
-    question: Question,
-    *,
-    store: KGStore,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
-    scoring: ScoringConfig,
-    search: SearchConfig,
-    denoising: DenoiseConfig,
-    link_floor: float = DEFAULT_SIMILARITY_FLOOR,
-    trace: list | None = None,
-) -> Answer:
+def run_chain_branch(question: Question, pipe: Pipeline, trace: list | None = None) -> Answer:
     """Full chained track: extract and link the central entity, search, then
     generate an answer grounded strictly in the best paths' triples.
 
@@ -354,7 +271,7 @@ def run_chain_branch(
     constraints (depth, width, threshold, budget) with only partial paths.
     """
     try:
-        origin = extract_central_entity(question, store, llm, templates, link_floor)
+        origin = extract_central_entity(question, pipe)
     except LinkFailure as exc:
         log.warning("chain run aborted for %s: %s", question.id, exc)
         return Answer(
@@ -362,14 +279,12 @@ def run_chain_branch(
             track=QuestionType.CHAINED,
             flags={"no_central_entity", "insufficient"},
         )
-    completed, stopped_early = search_paths(
-        origin, question, search, scoring, store, llm, templates, embedder, reranker, denoising, trace
-    )
+    completed, stopped_early = search_paths(origin, question, pipe, trace)
     if not completed:
         return Answer(text="", track=QuestionType.CHAINED, flags={"insufficient"})
     ranked = sorted(completed, key=lambda p: (-path_score(p), p.signature()))
-    best = ranked[: search.top_k_paths]
+    best = ranked[: pipe.search.top_k_paths]
     context = "\n".join(p.verbalize() for p in best)
-    text = ask(llm, templates["generate"], question=question.text, triples=context).strip()
+    text = ask(pipe.llm, pipe.templates["generate"], question=question.text, triples=context).strip()
     flags = set() if stopped_early else {"insufficient"}
     return Answer(text=text, track=QuestionType.CHAINED, supporting_paths=best, flags=flags)

@@ -34,6 +34,28 @@ class Question:
 
 
 @dataclass
+class Answer:
+    """Final engine output for either track."""
+
+    text: str
+    track: QuestionType | None = None
+    supporting_paths: list = field(default_factory=list)  # ReasoningPath items
+    verification: list = field(default_factory=list)  # VerificationResult items
+    draft: str | None = None  # parallel track only
+    flags: set[str] = field(default_factory=set)
+
+    def to_dict(self) -> dict:
+        return {
+            "text": self.text,
+            "track": self.track.value if self.track else None,
+            "flags": sorted(self.flags),
+            "draft": self.draft,
+            "supporting_paths": [p.to_dict() for p in self.supporting_paths],
+            "verification": [v.to_dict() for v in self.verification],
+        }
+
+
+@dataclass
 class Classification:
     track: QuestionType
     raw_response: str

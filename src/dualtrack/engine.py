@@ -5,12 +5,13 @@ crashes."""
 from __future__ import annotations
 
 import logging
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import Answer, run_chain_branch
-from .classifier import Classification, Question, QuestionType, classify
+from .chain import SearchConfig, run_chain_branch
+from .classifier import Answer, Classification, Question, QuestionType, classify
 from .config import EngineConfig
-from .denoise import denoise, rule_filter
+from .denoise import DenoiseConfig, denoise, rule_filter
 from .evaluation import AccScorer, evaluate
 from .kg import (
     InMemoryTripleStore,
@@ -20,19 +21,41 @@ from .kg import (
     TransportError,
     Triple,
 )
-from .llm import EchoLLM, HttpLLM, LLMProvider, ProviderError, StubLLM, load_templates
+from .linking import DEFAULT_SIMILARITY_FLOOR
+from .llm import EchoLLM, HttpLLM, LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
 from .scoring import (
     ConstantRerank,
+    EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
     HttpRerank,
     OverlapRerank,
+    RerankProvider,
+    ScoringConfig,
 )
 from .verify import run_parallel_branch
 
 log = logging.getLogger(__name__)
 
 PACKAGED_PROMPTS = Path(__file__).parent / "prompts"
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """What both tracks share: the four providers, the prompt templates and
+    the stage configs. ``Engine`` builds one from its config; build one by
+    hand to run a single stage."""
+
+    store: KGStore
+    llm: LLMProvider
+    templates: dict[str, PromptTemplate]
+    embedder: EmbeddingProvider
+    reranker: RerankProvider
+    scoring: ScoringConfig = field(default_factory=ScoringConfig)
+    search: SearchConfig = field(default_factory=SearchConfig)
+    denoising: DenoiseConfig = field(default_factory=DenoiseConfig)
+    link_floor: float = DEFAULT_SIMILARITY_FLOOR
+    verify_top_k: int = 3  # triples shown to the judge per claim
 
 
 def _build_store(cfg: EngineConfig) -> KGStore:
@@ -84,59 +107,39 @@ class Engine:
         templates=None,
         stub_script: str | Path | None = None,
     ):
-        self.config = config or EngineConfig()
-        self.templates = templates or load_templates(self.config.prompts_dir or PACKAGED_PROMPTS)
-        self.store = store or _build_store(self.config)
-        self.llm = llm or _build_llm(self.config, stub_script)
-        self.embedder = embedder or _build_embedder(self.config)
-        self.reranker = reranker or _build_reranker(self.config)
-        self.scoring = self.config.scoring_config()
-        self.search = self.config.search_config()
-        self.denoising = self.config.denoise_config()
+        self.config = cfg = config or EngineConfig()
+        self.pipeline = Pipeline(
+            templates=templates or load_templates(cfg.prompts_dir or PACKAGED_PROMPTS),
+            store=store or _build_store(cfg),
+            llm=llm or _build_llm(cfg, stub_script),
+            embedder=embedder or _build_embedder(cfg),
+            reranker=reranker or _build_reranker(cfg),
+            scoring=cfg.scoring_config(),
+            search=cfg.search_config(),
+            denoising=cfg.denoise_config(),
+            link_floor=cfg.link_floor,
+            verify_top_k=cfg.verify_top_k,
+        )
 
     # -- pieces ----------------------------------------------------------
 
     def classify(self, question: Question) -> Classification:
         return classify(
             question,
-            self.llm,
-            self.templates["classification"],
+            self.pipeline.llm,
+            self.pipeline.templates["classification"],
             default_track=QuestionType(self.config.default_track),
         )
 
     def chain(self, question: Question, trace: list | None = None) -> Answer:
-        return run_chain_branch(
-            question,
-            store=self.store,
-            llm=self.llm,
-            templates=self.templates,
-            embedder=self.embedder,
-            reranker=self.reranker,
-            scoring=self.scoring,
-            search=self.search,
-            denoising=self.denoising,
-            link_floor=self.config.link_floor,
-            trace=trace,
-        )
+        return run_chain_branch(question, self.pipeline, trace)
 
     def verify(self, question: Question) -> Answer:
-        return run_parallel_branch(
-            question,
-            store=self.store,
-            llm=self.llm,
-            templates=self.templates,
-            embedder=self.embedder,
-            reranker=self.reranker,
-            scoring=self.scoring,
-            denoising=self.denoising,
-            top_k=self.config.verify_top_k,
-            link_floor=self.config.link_floor,
-        )
+        return run_parallel_branch(question, self.pipeline)
 
     def denoise(self, triples: list[Triple], question: Question) -> list[Triple]:
-        return denoise(
-            triples, question.text, self.denoising, self.llm, self.templates["necessity"]
-        )
+        pipe = self.pipeline
+        return denoise(triples, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
 
     def explain_denoise(self, triples: list[Triple], question: Question) -> list[tuple[Triple, bool, str]]:
         """Per-triple (triple, kept, reason) breakdown for the CLI."""
@@ -145,10 +148,10 @@ class Engine:
         for t in triples:
             if t.key() in kept:
                 rows.append((t, True, "kept"))
-            elif rule_filter(t.relation, self.denoising):
+            elif rule_filter(t.relation, self.pipeline.denoising):
                 rows.append((t, False, "rule: label matches k_invalid"))
             else:
-                rows.append((t, False, f"necessity below {self.denoising.theta_necessity}"))
+                rows.append((t, False, f"necessity below {self.pipeline.denoising.theta_necessity}"))
         return rows
 
     # -- the route ---------------------------------------------------------

@@ -10,19 +10,16 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .chain import Answer
-from .classifier import Question
+from .classifier import Answer, Question
+from .scoring import token_jaccard
 
 log = logging.getLogger(__name__)
-
-_TOKEN_RE = re.compile(r"\w+")
 
 
 def exact_match(pred: str, golds: Sequence[str]) -> int:
@@ -32,15 +29,6 @@ def exact_match(pred: str, golds: Sequence[str]) -> int:
     """
     pred = pred.strip()
     return int(any(pred == gold.strip() for gold in golds))
-
-
-def token_jaccard(a: str, b: str) -> float:
-    tokens_a = set(_TOKEN_RE.findall(a.lower()))
-    tokens_b = set(_TOKEN_RE.findall(b.lower()))
-    union = tokens_a | tokens_b
-    if not union:
-        return 1.0
-    return len(tokens_a & tokens_b) / len(union)
 
 
 @dataclass

@@ -18,6 +18,7 @@ import numpy as np
 import requests
 
 from .kg import RelationRef, Triple, EntityRef, LiteralValue
+from .llm import ProviderError
 
 Payload = Union[Triple, RelationRef]
 
@@ -128,6 +129,16 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _jaccard(a: set[str], b: set[str]) -> float:
+    union = a | b
+    return len(a & b) / len(union) if union else 1.0
+
+
+def token_jaccard(a: str, b: str) -> float:
+    """Jaccard overlap of the lower-cased word tokens; 1.0 for two empty texts."""
+    return _jaccard(set(_tokens(a)), set(_tokens(b)))
+
+
 class EmbeddingProvider:
     dimension: int = 0
 
@@ -173,7 +184,7 @@ class HttpEmbedding(EmbeddingProvider):
             response = self._session.post(self.url, json={"texts": list(texts)}, timeout=self.timeout)
             rows = response.json()["embeddings"]
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise RuntimeError(f"embedding endpoint failed: {exc}") from exc
+            raise ProviderError(f"embedding endpoint failed: {exc}") from exc
         vectors = [np.asarray(row, dtype=float) for row in rows]
         for vec in vectors:
             if vec.shape != (self.dimension,):
@@ -191,12 +202,7 @@ class OverlapRerank(RerankProvider):
 
     def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
         query_tokens = set(_tokens(query))
-        scores = []
-        for text in texts:
-            text_tokens = set(_tokens(text))
-            union = query_tokens | text_tokens
-            scores.append(len(query_tokens & text_tokens) / len(union) if union else 1.0)
-        return scores
+        return [_jaccard(query_tokens, set(_tokens(text))) for text in texts]
 
 
 class ConstantRerank(RerankProvider):
@@ -224,7 +230,7 @@ class HttpRerank(RerankProvider):
             )
             scores = response.json()["scores"]
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise RuntimeError(f"rerank endpoint failed: {exc}") from exc
+            raise ProviderError(f"rerank endpoint failed: {exc}") from exc
         return [float(s) for s in scores]
 
 
@@ -250,6 +256,8 @@ def score_candidates(
         return []
     texts = [verbalize(c) for c in candidates]
     vectors = embedder.embed([query_text] + texts)
+    if len(vectors) != len(texts) + 1:
+        raise MissingStageScore(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
     query_vec = vectors[0]
     scored = [
         ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))

@@ -11,24 +11,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .chain import Answer
-from .classifier import Question, QuestionType
-from .denoise import DenoiseConfig, denoise
+from .classifier import Answer, Question, QuestionType
+from .denoise import denoise
 from .kg import EntityRef, KGStore, Triple, fetch_relations
 from .linking import DEFAULT_SIMILARITY_FLOOR, LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import (
-    EmbeddingProvider,
-    RerankProvider,
-    ScoringConfig,
-    score_candidates,
-    verbalize,
-)
+from .scoring import score_candidates, verbalize
+
+if TYPE_CHECKING:
+    from .engine import Pipeline
 
 log = logging.getLogger(__name__)
-
-DEFAULT_VERIFY_TOP_K = 3
 
 
 class VerificationStatus(str, Enum):
@@ -100,19 +95,7 @@ def link_entity(fact: AtomicFact, store: KGStore, floor: float = DEFAULT_SIMILAR
     return link_surface(fact.subject_surface, store, floor)
 
 
-def verify_fact(
-    fact: AtomicFact,
-    *,
-    store: KGStore,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
-    scoring: ScoringConfig,
-    denoising: DenoiseConfig,
-    top_k: int = DEFAULT_VERIFY_TOP_K,
-    link_floor: float = DEFAULT_SIMILARITY_FLOOR,
-) -> VerificationResult:
+def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     """Ground one claim: retrieve the linked entity's triples, denoise, score,
     and let the LLM judge the best ones against the claim.
 
@@ -121,24 +104,24 @@ def verify_fact(
     the claim, otherwise the result is downgraded to unverifiable.
     """
     try:
-        entity = link_entity(fact, store, link_floor)
+        entity = link_entity(fact, pipe.store, pipe.link_floor)
     except LinkFailure as exc:
         log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    pool = fetch_relations(store, entity).all()
-    pool = denoise(pool, fact.text, denoising)  # rule layer only
+    pool = fetch_relations(pipe.store, entity).all()
+    pool = denoise(pool, fact.text, pipe.denoising)  # rule layer only
     if not pool:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, scoring, embedder, reranker)
+    scored = score_candidates(fact.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
     # necessity layer runs after the scorer's top-N cut to bound LLM calls
-    scored = denoise(scored, fact.text, denoising, llm, templates["necessity"])
+    scored = denoise(scored, fact.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    best = [c.payload for c in scored[:top_k]]
+    best = [c.payload for c in scored[: pipe.verify_top_k]]
     evidence = "\n".join(verbalize(t) for t in best)
-    reply = ask(llm, templates["judge"], fact=fact.text, triples=evidence)
+    reply = ask(pipe.llm, pipe.templates["judge"], fact=fact.text, triples=evidence)
     try:
         matched = parse_yes_no(reply)
     except Unparseable:
@@ -147,7 +130,7 @@ def verify_fact(
     if matched:
         return VerificationResult(fact=fact, status=VerificationStatus.VERIFIED, best_triples=best)
 
-    revised = ask(llm, templates["rewrite"], fact=fact.text, triples=evidence).strip()
+    revised = ask(pipe.llm, pipe.templates["rewrite"], fact=fact.text, triples=evidence).strip()
     if not revised or revised == fact.text:
         log.warning("rewrite produced no change for fact %d", fact.origin_index)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE, best_triples=best)
@@ -168,38 +151,12 @@ def _summarize(results: list[VerificationResult]) -> str:
     return "\n".join(lines)
 
 
-def run_parallel_branch(
-    question: Question,
-    *,
-    store: KGStore,
-    llm: LLMProvider,
-    templates: dict[str, PromptTemplate],
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
-    scoring: ScoringConfig,
-    denoising: DenoiseConfig,
-    top_k: int = DEFAULT_VERIFY_TOP_K,
-    link_floor: float = DEFAULT_SIMILARITY_FLOOR,
-) -> Answer:
+def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     """Full parallel track: draft, decompose, verify each fact independently,
     synthesize. If nothing was verifiable the draft comes back flagged."""
-    draft = draft_response(question, llm, templates)
-    facts = decompose(draft, llm, templates)
-    results = [
-        verify_fact(
-            fact,
-            store=store,
-            llm=llm,
-            templates=templates,
-            embedder=embedder,
-            reranker=reranker,
-            scoring=scoring,
-            denoising=denoising,
-            top_k=top_k,
-            link_floor=link_floor,
-        )
-        for fact in facts
-    ]
+    draft = draft_response(question, pipe.llm, pipe.templates)
+    facts = decompose(draft, pipe.llm, pipe.templates)
+    results = [verify_fact(fact, pipe) for fact in facts]
     if not facts or all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
         return Answer(
             text=draft,
@@ -209,8 +166,8 @@ def run_parallel_branch(
             flags={"unverified"},
         )
     text = ask(
-        llm,
-        templates["synthesize"],
+        pipe.llm,
+        pipe.templates["synthesize"],
         question=question.text,
         draft=draft,
         verifications=_summarize(results),

@@ -2,6 +2,7 @@
 deterministic provider doubles."""
 
 import pytest
+import requests
 
 from dualtrack.engine import PACKAGED_PROMPTS
 from dualtrack.kg import InMemoryTripleStore, parse_triples
@@ -74,3 +75,10 @@ class FailingSession:
         raise AssertionError("network access attempted")
 
     request = get
+
+
+class DownSession:
+    """An endpoint that refuses every connection."""
+
+    def post(self, *args, **kwargs):
+        raise requests.ConnectionError("connection refused")

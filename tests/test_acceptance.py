@@ -15,7 +15,7 @@ from dualtrack.chain import Hop, ReasoningPath, SearchConfig, path_score, search
 from dualtrack.classifier import Question, QuestionType, classify
 from dualtrack.config import EngineConfig
 from dualtrack.denoise import DenoiseConfig, denoise
-from dualtrack.engine import Engine
+from dualtrack.engine import Engine, Pipeline
 from dualtrack.evaluation import AccScorer, evaluate, exact_match, semantic_acc
 from dualtrack.kg import (
     EntityRef,
@@ -127,8 +127,7 @@ def test_03_top_n_default_honored(templates):
     counting2 = CountingRerank(ConstantRerank(0.5))
     from dualtrack.verify import AtomicFact
 
-    result = verify_fact(
-        AtomicFact("Hub is about topic3.", "Hub", 0),
+    pipe = Pipeline(
         store=store,
         llm=StubLLM(script=[("Judgment (yes/no)", "yes")]),
         templates=templates,
@@ -137,6 +136,7 @@ def test_03_top_n_default_honored(templates):
         scoring=ScoringConfig(),
         denoising=DenoiseConfig(theta_necessity=0.0),
     )
+    result = verify_fact(AtomicFact("Hub is about topic3.", "Hub", 0), pipe)
     assert result.status is VerificationStatus.VERIFIED
     assert max(len(batch) for batch in counting2.batches) == 50
     _report(3, "top_n defaults to 50; stage II never sees more than 50")
@@ -161,18 +161,17 @@ def test_04_search_constraints_and_oracle(templates):
         store = build_store(lines)
         question = Question(id=f"g{index}", text=random_question(rng, n))
         origin = EntityRef("Q1", "node1")
-        completed, _ = search_paths(
-            origin,
-            question,
-            SearchConfig(d_max=d_max, w_max=w_max, theta_search=theta, llm_select_trigger=10_000),
-            scoring,
-            store,
-            StubLLM(default="no"),  # sufficiency always false
-            templates,
-            embedder,
-            reranker,
-            DenoiseConfig(theta_necessity=0.0),  # necessity layer off
+        pipe = Pipeline(
+            store=store,
+            llm=StubLLM(default="no"),  # sufficiency always false
+            templates=templates,
+            embedder=embedder,
+            reranker=reranker,
+            scoring=scoring,
+            search=SearchConfig(d_max=d_max, w_max=w_max, theta_search=theta, llm_select_trigger=10_000),
+            denoising=DenoiseConfig(theta_necessity=0.0),  # necessity layer off
         )
+        completed, _ = search_paths(origin, question, pipe)
         signatures = {p.signature() for p in completed}
         nonempty += bool(signatures)
         full_depth_paths += sum(p.depth() == d_max for p in completed)

@@ -2,6 +2,7 @@
 and the full search against a brute-force enumeration oracle."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,6 +21,7 @@ from dualtrack.chain import (
 )
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
+from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import StubLLM
@@ -48,8 +50,8 @@ CHAIN_SCRIPT = [
 ]
 
 
-def _deps(store, templates, stub=None, mapping=CHAIN_MAPPING, theta=0.3):
-    return dict(
+def _pipe(store, templates, stub=None, mapping=CHAIN_MAPPING, theta=0.3):
+    return Pipeline(
         store=store,
         llm=stub if stub is not None else StubLLM(script=CHAIN_SCRIPT, default="no"),
         templates=templates,
@@ -57,6 +59,21 @@ def _deps(store, templates, stub=None, mapping=CHAIN_MAPPING, theta=0.3):
         reranker=MappingRerank(mapping),
         scoring=ScoringConfig(alpha=1.0),
         search=SearchConfig(theta_search=theta),
+        denoising=DenoiseConfig(theta_necessity=0.0),
+    )
+
+
+def _expand_pipe(templates, store, search, reranker, stub=None):
+    """Pipeline for single expansion steps: 32-dim hash embeddings, fusion on
+    the rerank score alone, necessity layer off."""
+    return Pipeline(
+        store=store,
+        llm=stub if stub is not None else StubLLM(default="no"),
+        templates=templates,
+        embedder=HashEmbedding(32),
+        reranker=reranker,
+        scoring=ScoringConfig(alpha=1.0),
+        search=search,
         denoising=DenoiseConfig(theta_necessity=0.0),
     )
 
@@ -103,18 +120,18 @@ def test_path_score_extension_multiplies():
 
 def test_extract_central_entity(movie_store, templates):
     stub = StubLLM(script=[("Name the single core entity", "Inception")])
-    assert extract_central_entity(QUESTION, movie_store, stub, templates).id == "QF1"
+    assert extract_central_entity(QUESTION, _pipe(movie_store, templates, stub)).id == "QF1"
 
 
 def test_extract_strips_quotes_and_blank_lines(movie_store, templates):
     stub = StubLLM(script=[("Name the single core entity", '\n  "Inception"  \n')])
-    assert extract_central_entity(QUESTION, movie_store, stub, templates).id == "QF1"
+    assert extract_central_entity(QUESTION, _pipe(movie_store, templates, stub)).id == "QF1"
 
 
 def test_extract_unknown_surface_raises(movie_store, templates):
     stub = StubLLM(script=[("Name the single core entity", "Zzzxy")])
     with pytest.raises(LinkFailure):
-        extract_central_entity(QUESTION, movie_store, stub, templates)
+        extract_central_entity(QUESTION, _pipe(movie_store, templates, stub))
 
 
 # ---------------------------------------------------------------------------
@@ -127,57 +144,34 @@ def _star_store(labels):
     return InMemoryTripleStore(parse_triples(lines))
 
 
-def test_expand_threshold_and_scores():
+def test_expand_threshold_and_scores(templates):
     # candidate scores {0.9, 0.7, 0.4, 0.2} with theta 0.5 leave 2 survivors
     labels = ["alpha", "beta", "gamma", "delta"]
     store = _star_store(labels)
     mapping = {f"hub {label} spoke{i}": s for i, (label, s) in enumerate(zip(labels, [0.9, 0.7, 0.4, 0.2]))}
     path = ReasoningPath(origin=EntityRef("Q1", "hub"))
-    children = expand(
-        path,
-        QUESTION,
-        SearchConfig(theta_search=0.5, w_max=5),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank(mapping),
-        DenoiseConfig(theta_necessity=0.0),
-    )
+    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.5, w_max=5), MappingRerank(mapping))
+    children = expand(path, QUESTION, pipe)
+    assert pipe.llm.calls == []  # necessity off and no crowd to select from
     assert len(children) == 2
     assert [c.hops[-1].triple.relation.label for c in children] == ["alpha", "beta"]
     assert [c.hops[-1].score for c in children] == pytest.approx([0.9, 0.7])
     assert all(c.hops[-1].score >= 0.5 for c in children)
 
 
-def test_expand_all_below_threshold_dead_end():
+def test_expand_all_below_threshold_dead_end(templates):
     store = _star_store(["alpha", "beta"])
-    children = expand(
-        ReasoningPath(origin=EntityRef("Q1", "hub")),
-        QUESTION,
-        SearchConfig(theta_search=0.9),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank({}, default=0.1),
-        DenoiseConfig(theta_necessity=0.0),
-    )
+    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.9), MappingRerank({}, default=0.1))
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert children == []
 
 
-def test_expand_width_cut():
+def test_expand_width_cut(templates):
     labels = [f"rel{c}" for c in "abcdefgh"]
     store = _star_store(labels)
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(labels)}
-    children = expand(
-        ReasoningPath(origin=EntityRef("Q1", "hub")),
-        QUESTION,
-        SearchConfig(theta_search=0.1, w_max=3),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank(mapping),
-        DenoiseConfig(theta_necessity=0.0),
-    )
+    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.1, w_max=3), MappingRerank(mapping))
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert len(children) == 3
     assert [c.hops[-1].triple.relation.label for c in children] == ["relh", "relg", "relf"]
 
@@ -186,18 +180,9 @@ def test_expand_llm_selection_picks_named_relations(templates):
     greek = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
     store = _star_store(greek)
     stub = StubLLM(script=[("Select at most three relations", "epsilon, theta, beta")], default="no")
-    children = expand(
-        ReasoningPath(origin=EntityRef("Q1", "hub")),
-        QUESTION,
-        SearchConfig(theta_search=0.1, w_max=10, llm_select_trigger=5),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank({}, default=0.8),
-        DenoiseConfig(theta_necessity=0.0),
-        llm=stub,
-        templates=templates,
-    )
+    search = SearchConfig(theta_search=0.1, w_max=10, llm_select_trigger=5)
+    pipe = _expand_pipe(templates, store, search, MappingRerank({}, default=0.8), stub)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert sorted(c.hops[-1].triple.relation.label for c in children) == ["beta", "epsilon", "theta"]
 
 
@@ -206,22 +191,13 @@ def test_expand_llm_selection_fallback_keeps_top_three(templates):
     store = _star_store(greek)
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(greek)}
     stub = StubLLM(script=[("Select at most three relations", "none of those words")], default="no")
-    children = expand(
-        ReasoningPath(origin=EntityRef("Q1", "hub")),
-        QUESTION,
-        SearchConfig(theta_search=0.1, w_max=6, llm_select_trigger=5),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank(mapping),
-        DenoiseConfig(theta_necessity=0.0),
-        llm=stub,
-        templates=templates,
-    )
+    search = SearchConfig(theta_search=0.1, w_max=6, llm_select_trigger=5)
+    pipe = _expand_pipe(templates, store, search, MappingRerank(mapping), stub)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert [c.hops[-1].triple.relation.label for c in children] == ["zeta", "epsilon", "delta"]
 
 
-def test_expand_never_revisits_entities():
+def test_expand_never_revisits_entities(templates):
     store = InMemoryTripleStore(
         parse_triples(
             [
@@ -232,20 +208,13 @@ def test_expand_never_revisits_entities():
         )
     )
     path = ReasoningPath(origin=EntityRef("Q1", "a"))
-    deps = (
-        SearchConfig(theta_search=0.0),
-        ScoringConfig(alpha=1.0),
-        store,
-        HashEmbedding(32),
-        MappingRerank({}, default=0.5),
-        DenoiseConfig(theta_necessity=0.0),
-    )
-    children = expand(path, QUESTION, *deps)
+    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.0), MappingRerank({}, default=0.5))
+    children = expand(path, QUESTION, pipe)
     # two distinct triples reach Q2: the head edge and the inverse of Q2->Q1
     assert len(children) == 2
     assert all(isinstance(c.tip(), EntityRef) and c.tip().id == "Q2" for c in children)
     for child in children:
-        grandchildren = expand(child, QUESTION, *deps)
+        grandchildren = expand(child, QUESTION, pipe)
         # from Q2 both edges back to the visited Q1 are barred
         assert len(grandchildren) == 1
         assert grandchildren[0].hops[-1].triple.object.id == "Q3"
@@ -255,34 +224,20 @@ def test_expand_guards_on_literal_tip_and_depth(movie_store, templates):
     literal_tip = ReasoningPath(origin=EntityRef("QF3", "Emma Thomas")).extend(
         Hop(triple=movie_store.head_relations(EntityRef("QF3"))[0], direction=HEAD, score=1.0)
     )
-    args = (
-        QUESTION,
-        SearchConfig(d_max=3),
-        ScoringConfig(alpha=1.0),
-        movie_store,
-        HashEmbedding(32),
-        MappingRerank({}, default=0.5),
-        DenoiseConfig(theta_necessity=0.0),
-    )
-    assert expand(literal_tip, *args) == []
+    pipe = _expand_pipe(templates, movie_store, SearchConfig(d_max=3), MappingRerank({}, default=0.5))
+    assert expand(literal_tip, QUESTION, pipe) == []
 
     deep = ReasoningPath(origin=EntityRef("QF1", "Inception"))
     for i in range(3):
         deep = deep.extend(_hop(0.5, f"Q{i + 1}", f"P{i}", f"Q{i + 2}"))
-    assert expand(deep, *args) == []
+    assert expand(deep, QUESTION, pipe) == []
+    assert pipe.llm.calls == []
 
 
-def test_expand_applies_rule_denoise(movie_store):
-    children = expand(
-        ReasoningPath(origin=EntityRef("QF1", "Inception")),
-        QUESTION,
-        SearchConfig(theta_search=0.0),
-        ScoringConfig(alpha=1.0),
-        movie_store,
-        HashEmbedding(32),
-        MappingRerank(CHAIN_MAPPING, default=0.5),
-        DenoiseConfig(theta_necessity=0.0),
-    )
+def test_expand_applies_rule_denoise(movie_store, templates):
+    search = SearchConfig(theta_search=0.0)
+    pipe = _expand_pipe(templates, movie_store, search, MappingRerank(CHAIN_MAPPING, default=0.5))
+    children = expand(ReasoningPath(origin=EntityRef("QF1", "Inception")), QUESTION, pipe)
     labels = [c.hops[-1].triple.relation.label for c in children]
     assert "wikidata:id" not in labels
     assert len(children) == 4
@@ -298,9 +253,9 @@ def test_check_sufficiency_judgments(movie_store, templates):
     yes = StubLLM(script=[("Sufficient (yes/no)", "yes")])
     no = StubLLM(script=[("Sufficient (yes/no)", "no")])
     mute = StubLLM(default="unclear")
-    assert check_sufficiency(path, QUESTION, yes, templates) is True
-    assert check_sufficiency(path, QUESTION, no, templates) is False
-    assert check_sufficiency(path, QUESTION, mute, templates) is False
+    assert check_sufficiency(path, QUESTION, _pipe(movie_store, templates, yes)) is True
+    assert check_sufficiency(path, QUESTION, _pipe(movie_store, templates, no)) is False
+    assert check_sufficiency(path, QUESTION, _pipe(movie_store, templates, mute)) is False
 
 
 # ---------------------------------------------------------------------------
@@ -309,19 +264,7 @@ def test_check_sufficiency_judgments(movie_store, templates):
 
 
 def test_search_stops_early_on_sufficient_path(movie_store, templates):
-    deps = _deps(movie_store, templates)
-    completed, stopped = search_paths(
-        EntityRef("QF1", "Inception"),
-        QUESTION,
-        deps["search"],
-        deps["scoring"],
-        deps["store"],
-        deps["llm"],
-        deps["templates"],
-        deps["embedder"],
-        deps["reranker"],
-        deps["denoising"],
-    )
+    completed, stopped = search_paths(EntityRef("QF1", "Inception"), QUESTION, _pipe(movie_store, templates))
     assert stopped is True
     assert len(completed) == 1
     assert completed[0].depth() == 3
@@ -329,19 +272,8 @@ def test_search_stops_early_on_sufficient_path(movie_store, templates):
 
 
 def test_search_without_sufficiency_collects_maximal_paths(movie_store, templates):
-    deps = _deps(movie_store, templates, stub=StubLLM(default="no"))
-    completed, stopped = search_paths(
-        EntityRef("QF1", "Inception"),
-        QUESTION,
-        deps["search"],
-        deps["scoring"],
-        deps["store"],
-        deps["llm"],
-        deps["templates"],
-        deps["embedder"],
-        deps["reranker"],
-        deps["denoising"],
-    )
+    pipe = _pipe(movie_store, templates, stub=StubLLM(default="no"))
+    completed, stopped = search_paths(EntityRef("QF1", "Inception"), QUESTION, pipe)
     assert stopped is False
     # the only surviving depth-1 child is 'director' (others are pruned at
     # theta 0.3), so the single maximal path is the full chain
@@ -368,25 +300,16 @@ def test_search_respects_expansion_budget(templates):
     lines = [f"Q1|hub|P{i}|knows|Q{i + 2}|spoke{i}" for i in range(6)]
     lines += [f"Q{i + 2}|spoke{i}|P9|meets|Q50|sink" for i in range(6)]
     store = _CountingStore(parse_triples(lines))
-    completed, stopped = search_paths(
-        EntityRef("Q1", "hub"),
-        QUESTION,
-        SearchConfig(theta_search=0.0, w_max=6, max_expansions=2),
-        ScoringConfig(alpha=1.0),
-        store,
-        StubLLM(default="no"),
-        templates,
-        HashEmbedding(32),
-        MappingRerank({}, default=0.5),
-        DenoiseConfig(theta_necessity=0.0),
-    )
+    search = SearchConfig(theta_search=0.0, w_max=6, max_expansions=2)
+    pipe = _expand_pipe(templates, store, search, MappingRerank({}, default=0.5))
+    completed, stopped = search_paths(EntityRef("Q1", "hub"), QUESTION, pipe)
     assert store.head_calls == 2
     assert stopped is False
     assert completed  # truncated paths still reported
 
 
 def test_run_chain_branch_three_hop_fixture(movie_store, templates):
-    answer = run_chain_branch(QUESTION, **_deps(movie_store, templates))
+    answer = run_chain_branch(QUESTION, _pipe(movie_store, templates))
     assert answer.track is QuestionType.CHAINED
     assert "1975" in answer.text
     assert answer.flags == set()
@@ -396,9 +319,8 @@ def test_run_chain_branch_three_hop_fixture(movie_store, templates):
 
 
 def test_run_chain_branch_depth_one_insufficient(movie_store, templates):
-    deps = _deps(movie_store, templates)
-    deps["search"] = SearchConfig(d_max=1, theta_search=0.3)
-    answer = run_chain_branch(QUESTION, **deps)
+    pipe = replace(_pipe(movie_store, templates), search=SearchConfig(d_max=1, theta_search=0.3))
+    answer = run_chain_branch(QUESTION, pipe)
     assert "insufficient" in answer.flags
     assert all(p.depth() <= 1 for p in answer.supporting_paths)
     assert answer.supporting_paths  # partial evidence still cited
@@ -407,8 +329,7 @@ def test_run_chain_branch_depth_one_insufficient(movie_store, templates):
 def test_run_chain_branch_entity_without_relations(templates):
     store = InMemoryTripleStore(parse_triples(["QF7|Other|P1|knows|QF8|Body"]))
     stub = StubLLM(script=[("Name the single core entity", "Body")], default="no")
-    deps = _deps(store, templates, stub=stub)
-    answer = run_chain_branch(QUESTION, **deps)
+    answer = run_chain_branch(QUESTION, _pipe(store, templates, stub=stub))
     assert answer.flags == {"insufficient"}
     assert answer.supporting_paths == []
     assert answer.text == ""
@@ -416,14 +337,14 @@ def test_run_chain_branch_entity_without_relations(templates):
 
 def test_run_chain_branch_no_central_entity(movie_store, templates):
     stub = StubLLM(script=[("Name the single core entity", "Zzzxy")], default="no")
-    answer = run_chain_branch(QUESTION, **_deps(movie_store, templates, stub=stub))
+    answer = run_chain_branch(QUESTION, _pipe(movie_store, templates, stub=stub))
     assert "no_central_entity" in answer.flags
     assert "insufficient" in answer.flags
 
 
 def test_generation_prompt_grounded_in_supporting_paths(movie_store, templates):
     stub = StubLLM(script=CHAIN_SCRIPT, default="no")
-    answer = run_chain_branch(QUESTION, **_deps(movie_store, templates, stub=stub))
+    answer = run_chain_branch(QUESTION, _pipe(movie_store, templates, stub=stub))
     generation_prompts = [c for c in stub.calls if "using only the facts" in c]
     assert len(generation_prompts) == 1
     for path in answer.supporting_paths:
@@ -437,7 +358,7 @@ def test_generation_prompt_grounded_in_supporting_paths(movie_store, templates):
 def test_answer_to_dict_is_json_serializable(movie_store, templates):
     import json
 
-    answer = run_chain_branch(QUESTION, **_deps(movie_store, templates))
+    answer = run_chain_branch(QUESTION, _pipe(movie_store, templates))
     encoded = json.dumps(answer.to_dict())
     assert "1975" in encoded
 
@@ -455,7 +376,6 @@ def test_search_config_validation():
         {"llm_select_trigger": 0},
         {"top_k_paths": 0},
         {"max_expansions": 0},
-        {"sufficiency_mode": "per_layer"},
     ):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
@@ -476,18 +396,17 @@ def test_search_matches_enumeration_oracle_spot(templates):
         store = build_store(lines)
         question = Question(id="r", text=random_question(rng, n))
         origin = EntityRef("Q1", "node1")
-        completed, _ = search_paths(
-            origin,
-            question,
-            SearchConfig(d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000),
-            scoring,
-            store,
-            StubLLM(default="no"),
-            templates,
-            embedder,
-            reranker,
-            DenoiseConfig(theta_necessity=0.0),
+        pipe = Pipeline(
+            store=store,
+            llm=StubLLM(default="no"),
+            templates=templates,
+            embedder=embedder,
+            reranker=reranker,
+            scoring=scoring,
+            search=SearchConfig(d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000),
+            denoising=DenoiseConfig(theta_necessity=0.0),
         )
+        completed, _ = search_paths(origin, question, pipe)
         expected = enumerate_paths(
             store,
             origin,

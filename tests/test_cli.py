@@ -6,13 +6,14 @@ import json
 import pytest
 import requests
 
-from conftest import MOVIE_LINES
+from conftest import MOVIE_LINES, DownSession
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
 from dualtrack.kg import SparqlClient, TransportError
 from dualtrack.llm import StubLLM
+from dualtrack.scoring import HttpEmbedding, HttpRerank
 
 CHAINED_Q = "When was the wife of the Inception director born?"
 PARALLEL_Q = "Who directed Inception and when was it released?"
@@ -79,11 +80,11 @@ def _cli(workspace, *args):
 # ---------------------------------------------------------------------------
 
 
-def _engine(workspace, **overrides):
+def _engine(workspace, llm=None, **overrides):
     config = EngineConfig(
         triples_file=str(workspace / "movies.triples"), theta_search=0.0, **overrides
     )
-    return Engine(config, stub_script=workspace / "stub.json")
+    return Engine(config, llm=llm, stub_script=workspace / "stub.json")
 
 
 def test_engine_routes_chained_question(workspace):
@@ -101,16 +102,14 @@ def test_engine_routes_parallel_question(workspace):
 
 
 def test_engine_classifier_fallback_flag(workspace):
-    engine = _engine(workspace)
-    engine.llm = StubLLM(default="shrug")  # unparseable classification
+    engine = _engine(workspace, llm=StubLLM(default="shrug"))  # unparseable classification
     answer = engine.answer(Question(id="3", text="Opaque question?"))
     assert answer.track is QuestionType.CHAINED  # configured default
     assert "classifier_fallback" in answer.flags
 
 
 def test_engine_default_track_is_configurable(workspace):
-    engine = _engine(workspace, default_track="parallel")
-    engine.llm = StubLLM(default="shrug")
+    engine = _engine(workspace, llm=StubLLM(default="shrug"), default_track="parallel")
     answer = engine.answer(Question(id="3", text="Opaque question?"))
     assert answer.track is QuestionType.PARALLEL
 
@@ -150,6 +149,29 @@ def test_engine_stub_mode_touches_no_network(workspace, monkeypatch):
         engine.answer(Question(id="x", text=text))
     report = engine.evaluate([Question(id="y", text=CHAINED_Q, gold_answers=["1975-05-26"])])
     assert report["aggregate"]["n"] == 1
+
+
+@pytest.mark.parametrize(
+    "down",
+    [
+        {"embedder": HttpEmbedding("http://emb.test", dimension=256, session=DownSession())},
+        {"reranker": HttpRerank("http://rr.test", session=DownSession())},
+    ],
+    ids=["embedding", "rerank"],
+)
+def test_engine_evaluate_provider_outage_is_invalid(workspace, down):
+    config = EngineConfig(triples_file=str(workspace / "movies.triples"), theta_search=0.0)
+    engine = Engine(config, stub_script=workspace / "stub.json", **down)
+    report = engine.evaluate(
+        [
+            Question(id="q1", text=CHAINED_Q, gold_answers=["1975-05-26"]),
+            Question(id="q2", text=PARALLEL_Q, gold_answers=["2010"]),
+        ]
+    )
+    assert report["aggregate"]["invalid"] == 2
+    assert report["aggregate"]["em"] is None
+    for record in report["records"]:
+        assert "endpoint failed" in record["error"]
 
 
 def test_engine_evaluate_uses_configured_tau_and_parallelism(workspace):
@@ -276,8 +298,33 @@ def test_cli_unreachable_endpoint_exits_2(workspace, monkeypatch, capsys):
     assert "provider failure" in capsys.readouterr().err
 
 
+def test_cli_embedding_outage_exits_2(workspace, monkeypatch, capsys):
+    config = workspace / "http_embedding.json"
+    config.write_text(
+        json.dumps(
+            {
+                "triples_file": str(workspace / "movies.triples"),
+                "theta_search": 0.0,
+                "embedding_provider": "http",
+                "embedding_url": "http://127.0.0.1:9/embed",
+            }
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: DownSession().post())
+    code = main(
+        [
+            "--config", str(config),
+            "--stub-script", str(workspace / "stub.json"),
+            "answer", "--question", CHAINED_Q,
+        ]
+    )
+    assert code == 2
+    assert "embedding endpoint failed" in capsys.readouterr().err
+
+
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):
     config = EngineConfig(cache_dir=str(tmp_path / "cache"))
     engine = Engine(config, llm=StubLLM())
-    assert isinstance(engine.store, SparqlClient)
-    assert engine.store.endpoint_url == "https://query.wikidata.org/sparql"
+    assert isinstance(engine.pipeline.store, SparqlClient)
+    assert engine.pipeline.store.endpoint_url == "https://query.wikidata.org/sparql"

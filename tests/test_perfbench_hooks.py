@@ -1,0 +1,81 @@
+"""Guard for the benchmark's per-layer tracing.
+
+``perfbench/tracing.py`` rebinds package names at run time; a renamed or
+re-signed function there silently reads zero. These tests load that module
+as it is and check that every hook still resolves and records its span.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import MOVIE_LINES
+from dualtrack.classifier import Question
+from dualtrack.config import EngineConfig
+from dualtrack.engine import Engine
+from dualtrack.kg import InMemoryTripleStore, parse_triples
+from dualtrack.llm import StubLLM
+from test_cli import CHAINED_Q, PARALLEL_Q, STUB_SCRIPT
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module_name, attr):
+    owner = importlib.import_module(module_name)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+    return owner
+
+
+def test_every_patch_target_resolves(tracing):
+    missing = [f"{m}.{a}" for m, a, _, _ in tracing.PATCHES if _resolve(m, a) is None]
+    assert missing == []
+
+
+def _engine():
+    script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
+    return Engine(
+        EngineConfig(theta_search=0.0),
+        store=InMemoryTripleStore(parse_triples(MOVIE_LINES)),
+        llm=StubLLM(script=script),
+    )
+
+
+def test_traced_movie_questions_record_every_layer(tracing, capsys):
+    questions = [Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)]
+    untraced = [_engine().answer(q).to_dict() for q in questions]
+    originals = {(m, a): _resolve(m, a) for m, a, _, _ in tracing.PATCHES}
+
+    engine = _engine()
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        traced = [engine.answer(q).to_dict() for q in questions]
+
+    assert "not found" not in capsys.readouterr().err
+    assert traced == untraced
+    assert {(m, a): _resolve(m, a) for m, a, _, _ in tracing.PATCHES} == originals
+    names = {span.name for span in tracer.spans}
+    for layer in (
+        "engine",
+        "classifier",
+        "linking",
+        "chain.expand",
+        "chain.sufficiency",
+        "scoring",
+        "verify.fact",
+        "denoise",
+    ):
+        assert layer in names, layer
+    assert any(s.attrs.get("necessity") for s in tracer.spans if s.name == "denoise")
+    assert {s.attrs["track"] for s in tracer.spans if s.name == "engine"} == {"chained", "parallel"}

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingRerank, MappingRerank
+from conftest import CountingRerank, DownSession, MappingRerank
 from dualtrack.kg import RelationRef
+from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
     ConstantRerank,
     DimensionMismatch,
@@ -254,6 +255,13 @@ def test_http_rerank_roundtrip():
     assert provider.rerank("q", ["a", "b"]) == [0.25, 1.0]
 
 
+def test_http_providers_raise_provider_error_when_endpoint_down():
+    with pytest.raises(ProviderError, match="embedding endpoint failed"):
+        HttpEmbedding("http://emb.test", dimension=2, session=DownSession()).embed(["x"])
+    with pytest.raises(ProviderError, match="rerank endpoint failed"):
+        HttpRerank("http://rr.test", session=DownSession()).rerank("q", ["a"])
+
+
 def test_http_providers_require_url():
     with pytest.raises(ValueError):
         HttpEmbedding("", dimension=4)
@@ -300,6 +308,18 @@ def test_score_candidates_matches_independent_recompute():
     for c in result:
         assert c.combined == pytest.approx(expected_combined[c.payload.id], abs=1e-9)
     assert [c.combined for c in result] == sorted((c.combined for c in result), reverse=True)
+
+
+class _ShortEmbedding(HashEmbedding):
+    """Returns one row fewer than it was asked for."""
+
+    def embed(self, texts):
+        return super().embed(texts)[:-1]
+
+
+def test_score_candidates_rejects_missing_embedding_rows():
+    with pytest.raises(MissingStageScore, match="embedder returned 5 vectors for 6 texts"):
+        score_candidates("topic", _relations(5), ScoringConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
 def test_stage_two_never_sees_stage_one_rejects():

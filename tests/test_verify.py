@@ -2,11 +2,13 @@
 graph with scripted stubs."""
 
 import logging
+from dataclasses import replace
 
 import pytest
 
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
+from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import EchoLLM, StubLLM
@@ -39,8 +41,8 @@ BASE_SCRIPT = [
 ]
 
 
-def _deps(movie_store, templates, stub, theta_necessity=0.0):
-    return dict(
+def _pipe(movie_store, templates, stub, theta_necessity=0.0):
+    return Pipeline(
         store=movie_store,
         llm=stub,
         templates=templates,
@@ -121,7 +123,7 @@ def test_link_entity_floor(movie_store):
 def test_verify_fact_agreeing_claim_verified(movie_store, templates):
     stub = StubLLM(script=BASE_SCRIPT)
     fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
-    result = verify_fact(fact, **_deps(movie_store, templates, stub))
+    result = verify_fact(fact, _pipe(movie_store, templates, stub))
     assert result.status is VerificationStatus.VERIFIED
     assert result.best_triples
     assert result.revised_text is None
@@ -130,7 +132,7 @@ def test_verify_fact_agreeing_claim_verified(movie_store, templates):
 def test_verify_fact_contradicting_claim_revised(movie_store, templates):
     stub = StubLLM(script=BASE_SCRIPT)
     fact = AtomicFact("Inception was directed by James Cameron.", "Inception", 0)
-    result = verify_fact(fact, **_deps(movie_store, templates, stub))
+    result = verify_fact(fact, _pipe(movie_store, templates, stub))
     assert result.status is VerificationStatus.REVISED
     assert result.revised_text == "Inception was directed by Christopher Nolan."
     assert result.revised_text != fact.text
@@ -152,14 +154,14 @@ class _ResolvesButEmptyStore(KGStore):
 
 def test_verify_fact_entity_without_triples_unverifiable(templates):
     fact = AtomicFact("Hermit lives alone.", "Hermit", 0)
-    result = verify_fact(fact, **_deps(_ResolvesButEmptyStore(), templates, StubLLM(default="yes")))
+    result = verify_fact(fact, _pipe(_ResolvesButEmptyStore(), templates, StubLLM(default="yes")))
     assert result.status is VerificationStatus.UNVERIFIABLE
     assert result.best_triples == []
 
 
 def test_verify_fact_link_failure_unverifiable(movie_store, templates):
     fact = AtomicFact("Zzzxy is unknown.", "Zzzxy", 0)
-    result = verify_fact(fact, **_deps(movie_store, templates, StubLLM(default="yes")))
+    result = verify_fact(fact, _pipe(movie_store, templates, StubLLM(default="yes")))
     assert result.status is VerificationStatus.UNVERIFIABLE
     assert result.best_triples == []
 
@@ -168,7 +170,7 @@ def test_verify_fact_all_candidates_denoised_away(templates):
     store = InMemoryTripleStore(parse_triples(["QF1|Ghost|P1|wikidata:id|Q123|"]))
     fact = AtomicFact("Ghost has an id.", "Ghost", 0)
     stub = StubLLM(default="yes")
-    result = verify_fact(fact, **_deps(store, templates, stub))
+    result = verify_fact(fact, _pipe(store, templates, stub))
     assert result.status is VerificationStatus.UNVERIFIABLE
     assert stub.calls == []  # rule layer drops everything before any LLM use
 
@@ -181,7 +183,7 @@ def test_verify_fact_unchanged_rewrite_downgraded(movie_store, templates, caplog
         ("Rewrite the claim so that it agrees", fact.text),  # no-op rewrite
     ]
     with caplog.at_level(logging.WARNING):
-        result = verify_fact(fact, **_deps(movie_store, templates, StubLLM(script=script)))
+        result = verify_fact(fact, _pipe(movie_store, templates, StubLLM(script=script)))
     assert result.status is VerificationStatus.UNVERIFIABLE
     assert result.best_triples  # evidence retained even when unverifiable
 
@@ -189,7 +191,7 @@ def test_verify_fact_unchanged_rewrite_downgraded(movie_store, templates, caplog
 def test_verify_fact_unparseable_judgment_unverifiable(movie_store, templates):
     fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
     stub = StubLLM(default="cannot decide")
-    result = verify_fact(fact, **_deps(movie_store, templates, stub))
+    result = verify_fact(fact, _pipe(movie_store, templates, stub))
     assert result.status is VerificationStatus.UNVERIFIABLE
     assert result.best_triples
 
@@ -197,7 +199,7 @@ def test_verify_fact_unparseable_judgment_unverifiable(movie_store, templates):
 def test_verify_fact_best_triples_come_from_linked_entity(movie_store, templates):
     fact = AtomicFact("Emma Thomas was born in 1975.", "Emma Thomas", 0)
     stub = StubLLM(script=[("Judgment (yes/no)", "yes")])
-    result = verify_fact(fact, **_deps(movie_store, templates, stub))
+    result = verify_fact(fact, _pipe(movie_store, templates, stub))
     entity_triples = {t.key() for t in movie_store.head_relations(EntityRef("QF3"))} | {
         t.key() for t in movie_store.tail_relations(EntityRef("QF3"))
     }
@@ -212,7 +214,7 @@ def test_verify_fact_best_triples_come_from_linked_entity(movie_store, templates
 
 def test_run_parallel_branch_revises_injected_error(movie_store, templates):
     stub = StubLLM(script=BASE_SCRIPT)
-    answer = run_parallel_branch(QUESTION, **_deps(movie_store, templates, stub))
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
     assert answer.track is QuestionType.PARALLEL
     assert answer.draft == DRAFT
     statuses = {r.fact.text: r.status for r in answer.verification}
@@ -230,7 +232,7 @@ def test_run_parallel_branch_all_verified_passes_draft_through(movie_store, temp
         ("Judgment (yes/no)", "yes"),
         ("Compose the corrected final answer", draft),  # passthrough synthesis
     ]
-    answer = run_parallel_branch(QUESTION, **_deps(movie_store, templates, StubLLM(script=script)))
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, StubLLM(script=script)))
     assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED]
     assert answer.text == draft
     assert answer.flags == set()
@@ -239,14 +241,14 @@ def test_run_parallel_branch_all_verified_passes_draft_through(movie_store, temp
 def test_verify_fact_top_k_bounds_evidence(movie_store, templates):
     fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
     stub = StubLLM(script=[("Judgment (yes/no)", "yes")])
-    deps = _deps(movie_store, templates, stub)
-    assert len(verify_fact(fact, **deps).best_triples) == 3  # default top_k on 5 candidates
-    assert len(verify_fact(fact, top_k=2, **deps).best_triples) == 2
+    pipe = _pipe(movie_store, templates, stub)
+    assert len(verify_fact(fact, pipe).best_triples) == 3  # default top_k on 5 candidates
+    assert len(verify_fact(fact, replace(pipe, verify_top_k=2)).best_triples) == 2
 
 
 def test_run_parallel_branch_synthesis_receives_revision(movie_store, templates):
     stub = StubLLM(script=BASE_SCRIPT)
-    run_parallel_branch(QUESTION, **_deps(movie_store, templates, stub))
+    run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
     synthesis_prompts = [c for c in stub.calls if "Compose the corrected final answer" in c]
     assert len(synthesis_prompts) == 1
     assert "Inception was directed by Christopher Nolan." in synthesis_prompts[0]
@@ -255,7 +257,7 @@ def test_run_parallel_branch_synthesis_receives_revision(movie_store, templates)
 
 def test_run_parallel_branch_zero_facts_flags_draft(movie_store, templates):
     stub = StubLLM(script=[("in one or two short sentences", "Some draft."), ("Split the response", "")])
-    answer = run_parallel_branch(QUESTION, **_deps(movie_store, templates, stub))
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
     assert answer.text == "Some draft."
     assert answer.flags == {"unverified"}
     assert answer.verification == []
@@ -266,7 +268,7 @@ def test_run_parallel_branch_all_unverifiable_flags_draft(movie_store, templates
         ("in one or two short sentences", "Zzzxy did something."),
         ("Split the response into atomic facts", "Zzzxy did something. | Zzzxy"),
     ]
-    answer = run_parallel_branch(QUESTION, **_deps(movie_store, templates, StubLLM(script=script)))
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, StubLLM(script=script)))
     assert answer.flags == {"unverified"}
     assert answer.text == "Zzzxy did something."
     assert [r.status for r in answer.verification] == [VerificationStatus.UNVERIFIABLE]
@@ -276,7 +278,7 @@ def test_fact_order_permutation_leaves_results_unchanged(movie_store, templates)
     def outcomes(decomposed_reply):
         script = [e for e in BASE_SCRIPT if "Split the response" not in e[0]]
         script.append(("Split the response into atomic facts", decomposed_reply))
-        answer = run_parallel_branch(QUESTION, **_deps(movie_store, templates, StubLLM(script=script)))
+        answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, StubLLM(script=script)))
         return {
             r.fact.text: (r.status, r.revised_text, tuple(t.key() for t in r.best_triples))
             for r in answer.verification
