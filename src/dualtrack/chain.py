@@ -13,14 +13,14 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
 from .kg import EntityRef, LiteralValue, ObjectTerm, Triple, fetch_relations
 from .linking import LinkFailure, link_surface
-from .llm import Unparseable, ask, parse_yes_no
+from .llm import MemoLLM, Unparseable, ask, parse_yes_no
 from .scoring import ScoredCandidate, score_candidates, top_n
 
 if TYPE_CHECKING:
@@ -264,12 +264,14 @@ def search_paths(
 
 def run_chain_branch(question: Question, pipe: Pipeline, trace: list | None = None) -> Answer:
     """Full chained track: extract and link the central entity, search, then
-    generate an answer grounded strictly in the best paths' triples.
+    generate an answer grounded strictly in the best paths' triples. Each
+    distinct prompt of the question reaches the LLM once (see ``MemoLLM``).
 
     The ``insufficient`` flag marks runs where no path was ever judged
     sufficient: either nothing was found at all, or the search exhausted its
     constraints (depth, width, threshold, budget) with only partial paths.
     """
+    pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     try:
         origin = extract_central_entity(question, pipe)
     except LinkFailure as exc:

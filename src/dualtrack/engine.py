@@ -22,7 +22,16 @@ from .kg import (
     Triple,
 )
 from .linking import DEFAULT_SIMILARITY_FLOOR
-from .llm import EchoLLM, HttpLLM, LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
+from .llm import (
+    EchoLLM,
+    HttpLLM,
+    LLMProvider,
+    MemoLLM,
+    PromptTemplate,
+    ProviderError,
+    StubLLM,
+    load_templates,
+)
 from .scoring import (
     ConstantRerank,
     EmbeddingProvider,
@@ -138,8 +147,10 @@ class Engine:
         return run_parallel_branch(question, self.pipeline)
 
     def denoise(self, triples: list[Triple], question: Question) -> list[Triple]:
+        """Both denoising layers; triples that share a relation label share
+        one necessity prompt."""
         pipe = self.pipeline
-        return denoise(triples, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
+        return denoise(triples, question.text, pipe.denoising, MemoLLM(pipe.llm), pipe.templates["necessity"])
 
     def explain_denoise(self, triples: list[Triple], question: Question) -> list[tuple[Triple, bool, str]]:
         """Per-triple (triple, kept, reason) breakdown for the CLI."""

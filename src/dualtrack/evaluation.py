@@ -121,22 +121,17 @@ def _run_one(question: Question, answer_fn: Callable[[Question], Answer], scorer
             error=f"engine: {exc}",
         )
     latency_ms = int((time.perf_counter() - start) * 1000)
-    em = exact_match(answer.text, question.gold_answers)
-    try:
-        acc = semantic_acc(answer.text, question.gold_answers, scorer)
-    except Exception as exc:
-        log.warning("similarity scorer failed on %s: %s", question.id, exc)
-        return EvalRecord(
-            question_id=question.id,
-            predicted=answer.text,
-            gold=list(question.gold_answers),
-            em=em,
-            acc=0,
-            track=answer.track.value if answer.track else None,
-            latency_ms=latency_ms,
-            flags=sorted(answer.flags),
-            error=f"scorer: {exc}",
-        )
+    em = acc = 0
+    error = None
+    if "error" in answer.flags:  # a branch exception the engine caught
+        error = "engine: branch failed"
+    else:
+        em = exact_match(answer.text, question.gold_answers)
+        try:
+            acc = semantic_acc(answer.text, question.gold_answers, scorer)
+        except Exception as exc:
+            log.warning("similarity scorer failed on %s: %s", question.id, exc)
+            error = f"scorer: {exc}"
     return EvalRecord(
         question_id=question.id,
         predicted=answer.text,
@@ -146,6 +141,7 @@ def _run_one(question: Question, answer_fn: Callable[[Question], Answer], scorer
         track=answer.track.value if answer.track else None,
         latency_ms=latency_ms,
         flags=sorted(answer.flags),
+        error=error,
     )
 
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-import requests
-
 log = logging.getLogger(__name__)
 
 # Live Wikidata ids are Q+digits; fixture graphs also use QF1-style ids, so
@@ -325,7 +323,11 @@ class SparqlClient(KGStore):
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred: offline runs never pay its import
+
+            session = requests.Session()
+        self._session = session
         self.retries = max(1, retries)
         self.backoff = backoff
         self.timeout = timeout
@@ -369,6 +371,8 @@ class SparqlClient(KGStore):
         cached = self._cache_read(query)
         if cached is not None:
             return self._bindings(cached)
+
+        import requests
 
         last_error: Exception | None = None
         for attempt in range(self.retries):

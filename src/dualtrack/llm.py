@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-import requests
-
 log = logging.getLogger(__name__)
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
@@ -162,10 +160,16 @@ class HttpLLM(LLMProvider):
         if not url:
             raise ValueError("llm_url must be set for the http provider")
         self.url = url
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred: stub and offline runs never pay its import
+
+            session = requests.Session()
+        self._session = session
         self.timeout = timeout
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
+        import requests
+
         payload = {
             "prompt": request.prompt,
             "temperature": request.temperature,
@@ -181,6 +185,31 @@ class HttpLLM(LLMProvider):
             return CompletionResponse(text=response.json()["text"], provider=self.name)
         except (ValueError, KeyError, TypeError) as exc:
             raise ProviderError(f"LLM endpoint reply malformed: {exc}") from exc
+
+
+class MemoLLM(LLMProvider):
+    """Sends each distinct request to the wrapped provider once and answers
+    repeats from memory.
+
+    Sound because every pipeline call runs at temperature 0, so one request
+    has one reply. Only replies are stored: an exception propagates as before
+    and a later identical request reaches the provider again. Each track
+    wraps its provider in a fresh memo per question, so a memo lives as long
+    as one question and is used by one thread; answering a question's claims
+    on several threads would need one memo per thread or a lock.
+    """
+
+    def __init__(self, inner: LLMProvider):
+        self.inner = inner
+        self.name = inner.name
+        self._replies: dict[tuple[str, float, int], CompletionResponse] = {}
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        key = (request.prompt, request.temperature, request.max_tokens)
+        reply = self._replies.get(key)
+        if reply is None:
+            reply = self._replies[key] = self.inner.complete(request)
+        return reply
 
 
 def ask(llm: LLMProvider, template: PromptTemplate, **bindings: str) -> str:

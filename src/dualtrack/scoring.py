@@ -10,12 +10,12 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
-import requests
 
 from .kg import RelationRef, Triple, EntityRef, LiteralValue
 from .llm import ProviderError
@@ -176,10 +176,16 @@ class HttpEmbedding(EmbeddingProvider):
             raise ValueError("embedding_url must be set for the http provider")
         self.url = url
         self.dimension = dimension
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred: offline runs never pay its import
+
+            session = requests.Session()
+        self._session = session
         self.timeout = timeout
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+        import requests
+
         try:
             response = self._session.post(self.url, json={"texts": list(texts)}, timeout=self.timeout)
             rows = response.json()["embeddings"]
@@ -220,10 +226,16 @@ class HttpRerank(RerankProvider):
         if not url:
             raise ValueError("rerank_url must be set for the http provider")
         self.url = url
-        self._session = session if session is not None else requests.Session()
+        if session is None:
+            import requests  # deferred: offline runs never pay its import
+
+            session = requests.Session()
+        self._session = session
         self.timeout = timeout
 
     def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
+        import requests
+
         try:
             response = self._session.post(
                 self.url, json={"query": query, "texts": list(texts)}, timeout=self.timeout
@@ -258,6 +270,8 @@ def score_candidates(
     vectors = embedder.embed([query_text] + texts)
     if len(vectors) != len(texts) + 1:
         raise MissingStageScore(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+    if not all(np.isfinite(v).all() for v in vectors):
+        raise MissingStageScore("embedder returned a NaN or infinite value")
     query_vec = vectors[0]
     scored = [
         ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))
@@ -269,6 +283,8 @@ def score_candidates(
         raise MissingStageScore(
             f"reranker returned {len(rerank_scores)} scores for {len(survivors)} candidates"
         )
+    if not all(math.isfinite(score) for score in rerank_scores):
+        raise MissingStageScore("reranker returned a NaN or infinite score")
     fused = [
         fuse(replace(s, rerank=_clamp01(score)), cfg)
         for s, score in zip(survivors, rerank_scores)

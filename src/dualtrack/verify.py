@@ -9,7 +9,7 @@ final answer is synthesized from the draft plus all verification results.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -17,7 +17,7 @@ from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
 from .kg import EntityRef, KGStore, Triple, fetch_relations
 from .linking import DEFAULT_SIMILARITY_FLOOR, LinkFailure, link_surface
-from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
+from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
 
 if TYPE_CHECKING:
@@ -153,7 +153,9 @@ def _summarize(results: list[VerificationResult]) -> str:
 
 def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     """Full parallel track: draft, decompose, verify each fact independently,
-    synthesize. If nothing was verifiable the draft comes back flagged."""
+    synthesize. If nothing was verifiable the draft comes back flagged. Each
+    distinct prompt of the question reaches the LLM once (see ``MemoLLM``)."""
+    pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
     results = [verify_fact(fact, pipe) for fact in facts]

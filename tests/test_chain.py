@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import MappingRerank
+from conftest import MOVIE_LINES, MappingRerank
 from dualtrack.chain import (
     HEAD,
     Hop,
@@ -21,12 +21,14 @@ from dualtrack.chain import (
 )
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
-from dualtrack.engine import Pipeline
+from dualtrack.config import EngineConfig
+from dualtrack.engine import Engine, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
+from test_cli import STUB_SCRIPT
 
 QUESTION = Question(id="q", text="When was the wife of the Inception director born?")
 
@@ -361,6 +363,39 @@ def test_answer_to_dict_is_json_serializable(movie_store, templates):
     answer = run_chain_branch(QUESTION, _pipe(movie_store, templates))
     encoded = json.dumps(answer.to_dict())
     assert "1975" in encoded
+
+
+NECESSITY = "Rate how necessary the relation is"
+
+
+def test_chain_sends_each_necessity_prompt_once(templates):
+    # three "nominated for" triples at the origin share one necessity prompt
+    lines = MOVIE_LINES + [f"QF1|Inception|PF9|nominated for|QF{i}|award {i}" for i in (10, 11, 12)]
+    stub = StubLLM(script=CHAIN_SCRIPT + [(NECESSITY, "0.9")], default="no")
+    pipe = replace(
+        _pipe(InMemoryTripleStore(parse_triples(lines)), templates, stub=stub), denoising=DenoiseConfig()
+    )
+    answer = run_chain_branch(QUESTION, pipe)
+    necessity = [c for c in stub.calls if NECESSITY in c]
+    # director, publication date, genre, cast member, nominated for, spouse, birthdate
+    assert len(necessity) == len(set(necessity)) == 7
+    assert answer.text == "Emma Thomas was born on 1975-05-26."
+    assert [p.verbalize() for p in answer.supporting_paths] == [
+        "(Inception, director, Christopher Nolan) -> (Christopher Nolan, spouse, Emma Thomas)"
+        " -> (Emma Thomas, birthdate, 1975-05-26)"
+    ]
+    assert answer.flags == set()
+
+
+def test_engine_memo_lives_for_one_question(movie_store, templates):
+    script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
+    stub = StubLLM(script=script)
+    engine = Engine(EngineConfig(theta_search=0.0), store=movie_store, llm=stub, templates=templates)
+    first = engine.answer(QUESTION).to_dict()
+    once = list(stub.calls)
+    assert any(NECESSITY in c for c in once)
+    assert engine.answer(QUESTION).to_dict() == first
+    assert stub.calls == once + once
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,10 @@
 and the no-network guarantee of stub mode."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -11,9 +15,9 @@ from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
-from dualtrack.kg import SparqlClient, TransportError
+from dualtrack.kg import SparqlClient, TransportError, parse_triples
 from dualtrack.llm import StubLLM
-from dualtrack.scoring import HttpEmbedding, HttpRerank
+from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank
 
 CHAINED_Q = "When was the wife of the Inception director born?"
 PARALLEL_Q = "Who directed Inception and when was it released?"
@@ -124,6 +128,39 @@ def test_engine_branch_failure_becomes_flagged_answer(workspace, monkeypatch):
     answer = engine.answer(Question(id="4", text=CHAINED_Q))
     assert "error" in answer.flags
     assert answer.track is QuestionType.CHAINED
+
+
+class _ShortEmbedding(HashEmbedding):
+    """Returns one row fewer than it was asked for."""
+
+    def embed(self, texts):
+        return super().embed(texts)[:-1]
+
+
+@pytest.mark.parametrize(
+    "text, engine_kwargs",
+    [("¿??", {}), (CHAINED_Q, {"embedder": _ShortEmbedding(256)})],
+    ids=["zero_query_vector", "short_embedding"],
+)
+def test_engine_evaluate_branch_failure_is_invalid(workspace, text, engine_kwargs):
+    # "¿??" has no word token, so its query vector is all zero (ZeroVector);
+    # the short embedder trips the row-count check (MissingStageScore)
+    config = EngineConfig(triples_file=str(workspace / "movies.triples"), theta_search=0.0)
+    engine = Engine(config, stub_script=workspace / "stub.json", **engine_kwargs)
+    report = engine.evaluate([Question(id="e", text=text, gold_answers=["1975-05-26"])])
+    (record,) = report["records"]
+    assert "error" in record["flags"]
+    assert record["error"] == "engine: branch failed"
+    assert report["aggregate"]["invalid"] == 1
+    assert report["aggregate"]["em"] is None
+
+
+def test_engine_denoise_asks_each_relation_label_once(workspace):
+    triples = parse_triples([f"QF1|Inception|PF9|nominated for|QF{i}|award {i}" for i in range(10, 15)])
+    stub = StubLLM(default="0.9")
+    rows = _engine(workspace, llm=stub).explain_denoise(triples, Question(id="d", text="Which awards?"))
+    assert [kept for _, kept, _ in rows] == [True] * 5
+    assert len(stub.calls) == 1
 
 
 def test_engine_transport_failure_propagates(workspace, monkeypatch):
@@ -321,6 +358,18 @@ def test_cli_embedding_outage_exits_2(workspace, monkeypatch, capsys):
     )
     assert code == 2
     assert "embedding endpoint failed" in capsys.readouterr().err
+
+
+def test_stub_engine_never_imports_requests():
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import sys, dualtrack\n"
+        f"dualtrack.Engine(dualtrack.EngineConfig(triples_file={str(root / 'data' / 'movies.triples')!r}))\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):

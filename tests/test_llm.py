@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from dualtrack.llm import (
     CompletionRequest,
+    CompletionResponse,
     EchoLLM,
     HttpLLM,
+    LLMProvider,
+    MemoLLM,
     MissingPlaceholder,
     PromptTemplate,
     ProviderError,
@@ -174,6 +177,51 @@ def test_ask_renders_and_completes(templates):
     stub = StubLLM(script=[("Judgment (yes/no)", "yes")])
     assert ask(stub, templates["classification"], question="Any?") == "yes"
     assert 'Question: "Any?"' in stub.calls[0]
+
+
+# ---------------------------------------------------------------------------
+# per-question memo
+# ---------------------------------------------------------------------------
+
+
+def test_memo_sends_a_repeated_request_once():
+    stub = StubLLM(default="x")
+    memo = MemoLLM(stub)
+    assert [memo.complete(CompletionRequest("p")).text for _ in range(3)] == ["x", "x", "x"]
+    assert stub.calls == ["p"]
+    assert memo.name == "stub"
+
+
+def test_memo_does_not_share_replies_across_max_tokens():
+    stub = StubLLM(default="x")
+    memo = MemoLLM(stub)
+    memo.complete(CompletionRequest("p", max_tokens=16))
+    memo.complete(CompletionRequest("p", max_tokens=32))
+    memo.complete(CompletionRequest("p", max_tokens=16))
+    assert stub.calls == ["p", "p"]
+
+
+class _FailsOnceLLM(LLMProvider):
+    name = "fails-once"
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, request):
+        self.calls += 1
+        if self.calls == 1:
+            raise ProviderError("transient outage")
+        return CompletionResponse(text="ok", provider=self.name)
+
+
+def test_memo_does_not_store_provider_errors():
+    inner = _FailsOnceLLM()
+    memo = MemoLLM(inner)
+    with pytest.raises(ProviderError):
+        memo.complete(CompletionRequest("p"))
+    assert memo.complete(CompletionRequest("p")).text == "ok"
+    assert memo.complete(CompletionRequest("p")).text == "ok"
+    assert inner.calls == 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,21 @@ from dualtrack.kg import InMemoryTripleStore, parse_triples
 from dualtrack.llm import StubLLM
 from test_cli import CHAINED_Q, PARALLEL_Q, STUB_SCRIPT
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SCRIPT = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
 
 
 def _resolve(module_name, attr):
@@ -44,12 +49,11 @@ def test_every_patch_target_resolves(tracing):
     assert missing == []
 
 
-def _engine():
-    script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
+def _engine(llm=None):
     return Engine(
         EngineConfig(theta_search=0.0),
         store=InMemoryTripleStore(parse_triples(MOVIE_LINES)),
-        llm=StubLLM(script=script),
+        llm=llm or StubLLM(script=SCRIPT),
     )
 
 
@@ -79,3 +83,24 @@ def test_traced_movie_questions_record_every_layer(tracing, capsys):
         assert layer in names, layer
     assert any(s.attrs.get("necessity") for s in tracer.spans if s.name == "denoise")
     assert {s.attrs["track"] for s in tracer.spans if s.name == "engine"} == {"chained", "parallel"}
+
+
+def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):
+    """Call budget: within a question every distinct prompt reaches the LLM
+    once, so each template's call count equals its distinct-prompt count."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # scripted.py imports workloads
+    providers, scripted = _load("providers"), _load("scripted")
+    ledger = providers.Ledger()
+    index = scripted.TemplateIndex(templates)
+    engine = _engine(providers.CountingLLM(StubLLM(script=SCRIPT), 0, ledger, index))
+    for question in (Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)):
+        engine.answer(question)
+
+    counts = ledger.snapshot()
+    budget = {
+        name: (counts.get(f"llm.{name}", 0), counts.get(f"llm.{name}.unique", 0))
+        for name in index.names + ["other"]
+    }
+    assert all(calls == unique for calls, unique in budget.values()), budget
+    assert budget["necessity"][0] > 0
+    assert budget["other"] == (0, 0)

@@ -322,6 +322,48 @@ def test_score_candidates_rejects_missing_embedding_rows():
         score_candidates("topic", _relations(5), ScoringConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
+class _PoisonedEmbedding(HashEmbedding):
+    """Hash embeddings with ``value`` written into the vector of ``text``."""
+
+    def __init__(self, dimension, text, value):
+        super().__init__(dimension)
+        self.text = text
+        self.value = value
+
+    def embed(self, texts):
+        vectors = super().embed(texts)
+        for text, vec in zip(texts, vectors):
+            if text == self.text:
+                vec[0] = self.value
+        return vectors
+
+
+_ABCD = [RelationRef(f"P{i}", f"{name} fact") for i, name in enumerate("abcd")]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("order", ["abdc", "dcba"])
+def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
+    candidates = [_ABCD["abcd".index(name)] for name in order]
+    embedder = _PoisonedEmbedding(16, "c fact", value)
+    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+        score_candidates("a b c d fact", candidates, ScoringConfig(), embedder, ConstantRerank())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+def test_score_candidates_rejects_non_finite_query_embedding(value):
+    embedder = _PoisonedEmbedding(16, "a b c d fact", value)
+    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+        score_candidates("a b c d fact", _ABCD, ScoringConfig(), embedder, ConstantRerank())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_score_candidates_rejects_non_finite_rerank_score(value):
+    reranker = MappingRerank({"c fact": value}, default=0.5)
+    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+        score_candidates("a b c d fact", _ABCD, ScoringConfig(), HashEmbedding(16), reranker)
+
+
 def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
     cfg = ScoringConfig(top_n=5)
