@@ -15,6 +15,7 @@ import logging
 import os
 import re
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,11 @@ RELATION_LIMIT = 100
 
 ENTITY_IRI_PREFIX = "http://www.wikidata.org/entity/"
 DIRECT_PROP_IRI_PREFIX = "http://www.wikidata.org/prop/direct/"
+
+# Wikidata's query service allows 5 concurrent queries per client. One
+# SparqlClient sends at most this many at once, however many evaluation and
+# claim threads share it.
+MAX_CONCURRENT_QUERIES = 5
 
 
 class KGError(Exception):
@@ -301,13 +307,24 @@ def tail_relations_query(wikidata_id: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _retry_after_seconds(response) -> float:
+    """A reply's ``Retry-After`` delay in seconds; 0 when it is absent or an
+    HTTP date."""
+    try:
+        return max(0.0, float(response.headers.get("Retry-After", 0)))
+    except ValueError:
+        return 0.0
+
+
 class SparqlClient(KGStore):
     """SPARQL-over-HTTP client with bounded retries and an on-disk query cache.
 
     Results are cached keyed by the exact query string so repeated runs are
     reproducible and gentle on rate-limited public endpoints. Cache writes go
     through write-then-rename, so concurrent evaluations can share a cache
-    directory.
+    directory. At most ``MAX_CONCURRENT_QUERIES`` requests are in flight at
+    once; a 429 or 5xx reply is retried after the backoff or the reply's
+    ``Retry-After`` delay, whichever is longer (capped at ``timeout``).
     """
 
     def __init__(
@@ -328,6 +345,7 @@ class SparqlClient(KGStore):
 
             session = requests.Session()
         self._session = session
+        self._slots = threading.BoundedSemaphore(MAX_CONCURRENT_QUERIES)
         self.retries = max(1, retries)
         self.backoff = backoff
         self.timeout = timeout
@@ -375,23 +393,27 @@ class SparqlClient(KGStore):
         import requests
 
         last_error: Exception | None = None
+        retry_after = 0.0
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(max(self.backoff * 2 ** (attempt - 1), retry_after))
+                retry_after = 0.0
             try:
-                response = self._session.get(
-                    self.endpoint_url,
-                    params={"query": query, "format": "json"},
-                    headers={"Accept": "application/sparql-results+json"},
-                    timeout=self.timeout,
-                )
+                with self._slots:
+                    response = self._session.get(
+                        self.endpoint_url,
+                        params={"query": query, "format": "json"},
+                        headers={"Accept": "application/sparql-results+json"},
+                        timeout=self.timeout,
+                    )
             except requests.RequestException as exc:
                 last_error = exc
                 log.warning("SPARQL transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
-            if response.status_code >= 500:
+            if response.status_code == 429 or response.status_code >= 500:
                 last_error = TransportError(f"endpoint returned {response.status_code}")
-                log.warning("SPARQL server error %d (attempt %d)", response.status_code, attempt + 1)
+                retry_after = min(_retry_after_seconds(response), self.timeout)
+                log.warning("SPARQL endpoint returned %d (attempt %d)", response.status_code, attempt + 1)
                 continue
             if response.status_code != 200:
                 raise TransportError(f"endpoint returned {response.status_code}")

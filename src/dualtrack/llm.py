@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -194,21 +195,27 @@ class MemoLLM(LLMProvider):
     Sound because every pipeline call runs at temperature 0, so one request
     has one reply. Only replies are stored: an exception propagates as before
     and a later identical request reaches the provider again. Each track
-    wraps its provider in a fresh memo per question, so a memo lives as long
-    as one question and is used by one thread; answering a question's claims
-    on several threads would need one memo per thread or a lock.
+    wraps its provider in a fresh memo per question, and the question's
+    claim threads share it, so a lock guards the table. The provider call
+    runs outside the lock: two threads that ask one new request at the same
+    moment both send it. Claims of one question do that only when the draft
+    repeats a claim, because every prompt a claim sends embeds its text.
     """
 
     def __init__(self, inner: LLMProvider):
         self.inner = inner
         self.name = inner.name
+        self._lock = threading.Lock()
         self._replies: dict[tuple[str, float, int], CompletionResponse] = {}
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         key = (request.prompt, request.temperature, request.max_tokens)
-        reply = self._replies.get(key)
+        with self._lock:
+            reply = self._replies.get(key)
         if reply is None:
-            reply = self._replies[key] = self.inner.complete(request)
+            reply = self.inner.complete(request)
+            with self._lock:
+                self._replies[key] = reply
         return reply
 
 

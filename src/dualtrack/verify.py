@@ -9,8 +9,10 @@ final answer is synthesized from the draft plus all verification results.
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
@@ -24,6 +26,11 @@ if TYPE_CHECKING:
     from .engine import Pipeline
 
 log = logging.getLogger(__name__)
+
+# Claim threads per question. Claims wait on provider round trips, so a few
+# threads overlap most of that wait; the bound keeps an evaluation's thread
+# count at most ``parallelism`` times this.
+MAX_CLAIM_WORKERS = 8
 
 
 class VerificationStatus(str, Enum):
@@ -152,13 +159,20 @@ def _summarize(results: list[VerificationResult]) -> str:
 
 
 def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
-    """Full parallel track: draft, decompose, verify each fact independently,
-    synthesize. If nothing was verifiable the draft comes back flagged. Each
-    distinct prompt of the question reaches the LLM once (see ``MemoLLM``)."""
+    """Full parallel track: draft, decompose, verify the facts, synthesize.
+    If nothing was verifiable the draft comes back flagged. Each distinct
+    prompt of the question reaches the LLM once (see ``MemoLLM``).
+
+    The facts are independent, so they are verified concurrently, on up to
+    ``MAX_CLAIM_WORKERS`` threads that belong to this question. Results
+    follow fact order. If facts fail, the error raised is the earliest
+    failing fact's in fact order; facts that are already running finish
+    first, and facts not yet started are cancelled."""
     pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
-    results = [verify_fact(fact, pipe) for fact in facts]
+    with ThreadPoolExecutor(max(1, min(len(facts), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
+        results = list(pool.map(verify_fact, facts, repeat(pipe)))
     if not facts or all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
         return Answer(
             text=draft,

@@ -3,12 +3,16 @@ builders, and the live client against a fake transport."""
 
 import json
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 import requests
 
+from dualtrack import kg
 from dualtrack.kg import (
+    MAX_CONCURRENT_QUERIES,
     RELATION_LIMIT,
     EntityRef,
     InMemoryTripleStore,
@@ -235,10 +239,11 @@ def test_escape_label():
 
 
 class FakeResponse:
-    def __init__(self, payload=None, status_code=200, text="{}"):
+    def __init__(self, payload=None, status_code=200, text="{}", headers=None):
         self._payload = payload
         self.status_code = status_code
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -355,6 +360,51 @@ def test_client_gives_up_after_bounded_retries():
     with pytest.raises(TransportError):
         client.execute(entity_id_query("x"))
     assert len(session.calls) == 3
+
+
+@pytest.mark.parametrize(
+    "headers, slept",
+    [({"Retry-After": "7"}, [7.0]), ({"Retry-After": "999"}, [30.0]), ({}, [0.5])],
+    ids=["retry_after", "retry_after_capped_at_timeout", "backoff"],
+)
+def test_client_retries_rate_limit_reply(monkeypatch, headers, slept):
+    sleeps = []
+    monkeypatch.setattr(kg.time, "sleep", sleeps.append)
+    session = FakeSession(
+        [FakeResponse(status_code=429, headers=headers), FakeResponse(_result([_entity_binding("Q1")]))]
+    )
+    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0.5, timeout=30.0)
+    assert client.resolve_entity_id("x").id == "Q1"
+    assert len(session.calls) == 2
+    assert sleeps == slept
+
+
+def test_client_caps_queries_in_flight():
+    n = 3 * MAX_CONCURRENT_QUERIES
+    cond = threading.Condition()
+    release = threading.Event()
+    active = {"now": 0, "peak": 0}
+
+    class BlockingSession:
+        def get(self, url, params=None, headers=None, timeout=None):
+            with cond:
+                active["now"] += 1
+                active["peak"] = max(active["peak"], active["now"])
+                cond.notify_all()
+            release.wait(timeout=2)
+            with cond:
+                active["now"] -= 1
+            return FakeResponse(_result([_entity_binding("Q1")]))
+
+    client = SparqlClient("http://kg.test/sparql", session=BlockingSession(), backoff=0)
+    with ThreadPoolExecutor(n) as pool:
+        futures = [pool.submit(client.resolve_entity_id, f"x{i}") for i in range(n)]
+        with cond:
+            assert cond.wait_for(lambda: active["now"] >= MAX_CONCURRENT_QUERIES, timeout=2)
+            cond.wait_for(lambda: active["now"] > MAX_CONCURRENT_QUERIES, timeout=0.2)  # a client without a cap lets more in here
+        release.set()
+        assert [f.result(timeout=2).id for f in futures] == ["Q1"] * n
+    assert active["peak"] == MAX_CONCURRENT_QUERIES
 
 
 def test_client_4xx_fails_without_retry():

@@ -2,6 +2,7 @@
 graph with scripted stubs."""
 
 import logging
+import threading
 from dataclasses import replace
 
 import pytest
@@ -11,7 +12,7 @@ from dualtrack.denoise import DenoiseConfig
 from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure
-from dualtrack.llm import EchoLLM, StubLLM
+from dualtrack.llm import EchoLLM, ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
 from dualtrack.verify import (
     AtomicFact,
@@ -288,3 +289,80 @@ def test_fact_order_permutation_leaves_results_unchanged(movie_store, templates)
     forward = outcomes("\n".join(lines))
     reversed_ = outcomes("\n".join(reversed(lines)))
     assert forward == reversed_
+
+
+# ---------------------------------------------------------------------------
+# claim fan-out
+# ---------------------------------------------------------------------------
+
+FANOUT_CLAIMS = [
+    ("Inception was released in 2010.", "Inception"),
+    ("Christopher Nolan is married to Emma Thomas.", "Christopher Nolan"),
+    ("Emma Thomas was born in 1975.", "Emma Thomas"),
+]
+FANOUT_TEXTS = [text for text, _ in FANOUT_CLAIMS]
+
+
+class _JudgeHookLLM(StubLLM):
+    """Calls ``hook(claim)`` on the claim's thread before answering its judge
+    prompt, so a test can order or synchronise the claims."""
+
+    def __init__(self, hook):
+        super().__init__(
+            script=[
+                ("in one or two short sentences", "A draft."),
+                ("Split the response into atomic facts", "\n".join(f"{t} | {s}" for t, s in FANOUT_CLAIMS)),
+                ("Judgment (yes/no)", "yes"),
+                ("Compose the corrected final answer", "A final answer."),
+            ]
+        )
+        self.hook = hook
+
+    def complete(self, request):
+        if "Judgment (yes/no)" in request.prompt:
+            claim = request.prompt.split("Claim: ", 1)[1].split("\n", 1)[0]
+            self.hook(claim)
+        return super().complete(request)
+
+
+def test_run_parallel_branch_judges_claims_concurrently(movie_store, templates):
+    barrier = threading.Barrier(len(FANOUT_CLAIMS), timeout=2)
+    stub = _JudgeHookLLM(lambda claim: barrier.wait())
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
+    assert "error" not in answer.flags
+    assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(FANOUT_CLAIMS)
+
+
+def test_run_parallel_branch_keeps_fact_order_when_claims_finish_in_reverse(movie_store, templates):
+    judged = []
+    turn = {claim: threading.Event() for claim in FANOUT_TEXTS}
+    turn[FANOUT_TEXTS[-1]].set()
+
+    def last_claim_first(claim):
+        if not turn[claim].wait(timeout=2):
+            raise TimeoutError(f"{claim!r} waited for a later claim that never ran")
+        judged.append(claim)
+        index = FANOUT_TEXTS.index(claim)
+        if index:
+            turn[FANOUT_TEXTS[index - 1]].set()
+
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, _JudgeHookLLM(last_claim_first)))
+    assert judged == FANOUT_TEXTS[::-1]
+    assert [r.fact.text for r in answer.verification] == FANOUT_TEXTS
+    assert [r.fact.origin_index for r in answer.verification] == [0, 1, 2]
+
+
+def test_run_parallel_branch_raises_the_first_claims_error(movie_store, templates):
+    second_failed = threading.Event()
+
+    def two_outages(claim):
+        if claim == FANOUT_TEXTS[0]:
+            second_failed.wait(timeout=2)
+            raise ProviderError("outage on the first claim")
+        if claim == FANOUT_TEXTS[1]:
+            second_failed.set()
+            raise ProviderError("outage on the second claim")
+
+    with pytest.raises(ProviderError, match="first claim"):
+        run_parallel_branch(QUESTION, _pipe(movie_store, templates, _JudgeHookLLM(two_outages)))
+    assert second_failed.is_set()  # the later claim did fail, and failed first
