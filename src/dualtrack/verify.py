@@ -27,10 +27,12 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# Claim threads per question. Claims wait on provider round trips, so a few
-# threads overlap most of that wait; the bound keeps an evaluation's thread
-# count at most ``parallelism`` times this.
-MAX_CLAIM_WORKERS = 8
+# Claim threads per question. Claims mostly wait on provider round trips,
+# but the interpreter lock runs their CPU work one thread at a time, so past
+# a few threads each one adds more lock handoffs, and run-to-run jitter, than
+# overlap. The bound keeps an evaluation's thread count at most
+# ``parallelism`` times this.
+MAX_CLAIM_WORKERS = 3
 
 
 class VerificationStatus(str, Enum):
@@ -102,19 +104,36 @@ def link_entity(fact: AtomicFact, store: KGStore, floor: float = DEFAULT_SIMILAR
     return link_surface(fact.subject_surface, store, floor)
 
 
-def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
+def _link_subject(fact: AtomicFact, pipe: Pipeline) -> EntityRef | Exception:
+    """The entity the fact's subject links to, or the exception linking raised."""
+    try:
+        return link_entity(fact, pipe.store, pipe.link_floor)
+    except Exception as exc:  # verify_fact reports a LinkFailure and raises the rest
+        return exc
+
+
+def verify_fact(
+    fact: AtomicFact, pipe: Pipeline, subject: EntityRef | Exception | None = None
+) -> VerificationResult:
     """Ground one claim: retrieve the linked entity's triples, denoise, score,
     and let the LLM judge the best ones against the claim.
 
     Unlinkable subjects and empty candidate sets come back unverifiable; a
     mismatch triggers the rewrite prompt. The rewrite must actually change
     the claim, otherwise the result is downgraded to unverifiable.
+
+    ``subject`` is what linking the fact's subject gave (the entity, or the
+    exception it raised) when the caller has linked it already; by default
+    the subject is linked here.
     """
-    try:
-        entity = link_entity(fact, pipe.store, pipe.link_floor)
-    except LinkFailure as exc:
-        log.info("fact %d unverifiable: %s", fact.origin_index, exc)
+    if subject is None:
+        subject = _link_subject(fact, pipe)
+    if isinstance(subject, LinkFailure):
+        log.info("fact %d unverifiable: %s", fact.origin_index, subject)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
+    if isinstance(subject, Exception):
+        raise subject
+    entity = subject
 
     pool = fetch_relations(pipe.store, entity).all()
     pool = denoise(pool, fact.text, pipe.denoising)  # rule layer only
@@ -164,15 +183,25 @@ def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     prompt of the question reaches the LLM once (see ``MemoLLM``).
 
     The facts are independent, so they are verified concurrently, on up to
-    ``MAX_CLAIM_WORKERS`` threads that belong to this question. Results
-    follow fact order. If facts fail, the error raised is the earliest
-    failing fact's in fact order; facts that are already running finish
-    first, and facts not yet started are cancelled."""
+    ``MAX_CLAIM_WORKERS`` threads that belong to this question. Their
+    subjects are linked first, in turn on this thread: fuzzy linking is
+    pure-Python CPU work that claim threads cannot run in parallel, and
+    beside claims that wait on providers it would hold up each of their
+    round trips for the interpreter lock, so their timing would depend on
+    thread scheduling. Results follow fact order. If facts fail, the error
+    raised is the earliest failing fact's in fact order, linking errors
+    included; facts that are already running finish first, and facts not
+    yet started are cancelled."""
     pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
-    with ThreadPoolExecutor(max(1, min(len(facts), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
-        results = list(pool.map(verify_fact, facts, repeat(pipe)))
+    subjects = []
+    for fact in facts:
+        subjects.append(_link_subject(fact, pipe))
+        if isinstance(subjects[-1], Exception) and not isinstance(subjects[-1], LinkFailure):
+            break  # this fact raises, so no later fact's outcome is used
+    with ThreadPoolExecutor(max(1, min(len(subjects), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
+        results = list(pool.map(verify_fact, facts, repeat(pipe), subjects))
     if not facts or all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
         return Answer(
             text=draft,

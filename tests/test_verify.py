@@ -10,7 +10,7 @@ import pytest
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
 from dualtrack.engine import Pipeline
-from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, TransportError, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import EchoLLM, ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
@@ -366,3 +366,75 @@ def test_run_parallel_branch_raises_the_first_claims_error(movie_store, template
     with pytest.raises(ProviderError, match="first claim"):
         run_parallel_branch(QUESTION, _pipe(movie_store, templates, _JudgeHookLLM(two_outages)))
     assert second_failed.is_set()  # the later claim did fail, and failed first
+
+
+class _RecordingStore(KGStore):
+    """Delegates to ``inner`` and records each call with the calling thread;
+    looking up a label in ``fail`` raises ``TransportError``."""
+
+    def __init__(self, inner, fail=()):
+        self.inner = inner
+        self.fail = set(fail)
+        self.calls = []
+
+    def resolve_entity_id(self, label):
+        self.calls.append(("resolve", label, threading.get_ident()))
+        if label in self.fail:
+            raise TransportError(f"lookup of {label!r} failed")
+        return self.inner.resolve_entity_id(label)
+
+    def get_label(self, relation):
+        return self.inner.get_label(relation)
+
+    def head_relations(self, entity):
+        self.calls.append(("head", entity.id, threading.get_ident()))
+        return self.inner.head_relations(entity)
+
+    def tail_relations(self, entity):
+        self.calls.append(("tail", entity.id, threading.get_ident()))
+        return self.inner.tail_relations(entity)
+
+    def entities(self):
+        self.calls.append(("entities", None, threading.get_ident()))
+        return self.inner.entities()
+
+
+def test_run_parallel_branch_links_every_subject_before_any_claim_runs(movie_store, templates):
+    store = _RecordingStore(movie_store)
+    stub = _JudgeHookLLM(lambda claim: None)
+    answer = run_parallel_branch(QUESTION, _pipe(store, templates, stub))
+    assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(FANOUT_CLAIMS)
+    here = threading.get_ident()
+    assert store.calls[: len(FANOUT_CLAIMS)] == [("resolve", subject, here) for _, subject in FANOUT_CLAIMS]
+    assert all(name in ("head", "tail") for name, _, _ in store.calls[len(FANOUT_CLAIMS) :])
+
+
+def test_run_parallel_branch_raises_an_earlier_claims_error_over_a_later_link_error(movie_store, templates):
+    def first_claim_down(claim):
+        if claim == FANOUT_TEXTS[0]:
+            raise ProviderError("outage on the first claim")
+
+    store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
+    with pytest.raises(ProviderError, match="first claim"):
+        run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(first_claim_down)))
+    resolved = [arg for name, arg, _ in store.calls if name == "resolve"]
+    assert resolved == [FANOUT_CLAIMS[0][1], FANOUT_CLAIMS[1][1]]  # no subject is linked after the failure
+
+
+def test_run_parallel_branch_raises_a_link_error_on_its_claims_turn(movie_store, templates):
+    store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
+    with pytest.raises(TransportError, match="Christopher Nolan"):
+        run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(lambda claim: None)))
+
+
+def test_verify_fact_takes_an_already_linked_subject(movie_store, templates):
+    fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
+    store = _RecordingStore(movie_store)
+    pipe = _pipe(store, templates, StubLLM(default="yes"))
+    result = verify_fact(fact, pipe, EntityRef("QF1", "Inception"))
+    assert result.status is VerificationStatus.VERIFIED
+    assert [name for name, _, _ in store.calls] == ["head", "tail"]
+    unlinked = verify_fact(fact, pipe, LinkFailure("no entity"))
+    assert unlinked.status is VerificationStatus.UNVERIFIABLE
+    with pytest.raises(TransportError):
+        verify_fact(fact, pipe, TransportError("store down"))
