@@ -26,7 +26,6 @@ from .llm import (
     EchoLLM,
     HttpLLM,
     LLMProvider,
-    MemoLLM,
     PromptTemplate,
     ProviderError,
     StubLLM,
@@ -147,10 +146,10 @@ class Engine:
         return run_parallel_branch(question, self.pipeline)
 
     def denoise(self, triples: list[Triple], question: Question) -> list[Triple]:
-        """Both denoising layers; triples that share a relation label share
-        one necessity prompt."""
+        """Both denoising layers; ``denoise`` sends one necessity prompt per
+        distinct relation label, so triples that share a label share it."""
         pipe = self.pipeline
-        return denoise(triples, question.text, pipe.denoising, MemoLLM(pipe.llm), pipe.templates["necessity"])
+        return denoise(triples, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
 
     def explain_denoise(self, triples: list[Triple], question: Question) -> list[tuple[Triple, bool, str]]:
         """Per-triple (triple, kept, reason) breakdown for the CLI."""

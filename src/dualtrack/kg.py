@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
+from .retry import retry_wait
+
 log = logging.getLogger(__name__)
 
 # Live Wikidata ids are Q+digits; fixture graphs also use QF1-style ids, so
@@ -307,15 +309,6 @@ def tail_relations_query(wikidata_id: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _retry_after_seconds(response) -> float:
-    """A reply's ``Retry-After`` delay in seconds; 0 when it is absent or an
-    HTTP date."""
-    try:
-        return max(0.0, float(response.headers.get("Retry-After", 0)))
-    except ValueError:
-        return 0.0
-
-
 class SparqlClient(KGStore):
     """SPARQL-over-HTTP client with bounded retries and an on-disk query cache.
 
@@ -393,11 +386,10 @@ class SparqlClient(KGStore):
         import requests
 
         last_error: Exception | None = None
-        retry_after = 0.0
+        wait = 0.0
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(max(self.backoff * 2 ** (attempt - 1), retry_after))
-                retry_after = 0.0
+                time.sleep(wait)
             try:
                 with self._slots:
                     response = self._session.get(
@@ -408,11 +400,12 @@ class SparqlClient(KGStore):
                     )
             except requests.RequestException as exc:
                 last_error = exc
+                wait = retry_wait(None, attempt + 1, self.backoff, self.timeout)
                 log.warning("SPARQL transport failure (attempt %d): %s", attempt + 1, exc)
                 continue
             if response.status_code == 429 or response.status_code >= 500:
                 last_error = TransportError(f"endpoint returned {response.status_code}")
-                retry_after = min(_retry_after_seconds(response), self.timeout)
+                wait = retry_wait(response, attempt + 1, self.backoff, self.timeout)
                 log.warning("SPARQL endpoint returned %d (attempt %d)", response.status_code, attempt + 1)
                 continue
             if response.status_code != 200:

@@ -11,9 +11,12 @@ import json
 import logging
 import re
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
+
+from .retry import retry_wait
 
 log = logging.getLogger(__name__)
 
@@ -153,11 +156,17 @@ class EchoLLM(LLMProvider):
 
 class HttpLLM(LLMProvider):
     """Minimal JSON-over-HTTP provider: POST {prompt, temperature, max_tokens},
-    read {text}."""
+    read {text}.
+
+    A 429 reply (the endpoint's concurrency or rate limit) is retried up to
+    ``retries`` posts in all, after the backoff or the reply's
+    ``Retry-After`` delay, whichever is longer (capped at ``timeout``). Any
+    other failure is a ``ProviderError`` at once.
+    """
 
     name = "http"
 
-    def __init__(self, url: str, session=None, timeout: float = 120.0):
+    def __init__(self, url: str, session=None, timeout: float = 120.0, retries: int = 3, backoff: float = 1.0):
         if not url:
             raise ValueError("llm_url must be set for the http provider")
         self.url = url
@@ -167,6 +176,8 @@ class HttpLLM(LLMProvider):
             session = requests.Session()
         self._session = session
         self.timeout = timeout
+        self.retries = max(1, retries)
+        self.backoff = backoff
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         import requests
@@ -176,10 +187,15 @@ class HttpLLM(LLMProvider):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        try:
-            response = self._session.post(self.url, json=payload, timeout=self.timeout)
-        except requests.RequestException as exc:
-            raise ProviderError(f"LLM endpoint unreachable: {exc}") from exc
+        for attempt in range(1, self.retries + 1):
+            try:
+                response = self._session.post(self.url, json=payload, timeout=self.timeout)
+            except requests.RequestException as exc:
+                raise ProviderError(f"LLM endpoint unreachable: {exc}") from exc
+            if response.status_code != 429 or attempt == self.retries:
+                break
+            log.warning("LLM endpoint returned 429 (attempt %d)", attempt)
+            time.sleep(retry_wait(response, attempt, self.backoff, self.timeout))
         if response.status_code != 200:
             raise ProviderError(f"LLM endpoint returned {response.status_code}")
         try:
@@ -196,10 +212,12 @@ class MemoLLM(LLMProvider):
     has one reply. Only replies are stored: an exception propagates as before
     and a later identical request reaches the provider again. Each track
     wraps its provider in a fresh memo per question, and the question's
-    claim threads share it, so a lock guards the table. The provider call
-    runs outside the lock: two threads that ask one new request at the same
-    moment both send it. Claims of one question do that only when the draft
-    repeats a claim, because every prompt a claim sends embeds its text.
+    claim and necessity threads share it, so a lock guards the table. The
+    provider call runs outside the lock: two threads that ask one new
+    request at the same moment both send it. The necessity threads of one
+    ``denoise`` call ask distinct labels, and claims of one question share
+    a prompt only when the draft repeats a claim, because every prompt a
+    claim sends embeds its text.
     """
 
     def __init__(self, inner: LLMProvider):

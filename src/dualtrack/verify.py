@@ -30,7 +30,7 @@ log = logging.getLogger(__name__)
 # Claim threads per question. Claims mostly wait on provider round trips,
 # but the interpreter lock runs their CPU work one thread at a time, so past
 # a few threads each one adds more lock handoffs, and run-to-run jitter, than
-# overlap. The bound keeps an evaluation's thread count at most
+# overlap. The bound keeps an evaluation's claim threads at most
 # ``parallelism`` times this.
 MAX_CLAIM_WORKERS = 3
 

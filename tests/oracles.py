@@ -2,12 +2,14 @@
 
 ``enumerate_paths`` re-derives the set of maximal reasoning paths by plain
 recursive enumeration over the store, applying the same per-step scoring
-inputs but none of the engine's search machinery.
+inputs but none of the engine's search machinery. ``serial_denoise`` is the
+denoiser as one loop over the candidates, one necessity prompt each.
 """
 
 import random
 
-from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, Triple, parse_triples
+from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, render
 from dualtrack.scoring import score_candidates
 
 # none of these contain any default k_invalid keyword as a substring
@@ -106,3 +108,30 @@ def enumerate_paths(
 
 def build_store(lines) -> InMemoryTripleStore:
     return InMemoryTripleStore(parse_triples(lines))
+
+
+def serial_denoise(candidates, question, k_invalid, theta, llm, template):
+    """Keyword rule, then one necessity prompt per surviving candidate, in
+    input order. A provider error or an unparseable reply keeps the
+    candidate; with ``theta`` 0 the provider is never asked."""
+    survivors = []
+    for candidate in candidates:
+        relation = candidate.relation if isinstance(candidate, Triple) else candidate
+        if relation.label and any(k in relation.label.lower() for k in k_invalid):
+            continue
+        if theta == 0.0:
+            survivors.append(candidate)
+            continue
+        prompt = render(template, {"relation": relation.label or relation.id, "question": question})
+        try:
+            reply = llm.complete(CompletionRequest(prompt=prompt)).text
+        except ProviderError:
+            survivors.append(candidate)
+            continue
+        try:
+            score = parse_score(reply)
+        except Unparseable:
+            score = 1.0
+        if score >= theta:
+            survivors.append(candidate)
+    return survivors

@@ -1,15 +1,20 @@
-"""Denoiser tests: keyword rule layer, LLM necessity layer, keep-on-failure."""
+"""Denoiser tests: keyword rule layer, LLM necessity layer, keep-on-failure,
+concurrent per-label scoring."""
 
 import logging
+import re
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FailingLLM
-from dualtrack.denoise import DenoiseConfig, denoise, necessity_score, rule_filter
+from dualtrack.denoise import MAX_NECESSITY_WORKERS, DenoiseConfig, denoise, necessity_score, rule_filter
 from dualtrack.kg import RelationRef, parse_triples
-from dualtrack.llm import StubLLM
+from dualtrack.llm import CompletionResponse, LLMProvider, ProviderError, StubLLM
+from oracles import serial_denoise
 
 
 @pytest.fixture
@@ -158,3 +163,132 @@ def test_denoise_config_validation():
         DenoiseConfig(theta_necessity=1.5)
     cfg = DenoiseConfig(k_invalid=frozenset({"ID", "Source"}))
     assert cfg.k_invalid == frozenset({"id", "source"})
+
+
+# ---------------------------------------------------------------------------
+# concurrent necessity scoring
+# ---------------------------------------------------------------------------
+
+_RELATION_LINE = re.compile(r"^Relation: (.*)$", re.MULTILINE)
+
+
+class _PerLabelLLM(LLMProvider):
+    """Replies through ``reply(label)``, the label read from the prompt's
+    ``Relation:`` line; records every label asked."""
+
+    name = "per-label"
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.asked = []
+
+    def complete(self, request):
+        label = _RELATION_LINE.search(request.prompt).group(1)
+        self.asked.append(label)
+        return CompletionResponse(text=self.reply(label), provider=self.name)
+
+
+def test_denoise_scores_distinct_labels_concurrently(cfg, templates):
+    labels = [f"topic{i}" for i in range(4)]
+    assert len(labels) <= MAX_NECESSITY_WORKERS
+    barrier = threading.Barrier(len(labels), timeout=2)
+
+    def reply(label):
+        barrier.wait()  # breaks unless every label is being scored at once
+        return "0.9"
+
+    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    llm = _PerLabelLLM(reply)
+    assert denoise(relations, "q", cfg, llm, templates["necessity"]) == relations
+    assert sorted(llm.asked) == labels
+
+
+def test_denoise_keeps_input_order_when_replies_finish_in_reverse(cfg, templates):
+    labels = [f"topic{i}" for i in range(5)]
+    done = {label: threading.Event() for label in labels}
+    finished = []
+
+    def reply(label):
+        later = labels.index(label) + 1
+        if later < len(labels) and not done[labels[later]].wait(timeout=2):
+            raise AssertionError("labels were not scored concurrently")
+        finished.append(label)
+        done[label].set()
+        return "0.9" if labels.index(label) % 2 == 0 else "0.1"
+
+    relations = [RelationRef(f"P{i}", labels[i % 5]) for i in range(10)]
+    kept = denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    assert finished == labels[::-1]
+    assert kept == [r for r in relations if r.label in ("topic0", "topic2", "topic4")]
+
+
+def test_denoise_raises_the_earliest_labels_error(cfg, templates):
+    later_failed = threading.Event()
+
+    def reply(label):
+        if label == "second":
+            later_failed.set()
+            raise ValueError("second")
+        if label == "first":
+            if not later_failed.wait(timeout=2):
+                raise AssertionError("labels were not scored concurrently")
+            raise ValueError("first")
+        return "0.9"
+
+    relations = [RelationRef("P1", "first"), RelationRef("P2", "second"), RelationRef("P3", "third")]
+    with pytest.raises(ValueError, match="first"):
+        denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+
+
+def test_denoise_provider_error_keeps_every_candidate_with_that_label(cfg, templates):
+    outages = ["director"]  # the first "director" prompt fails, a retry would answer 0.1
+
+    def reply(label):
+        if label in outages:
+            outages.remove(label)
+            raise ProviderError("transient outage")
+        return "0.1"
+
+    relations = [
+        RelationRef("P1", "director"),
+        RelationRef("P2", "spouse"),
+        RelationRef("P9", "director"),
+        RelationRef("P3", "height"),
+    ]
+    kept = denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    assert kept == [relations[0], relations[2]]
+
+
+def test_denoise_sends_one_prompt_per_distinct_label(cfg, templates):
+    labels = ["director", "spouse", "director", "genre", "spouse", "director"]
+    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    stub = StubLLM(default="0.9")
+    assert denoise(relations, "q", cfg, stub, templates["necessity"]) == relations
+    assert Counter(_RELATION_LINE.search(c).group(1) for c in stub.calls) == Counter(set(labels))
+
+
+_LABELS = ["director", "spouse", "genre", "cast member", "award", "data source", ""]
+
+
+@given(
+    picks=st.lists(st.integers(0, len(_LABELS) - 1), max_size=20),
+    theta=st.sampled_from([0.0, 0.3, 0.5, 0.7]),
+    offsets=st.lists(
+        st.sampled_from([-0.1, -0.01, 0.0, 0.01, 0.1, None]), min_size=len(_LABELS), max_size=len(_LABELS)
+    ),
+    failing=st.sets(st.sampled_from(_LABELS)),
+)
+def test_denoise_matches_serial_oracle(templates, picks, theta, offsets, failing):
+    # an empty label is asked by relation id; every such candidate gets its own
+    relations = [RelationRef(f"P{i}" if not _LABELS[p] else f"P{p}", _LABELS[p]) for i, p in enumerate(picks)]
+
+    def reply(label):
+        index = _LABELS.index(label) if label in _LABELS else _LABELS.index("")
+        if _LABELS[index] in failing:
+            raise ProviderError("down")
+        offset = offsets[index]
+        return "unsure" if offset is None else f"{min(1.0, max(0.0, theta + offset)):.2f}"
+
+    cfg = DenoiseConfig(theta_necessity=theta)
+    expected = serial_denoise(relations, "q", cfg.k_invalid, theta, _PerLabelLLM(reply), templates["necessity"])
+    assert denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"]) == expected

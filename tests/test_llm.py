@@ -5,6 +5,7 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualtrack import llm as llm_module
 from dualtrack.llm import (
     CompletionRequest,
     CompletionResponse,
@@ -132,22 +133,24 @@ def test_echo_returns_prompt():
 
 
 class _FakeHttpSession:
-    def __init__(self, response=None, error=None):
+    def __init__(self, response=None, error=None, responses=()):
         self.response = response
         self.error = error
+        self.responses = list(responses)  # served first, one per post
         self.posts = []
 
     def post(self, url, json=None, timeout=None):
         self.posts.append({"url": url, "json": json})
         if self.error:
             raise self.error
-        return self.response
+        return self.responses.pop(0) if self.responses else self.response
 
 
 class _FakeHttpResponse:
-    def __init__(self, payload, status_code=200):
+    def __init__(self, payload, status_code=200, headers=None):
         self.payload = payload
         self.status_code = status_code
+        self.headers = headers or {}
 
     def json(self):
         return self.payload
@@ -171,6 +174,27 @@ def test_http_llm_errors():
     down = HttpLLM("http://llm.test", session=_FakeHttpSession(error=requests.ConnectionError("boom")))
     with pytest.raises(ProviderError):
         down.complete(CompletionRequest("x"))
+
+
+def test_http_llm_retries_rate_limit_reply(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(llm_module.time, "sleep", sleeps.append)
+    limited = _FakeHttpResponse({}, 429, headers={"Retry-After": "0"})
+    session = _FakeHttpSession(responses=[limited], response=_FakeHttpResponse({"text": "pong"}))
+    assert HttpLLM("http://llm.test", session=session).complete(CompletionRequest("ping")).text == "pong"
+    assert len(session.posts) == 2
+    assert sleeps == [1.0]  # the default backoff outlasts a zero Retry-After
+
+
+def test_http_llm_gives_up_on_persistent_rate_limit(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(llm_module.time, "sleep", sleeps.append)
+    session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": "5"}))
+    provider = HttpLLM("http://llm.test", session=session, retries=3, backoff=0.5)
+    with pytest.raises(ProviderError, match="429"):
+        provider.complete(CompletionRequest("x"))
+    assert len(session.posts) == 3
+    assert sleeps == [5.0, 5.0]
 
 
 def test_ask_renders_and_completes(templates):
