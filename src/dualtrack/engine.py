@@ -74,7 +74,7 @@ def _build_store(cfg: EngineConfig) -> KGStore:
 
 def _build_llm(cfg: EngineConfig, stub_script: str | Path | None) -> LLMProvider:
     if cfg.llm_provider == "http":
-        return HttpLLM(cfg.llm_url)
+        return HttpLLM(cfg.llm_url, parallelism=cfg.parallelism)
     if cfg.llm_provider == "echo":
         return EchoLLM()
     if stub_script:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 import re
 import threading
 import time
@@ -154,30 +155,49 @@ class EchoLLM(LLMProvider):
         return CompletionResponse(text=request.prompt, provider=self.name)
 
 
+# A 429 reply from the HTTP LLM endpoint is posted again, up to
+# ``HTTP_LLM_RETRIES`` posts in all. The wait after post ``n`` is the backoff
+# ``HTTP_LLM_BACKOFF_S * 2 ** (n - 1)``, scaled by a random factor in
+# [0.5, 1.5] so that threads refused together do not retry together, or the
+# reply's ``Retry-After``, whichever is longer.
+HTTP_LLM_RETRIES = 3
+HTTP_LLM_BACKOFF_S = 1.0
+
+
 class HttpLLM(LLMProvider):
     """Minimal JSON-over-HTTP provider: POST {prompt, temperature, max_tokens},
     read {text}.
 
-    A 429 reply (the endpoint's concurrency or rate limit) is retried up to
-    ``retries`` posts in all, after the backoff or the reply's
-    ``Retry-After`` delay, whichever is longer (capped at ``timeout``). Any
-    other failure is a ``ProviderError`` at once.
+    A 429 reply (the endpoint's concurrency or rate limit) is retried as
+    ``HTTP_LLM_RETRIES`` and ``HTTP_LLM_BACKOFF_S`` describe, waiting at most
+    ``timeout`` for a ``Retry-After``. Any other failure is a
+    ``ProviderError`` at once.
+
+    A session the provider makes itself keeps up to ``parallelism`` times the
+    requests one question can have in flight (``verify.MAX_CLAIM_WORKERS``
+    claim threads, each scoring ``denoise.MAX_NECESSITY_WORKERS`` labels)
+    open, so concurrent requests reuse their connections.
     """
 
     name = "http"
 
-    def __init__(self, url: str, session=None, timeout: float = 120.0, retries: int = 3, backoff: float = 1.0):
+    def __init__(self, url: str, session=None, timeout: float = 120.0, parallelism: int = 1):
         if not url:
             raise ValueError("llm_url must be set for the http provider")
         self.url = url
         if session is None:
             import requests  # deferred: stub and offline runs never pay its import
+            from requests.adapters import HTTPAdapter
+
+            from .denoise import MAX_NECESSITY_WORKERS
+            from .verify import MAX_CLAIM_WORKERS
 
             session = requests.Session()
+            adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
         self._session = session
         self.timeout = timeout
-        self.retries = max(1, retries)
-        self.backoff = backoff
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         import requests
@@ -187,15 +207,16 @@ class HttpLLM(LLMProvider):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        for attempt in range(1, self.retries + 1):
+        for attempt in range(1, HTTP_LLM_RETRIES + 1):
             try:
                 response = self._session.post(self.url, json=payload, timeout=self.timeout)
             except requests.RequestException as exc:
                 raise ProviderError(f"LLM endpoint unreachable: {exc}") from exc
-            if response.status_code != 429 or attempt == self.retries:
+            if response.status_code != 429 or attempt == HTTP_LLM_RETRIES:
                 break
             log.warning("LLM endpoint returned 429 (attempt %d)", attempt)
-            time.sleep(retry_wait(response, attempt, self.backoff, self.timeout))
+            backoff = HTTP_LLM_BACKOFF_S * random.uniform(0.5, 1.5)
+            time.sleep(retry_wait(response, attempt, backoff, self.timeout))
         if response.status_code != 200:
             raise ProviderError(f"LLM endpoint returned {response.status_code}")
         try:

@@ -5,7 +5,10 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualtrack import denoise, verify
 from dualtrack import llm as llm_module
+from dualtrack.config import EngineConfig
+from dualtrack.engine import _build_llm
 from dualtrack.llm import (
     CompletionRequest,
     CompletionResponse,
@@ -176,25 +179,62 @@ def test_http_llm_errors():
         down.complete(CompletionRequest("x"))
 
 
-def test_http_llm_retries_rate_limit_reply(monkeypatch):
-    sleeps = []
+def _record_sleeps(monkeypatch, jitter=(1.0,)):
+    """Patch the retry sleep and its random factor; returns the sleeps and
+    the ``random.uniform`` calls. The factors in ``jitter`` are served in
+    turn, the last one repeated."""
+    sleeps, draws = [], []
+    factors = list(jitter)
+
+    def uniform(low, high):
+        draws.append((low, high))
+        return factors.pop(0) if len(factors) > 1 else factors[0]
+
     monkeypatch.setattr(llm_module.time, "sleep", sleeps.append)
+    monkeypatch.setattr(llm_module.random, "uniform", uniform)
+    return sleeps, draws
+
+
+def test_http_llm_retries_rate_limit_reply(monkeypatch):
+    sleeps, _ = _record_sleeps(monkeypatch)
     limited = _FakeHttpResponse({}, 429, headers={"Retry-After": "0"})
     session = _FakeHttpSession(responses=[limited], response=_FakeHttpResponse({"text": "pong"}))
     assert HttpLLM("http://llm.test", session=session).complete(CompletionRequest("ping")).text == "pong"
     assert len(session.posts) == 2
-    assert sleeps == [1.0]  # the default backoff outlasts a zero Retry-After
+    assert sleeps == [1.0]  # the backoff outlasts a zero Retry-After
 
 
 def test_http_llm_gives_up_on_persistent_rate_limit(monkeypatch):
-    sleeps = []
-    monkeypatch.setattr(llm_module.time, "sleep", sleeps.append)
+    sleeps, _ = _record_sleeps(monkeypatch)
     session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": "5"}))
-    provider = HttpLLM("http://llm.test", session=session, retries=3, backoff=0.5)
     with pytest.raises(ProviderError, match="429"):
-        provider.complete(CompletionRequest("x"))
-    assert len(session.posts) == 3
-    assert sleeps == [5.0, 5.0]
+        HttpLLM("http://llm.test", session=session).complete(CompletionRequest("x"))
+    assert len(session.posts) == llm_module.HTTP_LLM_RETRIES
+    assert sleeps == [5.0] * (llm_module.HTTP_LLM_RETRIES - 1)
+
+
+@pytest.mark.parametrize(
+    "retry_after, jitter, slept",
+    [("0", (1.5, 0.5), [1.5, 1.0]), ("2", (0.5,), [2.0, 2.0]), ("0", (0.5,), [0.5, 1.0])],
+    ids=["jittered_backoff", "retry_after_is_the_floor", "low_draw"],
+)
+def test_http_llm_rate_limit_wait_is_jittered(monkeypatch, retry_after, jitter, slept):
+    sleeps, draws = _record_sleeps(monkeypatch, jitter)
+    session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": retry_after}))
+    with pytest.raises(ProviderError):
+        HttpLLM("http://llm.test", session=session).complete(CompletionRequest("x"))
+    assert sleeps == slept
+    assert draws == [(0.5, 1.5)] * len(slept)
+
+
+def test_http_llm_connection_pool_holds_a_question_in_flight_per_parallel_question():
+    per_question = verify.MAX_CLAIM_WORKERS * denoise.MAX_NECESSITY_WORKERS
+    for parallelism in (1, 4):
+        provider = HttpLLM("http://llm.test", parallelism=parallelism)
+        for url in ("http://llm.test", "https://llm.test"):
+            assert provider._session.get_adapter(url)._pool_maxsize == parallelism * per_question
+    built = _build_llm(EngineConfig(llm_provider="http", llm_url="http://llm.test", parallelism=3), None)
+    assert built._session.get_adapter("http://llm.test")._pool_maxsize == 3 * per_question
 
 
 def test_ask_renders_and_completes(templates):
