@@ -167,7 +167,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
 
     pool = denoise(candidates, question.text, pipe.denoising)  # rule layer only
     scored = score_candidates(question.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
-    # necessity layer sits after the scorer's top-N cut to bound LLM calls
+    # necessity layer: denoise asks each distinct relation label once
     scored = denoise(scored, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
     survivors = [c for c in scored if c.combined >= search.theta_search]
     survivors = top_n(survivors, search.w_max, key="combined")

@@ -16,16 +16,30 @@ from pathlib import Path
 from typing import Mapping
 
 from .chain import SearchConfig
+from .classifier import QuestionType
 from .denoise import DEFAULT_INVALID_KEYWORDS, DenoiseConfig
-from .scoring import ScoringConfig
+from .llm import EchoLLM, HttpLLM, StubLLM
+from .scoring import ConstantRerank, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank, ScoringConfig
 
 ENV_PREFIX = "DUALTRACK_"
 
-_PROVIDER_CHOICES = {
-    "llm_provider": {"stub", "http", "echo"},
-    "embedding_provider": {"hash", "http"},
-    "rerank_provider": {"overlap", "constant", "http"},
-    "default_track": {"chained", "parallel"},
+# For each provider key of the config, the names it accepts and the factory
+# that builds that provider from the whole config.
+PROVIDERS = {
+    "llm_provider": {
+        "stub": lambda cfg: StubLLM(),
+        "http": lambda cfg: HttpLLM(cfg.llm_url, parallelism=cfg.parallelism),
+        "echo": lambda cfg: EchoLLM(),
+    },
+    "embedding_provider": {
+        "hash": lambda cfg: HashEmbedding(cfg.dimension),
+        "http": lambda cfg: HttpEmbedding(cfg.embedding_url, cfg.dimension, parallelism=cfg.parallelism),
+    },
+    "rerank_provider": {
+        "overlap": lambda cfg: OverlapRerank(),
+        "constant": lambda cfg: ConstantRerank(),
+        "http": lambda cfg: HttpRerank(cfg.rerank_url, parallelism=cfg.parallelism),
+    },
 }
 
 
@@ -73,10 +87,11 @@ class EngineConfig:
     prompts_dir: str = ""  # empty -> packaged prompts
 
     def __post_init__(self):
-        for key, choices in _PROVIDER_CHOICES.items():
+        for key, factories in PROVIDERS.items():
             value = getattr(self, key)
-            if value not in choices:
-                raise ValueError(f"{key} must be one of {sorted(choices)}, got {value!r}")
+            if value not in factories:
+                raise ValueError(f"{key} must be one of {sorted(factories)}, got {value!r}")
+        QuestionType(self.default_track)  # raises ValueError on an unknown track
         if not 0.0 <= self.link_floor <= 1.0:
             raise ValueError(f"link_floor must be in [0, 1], got {self.link_floor}")
         if not 0.0 <= self.tau <= 1.0:

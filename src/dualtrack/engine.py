@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .chain import SearchConfig, run_chain_branch
 from .classifier import Answer, Classification, Question, QuestionType, classify
-from .config import EngineConfig
+from .config import PROVIDERS, EngineConfig
 from .denoise import DenoiseConfig, denoise, rule_filter
 from .evaluation import AccScorer, evaluate
 from .kg import (
@@ -22,25 +22,8 @@ from .kg import (
     Triple,
 )
 from .linking import DEFAULT_SIMILARITY_FLOOR
-from .llm import (
-    EchoLLM,
-    HttpLLM,
-    LLMProvider,
-    PromptTemplate,
-    ProviderError,
-    StubLLM,
-    load_templates,
-)
-from .scoring import (
-    ConstantRerank,
-    EmbeddingProvider,
-    HashEmbedding,
-    HttpEmbedding,
-    HttpRerank,
-    OverlapRerank,
-    RerankProvider,
-    ScoringConfig,
-)
+from .llm import LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
+from .scoring import EmbeddingProvider, RerankProvider, ScoringConfig
 from .verify import run_parallel_branch
 
 log = logging.getLogger(__name__)
@@ -72,36 +55,17 @@ def _build_store(cfg: EngineConfig) -> KGStore:
     return SparqlClient(cfg.sparql_url, cache_dir=cfg.cache_dir or None)
 
 
-def _build_llm(cfg: EngineConfig, stub_script: str | Path | None) -> LLMProvider:
-    if cfg.llm_provider == "http":
-        return HttpLLM(cfg.llm_url, parallelism=cfg.parallelism)
-    if cfg.llm_provider == "echo":
-        return EchoLLM()
-    if stub_script:
-        return StubLLM.from_script_file(stub_script)
-    return StubLLM()
-
-
-def _build_embedder(cfg: EngineConfig):
-    if cfg.embedding_provider == "http":
-        return HttpEmbedding(cfg.embedding_url, dimension=cfg.dimension)
-    return HashEmbedding(dimension=cfg.dimension)
-
-
-def _build_reranker(cfg: EngineConfig):
-    if cfg.rerank_provider == "http":
-        return HttpRerank(cfg.rerank_url)
-    if cfg.rerank_provider == "constant":
-        return ConstantRerank()
-    return OverlapRerank()
+def _build(cfg: EngineConfig, key: str):
+    """The provider that the config's ``key`` names, built by ``PROVIDERS``."""
+    return PROVIDERS[key][getattr(cfg, key)](cfg)
 
 
 class Engine:
     """One configured question-answering engine.
 
-    Providers may be injected (tests do), otherwise they are built from the
-    config. In stub mode with a triples file nothing here touches the
-    network.
+    Providers may be injected (tests do), otherwise ``config.PROVIDERS``
+    builds the ones the config names. In stub mode with a triples file
+    nothing here touches the network.
     """
 
     def __init__(
@@ -116,12 +80,16 @@ class Engine:
         stub_script: str | Path | None = None,
     ):
         self.config = cfg = config or EngineConfig()
+        if llm is None:
+            llm = _build(cfg, "llm_provider")
+            if stub_script and isinstance(llm, StubLLM):  # the script feeds only the stub provider
+                llm = StubLLM.from_script_file(stub_script)
         self.pipeline = Pipeline(
             templates=templates or load_templates(cfg.prompts_dir or PACKAGED_PROMPTS),
             store=store or _build_store(cfg),
-            llm=llm or _build_llm(cfg, stub_script),
-            embedder=embedder or _build_embedder(cfg),
-            reranker=reranker or _build_reranker(cfg),
+            llm=llm,
+            embedder=embedder or _build(cfg, "embedding_provider"),
+            reranker=reranker or _build(cfg, "rerank_provider"),
             scoring=cfg.scoring_config(),
             search=cfg.search_config(),
             denoising=cfg.denoise_config(),

@@ -155,7 +155,7 @@ class EchoLLM(LLMProvider):
         return CompletionResponse(text=request.prompt, provider=self.name)
 
 
-# A 429 reply from the HTTP LLM endpoint is posted again, up to
+# A 429 reply from an HTTP provider endpoint is posted again, up to
 # ``HTTP_LLM_RETRIES`` posts in all. The wait after post ``n`` is the backoff
 # ``HTTP_LLM_BACKOFF_S * 2 ** (n - 1)``, scaled by a random factor in
 # [0.5, 1.5] so that threads refused together do not retry together, or the
@@ -164,20 +164,61 @@ HTTP_LLM_RETRIES = 3
 HTTP_LLM_BACKOFF_S = 1.0
 
 
-class HttpLLM(LLMProvider):
-    """Minimal JSON-over-HTTP provider: POST {prompt, temperature, max_tokens},
-    read {text}.
-
-    A 429 reply (the endpoint's concurrency or rate limit) is retried as
-    ``HTTP_LLM_RETRIES`` and ``HTTP_LLM_BACKOFF_S`` describe, waiting at most
-    ``timeout`` for a ``Retry-After``. Any other failure is a
-    ``ProviderError`` at once.
-
-    A session the provider makes itself keeps up to ``parallelism`` times the
+def http_session(parallelism: int = 1):
+    """A ``requests`` session that keeps up to ``parallelism`` times the
     requests one question can have in flight (``verify.MAX_CLAIM_WORKERS``
     claim threads, each scoring ``denoise.MAX_NECESSITY_WORKERS`` labels)
-    open, so concurrent requests reuse their connections.
+    open, so concurrent requests reuse their connections."""
+    import requests  # deferred: stub and offline runs never pay its import
+    from requests.adapters import HTTPAdapter
+
+    from .denoise import MAX_NECESSITY_WORKERS
+    from .verify import MAX_CLAIM_WORKERS
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+def post_json(session, url: str, payload: dict, timeout: float, what: str) -> dict:
+    """POST ``payload`` as JSON and return the reply's JSON object.
+
+    A 429 reply is retried as ``HTTP_LLM_RETRIES`` and ``HTTP_LLM_BACKOFF_S``
+    describe, waiting at most ``timeout`` for a ``Retry-After``. A transport
+    error, any other non-200 status, and a reply that is not a JSON object
+    raise ``ProviderError`` at once, with a message that starts
+    ``"<what> endpoint failed"``.
     """
+    import requests
+
+    failed = f"{what} endpoint failed"
+    for attempt in range(1, HTTP_LLM_RETRIES + 1):
+        try:
+            response = session.post(url, json=payload, timeout=timeout)
+        except requests.RequestException as exc:
+            raise ProviderError(f"{failed}: {exc}") from exc
+        if response.status_code != 429 or attempt == HTTP_LLM_RETRIES:
+            break
+        log.warning("%s endpoint returned 429 (attempt %d)", what, attempt)
+        backoff = HTTP_LLM_BACKOFF_S * random.uniform(0.5, 1.5)
+        time.sleep(retry_wait(response, attempt, backoff, timeout))
+    if response.status_code != 200:
+        raise ProviderError(f"{failed}: status {response.status_code}")
+    try:
+        body = response.json()
+    except ValueError as exc:
+        raise ProviderError(f"{failed}: reply is not JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ProviderError(f"{failed}: reply is a JSON {type(body).__name__}, not an object")
+    return body
+
+
+class HttpLLM(LLMProvider):
+    """Minimal JSON-over-HTTP provider: POST {prompt, temperature, max_tokens},
+    read {text}, through :func:`post_json`. A session the provider makes
+    itself comes from :func:`http_session`."""
 
     name = "http"
 
@@ -185,44 +226,19 @@ class HttpLLM(LLMProvider):
         if not url:
             raise ValueError("llm_url must be set for the http provider")
         self.url = url
-        if session is None:
-            import requests  # deferred: stub and offline runs never pay its import
-            from requests.adapters import HTTPAdapter
-
-            from .denoise import MAX_NECESSITY_WORKERS
-            from .verify import MAX_CLAIM_WORKERS
-
-            session = requests.Session()
-            adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
-            session.mount("http://", adapter)
-            session.mount("https://", adapter)
-        self._session = session
+        self._session = session or http_session(parallelism)
         self.timeout = timeout
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        import requests
-
         payload = {
             "prompt": request.prompt,
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        for attempt in range(1, HTTP_LLM_RETRIES + 1):
-            try:
-                response = self._session.post(self.url, json=payload, timeout=self.timeout)
-            except requests.RequestException as exc:
-                raise ProviderError(f"LLM endpoint unreachable: {exc}") from exc
-            if response.status_code != 429 or attempt == HTTP_LLM_RETRIES:
-                break
-            log.warning("LLM endpoint returned 429 (attempt %d)", attempt)
-            backoff = HTTP_LLM_BACKOFF_S * random.uniform(0.5, 1.5)
-            time.sleep(retry_wait(response, attempt, backoff, self.timeout))
-        if response.status_code != 200:
-            raise ProviderError(f"LLM endpoint returned {response.status_code}")
-        try:
-            return CompletionResponse(text=response.json()["text"], provider=self.name)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ProviderError(f"LLM endpoint reply malformed: {exc}") from exc
+        text = post_json(self._session, self.url, payload, self.timeout, "LLM").get("text")
+        if not isinstance(text, str):
+            raise ProviderError("LLM endpoint failed: 'text' is not a string")
+        return CompletionResponse(text=text, provider=self.name)
 
 
 class MemoLLM(LLMProvider):

@@ -1,5 +1,5 @@
 """How long to wait before re-sending an HTTP request that an endpoint
-refused; the SPARQL client and the HTTP LLM provider share the rule."""
+refused; the SPARQL client and the HTTP providers' POST path share the rule."""
 
 from __future__ import annotations
 

@@ -12,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
 
 from .kg import RelationRef, Triple, EntityRef, LiteralValue
-from .llm import ProviderError
+from .llm import ProviderError, http_session, post_json
 
 Payload = Union[Triple, RelationRef]
 
@@ -168,29 +169,31 @@ class HashEmbedding(EmbeddingProvider):
         return vectors
 
 
-class HttpEmbedding(EmbeddingProvider):
-    """POST {texts} to an embedding endpoint, read {embeddings}."""
+def _is_numbers(value) -> bool:
+    """True for a JSON list of numbers that fit a float (``true`` and
+    ``false`` are not numbers)."""
+    return isinstance(value, list) and all(
+        type(x) is float or (type(x) is int and abs(x) <= sys.float_info.max) for x in value
+    )
 
-    def __init__(self, url: str, dimension: int, session=None, timeout: float = 60.0):
+
+class HttpEmbedding(EmbeddingProvider):
+    """POST {texts} to an embedding endpoint through :func:`post_json`, read
+    {embeddings}: one list of numbers per text."""
+
+    def __init__(self, url: str, dimension: int, session=None, timeout: float = 60.0, parallelism: int = 1):
         if not url:
             raise ValueError("embedding_url must be set for the http provider")
         self.url = url
         self.dimension = dimension
-        if session is None:
-            import requests  # deferred: offline runs never pay its import
-
-            session = requests.Session()
-        self._session = session
+        self._session = session or http_session(parallelism)
         self.timeout = timeout
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
-        import requests
-
-        try:
-            response = self._session.post(self.url, json={"texts": list(texts)}, timeout=self.timeout)
-            rows = response.json()["embeddings"]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise ProviderError(f"embedding endpoint failed: {exc}") from exc
+        payload = {"texts": list(texts)}
+        rows = post_json(self._session, self.url, payload, self.timeout, "embedding").get("embeddings")
+        if not isinstance(rows, list) or not all(_is_numbers(row) for row in rows):
+            raise ProviderError("embedding endpoint failed: 'embeddings' is not a list of number lists")
         vectors = [np.asarray(row, dtype=float) for row in rows]
         for vec in vectors:
             if vec.shape != (self.dimension,):
@@ -220,29 +223,21 @@ class ConstantRerank(RerankProvider):
 
 
 class HttpRerank(RerankProvider):
-    """POST {query, texts} to a rerank endpoint, read {scores}."""
+    """POST {query, texts} to a rerank endpoint through :func:`post_json`,
+    read {scores}: one number per text."""
 
-    def __init__(self, url: str, session=None, timeout: float = 60.0):
+    def __init__(self, url: str, session=None, timeout: float = 60.0, parallelism: int = 1):
         if not url:
             raise ValueError("rerank_url must be set for the http provider")
         self.url = url
-        if session is None:
-            import requests  # deferred: offline runs never pay its import
-
-            session = requests.Session()
-        self._session = session
+        self._session = session or http_session(parallelism)
         self.timeout = timeout
 
     def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
-        import requests
-
-        try:
-            response = self._session.post(
-                self.url, json={"query": query, "texts": list(texts)}, timeout=self.timeout
-            )
-            scores = response.json()["scores"]
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            raise ProviderError(f"rerank endpoint failed: {exc}") from exc
+        payload = {"query": query, "texts": list(texts)}
+        scores = post_json(self._session, self.url, payload, self.timeout, "rerank").get("scores")
+        if not _is_numbers(scores):
+            raise ProviderError("rerank endpoint failed: 'scores' is not a list of numbers")
         return [float(s) for s in scores]
 
 

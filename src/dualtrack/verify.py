@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
-from .kg import EntityRef, KGStore, Triple, fetch_relations
-from .linking import DEFAULT_SIMILARITY_FLOOR, LinkFailure, link_surface
+from .kg import EntityRef, Triple, fetch_relations
+from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
 
@@ -99,15 +99,10 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
     return facts
 
 
-def link_entity(fact: AtomicFact, store: KGStore, floor: float = DEFAULT_SIMILARITY_FLOOR) -> EntityRef:
-    """Resolve the fact's subject surface form to a KG entity."""
-    return link_surface(fact.subject_surface, store, floor)
-
-
 def _link_subject(fact: AtomicFact, pipe: Pipeline) -> EntityRef | Exception:
     """The entity the fact's subject links to, or the exception linking raised."""
     try:
-        return link_entity(fact, pipe.store, pipe.link_floor)
+        return link_surface(fact.subject_surface, pipe.store, pipe.link_floor)
     except Exception as exc:  # verify_fact reports a LinkFailure and raises the rest
         return exc
 
@@ -140,7 +135,7 @@ def verify_fact(
     if not pool:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
     scored = score_candidates(fact.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
-    # necessity layer runs after the scorer's top-N cut to bound LLM calls
+    # necessity layer: denoise asks each distinct relation label once
     scored = denoise(scored, fact.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)

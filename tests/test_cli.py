@@ -360,6 +360,31 @@ def test_cli_embedding_outage_exits_2(workspace, monkeypatch, capsys):
     assert "embedding endpoint failed" in capsys.readouterr().err
 
 
+def test_cli_llm_reply_with_non_string_text_exits_2(workspace, monkeypatch, capsys):
+    config = workspace / "http_llm.json"
+    config.write_text(
+        json.dumps(
+            {
+                "triples_file": str(workspace / "movies.triples"),
+                "llm_provider": "http",
+                "llm_url": "http://127.0.0.1:9/complete",
+            }
+        ),
+        encoding="utf-8",
+    )
+
+    class NumberText:
+        status_code = 200
+
+        def json(self):
+            return {"text": 5}
+
+    monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: NumberText())
+    code = main(["--config", str(config), "answer", "--question", CHAINED_Q])
+    assert code == 2
+    assert "provider failure:" in capsys.readouterr().err
+
+
 def test_stub_engine_never_imports_requests():
     root = Path(__file__).resolve().parent.parent
     code = (

@@ -2,12 +2,16 @@
 serialize/parse round trip."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualtrack.config import EngineConfig, load_config, parse_config
+from dualtrack.config import PROVIDERS, EngineConfig, load_config, parse_config
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_match_documented_values():
@@ -130,3 +134,12 @@ def test_validation_errors():
     ):
         with pytest.raises(ValueError):
             EngineConfig(**kwargs)
+
+
+def test_readme_provider_choices_match_the_registry():
+    rows = {}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        match = re.match(r"\| `(\w+_provider)`[^|]*\|[^|]*\|(.*)\|$", line)
+        if match:
+            rows[match.group(1)] = set(re.findall(r"`(\w+)`", match.group(2)))
+    assert rows == {key: set(factories) for key, factories in PROVIDERS.items()}

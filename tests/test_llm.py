@@ -1,5 +1,8 @@
 """Prompt templating, provider doubles, and reply parsers."""
 
+from dataclasses import dataclass
+from typing import Any, Callable
+
 import pytest
 import requests
 from hypothesis import given
@@ -7,8 +10,7 @@ from hypothesis import strategies as st
 
 from dualtrack import denoise, verify
 from dualtrack import llm as llm_module
-from dualtrack.config import EngineConfig
-from dualtrack.engine import _build_llm
+from dualtrack.config import PROVIDERS, EngineConfig
 from dualtrack.llm import (
     CompletionRequest,
     CompletionResponse,
@@ -28,6 +30,7 @@ from dualtrack.llm import (
     parse_yes_no,
     render,
 )
+from dualtrack.scoring import DimensionMismatch, HttpEmbedding, HttpRerank
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -156,6 +159,8 @@ class _FakeHttpResponse:
         self.headers = headers or {}
 
     def json(self):
+        if isinstance(self.payload, Exception):  # a body that does not parse
+            raise self.payload
         return self.payload
 
 
@@ -195,20 +200,66 @@ def _record_sleeps(monkeypatch, jitter=(1.0,)):
     return sleeps, draws
 
 
-def test_http_llm_retries_rate_limit_reply(monkeypatch):
+@dataclass(frozen=True)
+class _HttpCase:
+    """One HTTP provider as the shared POST path sees it: how to build it
+    around a session, one call, a reply that succeeds with what the call then
+    returns, the field it reads, and its ``PROVIDERS`` key."""
+
+    make: Callable[..., Any]
+    call: Callable[[Any], Any]
+    reply: dict
+    result: Any
+    field: str
+    key: str
+
+
+HTTP_CASES = {
+    "llm": _HttpCase(
+        make=lambda **kw: HttpLLM("http://llm.test", **kw),
+        call=lambda provider: provider.complete(CompletionRequest("ping")).text,
+        reply={"text": "pong"},
+        result="pong",
+        field="text",
+        key="llm_provider",
+    ),
+    "embedding": _HttpCase(
+        make=lambda **kw: HttpEmbedding("http://emb.test", dimension=2, **kw),
+        call=lambda provider: [vec.tolist() for vec in provider.embed(["x"])],
+        reply={"embeddings": [[1.0, 2.0]]},
+        result=[[1.0, 2.0]],
+        field="embeddings",
+        key="embedding_provider",
+    ),
+    "rerank": _HttpCase(
+        make=lambda **kw: HttpRerank("http://rr.test", **kw),
+        call=lambda provider: provider.rerank("q", ["a"]),
+        reply={"scores": [0.25]},
+        result=[0.25],
+        field="scores",
+        key="rerank_provider",
+    ),
+}
+
+http_case = pytest.mark.parametrize("case", list(HTTP_CASES.values()), ids=list(HTTP_CASES))
+
+
+@http_case
+def test_http_provider_retries_rate_limit_reply(monkeypatch, case):
     sleeps, _ = _record_sleeps(monkeypatch)
     limited = _FakeHttpResponse({}, 429, headers={"Retry-After": "0"})
-    session = _FakeHttpSession(responses=[limited], response=_FakeHttpResponse({"text": "pong"}))
-    assert HttpLLM("http://llm.test", session=session).complete(CompletionRequest("ping")).text == "pong"
+    session = _FakeHttpSession(responses=[limited], response=_FakeHttpResponse(case.reply))
+    assert case.call(case.make(session=session)) == case.result
     assert len(session.posts) == 2
     assert sleeps == [1.0]  # the backoff outlasts a zero Retry-After
 
 
-def test_http_llm_gives_up_on_persistent_rate_limit(monkeypatch):
+@http_case
+def test_http_provider_gives_up_on_persistent_rate_limit(monkeypatch, case):
     sleeps, _ = _record_sleeps(monkeypatch)
     session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": "5"}))
     with pytest.raises(ProviderError, match="429"):
-        HttpLLM("http://llm.test", session=session).complete(CompletionRequest("x"))
+        case.call(case.make(session=session))
     assert len(session.posts) == llm_module.HTTP_LLM_RETRIES
     assert sleeps == [5.0] * (llm_module.HTTP_LLM_RETRIES - 1)
 
@@ -227,14 +278,73 @@ def test_http_llm_rate_limit_wait_is_jittered(monkeypatch, retry_after, jitter, 
     assert draws == [(0.5, 1.5)] * len(slept)
 
 
-def test_http_llm_connection_pool_holds_a_question_in_flight_per_parallel_question():
+@http_case
+def test_http_provider_connection_pool_holds_a_question_in_flight_per_parallel_question(case):
     per_question = verify.MAX_CLAIM_WORKERS * denoise.MAX_NECESSITY_WORKERS
     for parallelism in (1, 4):
-        provider = HttpLLM("http://llm.test", parallelism=parallelism)
-        for url in ("http://llm.test", "https://llm.test"):
+        provider = case.make(parallelism=parallelism)
+        for url in ("http://x.test", "https://x.test"):
             assert provider._session.get_adapter(url)._pool_maxsize == parallelism * per_question
-    built = _build_llm(EngineConfig(llm_provider="http", llm_url="http://llm.test", parallelism=3), None)
-    assert built._session.get_adapter("http://llm.test")._pool_maxsize == 3 * per_question
+    urls = {"llm_url": "http://llm.test", "embedding_url": "http://emb.test", "rerank_url": "http://rr.test"}
+    built = PROVIDERS[case.key]["http"](EngineConfig(parallelism=3, **urls))
+    assert built._session.get_adapter("http://x.test")._pool_maxsize == 3 * per_question
+
+
+# Replies no provider accepts: each strategy draws a fake response.
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text())
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(), inner, max_size=3)),
+    max_leaves=8,
+)
+_NOT_A_NUMBER = st.one_of(
+    _JSON.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float))),
+    st.integers(min_value=2**1024),  # an integer no float holds
+)
+_NUMBERS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4)
+# a value that is not a list of numbers: not a list, or a list with a non-number
+_NOT_NUMBERS = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, list)),
+    st.tuples(_NUMBERS, _NOT_A_NUMBER, _NUMBERS).map(lambda t: t[0] + [t[1]] + t[2]),
+)
+_BAD_FIELD = {
+    "text": _JSON.filter(lambda v: not isinstance(v, str)),
+    "scores": _NOT_NUMBERS,
+    "embeddings": st.one_of(
+        _JSON.filter(lambda v: not isinstance(v, list)),
+        st.tuples(st.lists(_NUMBERS, max_size=2), _NOT_NUMBERS).map(lambda t: t[0] + [t[1]]),
+    ),
+}
+
+
+def _malformed_replies(case: _HttpCase):
+    return st.one_of(
+        st.integers(100, 599)
+        .filter(lambda status: status not in (200, 429))
+        .map(lambda status: _FakeHttpResponse(case.reply, status)),
+        st.just(_FakeHttpResponse(ValueError("Expecting value: line 1 column 1 (char 0)"))),
+        _JSON.filter(lambda body: not isinstance(body, dict)).map(_FakeHttpResponse),
+        st.dictionaries(st.text().filter(lambda k: k != case.field), _JSON, max_size=3).map(_FakeHttpResponse),
+        _BAD_FIELD[case.field].map(lambda value: _FakeHttpResponse({case.field: value})),
+    )
+
+
+@http_case
+@given(data=st.data())
+def test_http_provider_malformed_reply_is_a_provider_error(case, data):
+    reply = data.draw(_malformed_replies(case))
+    with pytest.raises(ProviderError, match="endpoint failed"):
+        case.call(case.make(session=_FakeHttpSession(response=reply)))
+
+
+_WRONG_LENGTH_ROW = st.lists(st.floats(-1e6, 1e6), max_size=4).filter(lambda row: len(row) != 2)
+
+
+@given(rows=st.lists(_WRONG_LENGTH_ROW, min_size=1, max_size=3))
+def test_http_embedding_well_formed_rows_of_the_wrong_length_raise_dimension_mismatch(rows):
+    session = _FakeHttpSession(response=_FakeHttpResponse({"embeddings": rows}))
+    with pytest.raises(DimensionMismatch):
+        HttpEmbedding("http://emb.test", dimension=2, session=session).embed(["x"])
 
 
 def test_ask_renders_and_completes(templates):

@@ -11,7 +11,7 @@ from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
 from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, TransportError, parse_triples
-from dualtrack.linking import LinkFailure
+from dualtrack.linking import LinkFailure, link_surface
 from dualtrack.llm import EchoLLM, ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
 from dualtrack.verify import (
@@ -19,7 +19,6 @@ from dualtrack.verify import (
     VerificationStatus,
     decompose,
     draft_response,
-    link_entity,
     run_parallel_branch,
     verify_fact,
 )
@@ -112,13 +111,13 @@ def test_decompose_skips_subject_not_in_text(templates, caplog):
 
 def test_link_entity_exact(movie_store):
     fact = AtomicFact("Inception is a film.", "Inception", 0)
-    assert link_entity(fact, movie_store) == EntityRef("QF1", "Inception")
+    assert link_surface(fact.subject_surface, movie_store) == EntityRef("QF1", "Inception")
 
 
 def test_link_entity_floor(movie_store):
     fact = AtomicFact("inceptoin is a film.", "inceptoin", 0)
     with pytest.raises(LinkFailure):
-        link_entity(fact, movie_store, floor=0.8)
+        link_surface(fact.subject_surface, movie_store, floor=0.8)
 
 
 def test_verify_fact_agreeing_claim_verified(movie_store, templates):
