@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Subcommands: answer, classify, verify, chain, denoise, eval. Exit codes:
-0 success, 1 input error (bad flags, missing files, bad config), 2
-provider/transport failure.
+0 success, 1 input error (bad flags, missing files, bad config), 2 a
+failure of the KG endpoint or the LLM, embedding or rerank provider: no
+connection, an error status, or a malformed reply.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from .classifier import Question
 from .config import load_config
 from .engine import Engine
 from .evaluation import format_report, load_dataset
-from .kg import KGError, MalformedResponse, TransportError, load_triples
-from .llm import ProviderError
+from .kg import load_triples
 from .scoring import verbalize
+from .transport import ProviderError
 
 log = logging.getLogger(__name__)
 
@@ -136,10 +137,10 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         engine = Engine(config, stub_script=args.stub_script)
         return _HANDLERS[args.command](engine, args)
-    except (TransportError, MalformedResponse, ProviderError) as exc:
+    except ProviderError as exc:
         sys.stderr.write(f"provider failure: {exc}\n")
         return 2
-    except (KGError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

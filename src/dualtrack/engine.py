@@ -13,14 +13,7 @@ from .classifier import Answer, Classification, Question, QuestionType, classify
 from .config import PROVIDERS, EngineConfig
 from .denoise import DenoiseConfig, denoise, rule_filter
 from .evaluation import AccScorer, evaluate
-from .kg import (
-    InMemoryTripleStore,
-    KGStore,
-    MalformedResponse,
-    SparqlClient,
-    TransportError,
-    Triple,
-)
+from .kg import InMemoryTripleStore, KGStore, SparqlClient, Triple
 from .linking import DEFAULT_SIMILARITY_FLOOR
 from .llm import LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
 from .scoring import EmbeddingProvider, RerankProvider, ScoringConfig
@@ -138,9 +131,9 @@ class Engine:
         """classify -> dispatch -> Answer.
 
         Logic-level branch failures become flagged answers so one bad
-        question never aborts a run. Transport and provider failures are
-        infrastructure problems and propagate (the eval loop records them
-        per question; the CLI maps them to exit code 2).
+        question never aborts a run. A ``ProviderError`` (any failure of the
+        KG endpoint, LLM, embedder or reranker) propagates: the eval loop
+        records it per question and the CLI maps it to exit code 2.
         """
         decision = self.classify(question)
         try:
@@ -148,7 +141,7 @@ class Engine:
                 answer = self.chain(question)
             else:
                 answer = self.verify(question)
-        except (TransportError, MalformedResponse, ProviderError):
+        except ProviderError:
             raise
         except Exception:
             log.exception("branch failed for %s", question.id)

@@ -16,12 +16,11 @@ import os
 import re
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .retry import retry_wait
+from .transport import ProviderError, http_session, request_json
 
 log = logging.getLogger(__name__)
 
@@ -42,20 +41,8 @@ DIRECT_PROP_IRI_PREFIX = "http://www.wikidata.org/prop/direct/"
 MAX_CONCURRENT_QUERIES = 5
 
 
-class KGError(Exception):
-    """Base class for knowledge-graph access failures."""
-
-
-class NotFound(KGError):
+class NotFound(Exception):
     """Lookup produced zero bindings."""
-
-
-class TransportError(KGError):
-    """Endpoint unreachable or persistently failing; safe to retry later."""
-
-
-class MalformedResponse(KGError):
-    """Endpoint replied with something that is not SPARQL result JSON."""
 
 
 @dataclass(frozen=True)
@@ -310,37 +297,25 @@ def tail_relations_query(wikidata_id: str) -> str:
 
 
 class SparqlClient(KGStore):
-    """SPARQL-over-HTTP client with bounded retries and an on-disk query cache.
+    """SPARQL-over-HTTP client with an on-disk query cache.
 
     Results are cached keyed by the exact query string so repeated runs are
     reproducible and gentle on rate-limited public endpoints. Cache writes go
     through write-then-rename, so concurrent evaluations can share a cache
-    directory. At most ``MAX_CONCURRENT_QUERIES`` requests are in flight at
-    once; a 429 or 5xx reply is retried after the backoff or the reply's
-    ``Retry-After`` delay, whichever is longer (capped at ``timeout``).
+    directory. Queries go through :func:`transport.request_json`, with its
+    retries, and at most ``MAX_CONCURRENT_QUERIES`` of them are in flight at
+    once. A malformed reply is a ``ProviderError``.
     """
 
     def __init__(
-        self,
-        endpoint_url: str,
-        cache_dir: str | Path | None = None,
-        session=None,
-        retries: int = 3,
-        backoff: float = 1.0,
-        timeout: float = 30.0,
+        self, endpoint_url: str, cache_dir: str | Path | None = None, session=None, timeout: float = 30.0
     ):
         self.endpoint_url = endpoint_url
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        if session is None:
-            import requests  # deferred: offline runs never pay its import
-
-            session = requests.Session()
-        self._session = session
+        self._session = session or http_session()
         self._slots = threading.BoundedSemaphore(MAX_CONCURRENT_QUERIES)
-        self.retries = max(1, retries)
-        self.backoff = backoff
         self.timeout = timeout
 
     # -- cache ---------------------------------------------------------
@@ -383,50 +358,30 @@ class SparqlClient(KGStore):
         if cached is not None:
             return self._bindings(cached)
 
-        import requests
-
-        last_error: Exception | None = None
-        wait = 0.0
-        for attempt in range(self.retries):
-            if attempt:
-                time.sleep(wait)
-            try:
-                with self._slots:
-                    response = self._session.get(
-                        self.endpoint_url,
-                        params={"query": query, "format": "json"},
-                        headers={"Accept": "application/sparql-results+json"},
-                        timeout=self.timeout,
-                    )
-            except requests.RequestException as exc:
-                last_error = exc
-                wait = retry_wait(None, attempt + 1, self.backoff, self.timeout)
-                log.warning("SPARQL transport failure (attempt %d): %s", attempt + 1, exc)
-                continue
-            if response.status_code == 429 or response.status_code >= 500:
-                last_error = TransportError(f"endpoint returned {response.status_code}")
-                wait = retry_wait(response, attempt + 1, self.backoff, self.timeout)
-                log.warning("SPARQL endpoint returned %d (attempt %d)", response.status_code, attempt + 1)
-                continue
-            if response.status_code != 200:
-                raise TransportError(f"endpoint returned {response.status_code}")
-            try:
-                payload = response.json()
-            except ValueError as exc:
-                raise MalformedResponse(f"response is not JSON: {exc}") from exc
-            bindings = self._bindings(payload)
-            self._cache_write(query, payload)
-            return bindings
-        raise TransportError(f"endpoint failed after {self.retries} attempts: {last_error}")
+        # A query keeps its slot through its retry waits, so an endpoint that
+        # refuses queries is not sent new ones meanwhile.
+        with self._slots:
+            payload = request_json(
+                self._session,
+                "get",
+                self.endpoint_url,
+                self.timeout,
+                "SPARQL",
+                params={"query": query, "format": "json"},
+                headers={"Accept": "application/sparql-results+json"},
+            )
+        bindings = self._bindings(payload)
+        self._cache_write(query, payload)
+        return bindings
 
     @staticmethod
     def _bindings(payload) -> list[dict]:
         try:
             bindings = payload["results"]["bindings"]
         except (KeyError, TypeError) as exc:
-            raise MalformedResponse("missing results.bindings") from exc
+            raise ProviderError("SPARQL endpoint failed: missing results.bindings") from exc
         if not isinstance(bindings, list):
-            raise MalformedResponse("results.bindings is not a list")
+            raise ProviderError("SPARQL endpoint failed: results.bindings is not a list")
         return bindings
 
     # -- store interface -------------------------------------------------
@@ -470,16 +425,16 @@ class SparqlClient(KGStore):
     @staticmethod
     def _value(row: dict, name: str) -> str:
         try:
-            return row[name]["value"]
+            value = row[name]["value"]
         except (KeyError, TypeError) as exc:
-            raise MalformedResponse(f"binding missing {name!r}") from exc
+            raise ProviderError(f"SPARQL endpoint failed: binding missing {name!r}") from exc
+        if not isinstance(value, str):
+            raise ProviderError(f"SPARQL endpoint failed: binding {name!r} is not a string")
+        return value
 
     @staticmethod
     def _optional(row: dict, name: str) -> str:
-        entry = row.get(name)
-        if isinstance(entry, dict):
-            return entry.get("value", "")
-        return ""
+        return SparqlClient._value(row, name) if name in row else ""
 
     @staticmethod
     def _strip_prefix(iri: str, prefix: str) -> str:
@@ -496,9 +451,9 @@ class SparqlClient(KGStore):
         try:
             entry = row[name]
             kind = entry["type"]
-            value = entry["value"]
         except (KeyError, TypeError) as exc:
-            raise MalformedResponse(f"binding missing {name!r}") from exc
+            raise ProviderError(f"SPARQL endpoint failed: binding missing {name!r}") from exc
+        value = self._value(row, name)
         if kind == "uri" and value.startswith(ENTITY_IRI_PREFIX):
             return EntityRef(
                 id=self._strip_prefix(value, ENTITY_IRI_PREFIX),

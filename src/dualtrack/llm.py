@@ -8,24 +8,15 @@ the whole engine is bit-reproducible.
 from __future__ import annotations
 
 import json
-import logging
-import random
 import re
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .retry import retry_wait
-
-log = logging.getLogger(__name__)
+from .transport import ProviderError, http_session, request_json
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
-
-
-class ProviderError(Exception):
-    """Completion provider failed (transport, auth, bad payload)."""
 
 
 class ScriptMiss(ProviderError):
@@ -155,70 +146,10 @@ class EchoLLM(LLMProvider):
         return CompletionResponse(text=request.prompt, provider=self.name)
 
 
-# A 429 reply from an HTTP provider endpoint is posted again, up to
-# ``HTTP_LLM_RETRIES`` posts in all. The wait after post ``n`` is the backoff
-# ``HTTP_LLM_BACKOFF_S * 2 ** (n - 1)``, scaled by a random factor in
-# [0.5, 1.5] so that threads refused together do not retry together, or the
-# reply's ``Retry-After``, whichever is longer.
-HTTP_LLM_RETRIES = 3
-HTTP_LLM_BACKOFF_S = 1.0
-
-
-def http_session(parallelism: int = 1):
-    """A ``requests`` session that keeps up to ``parallelism`` times the
-    requests one question can have in flight (``verify.MAX_CLAIM_WORKERS``
-    claim threads, each scoring ``denoise.MAX_NECESSITY_WORKERS`` labels)
-    open, so concurrent requests reuse their connections."""
-    import requests  # deferred: stub and offline runs never pay its import
-    from requests.adapters import HTTPAdapter
-
-    from .denoise import MAX_NECESSITY_WORKERS
-    from .verify import MAX_CLAIM_WORKERS
-
-    session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
-    session.mount("http://", adapter)
-    session.mount("https://", adapter)
-    return session
-
-
-def post_json(session, url: str, payload: dict, timeout: float, what: str) -> dict:
-    """POST ``payload`` as JSON and return the reply's JSON object.
-
-    A 429 reply is retried as ``HTTP_LLM_RETRIES`` and ``HTTP_LLM_BACKOFF_S``
-    describe, waiting at most ``timeout`` for a ``Retry-After``. A transport
-    error, any other non-200 status, and a reply that is not a JSON object
-    raise ``ProviderError`` at once, with a message that starts
-    ``"<what> endpoint failed"``.
-    """
-    import requests
-
-    failed = f"{what} endpoint failed"
-    for attempt in range(1, HTTP_LLM_RETRIES + 1):
-        try:
-            response = session.post(url, json=payload, timeout=timeout)
-        except requests.RequestException as exc:
-            raise ProviderError(f"{failed}: {exc}") from exc
-        if response.status_code != 429 or attempt == HTTP_LLM_RETRIES:
-            break
-        log.warning("%s endpoint returned 429 (attempt %d)", what, attempt)
-        backoff = HTTP_LLM_BACKOFF_S * random.uniform(0.5, 1.5)
-        time.sleep(retry_wait(response, attempt, backoff, timeout))
-    if response.status_code != 200:
-        raise ProviderError(f"{failed}: status {response.status_code}")
-    try:
-        body = response.json()
-    except ValueError as exc:
-        raise ProviderError(f"{failed}: reply is not JSON: {exc}") from exc
-    if not isinstance(body, dict):
-        raise ProviderError(f"{failed}: reply is a JSON {type(body).__name__}, not an object")
-    return body
-
-
 class HttpLLM(LLMProvider):
     """Minimal JSON-over-HTTP provider: POST {prompt, temperature, max_tokens},
-    read {text}, through :func:`post_json`. A session the provider makes
-    itself comes from :func:`http_session`."""
+    read {text}, through :func:`transport.request_json`. A session the
+    provider makes itself comes from :func:`transport.http_session`."""
 
     name = "http"
 
@@ -235,7 +166,7 @@ class HttpLLM(LLMProvider):
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        text = post_json(self._session, self.url, payload, self.timeout, "LLM").get("text")
+        text = request_json(self._session, "post", self.url, self.timeout, "LLM", json=payload).get("text")
         if not isinstance(text, str):
             raise ProviderError("LLM endpoint failed: 'text' is not a string")
         return CompletionResponse(text=text, provider=self.name)

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .kg import RelationRef, Triple, EntityRef, LiteralValue
-from .llm import ProviderError, http_session, post_json
+from .transport import ProviderError, http_session, request_json
 
 Payload = Union[Triple, RelationRef]
 
@@ -178,8 +178,9 @@ def _is_numbers(value) -> bool:
 
 
 class HttpEmbedding(EmbeddingProvider):
-    """POST {texts} to an embedding endpoint through :func:`post_json`, read
-    {embeddings}: one list of numbers per text."""
+    """POST {texts} to an embedding endpoint through
+    :func:`transport.request_json`, read {embeddings}: one list of
+    ``dimension`` numbers per text."""
 
     def __init__(self, url: str, dimension: int, session=None, timeout: float = 60.0, parallelism: int = 1):
         if not url:
@@ -191,13 +192,16 @@ class HttpEmbedding(EmbeddingProvider):
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         payload = {"texts": list(texts)}
-        rows = post_json(self._session, self.url, payload, self.timeout, "embedding").get("embeddings")
+        reply = request_json(self._session, "post", self.url, self.timeout, "embedding", json=payload)
+        rows = reply.get("embeddings")
         if not isinstance(rows, list) or not all(_is_numbers(row) for row in rows):
             raise ProviderError("embedding endpoint failed: 'embeddings' is not a list of number lists")
         vectors = [np.asarray(row, dtype=float) for row in rows]
         for vec in vectors:
             if vec.shape != (self.dimension,):
-                raise DimensionMismatch(f"expected dimension {self.dimension}, got {vec.shape}")
+                raise ProviderError(
+                    f"embedding endpoint failed: expected dimension {self.dimension}, got {vec.shape}"
+                )
         return vectors
 
 
@@ -223,8 +227,8 @@ class ConstantRerank(RerankProvider):
 
 
 class HttpRerank(RerankProvider):
-    """POST {query, texts} to a rerank endpoint through :func:`post_json`,
-    read {scores}: one number per text."""
+    """POST {query, texts} to a rerank endpoint through
+    :func:`transport.request_json`, read {scores}: one number per text."""
 
     def __init__(self, url: str, session=None, timeout: float = 60.0, parallelism: int = 1):
         if not url:
@@ -235,7 +239,8 @@ class HttpRerank(RerankProvider):
 
     def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
         payload = {"query": query, "texts": list(texts)}
-        scores = post_json(self._session, self.url, payload, self.timeout, "rerank").get("scores")
+        reply = request_json(self._session, "post", self.url, self.timeout, "rerank", json=payload)
+        scores = reply.get("scores")
         if not _is_numbers(scores):
             raise ProviderError("rerank endpoint failed: 'scores' is not a list of numbers")
         return [float(s) for s in scores]
@@ -257,16 +262,18 @@ def score_candidates(
     score, descending.
 
     Candidates cut in Stage I are never shown to the reranker; with the
-    default config that bounds every rerank call to 50 texts.
+    default config that bounds every rerank call to 50 texts. An embedder or
+    reranker reply with the wrong number of rows, or with a NaN or infinite
+    value, is a ``ProviderError``.
     """
     if not candidates:
         return []
     texts = [verbalize(c) for c in candidates]
     vectors = embedder.embed([query_text] + texts)
     if len(vectors) != len(texts) + 1:
-        raise MissingStageScore(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+        raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
     if not all(np.isfinite(v).all() for v in vectors):
-        raise MissingStageScore("embedder returned a NaN or infinite value")
+        raise ProviderError("embedder returned a NaN or infinite value")
     query_vec = vectors[0]
     scored = [
         ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))
@@ -275,11 +282,11 @@ def score_candidates(
     survivors = top_n(scored, cfg.top_n, key="cos")
     rerank_scores = reranker.rerank(query_text, [s.text for s in survivors])
     if len(rerank_scores) != len(survivors):
-        raise MissingStageScore(
+        raise ProviderError(
             f"reranker returned {len(rerank_scores)} scores for {len(survivors)} candidates"
         )
     if not all(math.isfinite(score) for score in rerank_scores):
-        raise MissingStageScore("reranker returned a NaN or infinite score")
+        raise ProviderError("reranker returned a NaN or infinite score")
     fused = [
         fuse(replace(s, rerank=_clamp01(score)), cfg)
         for s, score in zip(survivors, rerank_scores)

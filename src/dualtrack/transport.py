@@ -1,0 +1,96 @@
+"""One request path for the four outside services: the SPARQL endpoint and
+the HTTP LLM, embedding and rerank providers.
+
+Every way one of them fails, from a refused connection to a reply the caller
+cannot use, is a :class:`ProviderError`.
+"""
+
+from __future__ import annotations
+
+import logging
+import random
+import time
+
+log = logging.getLogger(__name__)
+
+# A transport error, a 429 or a 5xx reply is sent again, up to
+# ``HTTP_RETRIES`` attempts in all. The wait after attempt ``n`` is the backoff
+# ``HTTP_BACKOFF_S * 2 ** (n - 1)``, scaled by a random factor in [0.5, 1.5]
+# so that threads refused together do not retry together, or the reply's
+# numeric ``Retry-After`` capped at the request timeout, whichever is longer.
+HTTP_RETRIES = 3
+HTTP_BACKOFF_S = 1.0
+
+
+class ProviderError(Exception):
+    """An outside service failed: transport, status, or a reply that does
+    not hold what the caller asked for."""
+
+
+def http_session(parallelism: int = 1):
+    """A ``requests`` session that keeps up to ``parallelism`` times the
+    requests one question can have in flight (``verify.MAX_CLAIM_WORKERS``
+    claim threads, each scoring ``denoise.MAX_NECESSITY_WORKERS`` labels)
+    open, so concurrent requests reuse their connections."""
+    import requests  # deferred: stub and offline runs never pay its import
+    from requests.adapters import HTTPAdapter
+
+    from .denoise import MAX_NECESSITY_WORKERS
+    from .verify import MAX_CLAIM_WORKERS
+
+    session = requests.Session()
+    adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
+    session.mount("http://", adapter)
+    session.mount("https://", adapter)
+    return session
+
+
+def _retry_wait(response, attempt: int, timeout: float) -> float:
+    """Seconds to sleep after failed attempt ``attempt`` (counting from 1).
+    A missing reply (a transport error), a missing header or an HTTP-date
+    header counts as no ``Retry-After``."""
+    backoff = HTTP_BACKOFF_S * random.uniform(0.5, 1.5) * 2 ** (attempt - 1)
+    try:
+        retry_after = max(0.0, float(getattr(response, "headers", {}).get("Retry-After", 0)))
+    except ValueError:
+        retry_after = 0.0
+    return max(backoff, min(retry_after, timeout))
+
+
+def request_json(session, method: str, url: str, timeout: float, what: str, **kwargs) -> dict:
+    """Send ``session.<method>(url, timeout=timeout, **kwargs)`` and return
+    the reply's JSON object.
+
+    A transport error, a 429 and a 5xx reply are retried as ``HTTP_RETRIES``
+    and ``HTTP_BACKOFF_S`` describe. Any other non-200 status, a reply that
+    is not JSON or not a JSON object, and the last of the retried failures
+    raise ``ProviderError`` with a message that starts
+    ``"<what> endpoint failed"``.
+    """
+    import requests
+
+    failed = f"{what} endpoint failed"
+    send = getattr(session, method)
+    for attempt in range(1, HTTP_RETRIES + 1):
+        try:
+            response = send(url, timeout=timeout, **kwargs)
+        except requests.RequestException as exc:
+            if attempt == HTTP_RETRIES:
+                raise ProviderError(f"{failed}: {exc}") from exc
+            response, fault = None, exc
+        else:
+            transient = response.status_code == 429 or response.status_code >= 500
+            if not transient or attempt == HTTP_RETRIES:
+                break
+            fault = f"status {response.status_code}"
+        log.warning("%s (attempt %d): %s", failed, attempt, fault)
+        time.sleep(_retry_wait(response, attempt, timeout))
+    if response.status_code != 200:
+        raise ProviderError(f"{failed}: status {response.status_code}")
+    try:
+        body = response.json()
+    except ValueError as exc:
+        raise ProviderError(f"{failed}: reply is not JSON: {exc}") from exc
+    if not isinstance(body, dict):
+        raise ProviderError(f"{failed}: reply is a JSON {type(body).__name__}, not an object")
+    return body

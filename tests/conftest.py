@@ -4,6 +4,7 @@ deterministic provider doubles."""
 import pytest
 import requests
 
+from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS
 from dualtrack.kg import InMemoryTripleStore, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, load_templates
@@ -18,6 +19,15 @@ MOVIE_LINES = [
     "QF8|Leonardo DiCaprio|PF6|cast member|QF1|Inception",
     "QF1|Inception|PF7|wikidata:id|Q1375011|",
 ]
+
+
+@pytest.fixture(autouse=True)
+def retry_sleeps(monkeypatch):
+    """Every retry wait of ``transport``, in seconds, recorded instead of
+    slept, so tests that drive retries do not wait them out."""
+    sleeps = []
+    monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+    return sleeps
 
 
 @pytest.fixture

@@ -15,9 +15,10 @@ from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
-from dualtrack.kg import SparqlClient, TransportError, parse_triples
+from dualtrack.kg import SparqlClient, parse_triples
 from dualtrack.llm import StubLLM
 from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank
+from dualtrack.transport import ProviderError
 
 CHAINED_Q = "When was the wife of the Inception director born?"
 PARALLEL_Q = "Who directed Inception and when was it released?"
@@ -137,16 +138,11 @@ class _ShortEmbedding(HashEmbedding):
         return super().embed(texts)[:-1]
 
 
-@pytest.mark.parametrize(
-    "text, engine_kwargs",
-    [("¿??", {}), (CHAINED_Q, {"embedder": _ShortEmbedding(256)})],
-    ids=["zero_query_vector", "short_embedding"],
-)
-def test_engine_evaluate_branch_failure_is_invalid(workspace, text, engine_kwargs):
-    # "¿??" has no word token, so its query vector is all zero (ZeroVector);
-    # the short embedder trips the row-count check (MissingStageScore)
+@pytest.mark.parametrize("text", ["¿??"], ids=["zero_query_vector"])
+def test_engine_evaluate_branch_failure_is_invalid(workspace, text):
+    # "¿??" has no word token, so its query vector is all zero (ZeroVector)
     config = EngineConfig(triples_file=str(workspace / "movies.triples"), theta_search=0.0)
-    engine = Engine(config, stub_script=workspace / "stub.json", **engine_kwargs)
+    engine = Engine(config, stub_script=workspace / "stub.json")
     report = engine.evaluate([Question(id="e", text=text, gold_answers=["1975-05-26"])])
     (record,) = report["records"]
     assert "error" in record["flags"]
@@ -167,10 +163,10 @@ def test_engine_transport_failure_propagates(workspace, monkeypatch):
     engine = _engine(workspace)
 
     def explode(question, trace=None):
-        raise TransportError("endpoint down")
+        raise ProviderError("endpoint down")
 
     monkeypatch.setattr(engine, "chain", explode)
-    with pytest.raises(TransportError):
+    with pytest.raises(ProviderError):
         engine.answer(Question(id="5", text=CHAINED_Q))
 
 
@@ -189,14 +185,18 @@ def test_engine_stub_mode_touches_no_network(workspace, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "down",
+    "down, message",
     [
-        {"embedder": HttpEmbedding("http://emb.test", dimension=256, session=DownSession())},
-        {"reranker": HttpRerank("http://rr.test", session=DownSession())},
+        (
+            {"embedder": HttpEmbedding("http://emb.test", dimension=256, session=DownSession())},
+            "embedding endpoint failed",
+        ),
+        ({"reranker": HttpRerank("http://rr.test", session=DownSession())}, "rerank endpoint failed"),
+        ({"embedder": _ShortEmbedding(256)}, "embedder returned"),  # score_candidates' row-count check
     ],
-    ids=["embedding", "rerank"],
+    ids=["embedding", "rerank", "short_embedding"],
 )
-def test_engine_evaluate_provider_outage_is_invalid(workspace, down):
+def test_engine_evaluate_provider_outage_is_invalid(workspace, down, message):
     config = EngineConfig(triples_file=str(workspace / "movies.triples"), theta_search=0.0)
     engine = Engine(config, stub_script=workspace / "stub.json", **down)
     report = engine.evaluate(
@@ -208,7 +208,7 @@ def test_engine_evaluate_provider_outage_is_invalid(workspace, down):
     assert report["aggregate"]["invalid"] == 2
     assert report["aggregate"]["em"] is None
     for record in report["records"]:
-        assert "endpoint failed" in record["error"]
+        assert message in record["error"]
 
 
 def test_engine_evaluate_uses_configured_tau_and_parallelism(workspace):
@@ -318,7 +318,6 @@ def test_cli_unreachable_endpoint_exits_2(workspace, monkeypatch, capsys):
     # live-KG config: no triples file, endpoint that refuses connections
     config = workspace / "live.json"
     config.write_text(json.dumps({"sparql_url": "http://127.0.0.1:9/sparql"}), encoding="utf-8")
-    monkeypatch.setattr("dualtrack.kg.time.sleep", lambda s: None)
 
     def refuse(self, url, **kwargs):
         raise requests.ConnectionError("connection refused")
@@ -381,6 +380,61 @@ def test_cli_llm_reply_with_non_string_text_exits_2(workspace, monkeypatch, caps
 
     monkeypatch.setattr(requests.Session, "post", lambda self, *a, **k: NumberText())
     code = main(["--config", str(config), "answer", "--question", CHAINED_Q])
+    assert code == 2
+    assert "provider failure:" in capsys.readouterr().err
+
+
+class _JsonReply:
+    status_code = 200
+
+    def __init__(self, body):
+        self.body = body
+
+    def json(self):
+        return self.body
+
+
+# For each malformed reply: the config keys that route one service to a fake
+# endpoint (no request leaves the process: the ``requests.Session`` verb is
+# patched), that verb, and the reply's body as a function of the request.
+MALFORMED_SERVICE_REPLIES = {
+    "wrong_dimension_rows": (
+        {"embedding_provider": "http", "embedding_url": "http://127.0.0.1:9/embed"},
+        "post",
+        lambda request: {"embeddings": [[0.5, 0.5] for _ in request["json"]["texts"]]},
+    ),
+    "too_few_rows": (
+        {"embedding_provider": "http", "embedding_url": "http://127.0.0.1:9/embed"},
+        "post",
+        lambda request: {"embeddings": [[1.0] * 256 for _ in request["json"]["texts"][1:]]},
+    ),
+    "nan_rerank_score": (
+        {"rerank_provider": "http", "rerank_url": "http://127.0.0.1:9/rerank"},
+        "post",
+        lambda request: {"scores": [float("nan")] * len(request["json"]["texts"])},
+    ),
+    "sparql_without_bindings": (
+        {"triples_file": "", "sparql_url": "http://127.0.0.1:9/sparql"},
+        "get",
+        lambda request: {"head": {"vars": ["item"]}},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", ["answer", "chain", "verify"])
+@pytest.mark.parametrize("fault", list(MALFORMED_SERVICE_REPLIES))
+def test_cli_malformed_service_reply_exits_2(workspace, monkeypatch, capsys, fault, command):
+    settings, verb, body = MALFORMED_SERVICE_REPLIES[fault]
+    question = PARALLEL_Q if command == "verify" else CHAINED_Q
+    config = workspace / "malformed.json"
+    config.write_text(
+        json.dumps({"triples_file": str(workspace / "movies.triples"), "theta_search": 0.0, **settings}),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(requests.Session, verb, lambda self, url, **request: _JsonReply(body(request)))
+    code = main(
+        ["--config", str(config), "--stub-script", str(workspace / "stub.json"), command, "--question", question]
+    )
     assert code == 2
     assert "provider failure:" in capsys.readouterr().err
 

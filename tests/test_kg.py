@@ -10,18 +10,16 @@ from pathlib import Path
 import pytest
 import requests
 
-from dualtrack import kg
+from dualtrack import transport
 from dualtrack.kg import (
     MAX_CONCURRENT_QUERIES,
     RELATION_LIMIT,
     EntityRef,
     InMemoryTripleStore,
     LiteralValue,
-    MalformedResponse,
     NotFound,
     RelationRef,
     SparqlClient,
-    TransportError,
     Triple,
     entity_id_query,
     entity_name_query,
@@ -32,6 +30,7 @@ from dualtrack.kg import (
     parse_triples,
     tail_relations_query,
 )
+from dualtrack.transport import ProviderError
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "sparql"
 
@@ -275,7 +274,7 @@ def _entity_binding(qid):
 
 def test_client_resolves_entity():
     session = FakeSession([FakeResponse(_result([_entity_binding("Q25188")]))])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     assert client.resolve_entity_id("Inception") == EntityRef("Q25188", "Inception")
     sent = session.calls[0]
     assert sent["headers"]["Accept"] == "application/sparql-results+json"
@@ -284,7 +283,7 @@ def test_client_resolves_entity():
 
 def test_client_not_found_on_zero_bindings():
     session = FakeSession([FakeResponse(_result([]))])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     with pytest.raises(NotFound):
         client.resolve_entity_id("zzz")
 
@@ -303,7 +302,7 @@ def test_client_parses_head_relations_uri_and_literal():
         },
     ]
     session = FakeSession([FakeResponse(_result(rows))])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     entity = EntityRef("Q25188", "Inception")
     triples = client.head_relations(entity)
     assert triples[0] == Triple(entity, RelationRef("P57", "director"), EntityRef("Q25191", "Christopher Nolan"))
@@ -321,7 +320,7 @@ def test_client_parses_tail_relations():
         }
     ]
     session = FakeSession([FakeResponse(_result(rows))])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     entity = EntityRef("Q25188", "Inception")
     (triple,) = client.tail_relations(entity)
     assert triple.subject == EntityRef("Q38111", "Leonardo DiCaprio")
@@ -337,7 +336,7 @@ def test_client_truncates_live_results_to_limit():
         for i in range(150)
     ]
     session = FakeSession([FakeResponse(_result(rows))])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     assert len(client.head_relations(EntityRef("Q1"))) == RELATION_LIMIT
 
 
@@ -349,34 +348,33 @@ def test_client_retries_then_succeeds():
             FakeResponse(_result([_entity_binding("Q1")])),
         ]
     )
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=session)
     assert client.resolve_entity_id("x").id == "Q1"
     assert len(session.calls) == 3
 
 
 def test_client_gives_up_after_bounded_retries():
     session = FakeSession([FakeResponse(status_code=500)])
-    client = SparqlClient("http://kg.test/sparql", session=session, retries=3, backoff=0)
-    with pytest.raises(TransportError):
+    client = SparqlClient("http://kg.test/sparql", session=session)
+    with pytest.raises(ProviderError, match="status 500"):
         client.execute(entity_id_query("x"))
-    assert len(session.calls) == 3
+    assert len(session.calls) == transport.HTTP_RETRIES
 
 
 @pytest.mark.parametrize(
     "headers, slept",
-    [({"Retry-After": "7"}, [7.0]), ({"Retry-After": "999"}, [30.0]), ({}, [0.5])],
+    [({"Retry-After": "7"}, [7.0]), ({"Retry-After": "999"}, [30.0]), ({}, [transport.HTTP_BACKOFF_S])],
     ids=["retry_after", "retry_after_capped_at_timeout", "backoff"],
 )
-def test_client_retries_rate_limit_reply(monkeypatch, headers, slept):
-    sleeps = []
-    monkeypatch.setattr(kg.time, "sleep", sleeps.append)
+def test_client_retries_rate_limit_reply(monkeypatch, retry_sleeps, headers, slept):
+    monkeypatch.setattr(transport.random, "uniform", lambda low, high: 1.0)
     session = FakeSession(
         [FakeResponse(status_code=429, headers=headers), FakeResponse(_result([_entity_binding("Q1")]))]
     )
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0.5, timeout=30.0)
+    client = SparqlClient("http://kg.test/sparql", session=session, timeout=30.0)
     assert client.resolve_entity_id("x").id == "Q1"
     assert len(session.calls) == 2
-    assert sleeps == slept
+    assert retry_sleeps == slept
 
 
 def test_client_caps_queries_in_flight():
@@ -396,7 +394,7 @@ def test_client_caps_queries_in_flight():
                 active["now"] -= 1
             return FakeResponse(_result([_entity_binding("Q1")]))
 
-    client = SparqlClient("http://kg.test/sparql", session=BlockingSession(), backoff=0)
+    client = SparqlClient("http://kg.test/sparql", session=BlockingSession())
     with ThreadPoolExecutor(n) as pool:
         futures = [pool.submit(client.resolve_entity_id, f"x{i}") for i in range(n)]
         with cond:
@@ -409,37 +407,69 @@ def test_client_caps_queries_in_flight():
 
 def test_client_4xx_fails_without_retry():
     session = FakeSession([FakeResponse(status_code=403)])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
-    with pytest.raises(TransportError):
+    client = SparqlClient("http://kg.test/sparql", session=session)
+    with pytest.raises(ProviderError, match="status 403"):
         client.execute(entity_id_query("x"))
     assert len(session.calls) == 1
 
 
 def test_client_malformed_json():
     session = FakeSession([FakeResponse(payload=None)])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
-    with pytest.raises(MalformedResponse):
+    client = SparqlClient("http://kg.test/sparql", session=session)
+    with pytest.raises(ProviderError, match="SPARQL endpoint failed"):
         client.execute(entity_id_query("x"))
 
 
 def test_client_malformed_result_shape():
     session = FakeSession([FakeResponse({"unexpected": True})])
-    client = SparqlClient("http://kg.test/sparql", session=session, backoff=0)
-    with pytest.raises(MalformedResponse):
+    client = SparqlClient("http://kg.test/sparql", session=session)
+    with pytest.raises(ProviderError, match="SPARQL endpoint failed"):
         client.execute(entity_id_query("x"))
+
+
+_HEAD_ROW = {
+    "relation": {"type": "uri", "value": "http://www.wikidata.org/prop/direct/P57"},
+    "relationLabel": {"type": "literal", "value": "director"},
+    "o": {"type": "uri", "value": "http://www.wikidata.org/entity/Q25191"},
+    "oLabel": {"type": "literal", "value": "Christopher Nolan"},
+}
+
+
+@pytest.mark.parametrize(
+    "name, term",
+    [
+        ("relation", {"type": "uri", "value": 57}),
+        ("relationLabel", {"type": "literal", "value": ["director"]}),
+        ("o", {"type": "uri", "value": None}),
+        ("o", {"value": "http://www.wikidata.org/entity/Q25191"}),
+        ("oLabel", {"type": "literal"}),
+    ],
+    ids=[
+        "relation_not_a_string",
+        "label_not_a_string",
+        "object_not_a_string",
+        "object_without_type",
+        "label_without_value",
+    ],
+)
+def test_client_malformed_binding_is_a_provider_error(name, term):
+    session = FakeSession([FakeResponse(_result([{**_HEAD_ROW, name: term}]))])
+    client = SparqlClient("http://kg.test/sparql", session=session)
+    with pytest.raises(ProviderError, match=f"SPARQL endpoint failed: binding .*{name!r}"):
+        client.head_relations(EntityRef("Q25188", "Inception"))
 
 
 def test_client_cache_serves_repeat_queries(tmp_path):
     payload = _result([_entity_binding("Q777")])
     session = FakeSession([FakeResponse(payload)])
-    client = SparqlClient("http://kg.test/sparql", cache_dir=tmp_path, session=session, backoff=0)
+    client = SparqlClient("http://kg.test/sparql", cache_dir=tmp_path, session=session)
     assert client.resolve_entity_id("Cached").id == "Q777"
     assert len(session.calls) == 1
 
     # a fresh client over the same cache dir must not touch the transport
     from conftest import FailingSession
 
-    cold = SparqlClient("http://kg.test/sparql", cache_dir=tmp_path, session=FailingSession(), backoff=0)
+    cold = SparqlClient("http://kg.test/sparql", cache_dir=tmp_path, session=FailingSession())
     assert cold.resolve_entity_id("Cached").id == "Q777"
     cached_files = list(tmp_path.glob("*.json"))
     assert len(cached_files) == 1

@@ -8,9 +8,9 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualtrack import denoise, verify
-from dualtrack import llm as llm_module
+from dualtrack import denoise, transport, verify
 from dualtrack.config import PROVIDERS, EngineConfig
+from dualtrack.kg import EntityRef, RelationRef, SparqlClient, Triple
 from dualtrack.llm import (
     CompletionRequest,
     CompletionResponse,
@@ -30,7 +30,7 @@ from dualtrack.llm import (
     parse_yes_no,
     render,
 )
-from dualtrack.scoring import DimensionMismatch, HttpEmbedding, HttpRerank
+from dualtrack.scoring import HttpEmbedding, HttpRerank
 
 # ---------------------------------------------------------------------------
 # rendering
@@ -139,17 +139,26 @@ def test_echo_returns_prompt():
 
 
 class _FakeHttpSession:
+    """Answers a GET or POST with ``responses`` in turn, then with
+    ``response`` (or raises ``error``), and records every request. An
+    exception among the responses is raised when its turn comes."""
+
     def __init__(self, response=None, error=None, responses=()):
         self.response = response
         self.error = error
-        self.responses = list(responses)  # served first, one per post
-        self.posts = []
+        self.responses = list(responses)
+        self.sent = []
 
-    def post(self, url, json=None, timeout=None):
-        self.posts.append({"url": url, "json": json})
+    def post(self, url, timeout=None, **kwargs):
+        self.sent.append({"url": url, **kwargs})
         if self.error:
             raise self.error
-        return self.responses.pop(0) if self.responses else self.response
+        outcome = self.responses.pop(0) if self.responses else self.response
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    get = post
 
 
 class _FakeHttpResponse:
@@ -169,7 +178,7 @@ def test_http_llm_roundtrip():
     provider = HttpLLM("http://llm.test", session=session)
     reply = provider.complete(CompletionRequest("ping", temperature=0.0, max_tokens=64))
     assert reply.text == "pong"
-    assert session.posts[0]["json"] == {"prompt": "ping", "temperature": 0.0, "max_tokens": 64}
+    assert session.sent[0]["json"] == {"prompt": "ping", "temperature": 0.0, "max_tokens": 64}
 
 
 def test_http_llm_errors():
@@ -184,34 +193,42 @@ def test_http_llm_errors():
         down.complete(CompletionRequest("x"))
 
 
-def _record_sleeps(monkeypatch, jitter=(1.0,)):
-    """Patch the retry sleep and its random factor; returns the sleeps and
-    the ``random.uniform`` calls. The factors in ``jitter`` are served in
-    turn, the last one repeated."""
-    sleeps, draws = [], []
+def _fix_jitter(monkeypatch, jitter=(1.0,)):
+    """Patch the retry wait's random factor; returns the ``random.uniform``
+    calls. The factors in ``jitter`` are served in turn, the last one
+    repeated."""
+    draws = []
     factors = list(jitter)
 
     def uniform(low, high):
         draws.append((low, high))
         return factors.pop(0) if len(factors) > 1 else factors[0]
 
-    monkeypatch.setattr(llm_module.time, "sleep", sleeps.append)
-    monkeypatch.setattr(llm_module.random, "uniform", uniform)
-    return sleeps, draws
+    monkeypatch.setattr(transport.random, "uniform", uniform)
+    return draws
 
 
 @dataclass(frozen=True)
 class _HttpCase:
-    """One HTTP provider as the shared POST path sees it: how to build it
-    around a session, one call, a reply that succeeds with what the call then
-    returns, the field it reads, and its ``PROVIDERS`` key."""
+    """One outside service as ``transport.request_json`` sees it: how to
+    build its client around a session, one call, a reply that succeeds with
+    what the call then returns, the field it reads, and its ``PROVIDERS``
+    key (None for the KG store, which the registry does not build)."""
 
     make: Callable[..., Any]
     call: Callable[[Any], Any]
     reply: dict
     result: Any
     field: str
-    key: str
+    key: str | None
+
+
+_SPARQL_ROW = {
+    "relation": {"type": "uri", "value": "http://www.wikidata.org/prop/direct/P1"},
+    "relationLabel": {"type": "literal", "value": "p"},
+    "o": {"type": "uri", "value": "http://www.wikidata.org/entity/Q2"},
+    "oLabel": {"type": "literal", "value": "x"},
+}
 
 
 HTTP_CASES = {
@@ -239,46 +256,71 @@ HTTP_CASES = {
         field="scores",
         key="rerank_provider",
     ),
+    "sparql": _HttpCase(
+        make=lambda **kw: SparqlClient("http://kg.test/sparql", **kw),
+        call=lambda client: client.head_relations(EntityRef("Q1")),
+        reply={"results": {"bindings": [_SPARQL_ROW]}},
+        result=[Triple(EntityRef("Q1"), RelationRef("P1", "p"), EntityRef("Q2", "x"))],
+        field="results",
+        key=None,
+    ),
 }
 
 http_case = pytest.mark.parametrize("case", list(HTTP_CASES.values()), ids=list(HTTP_CASES))
+_REGISTERED = [name for name, case in HTTP_CASES.items() if case.key]
+registered_case = pytest.mark.parametrize("case", [HTTP_CASES[name] for name in _REGISTERED], ids=_REGISTERED)
 
 
 @http_case
-def test_http_provider_retries_rate_limit_reply(monkeypatch, case):
-    sleeps, _ = _record_sleeps(monkeypatch)
+def test_http_provider_retries_rate_limit_reply(monkeypatch, retry_sleeps, case):
+    _fix_jitter(monkeypatch)
     limited = _FakeHttpResponse({}, 429, headers={"Retry-After": "0"})
     session = _FakeHttpSession(responses=[limited], response=_FakeHttpResponse(case.reply))
     assert case.call(case.make(session=session)) == case.result
-    assert len(session.posts) == 2
-    assert sleeps == [1.0]  # the backoff outlasts a zero Retry-After
+    assert len(session.sent) == 2
+    assert retry_sleeps == [1.0]  # the backoff outlasts a zero Retry-After
 
 
 @http_case
-def test_http_provider_gives_up_on_persistent_rate_limit(monkeypatch, case):
-    sleeps, _ = _record_sleeps(monkeypatch)
+def test_http_provider_retries_only_transient_failures(retry_sleeps, case):
+    transient = [requests.ConnectionError("connection refused"), _FakeHttpResponse({}, 503)]
+    session = _FakeHttpSession(responses=transient, response=_FakeHttpResponse(case.reply))
+    assert case.call(case.make(session=session)) == case.result
+    assert len(session.sent) == 3
+    assert len(retry_sleeps) == 2
+    refused = _FakeHttpSession(response=_FakeHttpResponse(case.reply, 403))
+    with pytest.raises(ProviderError, match="status 403"):
+        case.call(case.make(session=refused))
+    assert len(refused.sent) == 1
+    assert len(retry_sleeps) == 2
+
+
+@http_case
+def test_http_provider_gives_up_on_persistent_rate_limit(monkeypatch, retry_sleeps, case):
+    _fix_jitter(monkeypatch)
     session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": "5"}))
     with pytest.raises(ProviderError, match="429"):
         case.call(case.make(session=session))
-    assert len(session.posts) == llm_module.HTTP_LLM_RETRIES
-    assert sleeps == [5.0] * (llm_module.HTTP_LLM_RETRIES - 1)
+    assert len(session.sent) == transport.HTTP_RETRIES
+    assert retry_sleeps == [5.0] * (transport.HTTP_RETRIES - 1)
 
 
+@http_case
 @pytest.mark.parametrize(
     "retry_after, jitter, slept",
     [("0", (1.5, 0.5), [1.5, 1.0]), ("2", (0.5,), [2.0, 2.0]), ("0", (0.5,), [0.5, 1.0])],
     ids=["jittered_backoff", "retry_after_is_the_floor", "low_draw"],
 )
-def test_http_llm_rate_limit_wait_is_jittered(monkeypatch, retry_after, jitter, slept):
-    sleeps, draws = _record_sleeps(monkeypatch, jitter)
+def test_http_provider_rate_limit_wait_is_jittered(monkeypatch, retry_sleeps, case, retry_after, jitter, slept):
+    draws = _fix_jitter(monkeypatch, jitter)
     session = _FakeHttpSession(response=_FakeHttpResponse({}, 429, headers={"Retry-After": retry_after}))
     with pytest.raises(ProviderError):
-        HttpLLM("http://llm.test", session=session).complete(CompletionRequest("x"))
-    assert sleeps == slept
+        case.call(case.make(session=session))
+    assert retry_sleeps == slept
     assert draws == [(0.5, 1.5)] * len(slept)
 
 
-@http_case
+@registered_case
 def test_http_provider_connection_pool_holds_a_question_in_flight_per_parallel_question(case):
     per_question = verify.MAX_CLAIM_WORKERS * denoise.MAX_NECESSITY_WORKERS
     for parallelism in (1, 4):
@@ -307,12 +349,34 @@ _NOT_NUMBERS = st.one_of(
     _JSON.filter(lambda v: not isinstance(v, list)),
     st.tuples(_NUMBERS, _NOT_A_NUMBER, _NUMBERS).map(lambda t: t[0] + [t[1]] + t[2]),
 )
+# a SPARQL binding row ``head_relations`` cannot read: not an object, a
+# required term missing, or a term that is not an object with a string value
+_BAD_TERM = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+    st.dictionaries(st.text().filter(lambda k: k != "value"), _JSON, max_size=2),
+    _JSON.filter(lambda v: not isinstance(v, str)).map(lambda value: {"type": "uri", "value": value}),
+)
+_BAD_ROW = st.one_of(
+    _JSON.filter(lambda v: not isinstance(v, dict)),
+    st.sampled_from(["relation", "o"]).map(lambda name: {k: v for k, v in _SPARQL_ROW.items() if k != name}),
+    st.tuples(st.sampled_from(["relation", "relationLabel", "o", "oLabel"]), _BAD_TERM).map(
+        lambda bad: {**_SPARQL_ROW, bad[0]: bad[1]}
+    ),
+)
 _BAD_FIELD = {
     "text": _JSON.filter(lambda v: not isinstance(v, str)),
     "scores": _NOT_NUMBERS,
     "embeddings": st.one_of(
         _JSON.filter(lambda v: not isinstance(v, list)),
         st.tuples(st.lists(_NUMBERS, max_size=2), _NOT_NUMBERS).map(lambda t: t[0] + [t[1]]),
+    ),
+    "results": st.one_of(
+        _JSON.filter(lambda v: not isinstance(v, dict)),
+        st.dictionaries(st.text().filter(lambda k: k != "bindings"), _JSON, max_size=3),
+        _JSON.filter(lambda v: not isinstance(v, list)).map(lambda bindings: {"bindings": bindings}),
+        st.tuples(st.lists(st.just(_SPARQL_ROW), max_size=2), _BAD_ROW).map(
+            lambda rows: {"bindings": rows[0] + [rows[1]]}
+        ),
     ),
 }
 
@@ -341,9 +405,9 @@ _WRONG_LENGTH_ROW = st.lists(st.floats(-1e6, 1e6), max_size=4).filter(lambda row
 
 
 @given(rows=st.lists(_WRONG_LENGTH_ROW, min_size=1, max_size=3))
-def test_http_embedding_well_formed_rows_of_the_wrong_length_raise_dimension_mismatch(rows):
+def test_http_embedding_well_formed_rows_of_the_wrong_length_raise_provider_error(rows):
     session = _FakeHttpSession(response=_FakeHttpResponse({"embeddings": rows}))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ProviderError, match="embedding endpoint failed: expected dimension 2"):
         HttpEmbedding("http://emb.test", dimension=2, session=session).embed(["x"])
 
 

@@ -1,6 +1,8 @@
 """Two-stage scoring: cosine, fusion, top-N selection, provider doubles, and
 the stage-ordering contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,11 +14,13 @@ from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
     ConstantRerank,
     DimensionMismatch,
+    EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
     HttpRerank,
     MissingStageScore,
     OverlapRerank,
+    RerankProvider,
     ScoredCandidate,
     ScoringConfig,
     ZeroVector,
@@ -246,7 +250,7 @@ def test_http_embedding_roundtrip_and_dimension_check():
     (vec,) = provider.embed(["x"])
     assert np.array_equal(vec, np.array([1.0, 2.0]))
     bad = HttpEmbedding("http://emb.test", dimension=3, session=_FakeSession({"embeddings": [[1.0, 2.0]]}))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ProviderError, match="expected dimension 3"):
         bad.embed(["x"])
 
 
@@ -318,7 +322,7 @@ class _ShortEmbedding(HashEmbedding):
 
 
 def test_score_candidates_rejects_missing_embedding_rows():
-    with pytest.raises(MissingStageScore, match="embedder returned 5 vectors for 6 texts"):
+    with pytest.raises(ProviderError, match="embedder returned 5 vectors for 6 texts"):
         score_candidates("topic", _relations(5), ScoringConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
@@ -346,22 +350,109 @@ _ABCD = [RelationRef(f"P{i}", f"{name} fact") for i, name in enumerate("abcd")]
 def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
     embedder = _PoisonedEmbedding(16, "c fact", value)
-    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+    with pytest.raises(ProviderError, match="NaN or infinite"):
         score_candidates("a b c d fact", candidates, ScoringConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
 def test_score_candidates_rejects_non_finite_query_embedding(value):
     embedder = _PoisonedEmbedding(16, "a b c d fact", value)
-    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+    with pytest.raises(ProviderError, match="NaN or infinite"):
         score_candidates("a b c d fact", _ABCD, ScoringConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_score_candidates_rejects_non_finite_rerank_score(value):
     reranker = MappingRerank({"c fact": value}, default=0.5)
-    with pytest.raises(MissingStageScore, match="NaN or infinite"):
+    with pytest.raises(ProviderError, match="NaN or infinite"):
         score_candidates("a b c d fact", _ABCD, ScoringConfig(), HashEmbedding(16), reranker)
+
+
+class _ReplyEmbedding(EmbeddingProvider):
+    """Answers every call with the same rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def embed(self, texts):
+        return [np.array(row, dtype=float) for row in self.rows]
+
+
+class _ReplyRerank(RerankProvider):
+    """Answers every call with the same scores."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def rerank(self, query, texts):
+        return list(self.scores)
+
+
+# Small integer rows keep every dot product and norm exact, so the recompute
+# below matches the scorer's cosines bit for bit and ranks ties the same way.
+_ROW = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any).map(lambda row: [float(x) for x in row])
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def _well_formed_replies(draw):
+    """(candidates, config, embedder rows, rerank scores) for a call whose
+    providers answer one finite row per text and one finite score per
+    Stage-I survivor."""
+    n = draw(st.integers(1, 6))
+    cfg = ScoringConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=draw(st.integers(1, n + 1)), dimension=3)
+    rows = draw(st.lists(_ROW, min_size=n + 1, max_size=n + 1))
+    survivors = min(cfg.top_n, n)
+    scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=survivors, max_size=survivors))
+    return _relations(n), cfg, rows, scores
+
+
+@given(reply=_well_formed_replies())
+def test_score_candidates_well_formed_replies_match_independent_recompute(reply):
+    candidates, cfg, rows, scores = reply
+    norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
+    cos = {
+        c.id: sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm)
+        for c, row, norm in zip(candidates, rows[1:], norms[1:])
+    }
+    survivors = sorted(cos, key=lambda cid: (-cos[cid], cid))[: cfg.top_n]
+    combined = {
+        cid: cfg.alpha * min(1.0, max(0.0, score)) + (1.0 - cfg.alpha) * cos[cid]
+        for cid, score in zip(survivors, scores)
+    }
+    expected = sorted(combined, key=lambda cid: (-combined[cid], cid))
+    result = score_candidates("q", candidates, cfg, _ReplyEmbedding(rows), _ReplyRerank(scores))
+    assert [c.payload.id for c in result] == expected
+    assert [c.combined for c in result] == pytest.approx([combined[cid] for cid in expected])
+
+
+def _spoiled(data, values, bad_entry):
+    """``values`` with the wrong number of entries, or with one entry
+    replaced by a draw from ``bad_entry``."""
+    if data.draw(st.booleans(), label="wrong count"):
+        count = data.draw(st.integers(0, len(values) + 2).filter(lambda k: k != len(values)), label="count")
+        return [values[i % len(values)] for i in range(count)]
+    values = list(values)
+    index = data.draw(st.integers(0, len(values) - 1), label="index")
+    values[index] = data.draw(bad_entry(values[index]), label="entry")
+    return values
+
+
+def _row_with_non_finite(row):
+    return st.tuples(st.integers(0, len(row) - 1), _NON_FINITE).map(
+        lambda spot: row[: spot[0]] + [spot[1]] + row[spot[0] + 1 :]
+    )
+
+
+@given(reply=_well_formed_replies(), data=st.data())
+def test_score_candidates_malformed_provider_reply_is_a_provider_error(reply, data):
+    candidates, cfg, rows, scores = reply
+    if data.draw(st.booleans(), label="spoil the embedder"):
+        rows = _spoiled(data, rows, _row_with_non_finite)
+    else:
+        scores = _spoiled(data, scores, lambda score: _NON_FINITE)
+    with pytest.raises(ProviderError, match="embedder returned|reranker returned"):
+        score_candidates("q", candidates, cfg, _ReplyEmbedding(rows), _ReplyRerank(scores))
 
 
 def test_stage_two_never_sees_stage_one_rejects():

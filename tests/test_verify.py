@@ -10,7 +10,7 @@ import pytest
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.denoise import DenoiseConfig
 from dualtrack.engine import Pipeline
-from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, TransportError, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure, link_surface
 from dualtrack.llm import EchoLLM, ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
@@ -369,7 +369,7 @@ def test_run_parallel_branch_raises_the_first_claims_error(movie_store, template
 
 class _RecordingStore(KGStore):
     """Delegates to ``inner`` and records each call with the calling thread;
-    looking up a label in ``fail`` raises ``TransportError``."""
+    looking up a label in ``fail`` raises ``ProviderError``."""
 
     def __init__(self, inner, fail=()):
         self.inner = inner
@@ -379,7 +379,7 @@ class _RecordingStore(KGStore):
     def resolve_entity_id(self, label):
         self.calls.append(("resolve", label, threading.get_ident()))
         if label in self.fail:
-            raise TransportError(f"lookup of {label!r} failed")
+            raise ProviderError(f"lookup of {label!r} failed")
         return self.inner.resolve_entity_id(label)
 
     def get_label(self, relation):
@@ -422,7 +422,7 @@ def test_run_parallel_branch_raises_an_earlier_claims_error_over_a_later_link_er
 
 def test_run_parallel_branch_raises_a_link_error_on_its_claims_turn(movie_store, templates):
     store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
-    with pytest.raises(TransportError, match="Christopher Nolan"):
+    with pytest.raises(ProviderError, match="Christopher Nolan"):
         run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(lambda claim: None)))
 
 
@@ -435,5 +435,5 @@ def test_verify_fact_takes_an_already_linked_subject(movie_store, templates):
     assert [name for name, _, _ in store.calls] == ["head", "tail"]
     unlinked = verify_fact(fact, pipe, LinkFailure("no entity"))
     assert unlinked.status is VerificationStatus.UNVERIFIABLE
-    with pytest.raises(TransportError):
-        verify_fact(fact, pipe, TransportError("store down"))
+    with pytest.raises(ProviderError):
+        verify_fact(fact, pipe, ProviderError("store down"))
