@@ -15,13 +15,13 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
 
-from dualtrack.chain import SearchConfig, search_paths
+from dualtrack.chain import search_paths
 from dualtrack.classifier import Question
-from dualtrack.denoise import DenoiseConfig
+from dualtrack.config import EngineConfig
 from dualtrack.engine import PACKAGED_PROMPTS, Pipeline
 from dualtrack.kg import EntityRef
 from dualtrack.llm import StubLLM, load_templates
-from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
+from dualtrack.scoring import HashEmbedding, OverlapRerank
 
 
 def main() -> int:
@@ -31,11 +31,12 @@ def main() -> int:
     rng = random.Random(seed)
 
     templates = load_templates(PACKAGED_PROMPTS)
-    scoring = ScoringConfig(alpha=0.5, dimension=48)
-    search = SearchConfig(d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000)
+    config = EngineConfig(
+        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
+        theta_necessity=0.0,
+    )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
-    denoising = DenoiseConfig(theta_necessity=0.0)
 
     search_time = oracle_time = 0.0
     paths = mismatches = 0
@@ -52,9 +53,7 @@ def main() -> int:
             templates=templates,
             embedder=embedder,
             reranker=reranker,
-            scoring=scoring,
-            search=search,
-            denoising=denoising,
+            config=config,
         )
         completed, _ = search_paths(origin, question, pipe)
         search_time += time.perf_counter() - t0
@@ -62,8 +61,8 @@ def main() -> int:
         t0 = time.perf_counter()
         expected = enumerate_paths(
             store, origin, question.text,
-            d_max=search.d_max, w_max=search.w_max, theta=search.theta_search,
-            scoring=scoring, embedder=embedder, reranker=reranker,
+            d_max=config.d_max, w_max=config.w_max, theta=config.theta_search,
+            scoring=config, embedder=embedder, reranker=reranker,
             k_invalid=frozenset({"id", "source", "version", "metadata"}),
         )
         oracle_time += time.perf_counter() - t0

@@ -9,19 +9,16 @@ denoiser, and every provider (KG, LLM, embedding, rerank) is pluggable.
 
 __version__ = "0.1.0"
 
-from .chain import ReasoningPath, SearchConfig
+from .chain import ReasoningPath
 from .classifier import Answer, Question, QuestionType
 from .config import EngineConfig, load_config
-from .denoise import DenoiseConfig
 from .engine import Engine
 from .kg import EntityRef, InMemoryTripleStore, LiteralValue, RelationRef, SparqlClient, Triple
-from .scoring import ScoringConfig
 from .verify import AtomicFact, VerificationResult, VerificationStatus
 
 __all__ = [
     "Answer",
     "AtomicFact",
-    "DenoiseConfig",
     "Engine",
     "EngineConfig",
     "EntityRef",
@@ -31,8 +28,6 @@ __all__ = [
     "QuestionType",
     "ReasoningPath",
     "RelationRef",
-    "ScoringConfig",
-    "SearchConfig",
     "SparqlClient",
     "Triple",
     "VerificationResult",

@@ -108,30 +108,6 @@ def path_score(path: ReasoningPath) -> float:
     return math.prod(hop.score for hop in path.hops)
 
 
-@dataclass
-class SearchConfig:
-    d_max: int = 3
-    w_max: int = 5
-    theta_search: float = 0.3
-    llm_select_trigger: int = 8
-    top_k_paths: int = 3
-    max_expansions: int = 500  # global budget per question
-
-    def __post_init__(self):
-        if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.w_max < 1:
-            raise ValueError(f"w_max must be >= 1, got {self.w_max}")
-        if not 0.0 <= self.theta_search <= 1.0:
-            raise ValueError(f"theta_search must be in [0, 1], got {self.theta_search}")
-        if self.llm_select_trigger < 1:
-            raise ValueError(f"llm_select_trigger must be >= 1, got {self.llm_select_trigger}")
-        if self.top_k_paths < 1:
-            raise ValueError(f"top_k_paths must be >= 1, got {self.top_k_paths}")
-        if self.max_expansions < 1:
-            raise ValueError(f"max_expansions must be >= 1, got {self.max_expansions}")
-
-
 def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
     """LLM-extract the question's core entity surface form and link it."""
     reply = ask(pipe.llm, pipe.templates["extract_entity"], question=question.text)
@@ -139,7 +115,7 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
     surface = next((line for line in lines if line), "")
     if not surface:
         raise LinkFailure(f"entity extraction produced nothing for {question.id}")
-    return link_surface(surface, pipe.store, pipe.link_floor)
+    return link_surface(surface, pipe.store, pipe.config.link_floor)
 
 
 def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[ReasoningPath]:
@@ -147,9 +123,9 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
 
     Returns one extended path per surviving relation, best score first.
     """
-    search = pipe.search
+    cfg = pipe.config
     tip = path.tip()
-    if not isinstance(tip, EntityRef) or path.depth() >= search.d_max:
+    if not isinstance(tip, EntityRef) or path.depth() >= cfg.d_max:
         return []
     relations = fetch_relations(pipe.store, tip)
     visited = path.visited_ids()
@@ -165,13 +141,13 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
             direction_by_key[triple.key()] = (direction, far)
             candidates.append(triple)
 
-    pool = denoise(candidates, question.text, pipe.denoising)  # rule layer only
-    scored = score_candidates(question.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
+    pool = denoise(candidates, question.text, cfg)  # rule layer only
+    scored = score_candidates(question.text, pool, cfg, pipe.embedder, pipe.reranker)
     # necessity layer: denoise asks each distinct relation label once
-    scored = denoise(scored, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
-    survivors = [c for c in scored if c.combined >= search.theta_search]
-    survivors = top_n(survivors, search.w_max, key="combined")
-    if len(survivors) > search.llm_select_trigger:
+    scored = denoise(scored, question.text, cfg, pipe.llm, pipe.templates["necessity"])
+    survivors = [c for c in scored if c.combined >= cfg.theta_search]
+    survivors = top_n(survivors, cfg.w_max, key="combined")
+    if len(survivors) > cfg.llm_select_trigger:
         survivors = _llm_select(survivors, question, pipe)
     return [
         path.extend(
@@ -224,7 +200,7 @@ def search_paths(
     are visited in descending score order so high-score paths are reached
     before the budget runs out.
     """
-    search = pipe.search
+    cfg = pipe.config
     completed: list[ReasoningPath] = []
     expansions = 0
     stopped = False
@@ -233,8 +209,8 @@ def search_paths(
         nonlocal expansions, stopped
         if stopped:
             return
-        if expansions >= search.max_expansions:
-            log.warning("expansion budget %d exhausted for %s", search.max_expansions, question.id)
+        if expansions >= cfg.max_expansions:
+            log.warning("expansion budget %d exhausted for %s", cfg.max_expansions, question.id)
             if path.depth():
                 completed.append(path)
             return
@@ -253,7 +229,7 @@ def search_paths(
                 completed.append(child)
                 stopped = True
                 return
-            if child.depth() >= search.d_max or not isinstance(child.tip(), EntityRef):
+            if child.depth() >= cfg.d_max or not isinstance(child.tip(), EntityRef):
                 completed.append(child)
             else:
                 visit(child)
@@ -285,7 +261,7 @@ def run_chain_branch(question: Question, pipe: Pipeline, trace: list | None = No
     if not completed:
         return Answer(text="", track=QuestionType.CHAINED, flags={"insufficient"})
     ranked = sorted(completed, key=lambda p: (-path_score(p), p.signature()))
-    best = ranked[: pipe.search.top_k_paths]
+    best = ranked[: pipe.config.top_k_paths]
     context = "\n".join(p.verbalize() for p in best)
     text = ask(pipe.llm, pipe.templates["generate"], question=question.text, triples=context).strip()
     flags = set() if stopped_early else {"insufficient"}

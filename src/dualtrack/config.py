@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .chain import SearchConfig
 from .classifier import QuestionType
-from .denoise import DEFAULT_INVALID_KEYWORDS, DenoiseConfig
+from .denoise import DEFAULT_INVALID_KEYWORDS
+from .linking import DEFAULT_SIMILARITY_FLOOR
 from .llm import EchoLLM, HttpLLM, StubLLM
-from .scoring import ConstantRerank, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank, ScoringConfig
+from .scoring import ConstantRerank, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
 
 ENV_PREFIX = "DUALTRACK_"
 
@@ -45,6 +45,9 @@ PROVIDERS = {
 
 @dataclass
 class EngineConfig:
+    """The one parameter set of both tracks. ``Engine`` hands this object
+    to its ``Pipeline``, and every stage reads its keys from there."""
+
     # knowledge graph: a triples file selects the in-memory store, otherwise
     # the live SPARQL client is used
     sparql_url: str = "https://query.wikidata.org/sparql"
@@ -60,12 +63,12 @@ class EngineConfig:
     rerank_url: str = ""
 
     # scoring
-    alpha: float = 0.7
-    top_n: int = 50
+    alpha: float = 0.7  # rerank weight in the fusion
+    top_n: int = 50  # Stage-I survivors handed to the reranker
     dimension: int = 256
 
     # parallel track
-    verify_top_k: int = 3
+    verify_top_k: int = 3  # triples shown to the judge per claim
 
     # chained track
     d_max: int = 3
@@ -73,7 +76,7 @@ class EngineConfig:
     theta_search: float = 0.3
     llm_select_trigger: int = 8
     top_k_paths: int = 3
-    max_expansions: int = 500
+    max_expansions: int = 500  # global budget per question
 
     # denoiser
     k_invalid: list[str] = field(default_factory=lambda: list(DEFAULT_INVALID_KEYWORDS))
@@ -82,7 +85,7 @@ class EngineConfig:
     # evaluation / routing
     tau: float = 0.5
     default_track: str = "chained"
-    link_floor: float = 0.8
+    link_floor: float = DEFAULT_SIMILARITY_FLOOR
     parallelism: int = 1
     prompts_dir: str = ""  # empty -> packaged prompts
 
@@ -100,30 +103,30 @@ class EngineConfig:
             raise ValueError(f"verify_top_k must be >= 1, got {self.verify_top_k}")
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        # sub-config constructors validate their own ranges
-        self.scoring_config()
-        self.search_config()
-        self.denoise_config()
-
-    # -- sub-config builders -------------------------------------------
-
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig(alpha=self.alpha, top_n=self.top_n, dimension=self.dimension)
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(
-            d_max=self.d_max,
-            w_max=self.w_max,
-            theta_search=self.theta_search,
-            llm_select_trigger=self.llm_select_trigger,
-            top_k_paths=self.top_k_paths,
-            max_expansions=self.max_expansions,
-        )
-
-    def denoise_config(self) -> DenoiseConfig:
-        return DenoiseConfig(
-            k_invalid=frozenset(self.k_invalid), theta_necessity=self.theta_necessity
-        )
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if self.top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
+        if self.dimension < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
+        if self.d_max < 1:
+            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
+        if self.w_max < 1:
+            raise ValueError(f"w_max must be >= 1, got {self.w_max}")
+        if not 0.0 <= self.theta_search <= 1.0:
+            raise ValueError(f"theta_search must be in [0, 1], got {self.theta_search}")
+        if self.llm_select_trigger < 1:
+            raise ValueError(f"llm_select_trigger must be >= 1, got {self.llm_select_trigger}")
+        if self.top_k_paths < 1:
+            raise ValueError(f"top_k_paths must be >= 1, got {self.top_k_paths}")
+        if self.max_expansions < 1:
+            raise ValueError(f"max_expansions must be >= 1, got {self.max_expansions}")
+        # lowercased and de-duplicated once, in order; the rule layer matches these
+        self.k_invalid = list(dict.fromkeys(k.lower() for k in self.k_invalid))
+        if not self.k_invalid or not all(self.k_invalid):
+            raise ValueError("k_invalid must be a set of non-empty keywords")
+        if not 0.0 <= self.theta_necessity <= 1.0:
+            raise ValueError(f"theta_necessity must be in [0, 1], got {self.theta_necessity}")
 
     # -- serialization ---------------------------------------------------
 

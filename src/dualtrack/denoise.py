@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .kg import RelationRef, Triple
 from .llm import LLMProvider, PromptTemplate, ProviderError, Unparseable, ask, parse_score
 from .scoring import ScoredCandidate
+
+if TYPE_CHECKING:
+    from .config import EngineConfig
 
 log = logging.getLogger(__name__)
 
@@ -35,20 +37,6 @@ MAX_NECESSITY_WORKERS = 8
 Denoisable = Union[Triple, RelationRef, ScoredCandidate]
 
 
-@dataclass
-class DenoiseConfig:
-    k_invalid: frozenset[str] = field(default_factory=lambda: frozenset(DEFAULT_INVALID_KEYWORDS))
-    theta_necessity: float = 0.5
-
-    def __post_init__(self):
-        keywords = frozenset(k.lower() for k in self.k_invalid)
-        if not keywords or any(not k for k in keywords):
-            raise ValueError("k_invalid must be a set of non-empty keywords")
-        self.k_invalid = keywords
-        if not 0.0 <= self.theta_necessity <= 1.0:
-            raise ValueError(f"theta_necessity must be in [0, 1], got {self.theta_necessity}")
-
-
 def _relation_of(item: Denoisable) -> RelationRef:
     if isinstance(item, ScoredCandidate):
         item = item.payload
@@ -57,7 +45,7 @@ def _relation_of(item: Denoisable) -> RelationRef:
     return item
 
 
-def rule_filter(relation: RelationRef, cfg: DenoiseConfig) -> bool:
+def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     """True when the relation should be dropped by the keyword rule."""
     if not relation.label:
         log.warning("relation %s has no label; keeping it unfiltered", relation.id)
@@ -92,7 +80,7 @@ def necessity_score(
 def _necessary(
     relation: RelationRef,
     question: str,
-    cfg: DenoiseConfig,
+    cfg: EngineConfig,
     llm: LLMProvider,
     template: PromptTemplate,
 ) -> bool:
@@ -112,7 +100,7 @@ def _necessary(
 def denoise(
     candidates: Sequence[Denoisable],
     question: str,
-    cfg: DenoiseConfig,
+    cfg: EngineConfig,
     llm: LLMProvider | None = None,
     template: PromptTemplate | None = None,
 ) -> list[Denoisable]:

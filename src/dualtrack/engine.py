@@ -8,15 +8,14 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chain import SearchConfig, run_chain_branch
+from .chain import run_chain_branch
 from .classifier import Answer, Classification, Question, QuestionType, classify
 from .config import PROVIDERS, EngineConfig
-from .denoise import DenoiseConfig, denoise, rule_filter
+from .denoise import denoise, rule_filter
 from .evaluation import AccScorer, evaluate
 from .kg import InMemoryTripleStore, KGStore, SparqlClient, Triple
-from .linking import DEFAULT_SIMILARITY_FLOOR
 from .llm import LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
-from .scoring import EmbeddingProvider, RerankProvider, ScoringConfig
+from .scoring import EmbeddingProvider, RerankProvider
 from .verify import run_parallel_branch
 
 log = logging.getLogger(__name__)
@@ -27,7 +26,7 @@ PACKAGED_PROMPTS = Path(__file__).parent / "prompts"
 @dataclass(frozen=True)
 class Pipeline:
     """What both tracks share: the four providers, the prompt templates and
-    the stage configs. ``Engine`` builds one from its config; build one by
+    the config. ``Engine`` builds one around its own config; build one by
     hand to run a single stage."""
 
     store: KGStore
@@ -35,11 +34,7 @@ class Pipeline:
     templates: dict[str, PromptTemplate]
     embedder: EmbeddingProvider
     reranker: RerankProvider
-    scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    search: SearchConfig = field(default_factory=SearchConfig)
-    denoising: DenoiseConfig = field(default_factory=DenoiseConfig)
-    link_floor: float = DEFAULT_SIMILARITY_FLOOR
-    verify_top_k: int = 3  # triples shown to the judge per claim
+    config: EngineConfig = field(default_factory=EngineConfig)
 
 
 def _build_store(cfg: EngineConfig) -> KGStore:
@@ -83,11 +78,7 @@ class Engine:
             llm=llm,
             embedder=embedder or _build(cfg, "embedding_provider"),
             reranker=reranker or _build(cfg, "rerank_provider"),
-            scoring=cfg.scoring_config(),
-            search=cfg.search_config(),
-            denoising=cfg.denoise_config(),
-            link_floor=cfg.link_floor,
-            verify_top_k=cfg.verify_top_k,
+            config=cfg,
         )
 
     # -- pieces ----------------------------------------------------------
@@ -110,7 +101,7 @@ class Engine:
         """Both denoising layers; ``denoise`` sends one necessity prompt per
         distinct relation label, so triples that share a label share it."""
         pipe = self.pipeline
-        return denoise(triples, question.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
+        return denoise(triples, question.text, pipe.config, pipe.llm, pipe.templates["necessity"])
 
     def explain_denoise(self, triples: list[Triple], question: Question) -> list[tuple[Triple, bool, str]]:
         """Per-triple (triple, kept, reason) breakdown for the CLI."""
@@ -119,10 +110,10 @@ class Engine:
         for t in triples:
             if t.key() in kept:
                 rows.append((t, True, "kept"))
-            elif rule_filter(t.relation, self.pipeline.denoising):
+            elif rule_filter(t.relation, self.config):
                 rows.append((t, False, "rule: label matches k_invalid"))
             else:
-                rows.append((t, False, f"necessity below {self.pipeline.denoising.theta_necessity}"))
+                rows.append((t, False, f"necessity below {self.config.theta_necessity}"))
         return rows
 
     # -- the route ---------------------------------------------------------

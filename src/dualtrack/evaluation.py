@@ -153,16 +153,14 @@ def evaluate(
 ) -> dict:
     """Run the engine over a dataset and aggregate EM/ACC.
 
-    Aggregates are plain means over valid records; invalid records (engine or
-    scorer failure) are excluded and counted. An empty dataset yields null
-    aggregates rather than a crash.
+    Questions run on up to ``parallelism`` threads; records follow question
+    order. Aggregates are plain means over valid records; invalid records
+    (engine or scorer failure) are excluded and counted. An empty dataset
+    yields null aggregates rather than a crash.
     """
     scorer = scorer or AccScorer()
-    if parallelism > 1 and len(questions) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            records = list(pool.map(lambda q: _run_one(q, answer_fn, scorer), questions))
-    else:
-        records = [_run_one(q, answer_fn, scorer) for q in questions]
+    with ThreadPoolExecutor(max(1, min(parallelism, len(questions)))) as pool:
+        records = list(pool.map(lambda q: _run_one(q, answer_fn, scorer), questions))
 
     valid = [r for r in records if r.error is None]
     aggregate: dict = {

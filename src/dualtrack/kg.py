@@ -2,7 +2,8 @@
 
 Two implementations: :class:`SparqlClient` talks to a live Wikidata-style
 endpoint, :class:`InMemoryTripleStore` serves a fixture graph loaded from a
-pipe-separated triples file. Both expose the same four read operations, so
+pipe-separated triples file. Both expose the same three read operations
+(resolve an entity by label, and an entity's head and tail triples), so
 everything downstream can be exercised deterministically against the
 in-memory store.
 """
@@ -105,10 +106,6 @@ class KGStore:
         """Return the first entity whose English label equals ``label`` exactly."""
         raise NotImplementedError
 
-    def get_label(self, relation: RelationRef) -> str:
-        """Return the English label of a property."""
-        raise NotImplementedError
-
     def head_relations(self, entity: EntityRef) -> list[Triple]:
         """Triples with ``entity`` as subject, at most RELATION_LIMIT."""
         raise NotImplementedError
@@ -178,11 +175,9 @@ class InMemoryTripleStore(KGStore):
         self._by_object: dict[str, list[Triple]] = {}
         self._entity_by_label: dict[str, EntityRef] = {}
         self._entity_by_id: dict[str, EntityRef] = {}
-        self._relation_labels: dict[str, str] = {}
         for t in self._triples:
             self._by_subject.setdefault(t.subject.id, []).append(t)
             self._index_entity(t.subject)
-            self._relation_labels.setdefault(t.relation.id, t.relation.label)
             if isinstance(t.object, EntityRef):
                 self._by_object.setdefault(t.object.id, []).append(t)
                 self._index_entity(t.object)
@@ -204,14 +199,6 @@ class InMemoryTripleStore(KGStore):
         if entity is None:
             raise NotFound(f"no entity labelled {label!r}")
         return entity
-
-    def get_label(self, relation: RelationRef) -> str:
-        if not relation.id:
-            raise ValueError("relation id must be non-empty")
-        label = self._relation_labels.get(relation.id)
-        if not label:
-            raise NotFound(f"no label for relation {relation.id!r}")
-        return label
 
     def head_relations(self, entity: EntityRef) -> list[Triple]:
         return self._by_subject.get(entity.id, [])[:RELATION_LIMIT]
@@ -236,12 +223,6 @@ GET_ENTITY_ID = """SELECT ?item WHERE {{
     FILTER(STRSTARTS(STR(?item),
     "http://www.wikidata.org/entity/Q"))
 }} LIMIT 1"""
-
-GET_ENTITY_NAME = """SELECT ?propertyLabel WHERE {{
-  wd:{relation_id} rdfs:label ?propertyLabel.
-  FILTER(LANG(?propertyLabel) = "en")
-}}
-LIMIT 1"""
 
 GET_HEAD_RELATIONS = """SELECT ?relation ?relationLabel ?o ?oLabel WHERE {{
     wd:{wikidata_id} ?relation ?o.
@@ -275,12 +256,6 @@ def escape_label(label: str) -> str:
 
 def entity_id_query(label: str) -> str:
     return GET_ENTITY_ID.format(safe_name=escape_label(label))
-
-
-def entity_name_query(relation_id: str) -> str:
-    if not relation_id:
-        raise ValueError("relation id must be non-empty")
-    return GET_ENTITY_NAME.format(relation_id=relation_id)
 
 
 def head_relations_query(wikidata_id: str) -> str:
@@ -392,12 +367,6 @@ class SparqlClient(KGStore):
             raise NotFound(f"no entity labelled {label!r}")
         iri = self._value(rows[0], "item")
         return EntityRef(id=self._strip_prefix(iri, ENTITY_IRI_PREFIX), label=label)
-
-    def get_label(self, relation: RelationRef) -> str:
-        rows = self.execute(entity_name_query(relation.id))
-        if not rows:
-            raise NotFound(f"no label for relation {relation.id!r}")
-        return self._value(rows[0], "propertyLabel")
 
     def head_relations(self, entity: EntityRef) -> list[Triple]:
         rows = self.execute(head_relations_query(entity.id))

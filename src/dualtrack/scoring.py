@@ -14,12 +14,15 @@ import math
 import re
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
 from .kg import RelationRef, Triple, EntityRef, LiteralValue
 from .transport import ProviderError, http_session, request_json
+
+if TYPE_CHECKING:
+    from .config import EngineConfig
 
 Payload = Union[Triple, RelationRef]
 
@@ -34,21 +37,6 @@ class ZeroVector(ValueError):
 
 class MissingStageScore(ValueError):
     """Fusion or selection asked for a score that was never computed."""
-
-
-@dataclass
-class ScoringConfig:
-    alpha: float = 0.7  # rerank weight in the fusion
-    top_n: int = 50     # Stage-I survivors handed to the reranker
-    dimension: int = 256
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
 
 
 @dataclass
@@ -94,7 +82,7 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (norm_a * norm_b))
 
 
-def fuse(candidate: ScoredCandidate, cfg: ScoringConfig) -> ScoredCandidate:
+def fuse(candidate: ScoredCandidate, cfg: EngineConfig) -> ScoredCandidate:
     if candidate.cos is None or candidate.rerank is None:
         raise MissingStageScore("both cos and rerank must be set before fusion")
     combined = cfg.alpha * candidate.rerank + (1.0 - cfg.alpha) * candidate.cos
@@ -254,7 +242,7 @@ class HttpRerank(RerankProvider):
 def score_candidates(
     query_text: str,
     candidates: Sequence[Payload],
-    cfg: ScoringConfig,
+    cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
 ) -> list[ScoredCandidate]:

@@ -102,7 +102,7 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
 def _link_subject(fact: AtomicFact, pipe: Pipeline) -> EntityRef | Exception:
     """The entity the fact's subject links to, or the exception linking raised."""
     try:
-        return link_surface(fact.subject_surface, pipe.store, pipe.link_floor)
+        return link_surface(fact.subject_surface, pipe.store, pipe.config.link_floor)
     except Exception as exc:  # verify_fact reports a LinkFailure and raises the rest
         return exc
 
@@ -131,16 +131,16 @@ def verify_fact(
     entity = subject
 
     pool = fetch_relations(pipe.store, entity).all()
-    pool = denoise(pool, fact.text, pipe.denoising)  # rule layer only
+    pool = denoise(pool, fact.text, pipe.config)  # rule layer only
     if not pool:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, pipe.scoring, pipe.embedder, pipe.reranker)
+    scored = score_candidates(fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
     # necessity layer: denoise asks each distinct relation label once
-    scored = denoise(scored, fact.text, pipe.denoising, pipe.llm, pipe.templates["necessity"])
+    scored = denoise(scored, fact.text, pipe.config, pipe.llm, pipe.templates["necessity"])
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    best = [c.payload for c in scored[: pipe.verify_top_k]]
+    best = [c.payload for c in scored[: pipe.config.verify_top_k]]
     evidence = "\n".join(verbalize(t) for t in best)
     reply = ask(pipe.llm, pipe.templates["judge"], fact=fact.text, triples=evidence)
     try:

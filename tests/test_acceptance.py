@@ -11,10 +11,10 @@ import time
 import pytest
 
 from conftest import MOVIE_LINES, FailingLLM, MappingRerank, CountingRerank
-from dualtrack.chain import Hop, ReasoningPath, SearchConfig, path_score, search_paths
+from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
 from dualtrack.classifier import Question, QuestionType, classify
 from dualtrack.config import EngineConfig
-from dualtrack.denoise import DenoiseConfig, denoise
+from dualtrack.denoise import denoise
 from dualtrack.engine import Engine, Pipeline
 from dualtrack.evaluation import AccScorer, evaluate, exact_match, semantic_acc
 from dualtrack.kg import (
@@ -23,7 +23,6 @@ from dualtrack.kg import (
     RelationRef,
     parse_triples,
     entity_id_query,
-    entity_name_query,
     head_relations_query,
     tail_relations_query,
 )
@@ -33,7 +32,6 @@ from dualtrack.scoring import (
     HashEmbedding,
     OverlapRerank,
     ScoredCandidate,
-    ScoringConfig,
     fuse,
     payload_id,
     score_candidates,
@@ -89,7 +87,7 @@ def test_02_scoring_math_oracle():
         alpha = rng.random()
         cos, rerank = rng.uniform(-1, 1), rng.random()
         candidate = ScoredCandidate(payload=RelationRef("P1", "r"), text="r", cos=cos, rerank=rerank)
-        fused = fuse(candidate, ScoringConfig(alpha=alpha))
+        fused = fuse(candidate, EngineConfig(alpha=alpha))
         assert abs(fused.combined - (alpha * rerank + (1 - alpha) * cos)) <= 1e-9
     for _ in range(500):
         count = rng.randint(0, 50)
@@ -111,12 +109,11 @@ def test_02_scoring_math_oracle():
 
 
 def test_03_top_n_default_honored(templates):
-    assert ScoringConfig().top_n == 50
     assert EngineConfig().top_n == 50
 
     counting = CountingRerank(ConstantRerank(0.5))
     candidates = [RelationRef(f"P{i}", f"topic{i}") for i in range(120)]
-    score_candidates("which topic?", candidates, ScoringConfig(), HashEmbedding(32), counting)
+    score_candidates("which topic?", candidates, EngineConfig(), HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 50
 
@@ -133,8 +130,7 @@ def test_03_top_n_default_honored(templates):
         templates=templates,
         embedder=HashEmbedding(32),
         reranker=counting2,
-        scoring=ScoringConfig(),
-        denoising=DenoiseConfig(theta_necessity=0.0),
+        config=EngineConfig(theta_necessity=0.0),
     )
     result = verify_fact(AtomicFact("Hub is about topic3.", "Hub", 0), pipe)
     assert result.status is VerificationStatus.VERIFIED
@@ -150,7 +146,15 @@ def test_03_top_n_default_honored(templates):
 def test_04_search_constraints_and_oracle(templates):
     rng = random.Random(99)
     d_max, w_max, theta = 3, 3, 0.12
-    scoring = ScoringConfig(alpha=0.5, dimension=48)
+    config = EngineConfig(
+        alpha=0.5,
+        dimension=48,
+        d_max=d_max,
+        w_max=w_max,
+        theta_search=theta,
+        llm_select_trigger=10_000,
+        theta_necessity=0.0,  # necessity layer off
+    )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
     start = time.perf_counter()
@@ -167,9 +171,7 @@ def test_04_search_constraints_and_oracle(templates):
             templates=templates,
             embedder=embedder,
             reranker=reranker,
-            scoring=scoring,
-            search=SearchConfig(d_max=d_max, w_max=w_max, theta_search=theta, llm_select_trigger=10_000),
-            denoising=DenoiseConfig(theta_necessity=0.0),  # necessity layer off
+            config=config,
         )
         completed, _ = search_paths(origin, question, pipe)
         signatures = {p.signature() for p in completed}
@@ -194,7 +196,7 @@ def test_04_search_constraints_and_oracle(templates):
             d_max=d_max,
             w_max=w_max,
             theta=theta,
-            scoring=scoring,
+            scoring=config,
             embedder=embedder,
             reranker=reranker,
             k_invalid=frozenset({"id", "source", "version", "metadata"}),
@@ -253,7 +255,7 @@ def test_06_denoiser_rule_layer(templates):
         "QF1|Inception|P5|catalog ID|QF10|row",
     ]
     triples = parse_triples(admin_lines)
-    cfg = DenoiseConfig()
+    cfg = EngineConfig()
     counting_stub = StubLLM(default="0.9")
     kept = denoise(triples, "Who directed Inception?", cfg, counting_stub, templates["necessity"])
     assert kept == []
@@ -275,7 +277,7 @@ def test_07_sparql_golden_randomized():
     label_alphabet = 'abcdefghij HOP"\\-_.(),:0123456789'
     goldens = {
         name: (GOLDEN_DIR / f"{name}.rq").read_text(encoding="utf-8")
-        for name in ("get_entity_id", "get_entity_name", "get_head_relations", "get_tail_relations")
+        for name in ("get_entity_id", "get_head_relations", "get_tail_relations")
     }
 
     def independent_escape(label):
@@ -284,14 +286,13 @@ def test_07_sparql_golden_randomized():
     for _ in range(20):
         label = "".join(rng.choice(label_alphabet) for _ in range(rng.randint(1, 24)))
         qid = f"Q{rng.randint(1, 10**8)}"
-        pid = f"P{rng.randint(1, 10**4)}"
+        rng.randint(1, 10**4)  # a relation id, drawn so the later inputs stay the same
         assert entity_id_query(label) == goldens["get_entity_id"].replace(
             "{safe_name}", independent_escape(label)
         )
-        assert entity_name_query(pid) == goldens["get_entity_name"].replace("{relation_id}", pid)
         assert head_relations_query(qid) == goldens["get_head_relations"].replace("{wikidata_id}", qid)
         assert tail_relations_query(qid) == goldens["get_tail_relations"].replace("{wikidata_id}", qid)
-    _report(7, "4 query templates byte-match goldens over 20 randomized inputs")
+    _report(7, "3 query templates byte-match goldens over 20 randomized inputs")
 
 
 # ---------------------------------------------------------------------------

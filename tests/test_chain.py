@@ -1,9 +1,13 @@
 """Chained reasoning track: path scoring, expansion pruning, early stopping,
 and the full search against a brute-force enumeration oracle."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +16,6 @@ from dualtrack.chain import (
     HEAD,
     Hop,
     ReasoningPath,
-    SearchConfig,
     check_sufficiency,
     expand,
     extract_central_entity,
@@ -21,15 +24,16 @@ from dualtrack.chain import (
     search_paths,
 )
 from dualtrack.classifier import Question, QuestionType
-from dualtrack.denoise import DenoiseConfig
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import StubLLM
-from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
+from dualtrack.scoring import HashEmbedding, OverlapRerank
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
 from test_cli import STUB_SCRIPT
+
+ROOT = Path(__file__).resolve().parent.parent
 
 QUESTION = Question(id="q", text="When was the wife of the Inception director born?")
 
@@ -60,24 +64,20 @@ def _pipe(store, templates, stub=None, mapping=CHAIN_MAPPING, theta=0.3):
         templates=templates,
         embedder=HashEmbedding(dimension=64),
         reranker=MappingRerank(mapping),
-        scoring=ScoringConfig(alpha=1.0),
-        search=SearchConfig(theta_search=theta),
-        denoising=DenoiseConfig(theta_necessity=0.0),
+        config=EngineConfig(alpha=1.0, theta_search=theta, theta_necessity=0.0),
     )
 
 
-def _expand_pipe(templates, store, search, reranker, stub=None):
+def _expand_pipe(templates, store, reranker, stub=None, **search):
     """Pipeline for single expansion steps: 32-dim hash embeddings, fusion on
-    the rerank score alone, necessity layer off."""
+    the rerank score alone, necessity layer off, ``search`` keys set."""
     return Pipeline(
         store=store,
         llm=stub if stub is not None else StubLLM(default="no"),
         templates=templates,
         embedder=HashEmbedding(32),
         reranker=reranker,
-        scoring=ScoringConfig(alpha=1.0),
-        search=search,
-        denoising=DenoiseConfig(theta_necessity=0.0),
+        config=EngineConfig(alpha=1.0, theta_necessity=0.0, **search),
     )
 
 
@@ -153,7 +153,7 @@ def test_expand_threshold_and_scores(templates):
     store = _star_store(labels)
     mapping = {f"hub {label} spoke{i}": s for i, (label, s) in enumerate(zip(labels, [0.9, 0.7, 0.4, 0.2]))}
     path = ReasoningPath(origin=EntityRef("Q1", "hub"))
-    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.5, w_max=5), MappingRerank(mapping))
+    pipe = _expand_pipe(templates, store, MappingRerank(mapping), theta_search=0.5, w_max=5)
     children = expand(path, QUESTION, pipe)
     assert pipe.llm.calls == []  # necessity off and no crowd to select from
     assert len(children) == 2
@@ -164,7 +164,7 @@ def test_expand_threshold_and_scores(templates):
 
 def test_expand_all_below_threshold_dead_end(templates):
     store = _star_store(["alpha", "beta"])
-    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.9), MappingRerank({}, default=0.1))
+    pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.1), theta_search=0.9)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert children == []
 
@@ -173,7 +173,7 @@ def test_expand_width_cut(templates):
     labels = [f"rel{c}" for c in "abcdefgh"]
     store = _star_store(labels)
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(labels)}
-    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.1, w_max=3), MappingRerank(mapping))
+    pipe = _expand_pipe(templates, store, MappingRerank(mapping), theta_search=0.1, w_max=3)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert len(children) == 3
     assert [c.hops[-1].triple.relation.label for c in children] == ["relh", "relg", "relf"]
@@ -183,8 +183,8 @@ def test_expand_llm_selection_picks_named_relations(templates):
     greek = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
     store = _star_store(greek)
     stub = StubLLM(script=[("Select at most three relations", "epsilon, theta, beta")], default="no")
-    search = SearchConfig(theta_search=0.1, w_max=10, llm_select_trigger=5)
-    pipe = _expand_pipe(templates, store, search, MappingRerank({}, default=0.8), stub)
+    search = dict(theta_search=0.1, w_max=10, llm_select_trigger=5)
+    pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.8), stub, **search)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert sorted(c.hops[-1].triple.relation.label for c in children) == ["beta", "epsilon", "theta"]
 
@@ -194,8 +194,8 @@ def test_expand_llm_selection_fallback_keeps_top_three(templates):
     store = _star_store(greek)
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(greek)}
     stub = StubLLM(script=[("Select at most three relations", "none of those words")], default="no")
-    search = SearchConfig(theta_search=0.1, w_max=6, llm_select_trigger=5)
-    pipe = _expand_pipe(templates, store, search, MappingRerank(mapping), stub)
+    search = dict(theta_search=0.1, w_max=6, llm_select_trigger=5)
+    pipe = _expand_pipe(templates, store, MappingRerank(mapping), stub, **search)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
     assert [c.hops[-1].triple.relation.label for c in children] == ["zeta", "epsilon", "delta"]
 
@@ -211,7 +211,7 @@ def test_expand_never_revisits_entities(templates):
         )
     )
     path = ReasoningPath(origin=EntityRef("Q1", "a"))
-    pipe = _expand_pipe(templates, store, SearchConfig(theta_search=0.0), MappingRerank({}, default=0.5))
+    pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.5), theta_search=0.0)
     children = expand(path, QUESTION, pipe)
     # two distinct triples reach Q2: the head edge and the inverse of Q2->Q1
     assert len(children) == 2
@@ -227,7 +227,7 @@ def test_expand_guards_on_literal_tip_and_depth(movie_store, templates):
     literal_tip = ReasoningPath(origin=EntityRef("QF3", "Emma Thomas")).extend(
         Hop(triple=movie_store.head_relations(EntityRef("QF3"))[0], direction=HEAD, score=1.0)
     )
-    pipe = _expand_pipe(templates, movie_store, SearchConfig(d_max=3), MappingRerank({}, default=0.5))
+    pipe = _expand_pipe(templates, movie_store, MappingRerank({}, default=0.5), d_max=3)
     assert expand(literal_tip, QUESTION, pipe) == []
 
     deep = ReasoningPath(origin=EntityRef("QF1", "Inception"))
@@ -238,8 +238,7 @@ def test_expand_guards_on_literal_tip_and_depth(movie_store, templates):
 
 
 def test_expand_applies_rule_denoise(movie_store, templates):
-    search = SearchConfig(theta_search=0.0)
-    pipe = _expand_pipe(templates, movie_store, search, MappingRerank(CHAIN_MAPPING, default=0.5))
+    pipe = _expand_pipe(templates, movie_store, MappingRerank(CHAIN_MAPPING, default=0.5), theta_search=0.0)
     children = expand(ReasoningPath(origin=EntityRef("QF1", "Inception")), QUESTION, pipe)
     labels = [c.hops[-1].triple.relation.label for c in children]
     assert "wikidata:id" not in labels
@@ -303,8 +302,8 @@ def test_search_respects_expansion_budget(templates):
     lines = [f"Q1|hub|P{i}|knows|Q{i + 2}|spoke{i}" for i in range(6)]
     lines += [f"Q{i + 2}|spoke{i}|P9|meets|Q50|sink" for i in range(6)]
     store = _CountingStore(parse_triples(lines))
-    search = SearchConfig(theta_search=0.0, w_max=6, max_expansions=2)
-    pipe = _expand_pipe(templates, store, search, MappingRerank({}, default=0.5))
+    search = dict(theta_search=0.0, w_max=6, max_expansions=2)
+    pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.5), **search)
     completed, stopped = search_paths(EntityRef("Q1", "hub"), QUESTION, pipe)
     assert store.head_calls == 2
     assert stopped is False
@@ -322,7 +321,8 @@ def test_run_chain_branch_three_hop_fixture(movie_store, templates):
 
 
 def test_run_chain_branch_depth_one_insufficient(movie_store, templates):
-    pipe = replace(_pipe(movie_store, templates), search=SearchConfig(d_max=1, theta_search=0.3))
+    pipe = _pipe(movie_store, templates)
+    pipe = replace(pipe, config=replace(pipe.config, d_max=1))
     answer = run_chain_branch(QUESTION, pipe)
     assert "insufficient" in answer.flags
     assert all(p.depth() <= 1 for p in answer.supporting_paths)
@@ -373,9 +373,8 @@ def test_chain_sends_each_necessity_prompt_once(templates):
     # three "nominated for" triples at the origin share one necessity prompt
     lines = MOVIE_LINES + [f"QF1|Inception|PF9|nominated for|QF{i}|award {i}" for i in (10, 11, 12)]
     stub = StubLLM(script=CHAIN_SCRIPT + [(NECESSITY, "0.9")], default="no")
-    pipe = replace(
-        _pipe(InMemoryTripleStore(parse_triples(lines)), templates, stub=stub), denoising=DenoiseConfig()
-    )
+    pipe = _pipe(InMemoryTripleStore(parse_triples(lines)), templates, stub=stub)
+    pipe = replace(pipe, config=replace(pipe.config, theta_necessity=0.5))
     answer = run_chain_branch(QUESTION, pipe)
     necessity = [c for c in stub.calls if NECESSITY in c]
     # director, publication date, genre, cast member, nominated for, spouse, birthdate
@@ -402,31 +401,16 @@ def test_engine_memo_lives_for_one_question(movie_store, templates):
 
 
 # ---------------------------------------------------------------------------
-# search config validation
-# ---------------------------------------------------------------------------
-
-
-def test_search_config_validation():
-    for kwargs in (
-        {"d_max": 0},
-        {"w_max": 0},
-        {"theta_search": 1.2},
-        {"llm_select_trigger": 0},
-        {"top_k_paths": 0},
-        {"max_expansions": 0},
-    ):
-        with pytest.raises(ValueError):
-            SearchConfig(**kwargs)
-
-
-# ---------------------------------------------------------------------------
 # oracle equivalence (spot check; the full 100-graph suite is acceptance)
 # ---------------------------------------------------------------------------
 
 
 def test_search_matches_enumeration_oracle_spot(templates):
     rng = random.Random(42)
-    scoring = ScoringConfig(alpha=0.5, dimension=48)
+    config = EngineConfig(
+        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
+        theta_necessity=0.0,
+    )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
     for _ in range(5):
@@ -440,9 +424,7 @@ def test_search_matches_enumeration_oracle_spot(templates):
             templates=templates,
             embedder=embedder,
             reranker=reranker,
-            scoring=scoring,
-            search=SearchConfig(d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000),
-            denoising=DenoiseConfig(theta_necessity=0.0),
+            config=config,
         )
         completed, _ = search_paths(origin, question, pipe)
         expected = enumerate_paths(
@@ -452,9 +434,22 @@ def test_search_matches_enumeration_oracle_spot(templates):
             d_max=3,
             w_max=3,
             theta=0.12,
-            scoring=scoring,
+            scoring=config,
             embedder=embedder,
             reranker=reranker,
             k_invalid=frozenset({"id", "source", "version", "metadata"}),
         )
         assert {p.signature() for p in completed} == expected
+
+
+def test_stress_script_matches_the_oracle():
+    # the quality gate of scripts/stress_search.py: 200 graphs of up to 30 nodes, seed 0
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stress_search.py"), "200", "30", "0"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "mismatches:    0" in result.stdout.splitlines()

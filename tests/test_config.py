@@ -34,13 +34,11 @@ def test_defaults_match_documented_values():
     assert cfg.llm_provider == "stub"
 
 
-def test_sub_config_builders():
-    cfg = EngineConfig(alpha=0.4, top_n=7, d_max=2, theta_necessity=0.25)
-    assert cfg.scoring_config().alpha == 0.4
-    assert cfg.scoring_config().top_n == 7
-    assert cfg.search_config().d_max == 2
-    assert cfg.denoise_config().theta_necessity == 0.25
-    assert cfg.denoise_config().k_invalid == frozenset({"id", "source", "version", "metadata"})
+def test_k_invalid_is_normalized_once():
+    cfg = EngineConfig(k_invalid=["ID", "id", "Source"])
+    assert cfg.k_invalid == ["id", "source"]
+    assert json.loads(cfg.to_json())["k_invalid"] == ["id", "source"]
+    assert parse_config(cfg.to_json()) == cfg
 
 
 def test_roundtrip_default_config():
@@ -120,6 +118,7 @@ def test_validation_errors():
     for kwargs in (
         {"alpha": 1.5},
         {"top_n": 0},
+        {"dimension": 0},
         {"llm_provider": "banana"},
         {"embedding_provider": "banana"},
         {"rerank_provider": "banana"},
@@ -129,10 +128,19 @@ def test_validation_errors():
         {"verify_top_k": 0},
         {"parallelism": 0},
         {"d_max": 0},
+        {"w_max": 0},
+        {"theta_search": 1.2},
+        {"llm_select_trigger": 0},
+        {"top_k_paths": 0},
+        {"max_expansions": 0},
         {"theta_necessity": 2.0},
+        {"theta_necessity": 1.5},
         {"k_invalid": []},
+        {"k_invalid": ["id", ""]},
     ):
-        with pytest.raises(ValueError):
+        key = next(iter(kwargs))
+        # each message names its key; an unknown track is named by its value
+        with pytest.raises(ValueError, match="sideways" if key == "default_track" else key):
             EngineConfig(**kwargs)
 
 

@@ -11,7 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FailingLLM
-from dualtrack.denoise import MAX_NECESSITY_WORKERS, DenoiseConfig, denoise, necessity_score, rule_filter
+from dualtrack.config import EngineConfig
+from dualtrack.denoise import MAX_NECESSITY_WORKERS, denoise, necessity_score, rule_filter
 from dualtrack.kg import RelationRef, parse_triples
 from dualtrack.llm import CompletionResponse, LLMProvider, ProviderError, StubLLM
 from oracles import serial_denoise
@@ -19,7 +20,7 @@ from oracles import serial_denoise
 
 @pytest.fixture
 def cfg():
-    return DenoiseConfig()
+    return EngineConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -56,8 +57,8 @@ def test_rule_filter_unresolved_label_kept_with_warning(cfg, caplog):
 )
 def test_rule_filter_monotone_in_keyword_set(label, base, extra):
     relation = RelationRef("P1", label)
-    small = DenoiseConfig(k_invalid=frozenset(base))
-    big = DenoiseConfig(k_invalid=frozenset(base | extra))
+    small = EngineConfig(k_invalid=sorted(base))
+    big = EngineConfig(k_invalid=sorted(base | extra))
     if rule_filter(relation, small):
         assert rule_filter(relation, big)
 
@@ -101,7 +102,7 @@ def test_denoise_empty_input(cfg, templates):
 
 
 def test_denoise_mixed_scores_threshold(templates):
-    cfg = DenoiseConfig(theta_necessity=0.5)
+    cfg = EngineConfig(theta_necessity=0.5)
     relations = [RelationRef("P1", "director"), RelationRef("P2", "height")]
     stub = StubLLM(script=[("Relation: director", "0.9"), ("Relation: height", "0.1")])
     kept = denoise(relations, "Who directed Inception?", cfg, stub, templates["necessity"])
@@ -121,7 +122,7 @@ def test_denoise_without_llm_runs_rule_layer_only(cfg):
 
 
 def test_denoise_theta_zero_skips_llm_calls(templates):
-    cfg = DenoiseConfig(theta_necessity=0.0)
+    cfg = EngineConfig(theta_necessity=0.0)
     stub = StubLLM(default="0.0")
     relations = [RelationRef("P1", "director")]
     kept = denoise(relations, "q", cfg, stub, templates["necessity"])
@@ -154,15 +155,6 @@ def test_denoise_full_drop_when_every_label_matches(cfg, templates):
     stub = StubLLM(default="0.9")
     assert denoise(relations, "q", cfg, stub, templates["necessity"]) == []
     assert stub.calls == []
-
-
-def test_denoise_config_validation():
-    with pytest.raises(ValueError):
-        DenoiseConfig(k_invalid=frozenset())
-    with pytest.raises(ValueError):
-        DenoiseConfig(theta_necessity=1.5)
-    cfg = DenoiseConfig(k_invalid=frozenset({"ID", "Source"}))
-    assert cfg.k_invalid == frozenset({"id", "source"})
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +281,6 @@ def test_denoise_matches_serial_oracle(templates, picks, theta, offsets, failing
         offset = offsets[index]
         return "unsure" if offset is None else f"{min(1.0, max(0.0, theta + offset)):.2f}"
 
-    cfg = DenoiseConfig(theta_necessity=theta)
+    cfg = EngineConfig(theta_necessity=theta)
     expected = serial_denoise(relations, "q", cfg.k_invalid, theta, _PerLabelLLM(reply), templates["necessity"])
     assert denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"]) == expected

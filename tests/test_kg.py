@@ -22,7 +22,6 @@ from dualtrack.kg import (
     SparqlClient,
     Triple,
     entity_id_query,
-    entity_name_query,
     escape_label,
     fetch_relations,
     head_relations_query,
@@ -123,12 +122,6 @@ def test_resolve_entity_first_match_wins():
     assert store.resolve_entity_id("Mercury").id == "QF5"
 
 
-def test_get_label(movie_store):
-    assert movie_store.get_label(RelationRef("PF1")) == "director"
-    with pytest.raises(NotFound):
-        movie_store.get_label(RelationRef("P999"))
-
-
 def test_head_relations_enumerates_outgoing(movie_store):
     triples = movie_store.head_relations(EntityRef("QF2", "Christopher Nolan"))
     assert [t.relation.label for t in triples] == ["spouse"]
@@ -192,12 +185,6 @@ def test_entity_id_query_substitution():
     assert query.endswith("LIMIT 1")
 
 
-def test_entity_name_query_substitution():
-    query = entity_name_query("P57")
-    assert "wd:P57 rdfs:label ?propertyLabel." in query
-    assert 'FILTER(LANG(?propertyLabel) = "en")' in query
-
-
 def test_head_relations_query_substitution():
     query = head_relations_query("Q25188")
     assert "wd:Q25188 ?relation ?o." in query
@@ -213,7 +200,6 @@ def test_tail_relations_query_substitution():
     "name,build,placeholder,value",
     [
         ("get_entity_id", entity_id_query, "{safe_name}", "Inception"),
-        ("get_entity_name", entity_name_query, "{relation_id}", "P57"),
         ("get_head_relations", head_relations_query, "{wikidata_id}", "Q25188"),
         ("get_tail_relations", tail_relations_query, "{wikidata_id}", "Q25188"),
     ],

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CountingRerank, DownSession, MappingRerank
+from dualtrack.config import EngineConfig
 from dualtrack.kg import RelationRef
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
@@ -22,7 +23,6 @@ from dualtrack.scoring import (
     OverlapRerank,
     RerankProvider,
     ScoredCandidate,
-    ScoringConfig,
     ZeroVector,
     cosine,
     fuse,
@@ -71,30 +71,30 @@ def _candidate(cos=None, rerank=None, pid="P1"):
 
 
 def test_fuse_alpha_one_keeps_rerank_only():
-    fused = fuse(_candidate(cos=0.2, rerank=0.8), ScoringConfig(alpha=1.0))
+    fused = fuse(_candidate(cos=0.2, rerank=0.8), EngineConfig(alpha=1.0))
     assert fused.combined == pytest.approx(0.8)
 
 
 def test_fuse_alpha_zero_keeps_cosine_only():
-    fused = fuse(_candidate(cos=0.6, rerank=0.8), ScoringConfig(alpha=0.0))
+    fused = fuse(_candidate(cos=0.6, rerank=0.8), EngineConfig(alpha=0.0))
     assert fused.combined == pytest.approx(0.6)
 
 
 def test_fuse_hand_value():
-    fused = fuse(_candidate(cos=0.6, rerank=0.8), ScoringConfig(alpha=0.7))
+    fused = fuse(_candidate(cos=0.6, rerank=0.8), EngineConfig(alpha=0.7))
     assert fused.combined == pytest.approx(0.74)
 
 
 def test_fuse_requires_both_scores():
     with pytest.raises(MissingStageScore):
-        fuse(_candidate(cos=0.5), ScoringConfig())
+        fuse(_candidate(cos=0.5), EngineConfig())
     with pytest.raises(MissingStageScore):
-        fuse(_candidate(rerank=0.5), ScoringConfig())
+        fuse(_candidate(rerank=0.5), EngineConfig())
 
 
 def test_fuse_does_not_mutate_input():
     original = _candidate(cos=0.1, rerank=0.2)
-    fuse(original, ScoringConfig())
+    fuse(original, EngineConfig())
     assert original.combined is None
 
 
@@ -106,7 +106,7 @@ def test_fuse_does_not_mutate_input():
 )
 def test_fuse_monotone_in_rerank(alpha, cos, r1, r2):
     lo, hi = sorted((r1, r2))
-    cfg = ScoringConfig(alpha=alpha)
+    cfg = EngineConfig(alpha=alpha)
     assert fuse(_candidate(cos=cos, rerank=lo), cfg).combined <= (
         fuse(_candidate(cos=cos, rerank=hi), cfg).combined + 1e-12
     )
@@ -120,7 +120,7 @@ def test_fuse_monotone_in_rerank(alpha, cos, r1, r2):
 )
 def test_fuse_monotone_in_cosine(alpha, rerank, c1, c2):
     lo, hi = sorted((c1, c2))
-    cfg = ScoringConfig(alpha=alpha)
+    cfg = EngineConfig(alpha=alpha)
     assert fuse(_candidate(cos=lo, rerank=rerank), cfg).combined <= (
         fuse(_candidate(cos=hi, rerank=rerank), cfg).combined + 1e-12
     )
@@ -283,7 +283,7 @@ def _relations(n):
 
 
 def test_score_candidates_empty():
-    assert score_candidates("q", [], ScoringConfig(), HashEmbedding(16), ConstantRerank()) == []
+    assert score_candidates("q", [], EngineConfig(), HashEmbedding(16), ConstantRerank()) == []
 
 
 def test_score_candidates_matches_independent_recompute():
@@ -292,7 +292,7 @@ def test_score_candidates_matches_independent_recompute():
     # going through the pipeline.
     embedder = HashEmbedding(dimension=64)
     reranker = ConstantRerank(0.5)
-    cfg = ScoringConfig(alpha=0.7, top_n=5, dimension=64)
+    cfg = EngineConfig(alpha=0.7, top_n=5, dimension=64)
     candidates = _relations(10)
     query = "topic3 word7 topic5"
 
@@ -323,7 +323,7 @@ class _ShortEmbedding(HashEmbedding):
 
 def test_score_candidates_rejects_missing_embedding_rows():
     with pytest.raises(ProviderError, match="embedder returned 5 vectors for 6 texts"):
-        score_candidates("topic", _relations(5), ScoringConfig(), _ShortEmbedding(16), ConstantRerank())
+        score_candidates("topic", _relations(5), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
 class _PoisonedEmbedding(HashEmbedding):
@@ -351,21 +351,21 @@ def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
     embedder = _PoisonedEmbedding(16, "c fact", value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", candidates, ScoringConfig(), embedder, ConstantRerank())
+        score_candidates("a b c d fact", candidates, EngineConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
 def test_score_candidates_rejects_non_finite_query_embedding(value):
     embedder = _PoisonedEmbedding(16, "a b c d fact", value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", _ABCD, ScoringConfig(), embedder, ConstantRerank())
+        score_candidates("a b c d fact", _ABCD, EngineConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_score_candidates_rejects_non_finite_rerank_score(value):
     reranker = MappingRerank({"c fact": value}, default=0.5)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", _ABCD, ScoringConfig(), HashEmbedding(16), reranker)
+        score_candidates("a b c d fact", _ABCD, EngineConfig(), HashEmbedding(16), reranker)
 
 
 class _ReplyEmbedding(EmbeddingProvider):
@@ -400,7 +400,7 @@ def _well_formed_replies(draw):
     providers answer one finite row per text and one finite score per
     Stage-I survivor."""
     n = draw(st.integers(1, 6))
-    cfg = ScoringConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=draw(st.integers(1, n + 1)), dimension=3)
+    cfg = EngineConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=draw(st.integers(1, n + 1)), dimension=3)
     rows = draw(st.lists(_ROW, min_size=n + 1, max_size=n + 1))
     survivors = min(cfg.top_n, n)
     scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=survivors, max_size=survivors))
@@ -457,7 +457,7 @@ def test_score_candidates_malformed_provider_reply_is_a_provider_error(reply, da
 
 def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
-    cfg = ScoringConfig(top_n=5)
+    cfg = EngineConfig(top_n=5)
     score_candidates("query", _relations(20), cfg, HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 5
@@ -465,7 +465,7 @@ def test_stage_two_never_sees_stage_one_rejects():
 
 def test_identical_texts_share_scores_and_sort_by_id():
     candidates = [RelationRef(f"P{i}", "same text") for i in (3, 1, 2)]
-    result = score_candidates("same text", candidates, ScoringConfig(), HashEmbedding(16), ConstantRerank(0.5))
+    result = score_candidates("same text", candidates, EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
     assert len({c.combined for c in result}) == 1
     assert [c.payload.id for c in result] == ["P1", "P2", "P3"]
 
@@ -473,16 +473,7 @@ def test_identical_texts_share_scores_and_sort_by_id():
 def test_rerank_scores_clamped():
     mapping = MappingRerank({"alpha": 7.0, "beta": -3.0})
     candidates = [RelationRef("P1", "alpha"), RelationRef("P2", "beta")]
-    result = score_candidates("alpha", candidates, ScoringConfig(alpha=1.0), HashEmbedding(16), mapping)
+    result = score_candidates("alpha", candidates, EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
     by_id = {c.payload.id: c for c in result}
     assert by_id["P1"].rerank == 1.0
     assert by_id["P2"].rerank == 0.0
-
-
-def test_scoring_config_validation():
-    with pytest.raises(ValueError):
-        ScoringConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        ScoringConfig(top_n=0)
-    with pytest.raises(ValueError):
-        ScoringConfig(dimension=0)

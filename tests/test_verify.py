@@ -8,12 +8,12 @@ from dataclasses import replace
 import pytest
 
 from dualtrack.classifier import Question, QuestionType
-from dualtrack.denoise import DenoiseConfig
+from dualtrack.config import EngineConfig
 from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure, link_surface
 from dualtrack.llm import EchoLLM, ProviderError, StubLLM
-from dualtrack.scoring import HashEmbedding, OverlapRerank, ScoringConfig
+from dualtrack.scoring import HashEmbedding, OverlapRerank
 from dualtrack.verify import (
     AtomicFact,
     VerificationStatus,
@@ -48,8 +48,7 @@ def _pipe(movie_store, templates, stub, theta_necessity=0.0):
         templates=templates,
         embedder=HashEmbedding(dimension=64),
         reranker=OverlapRerank(),
-        scoring=ScoringConfig(),
-        denoising=DenoiseConfig(theta_necessity=theta_necessity),
+        config=EngineConfig(theta_necessity=theta_necessity),
     )
 
 
@@ -243,7 +242,7 @@ def test_verify_fact_top_k_bounds_evidence(movie_store, templates):
     stub = StubLLM(script=[("Judgment (yes/no)", "yes")])
     pipe = _pipe(movie_store, templates, stub)
     assert len(verify_fact(fact, pipe).best_triples) == 3  # default top_k on 5 candidates
-    assert len(verify_fact(fact, replace(pipe, verify_top_k=2)).best_triples) == 2
+    assert len(verify_fact(fact, replace(pipe, config=replace(pipe.config, verify_top_k=2))).best_triples) == 2
 
 
 def test_run_parallel_branch_synthesis_receives_revision(movie_store, templates):
@@ -381,9 +380,6 @@ class _RecordingStore(KGStore):
         if label in self.fail:
             raise ProviderError(f"lookup of {label!r} failed")
         return self.inner.resolve_entity_id(label)
-
-    def get_label(self, relation):
-        return self.inner.get_label(relation)
 
     def head_relations(self, entity):
         self.calls.append(("head", entity.id, threading.get_ident()))
