@@ -401,6 +401,24 @@ def test_engine_memo_lives_for_one_question(movie_store, templates):
 
 
 # ---------------------------------------------------------------------------
+# search key validation
+# ---------------------------------------------------------------------------
+
+
+def test_search_config_validation():
+    for kwargs in (
+        {"d_max": 0},
+        {"w_max": 0},
+        {"theta_search": 1.2},
+        {"llm_select_trigger": 0},
+        {"top_k_paths": 0},
+        {"max_expansions": 0},
+    ):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            EngineConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
 # oracle equivalence (spot check; the full 100-graph suite is acceptance)
 # ---------------------------------------------------------------------------
 

@@ -118,7 +118,6 @@ def test_validation_errors():
     for kwargs in (
         {"alpha": 1.5},
         {"top_n": 0},
-        {"dimension": 0},
         {"llm_provider": "banana"},
         {"embedding_provider": "banana"},
         {"rerank_provider": "banana"},
@@ -128,13 +127,7 @@ def test_validation_errors():
         {"verify_top_k": 0},
         {"parallelism": 0},
         {"d_max": 0},
-        {"w_max": 0},
-        {"theta_search": 1.2},
-        {"llm_select_trigger": 0},
-        {"top_k_paths": 0},
-        {"max_expansions": 0},
         {"theta_necessity": 2.0},
-        {"theta_necessity": 1.5},
         {"k_invalid": []},
         {"k_invalid": ["id", ""]},
     ):

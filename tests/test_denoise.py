@@ -157,6 +157,15 @@ def test_denoise_full_drop_when_every_label_matches(cfg, templates):
     assert stub.calls == []
 
 
+def test_denoise_config_validation():
+    with pytest.raises(ValueError, match="k_invalid"):
+        EngineConfig(k_invalid=[])
+    with pytest.raises(ValueError, match="theta_necessity"):
+        EngineConfig(theta_necessity=1.5)
+    cfg = EngineConfig(k_invalid=["ID", "Source"])
+    assert cfg.k_invalid == ["id", "source"]
+
+
 # ---------------------------------------------------------------------------
 # concurrent necessity scoring
 # ---------------------------------------------------------------------------

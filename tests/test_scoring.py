@@ -477,3 +477,9 @@ def test_rerank_scores_clamped():
     by_id = {c.payload.id: c for c in result}
     assert by_id["P1"].rerank == 1.0
     assert by_id["P2"].rerank == 0.0
+
+
+def test_scoring_config_validation():
+    for kwargs in ({"alpha": 1.5}, {"top_n": 0}, {"dimension": 0}):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            EngineConfig(**kwargs)
