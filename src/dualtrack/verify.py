@@ -27,11 +27,14 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# Claim threads per question. Claims mostly wait on provider round trips,
-# but the interpreter lock runs their CPU work one thread at a time, so past
-# a few threads each one adds more lock handoffs, and run-to-run jitter, than
-# overlap. The bound keeps an evaluation's claim threads at most
-# ``parallelism`` times this.
+# Claim threads per question. Claims mostly wait on provider round trips.
+# 8 threads were measured once linking was cheap (verify_fanout, 2-core
+# machine): p50 fell from about 76 to 57 ms, but peak RSS came within two
+# points of the benchmark's 10% bound (+7.8% and +8.4% over the runs before
+# linking was made cheap), and one series of 3 runs spread throughput over
+# 13.7-17.3 qps, wider than the benchmark's 25% bound (about 1.3 qps) can
+# tell apart. So 3 stays. The bound keeps an evaluation's claim threads at
+# most ``parallelism`` times this.
 MAX_CLAIM_WORKERS = 3
 
 
@@ -179,14 +182,14 @@ def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
 
     The facts are independent, so they are verified concurrently, on up to
     ``MAX_CLAIM_WORKERS`` threads that belong to this question. Their
-    subjects are linked first, in turn on this thread: fuzzy linking is
-    pure-Python CPU work that claim threads cannot run in parallel, and
-    beside claims that wait on providers it would hold up each of their
-    round trips for the interpreter lock, so their timing would depend on
-    thread scheduling. Results follow fact order. If facts fail, the error
-    raised is the earliest failing fact's in fact order, linking errors
-    included; facts that are already running finish first, and facts not
-    yet started are cancelled."""
+    subjects are linked first, in turn on this thread, because that order
+    keeps the error order below: linking stops at the first fact whose
+    linking raises anything but ``LinkFailure``, so no later fact starts.
+    A subject equal to a label after case folding costs one listing of the
+    store's labels and no edit distance. Results follow fact order. If facts
+    fail, the error raised is the earliest failing fact's in fact order,
+    linking errors included; facts that are already running finish first,
+    and facts not yet started are cancelled."""
     pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)

@@ -4,11 +4,14 @@
 recursive enumeration over the store, applying the same per-step scoring
 inputs but none of the engine's search machinery. ``serial_denoise`` is the
 denoiser as one loop over the candidates, one necessity prompt each.
+``linear_link`` is entity linking as one full scan of every label's
+similarity.
 """
 
 import random
 
-from dualtrack.kg import EntityRef, InMemoryTripleStore, Triple, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, Triple, parse_triples
+from dualtrack.linking import LinkFailure, similarity
 from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, render
 from dualtrack.scoring import score_candidates
 
@@ -135,3 +138,30 @@ def serial_denoise(candidates, question, k_invalid, theta, llm, template):
         if score >= theta:
             survivors.append(candidate)
     return survivors
+
+
+def linear_link(surface: str, store: KGStore, floor: float) -> EntityRef:
+    """Exact label lookup, else the label of highest ``similarity`` over the
+    whole inventory, ties broken on the lower QID, if it reaches ``floor``."""
+    if not surface:
+        raise LinkFailure("empty surface form")
+    try:
+        return store.resolve_entity_id(surface)
+    except NotFound:
+        pass
+
+    best_entity: EntityRef | None = None
+    best_sim = -1.0
+    for entity in store.entities():
+        if not entity.label:
+            continue
+        sim = similarity(surface, entity.label)
+        better = sim > best_sim or (
+            sim == best_sim and best_entity is not None and entity.id < best_entity.id
+        )
+        if better:
+            best_sim = sim
+            best_entity = entity
+    if best_entity is None or best_sim < floor:
+        raise LinkFailure(f"no entity within similarity {floor} of {surface!r}")
+    return best_entity
