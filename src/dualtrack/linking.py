@@ -1,14 +1,12 @@
 """Surface-string to entity resolution.
 
 Exact (case-sensitive) label lookup first. When that misses, the store's
-label inventory is listed once and searched in two passes. A label equal to
-the surface after case folding has similarity 1 and wins outright. Only when
-there is none does an edit-distance pass run, and it skips every label whose
-length difference, or whose partial edit distance, already caps its
-similarity below the floor or the best similarity found so far. The entity
-returned is the one a full scan of every label's ``similarity`` picks: the
-most similar label at or above the floor, ties broken on lexicographic QID,
-so linking is deterministic.
+label inventory is listed once. A label equal to the surface after case
+folding has similarity 1 and wins outright, with no edit distance computed;
+only when there is none does a normalized edit-distance scan over every
+label run. Either way the entity returned is the one a full scan of every
+label's ``similarity`` picks: the most similar label at or above the floor,
+ties broken on lexicographic QID, so linking is deterministic.
 """
 
 from __future__ import annotations
@@ -26,23 +24,16 @@ class LinkFailure(Exception):
     """No entity matches the surface form above the similarity floor."""
 
 
-def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
-    """Edit distance between ``a`` and ``b``. With ``cutoff``, the distance
-    is exact up to ``cutoff``; once a row's minimum shows it must exceed
-    ``cutoff``, ``cutoff + 1`` comes back instead."""
+def levenshtein(a: str, b: str) -> int:
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    if cutoff is None:
-        cutoff = len(a)
     previous = list(range(len(b) + 1))
     for i, ca in enumerate(a, start=1):
         current = [i]
         for j, cb in enumerate(b, start=1):
             current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb)))
-        if min(current) > cutoff:
-            return cutoff + 1
         previous = current
     return previous[-1]
 
@@ -60,14 +51,12 @@ def link_surface(surface: str, store: KGStore, floor: float = DEFAULT_SIMILARITY
     """Resolve a surface form to an entity.
 
     Exact (case-sensitive) label lookup wins outright. Otherwise the store's
-    labels are listed once. Labels equal to the surface after case folding
-    come first: the lowest QID among them is returned, provided ``floor`` is
-    at most 1. Failing that, the most similar label is taken, provided it
-    reaches ``floor``; a label is skipped, with no or only part of its edit
-    distance computed, once that similarity must fall below ``floor`` or the
-    best so far. Either way the result equals a full scan of ``similarity``
-    over every label. Live stores expose no label inventory, so for them only
-    the exact route can succeed.
+    labels are listed once. If any equals the surface after case folding,
+    the lowest QID among them is returned, provided ``floor`` is at most 1;
+    failing that, the best similarity over every label is taken, provided it
+    reaches ``floor``. Either way the result equals a full scan of
+    ``similarity`` over every label. Live stores expose no label inventory,
+    so for them only the exact route can succeed.
     """
     if not surface:
         raise LinkFailure("empty surface form")
@@ -76,28 +65,17 @@ def link_surface(surface: str, store: KGStore, floor: float = DEFAULT_SIMILARITY
     except NotFound:
         pass
 
+    entities = [entity for entity in store.entities() if entity.label]
     folded = surface.casefold()
-    labelled = [(entity, entity.label.casefold()) for entity in store.entities() if entity.label]
     best_entity: EntityRef | None = None
     best_sim = 1.0  # a case-folded equal scores exactly 1
-    for entity, label in labelled:
-        if label == folded and (best_entity is None or entity.id < best_entity.id):
+    for entity in entities:
+        if entity.label.casefold() == folded and (best_entity is None or entity.id < best_entity.id):
             best_entity = entity
     if best_entity is None:
         best_sim = -1.0
-        for entity, label in labelled:
-            target = max(floor, best_sim)
-            longest = max(len(label), len(folded))
-            # the distance is at least the length difference
-            cutoff = abs(len(label) - len(folded))
-            if 1.0 - cutoff / longest < target:
-                continue
-            while cutoff < longest and 1.0 - (cutoff + 1) / longest >= target:
-                cutoff += 1
-            distance = levenshtein(folded, label, cutoff)
-            if distance > cutoff:
-                continue
-            sim = 1.0 - distance / longest
+        for entity in entities:
+            sim = similarity(surface, entity.label)
             better = sim > best_sim or (
                 sim == best_sim and best_entity is not None and entity.id < best_entity.id
             )

@@ -27,14 +27,12 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# Claim threads per question. Claims mostly wait on provider round trips.
-# 8 threads were measured once linking was cheap (verify_fanout, 2-core
-# machine): p50 fell from about 76 to 57 ms, but peak RSS came within two
-# points of the benchmark's 10% bound (+7.8% and +8.4% over the runs before
-# linking was made cheap), and one series of 3 runs spread throughput over
-# 13.7-17.3 qps, wider than the benchmark's 25% bound (about 1.3 qps) can
-# tell apart. So 3 stays. The bound keeps an evaluation's claim threads at
-# most ``parallelism`` times this.
+# Claim threads per question. Claims mostly wait on provider round trips,
+# and with case-folded subjects linked without edit distance, 8 threads read
+# a lower p50 than 3 on verify_fanout, at a higher peak RSS. 8 is not yet
+# shown better over 10 alternating pairs against this tree, so 3 stays. The
+# bound keeps an evaluation's claim threads at most ``parallelism`` times
+# this.
 MAX_CLAIM_WORKERS = 3
 
 
