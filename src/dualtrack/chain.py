@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
-from .kg import EntityRef, LiteralValue, ObjectTerm, Triple, fetch_relations
+from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
 from .linking import LinkFailure, link_surface
 from .llm import MemoLLM, Unparseable, ask, parse_yes_no
 from .scoring import ScoredCandidate, score_candidates, top_n
@@ -32,12 +32,6 @@ HEAD = "head"
 TAIL = "tail"
 
 
-def _term_label(term) -> str:
-    if isinstance(term, LiteralValue):
-        return term.value
-    return term.label or term.id
-
-
 @dataclass(frozen=True)
 class Hop:
     triple: Triple
@@ -49,9 +43,7 @@ class Hop:
         return self.triple.object if self.direction == HEAD else self.triple.subject
 
     def triple_text(self) -> str:
-        parts = ", ".join(
-            _term_label(t) for t in (self.triple.subject, self.triple.relation, self.triple.object)
-        )
+        parts = ", ".join(term_label(t) for t in (self.triple.subject, self.triple.relation, self.triple.object))
         return f"({parts})"
 
     def describe(self) -> str:
@@ -130,7 +122,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
     relations = fetch_relations(pipe.store, tip)
     visited = path.visited_ids()
     candidates: list[Triple] = []
-    direction_by_key: dict[str, tuple[str, ObjectTerm]] = {}
+    direction_by_key: dict[str, str] = {}
     for direction, triples in ((HEAD, relations.head), (TAIL, relations.tail)):
         for triple in triples:
             far = triple.object if direction == HEAD else triple.subject
@@ -138,7 +130,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
                 continue  # cycle guard: never revisit an entity
             if triple.key() in direction_by_key:
                 continue
-            direction_by_key[triple.key()] = (direction, far)
+            direction_by_key[triple.key()] = direction
             candidates.append(triple)
 
     pool = denoise(candidates, question.text, cfg)  # rule layer only
@@ -153,7 +145,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
         path.extend(
             Hop(
                 triple=c.payload,
-                direction=direction_by_key[c.payload.key()][0],
+                direction=direction_by_key[c.payload.key()],
                 score=c.combined,
             )
         )

@@ -137,7 +137,7 @@ class EngineConfig:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _coerce(name: str, annotation: str, raw: str):
+def _coerce(annotation: str, raw: str):
     if annotation == "int":
         return int(raw)
     if annotation == "float":
@@ -165,7 +165,7 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     for name, spec in known.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
-            data[name] = _coerce(name, str(spec.type), env[env_key])
+            data[name] = _coerce(str(spec.type), env[env_key])
 
     return EngineConfig(**data)
 

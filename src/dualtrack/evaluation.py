@@ -12,7 +12,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -64,22 +64,13 @@ class EvalRecord:
     error: str | None = None  # set -> record excluded from aggregates
 
     def to_dict(self) -> dict:
-        return {
-            "question_id": self.question_id,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "em": self.em,
-            "acc": self.acc,
-            "track": self.track,
-            "latency_ms": self.latency_ms,
-            "flags": self.flags,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def load_dataset(path: str | Path) -> tuple[list[Question], int]:
     """Read a JSONL dataset of {id, question, gold_answers}.
 
+    ``gold_answers``, when present, must be a list of strings or numbers.
     Malformed lines are skipped and counted, not fatal.
     """
     questions: list[Question] = []
@@ -91,17 +82,21 @@ def load_dataset(path: str | Path) -> tuple[list[Question], int]:
                 continue
             try:
                 obj = json.loads(line)
-                question = Question(
-                    id=str(obj["id"]),
-                    text=str(obj["question"]),
-                    gold_answers=[str(g) for g in obj.get("gold_answers", [])],
-                )
+                qid, text = str(obj["id"]), str(obj["question"])
+                golds = obj.get("gold_answers", [])
+                if not isinstance(golds, list) or not all(_is_gold(g) for g in golds):
+                    raise TypeError(f"gold_answers must be a list of strings or numbers, got {golds!r}")
+                question = Question(id=qid, text=text, gold_answers=[str(g) for g in golds])
             except (ValueError, KeyError, TypeError) as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
                 skipped += 1
                 continue
             questions.append(question)
     return questions, skipped
+
+
+def _is_gold(value) -> bool:
+    return isinstance(value, (str, int, float)) and not isinstance(value, bool)
 
 
 def _run_one(question: Question, answer_fn: Callable[[Question], Answer], scorer: AccScorer) -> EvalRecord:

@@ -73,6 +73,14 @@ class LiteralValue:
 ObjectTerm = Union[EntityRef, LiteralValue]
 
 
+def term_label(term: EntityRef | RelationRef | LiteralValue) -> str:
+    """Readable form of a triple position: a literal's value, else the label
+    or, when it has none, the id."""
+    if isinstance(term, LiteralValue):
+        return term.value
+    return term.label or term.id
+
+
 @dataclass(frozen=True)
 class Triple:
     subject: EntityRef

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .kg import RelationRef, Triple, EntityRef, LiteralValue
+from .kg import RelationRef, Triple, term_label
 from .transport import ProviderError, http_session, request_json
 
 if TYPE_CHECKING:
@@ -58,16 +58,8 @@ def payload_id(payload: Payload) -> str:
 def verbalize(payload: Payload) -> str:
     """Plain-text form handed to embedding and rerank providers."""
     if isinstance(payload, RelationRef):
-        return payload.label or payload.id
-    return " ".join(_term_text(part) for part in (payload.subject, payload.relation, payload.object))
-
-
-def _term_text(term) -> str:
-    if isinstance(term, (EntityRef, RelationRef)):
-        return term.label or term.id
-    if isinstance(term, LiteralValue):
-        return term.value
-    return str(term)
+        return term_label(payload)
+    return " ".join(term_label(part) for part in (payload.subject, payload.relation, payload.object))
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
-from .kg import EntityRef, Triple, fetch_relations
+from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
@@ -27,12 +27,11 @@ if TYPE_CHECKING:
 
 log = logging.getLogger(__name__)
 
-# Claim threads per question. Claims mostly wait on provider round trips,
-# and with case-folded subjects linked without edit distance, 8 threads read
-# a lower p50 than 3 on verify_fanout, at a higher peak RSS. 8 is not yet
-# shown better over 10 alternating pairs against this tree, so 3 stays. The
-# bound keeps an evaluation's claim threads at most ``parallelism`` times
-# this.
+# Claim threads per question. A claim links its subject, fetches, scores
+# and judges on its thread, and mostly waits on provider round trips there.
+# 8 threads are not yet shown better than 3 over 10 alternating pairs
+# against this tree, so 3 stays. The bound keeps an evaluation's claim
+# threads at most ``parallelism`` times this.
 MAX_CLAIM_WORKERS = 3
 
 
@@ -100,36 +99,20 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
     return facts
 
 
-def _link_subject(fact: AtomicFact, pipe: Pipeline) -> EntityRef | Exception:
-    """The entity the fact's subject links to, or the exception linking raised."""
-    try:
-        return link_surface(fact.subject_surface, pipe.store, pipe.config.link_floor)
-    except Exception as exc:  # verify_fact reports a LinkFailure and raises the rest
-        return exc
+def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
+    """Ground one claim: link its subject, retrieve the entity's triples,
+    denoise, score, and let the LLM judge the best ones against the claim.
 
-
-def verify_fact(
-    fact: AtomicFact, pipe: Pipeline, subject: EntityRef | Exception | None = None
-) -> VerificationResult:
-    """Ground one claim: retrieve the linked entity's triples, denoise, score,
-    and let the LLM judge the best ones against the claim.
-
-    Unlinkable subjects and empty candidate sets come back unverifiable; a
-    mismatch triggers the rewrite prompt. The rewrite must actually change
-    the claim, otherwise the result is downgraded to unverifiable.
-
-    ``subject`` is what linking the fact's subject gave (the entity, or the
-    exception it raised) when the caller has linked it already; by default
-    the subject is linked here.
+    Unlinkable subjects (``LinkFailure``) and empty candidate sets come back
+    unverifiable; any other error propagates. A mismatch triggers the
+    rewrite prompt. The rewrite must actually change the claim, otherwise
+    the result is downgraded to unverifiable.
     """
-    if subject is None:
-        subject = _link_subject(fact, pipe)
-    if isinstance(subject, LinkFailure):
-        log.info("fact %d unverifiable: %s", fact.origin_index, subject)
+    try:
+        entity = link_surface(fact.subject_surface, pipe.store, pipe.config.link_floor)
+    except LinkFailure as exc:
+        log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    if isinstance(subject, Exception):
-        raise subject
-    entity = subject
 
     pool = fetch_relations(pipe.store, entity).all()
     pool = denoise(pool, fact.text, pipe.config)  # rule layer only
@@ -178,26 +161,17 @@ def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     If nothing was verifiable the draft comes back flagged. Each distinct
     prompt of the question reaches the LLM once (see ``MemoLLM``).
 
-    The facts are independent, so they are verified concurrently, on up to
-    ``MAX_CLAIM_WORKERS`` threads that belong to this question. Their
-    subjects are linked first, in turn on this thread, because that order
-    keeps the error order below: linking stops at the first fact whose
-    linking raises anything but ``LinkFailure``, so no later fact starts.
-    A subject equal to a label after case folding costs one listing of the
-    store's labels and no edit distance. Results follow fact order. If facts
-    fail, the error raised is the earliest failing fact's in fact order,
-    linking errors included; facts that are already running finish first,
-    and facts not yet started are cancelled."""
+    The facts are independent, so they are verified concurrently, each on
+    one of up to ``MAX_CLAIM_WORKERS`` threads that belong to this question;
+    a claim links its own subject on its thread. Results follow fact order.
+    If claims fail, the error raised is the earliest failing claim's in fact
+    order, whether linking or a later step raised it; claims already running
+    finish first, and claims not yet started are cancelled."""
     pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
-    subjects = []
-    for fact in facts:
-        subjects.append(_link_subject(fact, pipe))
-        if isinstance(subjects[-1], Exception) and not isinstance(subjects[-1], LinkFailure):
-            break  # this fact raises, so no later fact's outcome is used
-    with ThreadPoolExecutor(max(1, min(len(subjects), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
-        results = list(pool.map(verify_fact, facts, repeat(pipe), subjects))
+    with ThreadPoolExecutor(max(1, min(len(facts), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
+        results = list(pool.map(verify_fact, facts, repeat(pipe)))
     if not facts or all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
         return Answer(
             text=draft,

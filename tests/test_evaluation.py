@@ -231,6 +231,23 @@ def test_load_dataset_skips_malformed_lines(tmp_path):
     assert skipped == 2
 
 
+def test_load_dataset_skips_gold_answers_that_are_not_a_list_of_scalars(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    path.write_text(
+        '{"id": "1", "question": "where?", "gold_answers": "Paris"}\n'
+        '{"id": "2", "question": "where?", "gold_answers": {"Paris": 1}}\n'
+        '{"id": "3", "question": "where?", "gold_answers": [["Paris"]]}\n'
+        '{"id": "4", "question": "where?", "gold_answers": [true]}\n'
+        '["not", "an", "object"]\n'
+        '{"id": "5", "question": "when?", "gold_answers": ["Paris", 1975, 2.5]}\n',
+        encoding="utf-8",
+    )
+    questions, skipped = load_dataset(path)
+    assert [q.id for q in questions] == ["5"]
+    assert questions[0].gold_answers == ["Paris", "1975", "2.5"]
+    assert skipped == 5
+
+
 def test_format_report_renders_table():
     report = evaluate(_questions()[:2], _answer_fn({"a": "alpha", "b": "beta"}))
     table = format_report(report)

@@ -394,14 +394,18 @@ class _RecordingStore(KGStore):
         return self.inner.entities()
 
 
-def test_run_parallel_branch_links_every_subject_before_any_claim_runs(movie_store, templates):
+def test_run_parallel_branch_links_each_subject_on_its_claims_thread(movie_store, templates):
     store = _RecordingStore(movie_store)
     stub = _JudgeHookLLM(lambda claim: None)
     answer = run_parallel_branch(QUESTION, _pipe(store, templates, stub))
     assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(FANOUT_CLAIMS)
     here = threading.get_ident()
-    assert store.calls[: len(FANOUT_CLAIMS)] == [("resolve", subject, here) for _, subject in FANOUT_CLAIMS]
-    assert all(name in ("head", "tail") for name, _, _ in store.calls[len(FANOUT_CLAIMS) :])
+    for _, subject in FANOUT_CLAIMS:
+        entity_id = movie_store.resolve_entity_id(subject).id
+        (resolver,) = [t for name, arg, t in store.calls if name == "resolve" and arg == subject]
+        fetchers = [t for name, arg, t in store.calls if name in ("head", "tail") and arg == entity_id]
+        assert fetchers == [resolver, resolver]
+        assert resolver != here
 
 
 def test_run_parallel_branch_raises_an_earlier_claims_error_over_a_later_link_error(movie_store, templates):
@@ -412,24 +416,9 @@ def test_run_parallel_branch_raises_an_earlier_claims_error_over_a_later_link_er
     store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
     with pytest.raises(ProviderError, match="first claim"):
         run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(first_claim_down)))
-    resolved = [arg for name, arg, _ in store.calls if name == "resolve"]
-    assert resolved == [FANOUT_CLAIMS[0][1], FANOUT_CLAIMS[1][1]]  # no subject is linked after the failure
 
 
 def test_run_parallel_branch_raises_a_link_error_on_its_claims_turn(movie_store, templates):
     store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
     with pytest.raises(ProviderError, match="Christopher Nolan"):
         run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(lambda claim: None)))
-
-
-def test_verify_fact_takes_an_already_linked_subject(movie_store, templates):
-    fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
-    store = _RecordingStore(movie_store)
-    pipe = _pipe(store, templates, StubLLM(default="yes"))
-    result = verify_fact(fact, pipe, EntityRef("QF1", "Inception"))
-    assert result.status is VerificationStatus.VERIFIED
-    assert [name for name, _, _ in store.calls] == ["head", "tail"]
-    unlinked = verify_fact(fact, pipe, LinkFailure("no entity"))
-    assert unlinked.status is VerificationStatus.UNVERIFIABLE
-    with pytest.raises(ProviderError):
-        verify_fact(fact, pipe, ProviderError("store down"))
