@@ -156,19 +156,14 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
 def _llm_select(survivors: list[ScoredCandidate], question: Question, pipe: Pipeline) -> list[ScoredCandidate]:
     """Ask the LLM to pick at most three relations from a crowded candidate
     set; on a reply naming nothing recognizable, keep the top three by score."""
-    listing = "\n".join(f"- {_relation_label(c)}" for c in survivors)
+    listing = "\n".join(f"- {term_label(c.payload.relation)}" for c in survivors)
     reply = ask(pipe.llm, pipe.templates["select_relations"], question=question.text, relations=listing)
     named = {token.strip().lower() for token in re.split(r"[,;\n]", reply) if token.strip()}
-    picked = [c for c in survivors if _relation_label(c).lower() in named]
+    picked = [c for c in survivors if term_label(c.payload.relation).lower() in named]
     if not picked:
         log.warning("relation selection reply %r named no candidate; keeping top 3", reply)
         picked = list(survivors)
     return picked[:3]
-
-
-def _relation_label(candidate: ScoredCandidate) -> str:
-    relation = candidate.payload.relation if isinstance(candidate.payload, Triple) else candidate.payload
-    return relation.label or relation.id
 
 
 def check_sufficiency(path: ReasoningPath, question: Question, pipe: Pipeline) -> bool:

@@ -4,7 +4,8 @@ Layer one is a provider-free keyword rule that drops administrative
 relations ("entity ID", "data source", ...). Layer two asks the LLM for a
 necessity score of each remaining relation against the question and drops
 the ones below a threshold. The scores are independent, so each distinct
-relation label is asked once, and all labels are asked concurrently.
+relation label is asked once, and all labels are asked concurrently on the
+process's leaf executor, ``transport.LEAVES``.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
@@ -12,13 +13,13 @@ provider errors all keep the item and log a warning.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
-from itertools import repeat
+from concurrent.futures import wait
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .kg import RelationRef, Triple
+from .kg import RelationRef, Triple, term_label
 from .llm import LLMProvider, PromptTemplate, ProviderError, Unparseable, ask, parse_score
 from .scoring import ScoredCandidate
+from .transport import LEAVES
 
 if TYPE_CHECKING:
     from .config import EngineConfig
@@ -26,13 +27,6 @@ if TYPE_CHECKING:
 log = logging.getLogger(__name__)
 
 DEFAULT_INVALID_KEYWORDS = ("id", "source", "version", "metadata")
-
-# Necessity threads per denoise call. Each thread mostly waits on one LLM
-# round trip; on the chain_hub benchmark graph (14 content labels) 16 threads
-# were no faster than 8. Each of a question's claim threads denoises, so one
-# question has at most ``verify.MAX_CLAIM_WORKERS`` times this many LLM
-# requests in flight.
-MAX_NECESSITY_WORKERS = 8
 
 Denoisable = Union[Triple, RelationRef, ScoredCandidate]
 
@@ -54,10 +48,6 @@ def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     return any(keyword in label for keyword in cfg.k_invalid)
 
 
-def _prompt_label(relation: RelationRef) -> str:
-    return relation.label or relation.id
-
-
 def necessity_score(
     relation: RelationRef,
     question: str,
@@ -69,7 +59,7 @@ def necessity_score(
     An unparseable reply scores 1.0 (keep) so parse failures can never
     silently delete evidence.
     """
-    reply = ask(llm, template, relation=_prompt_label(relation), question=question)
+    reply = ask(llm, template, relation=term_label(relation), question=question)
     try:
         return parse_score(reply)
     except Unparseable:
@@ -108,12 +98,12 @@ def denoise(
     threshold. Survivor order follows input order.
 
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
-    and no provider call is made. Otherwise candidates that share a label
-    share one necessity prompt, and the distinct labels are scored on up to
-    ``MAX_NECESSITY_WORKERS`` threads that belong to this call. A provider
-    error keeps every candidate with that label; any other error raised is
-    the one for the earliest such label in input order, after the labels
-    already being scored finish.
+    and no task is submitted. Otherwise candidates that share a label share
+    one necessity prompt, and the distinct labels are scored concurrently on
+    ``transport.LEAVES``; the call waits for every label. A provider error
+    keeps every candidate with that label. Any other error raised is the one
+    for the earliest such label in input order, raised once every label has
+    finished: no label is cancelled.
     """
     kept = [c for c in candidates if not rule_filter(_relation_of(c), cfg)]
     if llm is None or template is None or cfg.theta_necessity == 0.0:
@@ -121,11 +111,8 @@ def denoise(
     relations: dict[str, RelationRef] = {}
     for candidate in kept:
         relation = _relation_of(candidate)
-        relations.setdefault(_prompt_label(relation), relation)
-    workers = max(1, min(len(relations), MAX_NECESSITY_WORKERS))
-    with ThreadPoolExecutor(workers, thread_name_prefix="necessity") as pool:
-        verdicts = pool.map(
-            _necessary, relations.values(), repeat(question), repeat(cfg), repeat(llm), repeat(template)
-        )
-        necessary = dict(zip(relations, verdicts))
-    return [c for c in kept if necessary[_prompt_label(_relation_of(c))]]
+        relations.setdefault(term_label(relation), relation)
+    verdicts = [LEAVES.submit(_necessary, r, question, cfg, llm, template) for r in relations.values()]
+    wait(verdicts)
+    necessary = {label: verdict.result() for label, verdict in zip(relations, verdicts)}
+    return [c for c in kept if necessary[term_label(_relation_of(c))]]

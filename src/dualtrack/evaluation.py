@@ -70,8 +70,9 @@ class EvalRecord:
 def load_dataset(path: str | Path) -> tuple[list[Question], int]:
     """Read a JSONL dataset of {id, question, gold_answers}.
 
-    ``gold_answers``, when present, must be a list of strings or numbers.
-    Malformed lines are skipped and counted, not fatal.
+    ``id`` must be a string or an integer, ``question`` a string, and
+    ``gold_answers``, when present, a list of strings or numbers. Malformed
+    lines are skipped and counted, not fatal.
     """
     questions: list[Question] = []
     skipped = 0
@@ -82,11 +83,15 @@ def load_dataset(path: str | Path) -> tuple[list[Question], int]:
                 continue
             try:
                 obj = json.loads(line)
-                qid, text = str(obj["id"]), str(obj["question"])
+                qid, text = obj["id"], obj["question"]
+                if not isinstance(qid, (str, int)) or isinstance(qid, bool):
+                    raise TypeError(f"id must be a string or an integer, got {qid!r}")
+                if not isinstance(text, str):
+                    raise TypeError(f"question must be a string, got {text!r}")
                 golds = obj.get("gold_answers", [])
                 if not isinstance(golds, list) or not all(_is_gold(g) for g in golds):
                     raise TypeError(f"gold_answers must be a list of strings or numbers, got {golds!r}")
-                question = Question(id=qid, text=text, gold_answers=[str(g) for g in golds])
+                question = Question(id=str(qid), text=text, gold_answers=[str(g) for g in golds])
             except (ValueError, KeyError, TypeError) as exc:
                 log.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
                 skipped += 1

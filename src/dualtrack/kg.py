@@ -178,12 +178,11 @@ class InMemoryTripleStore(KGStore):
     """Deterministic fixture store; immutable after construction."""
 
     def __init__(self, triples: Iterable[Triple]):
-        self._triples = list(triples)
         self._by_subject: dict[str, list[Triple]] = {}
         self._by_object: dict[str, list[Triple]] = {}
         self._entity_by_label: dict[str, EntityRef] = {}
         self._entity_by_id: dict[str, EntityRef] = {}
-        for t in self._triples:
+        for t in triples:
             self._by_subject.setdefault(t.subject.id, []).append(t)
             self._index_entity(t.subject)
             if isinstance(t.object, EntityRef):

@@ -180,9 +180,9 @@ class MemoLLM(LLMProvider):
     has one reply. Only replies are stored: an exception propagates as before
     and a later identical request reaches the provider again. Each track
     wraps its provider in a fresh memo per question, and the question's
-    claim and necessity threads share it, so a lock guards the table. The
-    provider call runs outside the lock: two threads that ask one new
-    request at the same moment both send it. The necessity threads of one
+    claim threads and necessity tasks share it, so a lock guards the table.
+    The provider call runs outside the lock: two threads that ask one new
+    request at the same moment both send it. The necessity tasks of one
     ``denoise`` call ask distinct labels, and claims of one question share
     a prompt only when the draft repeats a claim, because every prompt a
     claim sends embeds its text.

@@ -27,10 +27,6 @@ if TYPE_CHECKING:
 Payload = Union[Triple, RelationRef]
 
 
-class DimensionMismatch(ValueError):
-    pass
-
-
 class ZeroVector(ValueError):
     pass
 
@@ -62,16 +58,15 @@ def verbalize(payload: Payload) -> str:
     return " ".join(term_label(part) for part in (payload.subject, payload.relation, payload.object))
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVector("cosine undefined for a zero vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
+def cosine(query: np.ndarray, row: np.ndarray) -> float:
+    """Cosine of a candidate row and the query row. An all-zero candidate
+    row scores 0.0, so its candidate still ranks deterministically; an
+    all-zero query has no direction and raises ``ZeroVector``."""
+    norm_query = float(np.linalg.norm(query))
+    if norm_query == 0.0:
+        raise ZeroVector("cosine undefined for a zero query vector")
+    norm_row = float(np.linalg.norm(row))
+    return float(np.dot(query, row) / (norm_query * norm_row)) if norm_row else 0.0
 
 
 def fuse(candidate: ScoredCandidate, cfg: EngineConfig) -> ScoredCandidate:
@@ -243,8 +238,9 @@ def score_candidates(
 
     Candidates cut in Stage I are never shown to the reranker; with the
     default config that bounds every rerank call to 50 texts. An embedder or
-    reranker reply with the wrong number of rows, or with a NaN or infinite
-    value, is a ``ProviderError``.
+    reranker reply with the wrong number of rows, an embedding row whose
+    shape differs from the query's, or a NaN or infinite value is a
+    ``ProviderError``.
     """
     if not candidates:
         return []
@@ -252,9 +248,11 @@ def score_candidates(
     vectors = embedder.embed([query_text] + texts)
     if len(vectors) != len(texts) + 1:
         raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
+    query_vec = vectors[0]
+    if any(np.shape(v) != np.shape(query_vec) for v in vectors):
+        raise ProviderError("embedder returned rows of different shapes")
     if not all(np.isfinite(v).all() for v in vectors):
         raise ProviderError("embedder returned a NaN or infinite value")
-    query_vec = vectors[0]
     scored = [
         ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))
         for c, t, v in zip(candidates, texts, vectors[1:])

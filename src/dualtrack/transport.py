@@ -2,7 +2,8 @@
 the HTTP LLM, embedding and rerank providers.
 
 Every way one of them fails, from a refused connection to a reply the caller
-cannot use, is a :class:`ProviderError`.
+cannot use, is a :class:`ProviderError`. The module also holds the budget of
+threads that send requests, which sizes every HTTP connection pool.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import logging
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 log = logging.getLogger(__name__)
 
@@ -21,6 +23,19 @@ log = logging.getLogger(__name__)
 HTTP_RETRIES = 3
 HTTP_BACKOFF_S = 1.0
 
+# The provider-request budget. A question runs on one thread and verifies
+# its claims on up to ``MAX_CLAIM_WORKERS`` threads of its own, which mostly
+# wait on provider round trips; 8 claim threads are not yet shown better
+# than 3 over 10 alternating pairs, so 3 stays.
+MAX_CLAIM_WORKERS = 3
+
+# Every necessity prompt of the process runs on ``LEAVES``, whose threads
+# start on demand and then stay. Question and claim threads share it. That
+# is safe because a task on it never submits to or waits on an executor, so
+# no task waits for one queued behind it.
+LEAF_THREADS = 64
+LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
+
 
 class ProviderError(Exception):
     """An outside service failed: transport, status, or a reply that does
@@ -28,18 +43,15 @@ class ProviderError(Exception):
 
 
 def http_session(parallelism: int = 1):
-    """A ``requests`` session that keeps up to ``parallelism`` times the
-    requests one question can have in flight (``verify.MAX_CLAIM_WORKERS``
-    claim threads, each scoring ``denoise.MAX_NECESSITY_WORKERS`` labels)
-    open, so concurrent requests reuse their connections."""
+    """A ``requests`` session that keeps a connection open for every thread
+    that can send a request at once, so concurrent requests reuse their
+    connections: ``parallelism`` question threads, ``MAX_CLAIM_WORKERS``
+    claim threads for each, and the ``LEAF_THREADS`` of ``LEAVES``."""
     import requests  # deferred: stub and offline runs never pay its import
     from requests.adapters import HTTPAdapter
 
-    from .denoise import MAX_NECESSITY_WORKERS
-    from .verify import MAX_CLAIM_WORKERS
-
     session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=parallelism * MAX_CLAIM_WORKERS * MAX_NECESSITY_WORKERS)
+    adapter = HTTPAdapter(pool_maxsize=parallelism * (1 + MAX_CLAIM_WORKERS) + LEAF_THREADS)
     session.mount("http://", adapter)
     session.mount("https://", adapter)
     return session

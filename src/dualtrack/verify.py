@@ -21,18 +21,12 @@ from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
+from .transport import MAX_CLAIM_WORKERS
 
 if TYPE_CHECKING:
     from .engine import Pipeline
 
 log = logging.getLogger(__name__)
-
-# Claim threads per question. A claim links its subject, fetches, scores
-# and judges on its thread, and mostly waits on provider round trips there.
-# 8 threads are not yet shown better than 3 over 10 alternating pairs
-# against this tree, so 3 stays. The bound keeps an evaluation's claim
-# threads at most ``parallelism`` times this.
-MAX_CLAIM_WORKERS = 3
 
 
 class VerificationStatus(str, Enum):

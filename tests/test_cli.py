@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -220,6 +221,32 @@ def test_engine_evaluate_uses_configured_tau_and_parallelism(workspace):
     report = engine.evaluate(questions)
     assert report["aggregate"]["n"] == 2
     assert report["aggregate"]["acc"] == 1.0
+
+
+def _evaluate_within(engine, questions, seconds=60.0):
+    reports = []
+    worker = threading.Thread(target=lambda: reports.append(engine.evaluate(questions)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"evaluation still running after {seconds} s"
+    return reports[0]
+
+
+def test_engine_evaluate_parallel_questions_share_the_leaf_executor(workspace):
+    questions = [Question(id=f"q{i}", text=PARALLEL_Q, gold_answers=["2010"]) for i in range(12)]
+    answers = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so shared state is contended
+    try:
+        for parallelism in (1, 4):
+            engine = _engine(workspace, parallelism=parallelism, theta_necessity=0.5)
+            report = _evaluate_within(engine, questions)
+            answers.append([(r["question_id"], r["track"], r["predicted"], r["flags"]) for r in report["records"]])
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers[0] == answers[1]
+    assert {track for _, track, _, _ in answers[0]} == {"parallel"}
+    assert all(flags == [] for _, _, _, flags in answers[0])
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +469,13 @@ def test_cli_malformed_service_reply_exits_2(workspace, monkeypatch, capsys, fau
 def test_stub_engine_never_imports_requests():
     root = Path(__file__).resolve().parent.parent
     code = (
-        "import sys, dualtrack\n"
+        "import sys, threading, dualtrack\n"
         f"dualtrack.Engine(dualtrack.EngineConfig(triples_file={str(root / 'data' / 'movies.triples')!r}))\n"
-        "print('requests' in sys.modules)\n"
+        "print('requests' in sys.modules, threading.active_count())\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False 1"  # and no thread starts before a question runs
 
 
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):

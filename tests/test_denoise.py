@@ -4,6 +4,7 @@ concurrent per-label scoring."""
 import logging
 import re
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 
 from conftest import FailingLLM
 from dualtrack.config import EngineConfig
-from dualtrack.denoise import MAX_NECESSITY_WORKERS, denoise, necessity_score, rule_filter
+from dualtrack.denoise import denoise, necessity_score, rule_filter
 from dualtrack.kg import RelationRef, parse_triples
 from dualtrack.llm import CompletionResponse, LLMProvider, ProviderError, StubLLM
+from dualtrack.transport import LEAF_THREADS
 from oracles import serial_denoise
 
 
@@ -191,7 +193,7 @@ class _PerLabelLLM(LLMProvider):
 
 def test_denoise_scores_distinct_labels_concurrently(cfg, templates):
     labels = [f"topic{i}" for i in range(4)]
-    assert len(labels) <= MAX_NECESSITY_WORKERS
+    assert len(labels) <= LEAF_THREADS
     barrier = threading.Barrier(len(labels), timeout=2)
 
     def reply(label):
@@ -239,6 +241,56 @@ def test_denoise_raises_the_earliest_labels_error(cfg, templates):
     relations = [RelationRef("P1", "first"), RelationRef("P2", "second"), RelationRef("P3", "third")]
     with pytest.raises(ValueError, match="first"):
         denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+
+
+def test_denoise_raises_only_after_every_label_is_scored(cfg, templates):
+    labels = ["first"] + [f"slow{i}" for i in range(9)]
+    answered = []
+
+    def reply(label):
+        if label == "first":
+            raise ValueError("first")
+        time.sleep(0.05)
+        answered.append(label)
+        return "0.9"
+
+    llm = _PerLabelLLM(reply)
+    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    with pytest.raises(ValueError, match="first"):
+        denoise(relations, "q", cfg, llm, templates["necessity"])
+    assert sorted(llm.asked) == sorted(labels)  # no label was cancelled
+    assert sorted(answered) == sorted(labels[1:])
+
+
+def _thread_recording_llm(threads, together):
+    """Records the thread of every prompt; ``together`` prompts must be in
+    flight at once before any is answered."""
+    barrier = threading.Barrier(together, timeout=2)
+
+    def reply(label):
+        threads.append(threading.current_thread())
+        barrier.wait()
+        return "0.9"
+
+    return _PerLabelLLM(reply)
+
+
+def test_denoise_prompt_threads_outlive_the_call(cfg, templates):
+    threads = []
+    relations = [RelationRef(f"P{i}", f"topic{i}") for i in range(5)]
+    assert denoise(relations, "q", cfg, _thread_recording_llm(threads, 5), templates["necessity"]) == relations
+    assert len(set(threads)) == 5
+    assert all(thread.is_alive() for thread in threads)
+
+
+def test_denoise_calls_share_at_most_leaf_threads(cfg, templates):
+    threads = []
+    llm = _thread_recording_llm(threads, 5)
+    relations = [RelationRef(f"P{i}", f"topic{i}") for i in range(5)]
+    for _ in range(30):
+        denoise(relations, "q", cfg, llm, templates["necessity"])
+    assert len(threads) == 30 * 5
+    assert len(set(threads)) <= LEAF_THREADS
 
 
 def test_denoise_provider_error_keeps_every_candidate_with_that_label(cfg, templates):

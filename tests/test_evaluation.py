@@ -248,6 +248,24 @@ def test_load_dataset_skips_gold_answers_that_are_not_a_list_of_scalars(tmp_path
     assert skipped == 5
 
 
+def test_load_dataset_skips_ids_and_questions_of_the_wrong_type(tmp_path):
+    path = tmp_path / "qs.jsonl"
+    path.write_text(
+        '{"id": null, "question": null}\n'
+        '{"id": "1", "question": {"a": 1}}\n'
+        '{"id": "2", "question": 7}\n'
+        '{"id": true, "question": "who?"}\n'
+        '{"id": 1.5, "question": "who?"}\n'
+        '{"id": ["3"], "question": "who?"}\n'
+        '{"id": 4, "question": "who?"}\n'
+        '{"id": "5", "question": "what?"}\n',
+        encoding="utf-8",
+    )
+    questions, skipped = load_dataset(path)
+    assert [(q.id, q.text) for q in questions] == [("4", "who?"), ("5", "what?")]
+    assert skipped == 6
+
+
 def test_format_report_renders_table():
     report = evaluate(_questions()[:2], _answer_fn({"a": "alpha", "b": "beta"}))
     table = format_report(report)

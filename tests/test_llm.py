@@ -8,7 +8,7 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualtrack import denoise, transport, verify
+from dualtrack import transport
 from dualtrack.config import PROVIDERS, EngineConfig
 from dualtrack.kg import EntityRef, RelationRef, SparqlClient, Triple
 from dualtrack.llm import (
@@ -322,14 +322,18 @@ def test_http_provider_rate_limit_wait_is_jittered(monkeypatch, retry_sleeps, ca
 
 @registered_case
 def test_http_provider_connection_pool_holds_a_question_in_flight_per_parallel_question(case):
-    per_question = verify.MAX_CLAIM_WORKERS * denoise.MAX_NECESSITY_WORKERS
+    # each question thread, its claim threads, and the process's leaf threads
+    def pool_size(parallelism):
+        return parallelism * (1 + transport.MAX_CLAIM_WORKERS) + transport.LEAF_THREADS
+
+    assert (pool_size(1), pool_size(4)) == (68, 80)
     for parallelism in (1, 4):
         provider = case.make(parallelism=parallelism)
         for url in ("http://x.test", "https://x.test"):
-            assert provider._session.get_adapter(url)._pool_maxsize == parallelism * per_question
+            assert provider._session.get_adapter(url)._pool_maxsize == pool_size(parallelism)
     urls = {"llm_url": "http://llm.test", "embedding_url": "http://emb.test", "rerank_url": "http://rr.test"}
     built = PROVIDERS[case.key]["http"](EngineConfig(parallelism=3, **urls))
-    assert built._session.get_adapter("http://x.test")._pool_maxsize == 3 * per_question
+    assert built._session.get_adapter("http://x.test")._pool_maxsize == pool_size(3)
 
 
 # Replies no provider accepts: each strategy draws a fake response.

@@ -14,7 +14,6 @@ from dualtrack.kg import RelationRef
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
     ConstantRerank,
-    DimensionMismatch,
     EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
@@ -51,14 +50,13 @@ def test_cosine_hand_value():
     assert cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(0.70710678, abs=1e-8)
 
 
-def test_cosine_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        cosine(np.array([1.0]), np.array([1.0, 2.0]))
-
-
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
         cosine(np.zeros(3), np.ones(3))
+
+
+def test_cosine_zero_candidate_row_scores_zero():
+    assert cosine(np.ones(3), np.zeros(3)) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +324,18 @@ def test_score_candidates_rejects_missing_embedding_rows():
         score_candidates("topic", _relations(5), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
+def test_score_candidates_rejects_embedding_row_of_another_shape():
+    embedder = _ReplyEmbedding([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ProviderError, match="embedder returned rows of different shapes"):
+        score_candidates("q", _relations(2), EngineConfig(), embedder, ConstantRerank())
+
+
+def test_score_candidates_ranks_a_zero_candidate_row_last():
+    embedder = _ReplyEmbedding([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    result = score_candidates("q", _relations(3), EngineConfig(), embedder, ConstantRerank(0.5))
+    assert [(c.payload.id, c.cos) for c in result] == [("P01", pytest.approx(0.70710678)), ("P00", 0.0), ("P02", 0.0)]
+
+
 class _PoisonedEmbedding(HashEmbedding):
     """Hash embeddings with ``value`` written into the vector of ``text``."""
 
@@ -390,7 +400,9 @@ class _ReplyRerank(RerankProvider):
 
 # Small integer rows keep every dot product and norm exact, so the recompute
 # below matches the scorer's cosines bit for bit and ranks ties the same way.
-_ROW = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any).map(lambda row: [float(x) for x in row])
+# A candidate row may be all zero; the query row may not.
+_ROW = st.lists(st.integers(-3, 3), min_size=3, max_size=3).map(lambda row: [float(x) for x in row])
+_QUERY_ROW = _ROW.filter(any)
 _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
@@ -401,7 +413,7 @@ def _well_formed_replies(draw):
     Stage-I survivor."""
     n = draw(st.integers(1, 6))
     cfg = EngineConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=draw(st.integers(1, n + 1)), dimension=3)
-    rows = draw(st.lists(_ROW, min_size=n + 1, max_size=n + 1))
+    rows = [draw(_QUERY_ROW)] + draw(st.lists(_ROW, min_size=n, max_size=n))
     survivors = min(cfg.top_n, n)
     scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=survivors, max_size=survivors))
     return _relations(n), cfg, rows, scores
@@ -412,7 +424,7 @@ def test_score_candidates_well_formed_replies_match_independent_recompute(reply)
     candidates, cfg, rows, scores = reply
     norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
     cos = {
-        c.id: sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm)
+        c.id: sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm) if norm else 0.0
         for c, row, norm in zip(candidates, rows[1:], norms[1:])
     }
     survivors = sorted(cos, key=lambda cid: (-cos[cid], cid))[: cfg.top_n]
@@ -438,9 +450,12 @@ def _spoiled(data, values, bad_entry):
     return values
 
 
-def _row_with_non_finite(row):
-    return st.tuples(st.integers(0, len(row) - 1), _NON_FINITE).map(
-        lambda spot: row[: spot[0]] + [spot[1]] + row[spot[0] + 1 :]
+def _row_with_non_finite_or_of_another_length(row):
+    return st.one_of(
+        st.tuples(st.integers(0, len(row) - 1), _NON_FINITE).map(
+            lambda spot: row[: spot[0]] + [spot[1]] + row[spot[0] + 1 :]
+        ),
+        st.lists(st.floats(-3.0, 3.0), max_size=5).filter(lambda other: len(other) != len(row)),
     )
 
 
@@ -448,7 +463,7 @@ def _row_with_non_finite(row):
 def test_score_candidates_malformed_provider_reply_is_a_provider_error(reply, data):
     candidates, cfg, rows, scores = reply
     if data.draw(st.booleans(), label="spoil the embedder"):
-        rows = _spoiled(data, rows, _row_with_non_finite)
+        rows = _spoiled(data, rows, _row_with_non_finite_or_of_another_length)
     else:
         scores = _spoiled(data, scores, lambda score: _NON_FINITE)
     with pytest.raises(ProviderError, match="embedder returned|reranker returned"):
