@@ -55,10 +55,6 @@ def test_cosine_zero_vector():
         cosine(np.zeros(3), np.ones(3))
 
 
-def test_cosine_zero_candidate_row_scores_zero():
-    assert cosine(np.ones(3), np.zeros(3)) == 0.0
-
-
 # ---------------------------------------------------------------------------
 # fusion
 # ---------------------------------------------------------------------------
