@@ -21,7 +21,7 @@ from .denoise import denoise
 from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
 from .linking import LinkFailure, link_surface
 from .llm import MemoLLM, Unparseable, ask, parse_yes_no
-from .scoring import ScoredCandidate, score_candidates, top_n
+from .scoring import ScoredCandidate, score_candidates
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -137,8 +137,8 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
     scored = score_candidates(question.text, pool, cfg, pipe.embedder, pipe.reranker)
     # necessity layer: denoise asks each distinct relation label once
     scored = denoise(scored, question.text, cfg, pipe.llm, pipe.templates["necessity"])
-    survivors = [c for c in scored if c.combined >= cfg.theta_search]
-    survivors = top_n(survivors, cfg.w_max, key="combined")
+    # score_candidates sorts by (-combined, id) and both filters keep that order
+    survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
     if len(survivors) > cfg.llm_select_trigger:
         survivors = _llm_select(survivors, question, pipe)
     return [

@@ -62,20 +62,15 @@ class Classification:
     fallback: bool = False
 
 
-def classify(
-    question: Question,
-    llm: LLMProvider,
-    template: PromptTemplate,
-    default_track: QuestionType = QuestionType.CHAINED,
-) -> Classification:
-    """Route a question. An unparseable reply falls back to ``default_track``
-    (chained by default: depth-1 paths subsume one-hop lookups, so that is
-    the safer misroute)."""
+def classify(question: Question, llm: LLMProvider, template: PromptTemplate) -> Classification:
+    """Route a question. An unparseable reply falls back to the chained
+    track: depth-1 paths subsume one-hop lookups, so that is the safer
+    misroute."""
     reply = ask(llm, template, question=question.text)
     try:
         chained = parse_yes_no(reply)
     except Unparseable:
-        log.warning("classifier reply %r unparseable; defaulting to %s", reply, default_track.value)
-        return Classification(track=default_track, raw_response=reply, fallback=True)
+        log.warning("classifier reply %r unparseable; defaulting to chained", reply)
+        return Classification(track=QuestionType.CHAINED, raw_response=reply, fallback=True)
     track = QuestionType.CHAINED if chained else QuestionType.PARALLEL
     return Classification(track=track, raw_response=reply)

@@ -1,9 +1,9 @@
 """Engine configuration.
 
-One flat JSON document of key/value pairs; every key has a default, and
-environment variables with the ``DUALTRACK_`` prefix override file values
-(e.g. ``DUALTRACK_ALPHA=0.5``). List-valued keys are comma-separated in the
-environment.
+One flat JSON document of key/value pairs; every key has a default and one
+JSON type, and environment variables with the ``DUALTRACK_`` prefix override
+file values (e.g. ``DUALTRACK_ALPHA=0.5``). List-valued keys are
+comma-separated in the environment.
 """
 
 from __future__ import annotations
@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
-from .classifier import QuestionType
 from .denoise import DEFAULT_INVALID_KEYWORDS
 from .linking import DEFAULT_SIMILARITY_FLOOR
-from .llm import EchoLLM, HttpLLM, StubLLM
-from .scoring import ConstantRerank, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
+from .llm import HttpLLM, StubLLM
+from .scoring import HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
 
 ENV_PREFIX = "DUALTRACK_"
 
@@ -29,7 +28,6 @@ PROVIDERS = {
     "llm_provider": {
         "stub": lambda cfg: StubLLM(),
         "http": lambda cfg: HttpLLM(cfg.llm_url, parallelism=cfg.parallelism),
-        "echo": lambda cfg: EchoLLM(),
     },
     "embedding_provider": {
         "hash": lambda cfg: HashEmbedding(cfg.dimension),
@@ -37,7 +35,6 @@ PROVIDERS = {
     },
     "rerank_provider": {
         "overlap": lambda cfg: OverlapRerank(),
-        "constant": lambda cfg: ConstantRerank(),
         "http": lambda cfg: HttpRerank(cfg.rerank_url, parallelism=cfg.parallelism),
     },
 }
@@ -84,17 +81,19 @@ class EngineConfig:
 
     # evaluation / routing
     tau: float = 0.5
-    default_track: str = "chained"
     link_floor: float = DEFAULT_SIMILARITY_FLOOR
     parallelism: int = 1
     prompts_dir: str = ""  # empty -> packaged prompts
 
     def __post_init__(self):
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            if not _has_type(value, spec.type):
+                raise ValueError(f"{spec.name} must be of type {spec.type}, got {value!r}")
         for key, factories in PROVIDERS.items():
             value = getattr(self, key)
             if value not in factories:
                 raise ValueError(f"{key} must be one of {sorted(factories)}, got {value!r}")
-        QuestionType(self.default_track)  # raises ValueError on an unknown track
         if not 0.0 <= self.link_floor <= 1.0:
             raise ValueError(f"link_floor must be in [0, 1], got {self.link_floor}")
         if not 0.0 <= self.tau <= 1.0:
@@ -128,13 +127,15 @@ class EngineConfig:
         if not 0.0 <= self.theta_necessity <= 1.0:
             raise ValueError(f"theta_necessity must be in [0, 1], got {self.theta_necessity}")
 
-    # -- serialization ---------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+# The JSON types each field annotation accepts; a bool is never a number.
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+def _has_type(value, annotation: str) -> bool:
+    if annotation == "list[str]":
+        return isinstance(value, list) and all(isinstance(item, str) for item in value)
+    return isinstance(value, _JSON_TYPES[annotation]) and not isinstance(value, bool)
 
 
 def _coerce(annotation: str, raw: str):
@@ -167,10 +168,4 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
         if env_key in env:
             data[name] = _coerce(str(spec.type), env[env_key])
 
-    return EngineConfig(**data)
-
-
-def parse_config(text: str) -> EngineConfig:
-    """Parse a serialized config document; inverse of ``to_json``."""
-    data = json.loads(text)
     return EngineConfig(**data)

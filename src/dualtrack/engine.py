@@ -52,8 +52,9 @@ class Engine:
     """One configured question-answering engine.
 
     Providers may be injected (tests do), otherwise ``config.PROVIDERS``
-    builds the ones the config names. In stub mode with a triples file
-    nothing here touches the network.
+    builds the ones the config names. A ``stub_script`` file scripts the
+    stub provider and needs ``llm_provider`` "stub". In stub mode with a
+    triples file nothing here touches the network.
     """
 
     def __init__(
@@ -64,16 +65,19 @@ class Engine:
         llm: LLMProvider | None = None,
         embedder=None,
         reranker=None,
-        templates=None,
         stub_script: str | Path | None = None,
     ):
         self.config = cfg = config or EngineConfig()
+        if stub_script and cfg.llm_provider != "stub":
+            raise ValueError(f"a stub script needs llm_provider 'stub', got {cfg.llm_provider!r}")
         if llm is None:
-            llm = _build(cfg, "llm_provider")
-            if stub_script and isinstance(llm, StubLLM):  # the script feeds only the stub provider
-                llm = StubLLM.from_script_file(stub_script)
+            llm = StubLLM.from_script_file(stub_script) if stub_script else _build(cfg, "llm_provider")
+        templates = load_templates(cfg.prompts_dir or PACKAGED_PROMPTS)
+        missing = sorted({path.stem for path in PACKAGED_PROMPTS.glob("*.txt")} - set(templates))
+        if missing:
+            raise ValueError(f"prompts_dir {cfg.prompts_dir} lacks templates: {', '.join(missing)}")
         self.pipeline = Pipeline(
-            templates=templates or load_templates(cfg.prompts_dir or PACKAGED_PROMPTS),
+            templates=templates,
             store=store or _build_store(cfg),
             llm=llm,
             embedder=embedder or _build(cfg, "embedding_provider"),
@@ -84,12 +88,7 @@ class Engine:
     # -- pieces ----------------------------------------------------------
 
     def classify(self, question: Question) -> Classification:
-        return classify(
-            question,
-            self.pipeline.llm,
-            self.pipeline.templates["classification"],
-            default_track=QuestionType(self.config.default_track),
-        )
+        return classify(question, self.pipeline.llm, self.pipeline.templates["classification"])
 
     def chain(self, question: Question, trace: list | None = None) -> Answer:
         return run_chain_branch(question, self.pipeline, trace)

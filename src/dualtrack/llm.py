@@ -19,10 +19,6 @@ from .transport import ProviderError, http_session, request_json
 PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
 
 
-class ScriptMiss(ProviderError):
-    """Strict stub received a prompt no scripted key matches."""
-
-
 class Unparseable(ValueError):
     """LLM reply does not contain the requested token/number."""
 
@@ -93,32 +89,26 @@ class StubLLM(LLMProvider):
 
     Responses are registered against substring keys; the longest key found in
     the prompt wins (prompts embed variable question text, so exact-match
-    scripting would be brittle). Ties go to the earliest-registered key. With
-    no match: the configured default, or :class:`ScriptMiss` in strict mode.
+    scripting would be brittle). Ties go to the earliest-registered key. A
+    prompt no key matches gets the default reply.
     """
 
     name = "stub"
 
-    def __init__(
-        self,
-        script: Mapping[str, str] | Iterable[tuple[str, str]] = (),
-        default: str = "",
-        strict: bool = False,
-    ):
+    def __init__(self, script: Mapping[str, str] | Iterable[tuple[str, str]] = (), default: str = ""):
         entries = script.items() if isinstance(script, Mapping) else script
         self._entries: list[tuple[str, str]] = [(k, v) for k, v in entries]
         if any(not key for key, _ in self._entries):
             raise ValueError("stub script keys must be non-empty")
         self.default = default
-        self.strict = strict
         self.calls: list[str] = []
 
     @classmethod
-    def from_script_file(cls, path: str | Path, **kwargs) -> "StubLLM":
+    def from_script_file(cls, path: str | Path) -> "StubLLM":
         """Load a JSON list of ``{"match_substring": ..., "response": ...}``."""
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
         script = [(e["match_substring"], e["response"]) for e in entries]
-        return cls(script=script, **kwargs)
+        return cls(script=script)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.calls.append(request.prompt)
@@ -132,18 +122,7 @@ class StubLLM(LLMProvider):
                     best_response = response
         if best_response is not None:
             return CompletionResponse(text=best_response, provider=self.name)
-        if self.strict:
-            raise ScriptMiss(f"no scripted key matches prompt: {request.prompt[:80]!r}...")
         return CompletionResponse(text=self.default, provider=self.name)
-
-
-class EchoLLM(LLMProvider):
-    """Identity provider: replies with the prompt itself."""
-
-    name = "echo"
-
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
-        return CompletionResponse(text=request.prompt, provider=self.name)
 
 
 class HttpLLM(LLMProvider):

@@ -193,14 +193,6 @@ class OverlapRerank(RerankProvider):
         return [_jaccard(query_tokens, set(_tokens(text))) for text in texts]
 
 
-class ConstantRerank(RerankProvider):
-    def __init__(self, value: float = 0.5):
-        self.value = _clamp01(value)
-
-    def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
-        return [self.value] * len(texts)
-
-
 class HttpRerank(RerankProvider):
     """POST {query, texts} to a rerank endpoint through
     :func:`transport.request_json`, read {scores}: one number per text."""

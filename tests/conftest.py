@@ -45,6 +45,16 @@ def templates():
     return load_templates(PACKAGED_PROMPTS)
 
 
+class ConstantRerank(RerankProvider):
+    """The same score for every text."""
+
+    def __init__(self, value=0.5):
+        self.value = value
+
+    def rerank(self, query, texts):
+        return [self.value] * len(texts)
+
+
 class MappingRerank(RerankProvider):
     """Fixed text -> score mapping; unknown texts get the default."""
 

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import MOVIE_LINES, FailingLLM, MappingRerank, CountingRerank
+from conftest import MOVIE_LINES, ConstantRerank, FailingLLM, MappingRerank, CountingRerank
 from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
 from dualtrack.classifier import Question, QuestionType, classify
 from dualtrack.config import EngineConfig
@@ -28,7 +28,6 @@ from dualtrack.kg import (
 )
 from dualtrack.llm import StubLLM
 from dualtrack.scoring import (
-    ConstantRerank,
     HashEmbedding,
     OverlapRerank,
     ScoredCandidate,

@@ -387,10 +387,10 @@ def test_chain_sends_each_necessity_prompt_once(templates):
     assert answer.flags == set()
 
 
-def test_engine_memo_lives_for_one_question(movie_store, templates):
+def test_engine_memo_lives_for_one_question(movie_store):
     script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
     stub = StubLLM(script=script)
-    engine = Engine(EngineConfig(theta_search=0.0), store=movie_store, llm=stub, templates=templates)
+    engine = Engine(EngineConfig(theta_search=0.0), store=movie_store, llm=stub)
     first = engine.answer(QUESTION).to_dict()
     once = list(stub.calls)
     assert any(NECESSITY in c for c in once)

@@ -52,18 +52,6 @@ def test_unparseable_reply_falls_back_to_default(templates):
     assert decision.raw_response == "cannot tell"
 
 
-def test_fallback_default_is_configurable(templates):
-    stub = StubLLM(default="???")
-    decision = classify(
-        Question(id="t", text="anything?"),
-        stub,
-        templates["classification"],
-        default_track=QuestionType.PARALLEL,
-    )
-    assert decision.track is QuestionType.PARALLEL
-    assert decision.fallback is True
-
-
 def test_noisy_but_parseable_reply_is_not_fallback(templates):
     stub = StubLLM(default="Yes, clearly (A->B->C).")
     decision = classify(Question(id="t", text="anything?"), stub, templates["classification"])

@@ -3,6 +3,7 @@ and the no-network guarantee of stub mode."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -15,7 +16,7 @@ from conftest import MOVIE_LINES, DownSession
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig
-from dualtrack.engine import Engine
+from dualtrack.engine import PACKAGED_PROMPTS, Engine
 from dualtrack.kg import SparqlClient, parse_triples
 from dualtrack.llm import StubLLM
 from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank
@@ -110,14 +111,8 @@ def test_engine_routes_parallel_question(workspace):
 def test_engine_classifier_fallback_flag(workspace):
     engine = _engine(workspace, llm=StubLLM(default="shrug"))  # unparseable classification
     answer = engine.answer(Question(id="3", text="Opaque question?"))
-    assert answer.track is QuestionType.CHAINED  # configured default
+    assert answer.track is QuestionType.CHAINED
     assert "classifier_fallback" in answer.flags
-
-
-def test_engine_default_track_is_configurable(workspace):
-    engine = _engine(workspace, llm=StubLLM(default="shrug"), default_track="parallel")
-    answer = engine.answer(Question(id="3", text="Opaque question?"))
-    assert answer.track is QuestionType.PARALLEL
 
 
 def test_engine_branch_failure_becomes_flagged_answer(workspace, monkeypatch):
@@ -339,6 +334,42 @@ def test_cli_bad_config_exits_1(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"alpha": 9.0}', encoding="utf-8")
     assert main(["--config", str(config), "classify", "--question", "x"]) == 1
+
+
+def test_cli_incomplete_prompts_dir_exits_1(workspace, capsys):
+    prompts = workspace / "prompts"
+    prompts.mkdir()
+    shutil.copy(PACKAGED_PROMPTS / "classification.txt", prompts)
+    config = workspace / "prompts.json"
+    config.write_text(
+        json.dumps({"triples_file": str(workspace / "movies.triples"), "prompts_dir": str(prompts)}),
+        encoding="utf-8",
+    )
+    code = main(
+        ["--config", str(config), "--stub-script", str(workspace / "stub.json"), "answer", "--question", CHAINED_Q]
+    )
+    assert code == 1
+    assert "extract_entity" in capsys.readouterr().err
+
+
+def test_cli_stub_script_needs_the_stub_llm(workspace, monkeypatch, capsys):
+    config = workspace / "http_llm.json"
+    config.write_text(
+        json.dumps(
+            {
+                "triples_file": str(workspace / "movies.triples"),
+                "llm_provider": "http",
+                "llm_url": "http://127.0.0.1:9/complete",
+            }
+        ),
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(requests.Session, "post", DownSession.post)
+    code = main(
+        ["--config", str(config), "--stub-script", str(workspace / "stub.json"), "classify", "--question", CHAINED_Q]
+    )
+    assert code == 1
+    assert "llm_provider" in capsys.readouterr().err
 
 
 def test_cli_unreachable_endpoint_exits_2(workspace, monkeypatch, capsys):

@@ -1,6 +1,6 @@
-"""Configuration: defaults, validation, file + environment loading, and the
-serialize/parse round trip."""
+"""Configuration: defaults, validation, and file + environment loading."""
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualtrack.config import PROVIDERS, EngineConfig, load_config, parse_config
+from dualtrack.config import PROVIDERS, EngineConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,7 +28,6 @@ def test_defaults_match_documented_values():
     assert cfg.theta_necessity == 0.5
     assert sorted(cfg.k_invalid) == ["id", "metadata", "source", "version"]
     assert cfg.tau == 0.5
-    assert cfg.default_track == "chained"
     assert cfg.link_floor == 0.8
     assert cfg.parallelism == 1
     assert cfg.llm_provider == "stub"
@@ -37,13 +36,7 @@ def test_defaults_match_documented_values():
 def test_k_invalid_is_normalized_once():
     cfg = EngineConfig(k_invalid=["ID", "id", "Source"])
     assert cfg.k_invalid == ["id", "source"]
-    assert json.loads(cfg.to_json())["k_invalid"] == ["id", "source"]
-    assert parse_config(cfg.to_json()) == cfg
-
-
-def test_roundtrip_default_config():
-    cfg = EngineConfig()
-    assert parse_config(cfg.to_json()) == cfg
+    assert dataclasses.replace(cfg) == cfg
 
 
 @given(
@@ -67,7 +60,7 @@ def test_roundtrip_random_configs(alpha, top_n, d_max, w_max, theta_search, thet
         tau=tau,
         parallelism=parallelism,
     )
-    assert parse_config(cfg.to_json()) == cfg
+    assert dataclasses.replace(cfg) == cfg
 
 
 def test_load_config_from_file(tmp_path):
@@ -100,13 +93,13 @@ def test_env_overrides_file_values(tmp_path):
         "DUALTRACK_ALPHA": "0.9",
         "DUALTRACK_TOP_N": "10",
         "DUALTRACK_K_INVALID": "id, rank ,audit",
-        "DUALTRACK_DEFAULT_TRACK": "parallel",
+        "DUALTRACK_TRIPLES_FILE": "g.triples",
     }
     cfg = load_config(path, env=env)
     assert cfg.alpha == 0.9
     assert cfg.top_n == 10
     assert cfg.k_invalid == ["id", "rank", "audit"]
-    assert cfg.default_track == "parallel"
+    assert cfg.triples_file == "g.triples"
 
 
 def test_env_only_config():
@@ -121,7 +114,6 @@ def test_validation_errors():
         {"llm_provider": "banana"},
         {"embedding_provider": "banana"},
         {"rerank_provider": "banana"},
-        {"default_track": "sideways"},
         {"tau": -0.1},
         {"link_floor": 2.0},
         {"verify_top_k": 0},
@@ -131,10 +123,33 @@ def test_validation_errors():
         {"k_invalid": []},
         {"k_invalid": ["id", ""]},
     ):
-        key = next(iter(kwargs))
-        # each message names its key; an unknown track is named by its value
-        with pytest.raises(ValueError, match="sideways" if key == "default_track" else key):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):  # each message names its key
             EngineConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("k_invalid", "id"),
+        ("k_invalid", ["id", 3]),
+        ("alpha", "0.5"),
+        ("alpha", True),
+        ("top_n", 2.5),
+        ("parallelism", 1.5),
+        ("d_max", True),
+        ("triples_file", 7),
+        ("llm_provider", None),
+    ],
+)
+def test_wrong_json_type_is_a_config_error(tmp_path, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}), encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
+        load_config(path, env={})
+
+
+def test_float_keys_take_json_integers():
+    assert EngineConfig(alpha=1, theta_search=0).alpha == 1
 
 
 def test_readme_provider_choices_match_the_registry():
@@ -144,3 +159,13 @@ def test_readme_provider_choices_match_the_registry():
         if match:
             rows[match.group(1)] = set(re.findall(r"`(\w+)`", match.group(2)))
     assert rows == {key: set(factories) for key, factories in PROVIDERS.items()}
+
+
+def test_readme_config_table_matches_the_fields():
+    section = README.read_text(encoding="utf-8").split("## Configuration")[1].split("\n## ")[0]
+    keys = set()
+    for line in section.splitlines():
+        match = re.match(r"\| (`\w+`(?: / `\w+`)*) \|", line)
+        if match:
+            keys.update(re.findall(r"`(\w+)`", match.group(1)))
+    assert keys == {spec.name for spec in dataclasses.fields(EngineConfig)}

@@ -14,14 +14,12 @@ from dualtrack.kg import EntityRef, RelationRef, SparqlClient, Triple
 from dualtrack.llm import (
     CompletionRequest,
     CompletionResponse,
-    EchoLLM,
     HttpLLM,
     LLMProvider,
     MemoLLM,
     MissingPlaceholder,
     PromptTemplate,
     ProviderError,
-    ScriptMiss,
     StubLLM,
     Unparseable,
     ask,
@@ -109,10 +107,8 @@ def test_stub_equal_length_ties_go_to_first_registered():
     assert stub.complete(CompletionRequest("aaa bbb")).text == "first"
 
 
-def test_stub_default_and_strict():
+def test_stub_default():
     assert StubLLM(default="fallback").complete(CompletionRequest("x")).text == "fallback"
-    with pytest.raises(ScriptMiss):
-        StubLLM(strict=True).complete(CompletionRequest("x"))
 
 
 def test_stub_records_calls():
@@ -132,10 +128,6 @@ def test_stub_from_script_file(tmp_path):
 def test_stub_rejects_empty_keys():
     with pytest.raises(ValueError):
         StubLLM(script=[("", "x")])
-
-
-def test_echo_returns_prompt():
-    assert EchoLLM().complete(CompletionRequest("mirror me")).text == "mirror me"
 
 
 class _FakeHttpSession:

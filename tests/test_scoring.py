@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CountingRerank, DownSession, MappingRerank
+from conftest import ConstantRerank, CountingRerank, DownSession, MappingRerank
 from dualtrack.config import EngineConfig
 from dualtrack.kg import RelationRef
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
-    ConstantRerank,
     EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
@@ -219,10 +218,6 @@ def test_overlap_rerank_jaccard():
     assert scores[0] == pytest.approx(2 / 3)
     assert scores[1] == 0.0
     assert scores[2] == 1.0
-
-
-def test_constant_rerank():
-    assert ConstantRerank(0.5).rerank("q", ["a", "b"]) == [0.5, 0.5]
 
 
 class _FakeSession:

@@ -12,7 +12,7 @@ from dualtrack.config import EngineConfig
 from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure, link_surface
-from dualtrack.llm import EchoLLM, ProviderError, StubLLM
+from dualtrack.llm import ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank
 from dualtrack.verify import (
     AtomicFact,
@@ -63,7 +63,10 @@ def test_draft_response_scripted(templates):
 
 
 def test_draft_response_echo_contains_question(templates):
-    assert QUESTION.text in draft_response(QUESTION, EchoLLM(), templates)
+    stub = StubLLM()
+    draft_response(QUESTION, stub, templates)
+    (prompt,) = stub.calls
+    assert QUESTION.text in prompt
 
 
 def test_draft_empty_default_yields_zero_facts(templates):
