@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Stress the path search on random fixture graphs and time it against the
-brute-force enumeration oracle.
+brute-force enumeration oracle. Each graph draws a necessity score for every
+relation label, and the search runs with the necessity layer on.
 
 Usage: python scripts/stress_search.py [graphs] [max_nodes] [seed]
 """
@@ -13,7 +14,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tests"))
 
-from oracles import build_store, enumerate_paths, random_graph_lines, random_question
+from oracles import (
+    build_store,
+    enumerate_paths,
+    necessity_script,
+    random_graph_lines,
+    random_necessity,
+    random_question,
+)
 
 from dualtrack.chain import search_paths
 from dualtrack.classifier import Question
@@ -33,7 +41,7 @@ def main() -> int:
     templates = load_templates(PACKAGED_PROMPTS)
     config = EngineConfig(
         alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
-        theta_necessity=0.0,
+        theta_necessity=0.5,
     )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
@@ -44,12 +52,13 @@ def main() -> int:
         lines, n = random_graph_lines(rng, max_nodes=max_nodes)
         store = build_store(lines)
         question = Question(id=f"g{index}", text=random_question(rng, n))
+        necessity = random_necessity(rng)
         origin = EntityRef("Q1", "node1")
 
         t0 = time.perf_counter()
         pipe = Pipeline(
             store=store,
-            llm=StubLLM(default="no"),
+            llm=StubLLM(script=necessity_script(necessity), default="no"),
             templates=templates,
             embedder=embedder,
             reranker=reranker,
@@ -64,6 +73,7 @@ def main() -> int:
             d_max=config.d_max, w_max=config.w_max, theta=config.theta_search,
             scoring=config, embedder=embedder, reranker=reranker,
             k_invalid=frozenset({"id", "source", "version", "metadata"}),
+            necessity=necessity, theta_necessity=config.theta_necessity,
         )
         oracle_time += time.perf_counter() - t0
 

@@ -22,6 +22,7 @@ from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
 from .linking import LinkFailure, link_surface
 from .llm import MemoLLM, Unparseable, ask, parse_yes_no
 from .scoring import ScoredCandidate, score_candidates
+from .transport import LEAVES
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -113,6 +114,8 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
 def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[ReasoningPath]:
     """One expansion step: retrieve, denoise, score, prune, extend.
 
+    The necessity layer sees the rule-kept pool before Stage I's top-N cut,
+    so a label whose every triple the cut removes is still asked once.
     Returns one extended path per surviving relation, best score first.
     """
     cfg = pipe.config
@@ -134,11 +137,18 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
             candidates.append(triple)
 
     pool = denoise(candidates, question.text, cfg)  # rule layer only
-    scored = score_candidates(question.text, pool, cfg, pipe.embedder, pipe.reranker)
-    # necessity layer: denoise asks each distinct relation label once
-    scored = denoise(scored, question.text, cfg, pipe.llm, pipe.templates["necessity"])
+    # Necessity reads only labels, so the rule-kept pool is scored on a leaf
+    # thread while denoise asks each distinct label once on this one. A
+    # scoring error wins, raised once both have finished.
+    scoring = LEAVES.submit(score_candidates, question.text, pool, cfg, pipe.embedder, pipe.reranker)
+    try:
+        kept = denoise(pool, question.text, cfg, pipe.llm, pipe.templates["necessity"])
+    finally:
+        scored = scoring.result()
+    necessary = {t.key() for t in kept}
     # score_candidates sorts by (-combined, id) and both filters keep that order
-    survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
+    survivors = [c for c in scored if c.payload.key() in necessary and c.combined >= cfg.theta_search]
+    survivors = survivors[: cfg.w_max]
     if len(survivors) > cfg.llm_select_trigger:
         survivors = _llm_select(survivors, question, pipe)
     return [

@@ -166,6 +166,11 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
     for name, spec in known.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:
-            data[name] = _coerce(str(spec.type), env[env_key])
+            raw = env[env_key]
+            try:
+                data[name] = _coerce(str(spec.type), raw)
+            except ValueError:  # only numbers can fail to convert
+                kind = "an int" if spec.type == "int" else "a float"
+                raise ValueError(f"{env_key}={raw}: {name} must be {kind}") from None
 
     return EngineConfig(**data)

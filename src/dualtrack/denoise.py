@@ -5,7 +5,9 @@ relations ("entity ID", "data source", ...). Layer two asks the LLM for a
 necessity score of each remaining relation against the question and drops
 the ones below a threshold. The scores are independent, so each distinct
 relation label is asked once, and all labels are asked concurrently on the
-process's leaf executor, ``transport.LEAVES``.
+process's leaf executor, ``transport.LEAVES``. The necessity layer reads
+only labels, so both tracks run it over the rule-kept pool while that pool
+is scored, and keep the scored candidates whose label passed.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """

@@ -17,11 +17,12 @@ import os
 import re
 import tempfile
 import threading
+from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .transport import ProviderError, http_session, request_json
+from .transport import LEAVES, ProviderError, http_session, request_json
 
 log = logging.getLogger(__name__)
 
@@ -128,7 +129,15 @@ class KGStore:
 
 
 def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:
-    return RelationSet(head=store.head_relations(entity), tail=store.tail_relations(entity))
+    """The entity's head and tail triples, fetched at the same time: tail on
+    ``transport.LEAVES``, head on the calling thread. The call returns or
+    raises once both have finished; when both fail, head's error is raised."""
+    tail = LEAVES.submit(store.tail_relations, entity)
+    try:
+        head = store.head_relations(entity)
+    finally:
+        wait([tail])
+    return RelationSet(head=head, tail=tail.result())
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,20 @@ class StubLLM(LLMProvider):
 
     @classmethod
     def from_script_file(cls, path: str | Path) -> "StubLLM":
-        """Load a JSON list of ``{"match_substring": ..., "response": ...}``."""
+        """Load a JSON list of ``{"match_substring": ..., "response": ...}``.
+        A file that is not such a list raises ``ValueError``, naming the
+        index of the first bad entry."""
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        script = [(e["match_substring"], e["response"]) for e in entries]
-        return cls(script=script)
+        if not isinstance(entries, list):
+            raise ValueError(f"stub script {path} must hold a JSON list")
+        keys = ("match_substring", "response")
+        for index, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in keys)):
+                raise ValueError(
+                    f"stub script {path}: entry {index} must be an object with string"
+                    " match_substring and response"
+                )
+        return cls(script=[(e["match_substring"], e["response"]) for e in entries])
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
         self.calls.append(request.prompt)

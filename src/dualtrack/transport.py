@@ -29,10 +29,11 @@ HTTP_BACKOFF_S = 1.0
 # than 3 over 10 alternating pairs, so 3 stays.
 MAX_CLAIM_WORKERS = 3
 
-# Every necessity prompt of the process runs on ``LEAVES``, whose threads
-# start on demand and then stay. Question and claim threads share it. That
-# is safe because a task on it never submits to or waits on an executor, so
-# no task waits for one queued behind it.
+# Every leaf task of the process runs on ``LEAVES``, whose threads start on
+# demand and then stay: necessity prompts, tail fetches, and Stage I/II
+# scoring while the necessity prompts are in flight. Question and claim
+# threads share it. That is safe because a task on it never submits to or
+# waits on an executor, so no task waits for one queued behind it.
 LEAF_THREADS = 64
 LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
 

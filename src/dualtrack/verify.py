@@ -21,7 +21,7 @@ from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
-from .transport import MAX_CLAIM_WORKERS
+from .transport import LEAVES, MAX_CLAIM_WORKERS
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -96,6 +96,8 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
 def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     """Ground one claim: link its subject, retrieve the entity's triples,
     denoise, score, and let the LLM judge the best ones against the claim.
+    As in ``chain.expand``, scoring runs while the necessity layer asks about
+    the whole rule-kept pool, and a scoring error wins over a necessity one.
 
     Unlinkable subjects (``LinkFailure``) and empty candidate sets come back
     unverifiable; any other error propagates. A mismatch triggers the
@@ -112,9 +114,14 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     pool = denoise(pool, fact.text, pipe.config)  # rule layer only
     if not pool:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
-    # necessity layer: denoise asks each distinct relation label once
-    scored = denoise(scored, fact.text, pipe.config, pipe.llm, pipe.templates["necessity"])
+    # scored on a leaf thread while the necessity prompts run, as in chain.expand
+    scoring = LEAVES.submit(score_candidates, fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
+    try:
+        kept = denoise(pool, fact.text, pipe.config, pipe.llm, pipe.templates["necessity"])
+    finally:
+        scored = scoring.result()
+    necessary = {t.key() for t in kept}
+    scored = [c for c in scored if c.payload.key() in necessary]
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 

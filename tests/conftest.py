@@ -1,14 +1,16 @@
 """Shared fixtures: the movie fixture graph, packaged prompt templates, and
 deterministic provider doubles."""
 
+import threading
+
 import pytest
 import requests
 
 from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS
 from dualtrack.kg import InMemoryTripleStore, parse_triples
-from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, load_templates
-from dualtrack.scoring import RerankProvider
+from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
+from dualtrack.scoring import HashEmbedding, RerankProvider
 
 MOVIE_LINES = [
     "QF1|Inception|PF1|director|QF2|Christopher Nolan",
@@ -76,6 +78,45 @@ class CountingRerank(RerankProvider):
     def rerank(self, query, texts):
         self.batches.append(list(texts))
         return self.inner.rerank(query, texts)
+
+
+NECESSITY = "Rate how necessary the relation is"
+
+
+class NecessityGateLLM(StubLLM):
+    """A scripted stub that opens ``gate`` when a necessity prompt arrives,
+    then raises ``error`` for it if one is given."""
+
+    def __init__(self, gate: threading.Event, error: Exception | None = None, **stub):
+        super().__init__(**stub)
+        self.gate = gate
+        self.error = error
+
+    def complete(self, request):
+        if NECESSITY in request.prompt:
+            self.gate.set()
+            if self.error is not None:
+                raise self.error
+        return super().complete(request)
+
+
+class GatedEmbedding(HashEmbedding):
+    """Hash embeddings sent only after ``gate`` opens, waiting at most 2 s
+    for it. Then raises ``error`` if one is given, or ``AssertionError`` if
+    the gate never opened."""
+
+    def __init__(self, dimension: int, gate: threading.Event, error: Exception | None = None):
+        super().__init__(dimension)
+        self.gate = gate
+        self.error = error
+
+    def embed(self, texts):
+        opened = self.gate.wait(timeout=2)
+        if self.error is not None:
+            raise self.error
+        if not opened:
+            raise AssertionError("scoring waited and no necessity prompt reached the LLM")
+        return super().embed(texts)
 
 
 class FailingLLM(LLMProvider):

@@ -2,10 +2,11 @@
 
 ``enumerate_paths`` re-derives the set of maximal reasoning paths by plain
 recursive enumeration over the store, applying the same per-step scoring
-inputs but none of the engine's search machinery. ``serial_denoise`` is the
-denoiser as one loop over the candidates, one necessity prompt each.
-``linear_link`` is entity linking as one full scan of every label's
-similarity.
+and necessity inputs but none of the engine's search machinery. Each step
+runs its layers one after another: score, necessity, threshold, width.
+``serial_denoise`` is the denoiser as one loop over the candidates, one
+necessity prompt each. ``linear_link`` is entity linking as one full scan of
+every label's similarity.
 """
 
 import random
@@ -50,6 +51,21 @@ def random_question(rng: random.Random, node_count: int) -> str:
     return f"which entity {w1} or {w2} node{node}?"
 
 
+def random_necessity(rng: random.Random) -> dict[str, float]:
+    """A necessity score for every relation word; about a third fall below
+    0.5, and a score may sit exactly on it."""
+    return {
+        word: round(rng.uniform(0.0, 0.49) if rng.random() < 1 / 3 else rng.uniform(0.5, 1.0), 2)
+        for word in RELATION_WORDS
+    }
+
+
+def necessity_script(necessity: dict[str, float]) -> list[tuple[str, str]]:
+    """A ``StubLLM`` script that answers each relation's necessity prompt
+    with its score from ``necessity``."""
+    return [(f"Relation: {word}\n", str(score)) for word, score in necessity.items()]
+
+
 def enumerate_paths(
     store: InMemoryTripleStore,
     origin: EntityRef,
@@ -62,11 +78,16 @@ def enumerate_paths(
     embedder,
     reranker,
     k_invalid=frozenset(),
+    necessity=None,
+    theta_necessity=0.0,
 ):
     """Brute-force enumeration of all maximal paths under the constraints.
+    ``necessity`` maps a relation label to its necessity score; a label it
+    lacks scores 1.0.
 
     Returns the set of path signatures: tuples of (triple key, direction).
     """
+    necessity = necessity or {}
     results = set()
 
     def recurse(tip, visited, hops):
@@ -92,6 +113,7 @@ def enumerate_paths(
         scored = score_candidates(
             question_text, [t for t, _, _ in filtered], scoring, embedder, reranker
         )
+        scored = [c for c in scored if necessity.get(c.payload.relation.label, 1.0) >= theta_necessity]
         by_key = {t.key(): (direction, far) for t, direction, far in filtered}
         keep = [c for c in scored if c.combined >= theta]
         keep.sort(key=lambda c: (-c.combined, c.payload.key()))

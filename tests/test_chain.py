@@ -5,13 +5,16 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MOVIE_LINES, MappingRerank
+from conftest import MOVIE_LINES, NECESSITY, GatedEmbedding, MappingRerank, NecessityGateLLM
 from dualtrack.chain import (
     HEAD,
     Hop,
@@ -28,9 +31,16 @@ from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.linking import LinkFailure
-from dualtrack.llm import StubLLM
+from dualtrack.llm import ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank
-from oracles import build_store, enumerate_paths, random_graph_lines, random_question
+from oracles import (
+    build_store,
+    enumerate_paths,
+    necessity_script,
+    random_graph_lines,
+    random_necessity,
+    random_question,
+)
 from test_cli import STUB_SCRIPT
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,6 +255,32 @@ def test_expand_applies_rule_denoise(movie_store, templates):
     assert len(children) == 4
 
 
+def _gated_pipe(templates, store, gate, embed_error=None, necessity_error=None):
+    """Necessity layer on; the embedder waits for a necessity prompt."""
+    stub = NecessityGateLLM(gate, necessity_error, script=[(NECESSITY, "0.9")], default="no")
+    return Pipeline(
+        store=store,
+        llm=stub,
+        templates=templates,
+        embedder=GatedEmbedding(32, gate, embed_error),
+        reranker=MappingRerank({}, default=0.5),
+        config=EngineConfig(alpha=1.0, theta_search=0.0, theta_necessity=0.5),
+    )
+
+
+def test_expand_scores_while_the_necessity_prompts_are_in_flight(templates):
+    pipe = _gated_pipe(templates, _star_store(["alpha", "beta"]), threading.Event())
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+    assert sorted(c.hops[-1].triple.relation.label for c in children) == ["alpha", "beta"]
+
+
+def test_expand_raises_the_scoring_error_over_a_necessity_error(templates):
+    store = _star_store(["alpha", "beta"])
+    pipe = _gated_pipe(templates, store, threading.Event(), ProviderError("embedder down"), ValueError("bad"))
+    with pytest.raises(ProviderError, match="embedder down"):
+        expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+
+
 # ---------------------------------------------------------------------------
 # sufficiency
 # ---------------------------------------------------------------------------
@@ -366,9 +402,6 @@ def test_answer_to_dict_is_json_serializable(movie_store, templates):
     assert "1975" in encoded
 
 
-NECESSITY = "Rate how necessary the relation is"
-
-
 def test_chain_sends_each_necessity_prompt_once(templates):
     # three "nominated for" triples at the origin share one necessity prompt
     lines = MOVIE_LINES + [f"QF1|Inception|PF9|nominated for|QF{i}|award {i}" for i in (10, 11, 12)]
@@ -423,41 +456,56 @@ def test_search_config_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_search_matches_enumeration_oracle_spot(templates):
-    rng = random.Random(42)
+def _check_search_against_oracle(templates, rng, theta_necessity):
+    """Draws a graph, a question and a necessity map from ``rng``; the
+    search's maximal paths must equal the enumeration oracle's."""
+    lines, n = random_graph_lines(rng, max_nodes=18)
+    store = build_store(lines)
+    question = Question(id="r", text=random_question(rng, n))
+    necessity = random_necessity(rng)
     config = EngineConfig(
         alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
-        theta_necessity=0.0,
+        theta_necessity=theta_necessity,
     )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
+    pipe = Pipeline(
+        store=store,
+        llm=StubLLM(script=necessity_script(necessity), default="no"),
+        templates=templates,
+        embedder=embedder,
+        reranker=reranker,
+        config=config,
+    )
+    origin = EntityRef("Q1", "node1")
+    completed, _ = search_paths(origin, question, pipe)
+    expected = enumerate_paths(
+        store,
+        origin,
+        question.text,
+        d_max=3,
+        w_max=3,
+        theta=0.12,
+        scoring=config,
+        embedder=embedder,
+        reranker=reranker,
+        k_invalid=frozenset(config.k_invalid),
+        necessity=necessity,
+        theta_necessity=theta_necessity,
+    )
+    assert {p.signature() for p in completed} == expected
+
+
+def test_search_matches_enumeration_oracle_spot(templates):
+    rng = random.Random(42)
     for _ in range(5):
-        lines, n = random_graph_lines(rng, max_nodes=18)
-        store = build_store(lines)
-        question = Question(id="r", text=random_question(rng, n))
-        origin = EntityRef("Q1", "node1")
-        pipe = Pipeline(
-            store=store,
-            llm=StubLLM(default="no"),
-            templates=templates,
-            embedder=embedder,
-            reranker=reranker,
-            config=config,
-        )
-        completed, _ = search_paths(origin, question, pipe)
-        expected = enumerate_paths(
-            store,
-            origin,
-            question.text,
-            d_max=3,
-            w_max=3,
-            theta=0.12,
-            scoring=config,
-            embedder=embedder,
-            reranker=reranker,
-            k_invalid=frozenset({"id", "source", "version", "metadata"}),
-        )
-        assert {p.signature() for p in completed} == expected
+        _check_search_against_oracle(templates, rng, theta_necessity=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_search_with_necessity_matches_enumeration_oracle(templates, seed):
+    _check_search_against_oracle(templates, random.Random(seed), theta_necessity=0.5)
 
 
 def test_stress_script_matches_the_oracle():

@@ -352,6 +352,14 @@ def test_cli_incomplete_prompts_dir_exits_1(workspace, capsys):
     assert "extract_entity" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_malformed_stub_script(workspace, capsys):
+    (workspace / "stub.json").write_text(json.dumps([{"match_substring": "Inception"}]), encoding="utf-8")
+    assert _cli(workspace, "classify", "--question", CHAINED_Q) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "entry 0 must be an object" in err
+
+
 def test_cli_stub_script_needs_the_stub_llm(workspace, monkeypatch, capsys):
     config = workspace / "http_llm.json"
     config.write_text(

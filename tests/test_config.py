@@ -107,6 +107,19 @@ def test_env_only_config():
     assert cfg.theta_search == 0.15
 
 
+@pytest.mark.parametrize(
+    "variable, raw, message",
+    [
+        ("DUALTRACK_ALPHA", "abc", "DUALTRACK_ALPHA=abc: alpha must be a float"),
+        ("DUALTRACK_TOP_N", "2.5", "DUALTRACK_TOP_N=2.5: top_n must be an int"),
+    ],
+)
+def test_env_override_that_does_not_convert_names_itself(variable, raw, message):
+    with pytest.raises(ValueError) as error:
+        load_config(None, env={variable: raw})
+    assert str(error.value) == message
+
+
 def test_validation_errors():
     for kwargs in (
         {"alpha": 1.5},

@@ -16,6 +16,7 @@ from dualtrack.kg import (
     RELATION_LIMIT,
     EntityRef,
     InMemoryTripleStore,
+    KGStore,
     LiteralValue,
     NotFound,
     RelationRef,
@@ -467,3 +468,51 @@ def test_fetch_relations_union(movie_store):
     assert len(relations.head) == 4
     assert len(relations.tail) == 1
     assert len(relations.all()) == 5
+
+
+class _HookedStore(KGStore):
+    """Answers head and tail fetches from ``inner`` after calling
+    ``hook("head")`` or ``hook("tail")``."""
+
+    def __init__(self, inner, hook):
+        self.inner = inner
+        self.hook = hook
+
+    def head_relations(self, entity):
+        self.hook("head")
+        return self.inner.head_relations(entity)
+
+    def tail_relations(self, entity):
+        self.hook("tail")
+        return self.inner.tail_relations(entity)
+
+
+def test_fetch_relations_sends_head_and_tail_together(movie_store):
+    barrier = threading.Barrier(2, timeout=2)  # breaks unless both fetches are in flight at once
+    inception = EntityRef("QF1", "Inception")
+    relations = fetch_relations(_HookedStore(movie_store, lambda side: barrier.wait()), inception)
+    assert relations.head == movie_store.head_relations(inception)
+    assert relations.tail == movie_store.tail_relations(inception)
+
+
+def test_fetch_relations_raises_heads_error_over_tails(movie_store):
+    tail_failed = threading.Event()
+
+    def both_down(side):
+        if side == "tail":
+            tail_failed.set()
+        else:
+            tail_failed.wait(timeout=2)
+        raise ProviderError(f"{side} fetch failed")
+
+    with pytest.raises(ProviderError, match="head"):
+        fetch_relations(_HookedStore(movie_store, both_down), EntityRef("QF1", "Inception"))
+
+
+def test_fetch_relations_raises_tails_error(movie_store):
+    def tail_down(side):
+        if side == "tail":
+            raise ProviderError("tail fetch failed")
+
+    with pytest.raises(ProviderError, match="tail"):
+        fetch_relations(_HookedStore(movie_store, tail_down), EntityRef("QF1", "Inception"))

@@ -1,5 +1,6 @@
 """Prompt templating, provider doubles, and reply parsers."""
 
+import json
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -123,6 +124,31 @@ def test_stub_from_script_file(tmp_path):
     path.write_text('[{"match_substring": "ping", "response": "pong"}]', encoding="utf-8")
     stub = StubLLM.from_script_file(path)
     assert stub.complete(CompletionRequest("ping?")).text == "pong"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "ping",
+        ["ping", "pong"],
+        {"response": "pong"},
+        {"match_substring": "ping"},
+        {"match_substring": 3, "response": "pong"},
+        {"match_substring": "ping", "response": None},
+    ],
+)
+def test_stub_script_file_names_its_bad_entry(tmp_path, entry):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps([{"match_substring": "ping", "response": "pong"}, entry]), encoding="utf-8")
+    with pytest.raises(ValueError, match="entry 1 must be an object"):
+        StubLLM.from_script_file(path)
+
+
+def test_stub_script_file_must_hold_a_list(tmp_path):
+    path = tmp_path / "script.json"
+    path.write_text('{"match_substring": "ping", "response": "pong"}', encoding="utf-8")
+    with pytest.raises(ValueError, match="JSON list"):
+        StubLLM.from_script_file(path)
 
 
 def test_stub_rejects_empty_keys():

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import GatedEmbedding, NecessityGateLLM
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Pipeline
@@ -209,6 +210,35 @@ def test_verify_fact_best_triples_come_from_linked_entity(movie_store, templates
     assert {t.key() for t in result.best_triples} <= entity_triples
 
 
+def _gated_pipe(movie_store, templates, gate, embed_error=None, necessity_error=None):
+    """Necessity layer on, failing only "publication date"; the embedder
+    waits for a necessity prompt."""
+    script = [("Relation: publication date\n", "0.1"), ("Judgment (yes/no)", "yes")]
+    return Pipeline(
+        store=movie_store,
+        llm=NecessityGateLLM(gate, necessity_error, script=script, default="0.9"),
+        templates=templates,
+        embedder=GatedEmbedding(64, gate, embed_error),
+        reranker=OverlapRerank(),
+        config=EngineConfig(theta_necessity=0.5),
+    )
+
+
+def test_verify_fact_scores_while_the_necessity_prompts_are_in_flight(movie_store, templates):
+    fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
+    result = verify_fact(fact, _gated_pipe(movie_store, templates, threading.Event()))
+    assert result.status is VerificationStatus.VERIFIED
+    # director, genre and cast member: the rule drops wikidata:id, necessity publication date
+    assert sorted(t.relation.label for t in result.best_triples) == ["cast member", "director", "genre"]
+
+
+def test_verify_fact_raises_the_scoring_error_over_a_necessity_error(movie_store, templates):
+    fact = AtomicFact("Inception was released in 2010.", "Inception", 0)
+    pipe = _gated_pipe(movie_store, templates, threading.Event(), ProviderError("embedder down"), ValueError("bad"))
+    with pytest.raises(ProviderError, match="embedder down"):
+        verify_fact(fact, pipe)
+
+
 # ---------------------------------------------------------------------------
 # full branch
 # ---------------------------------------------------------------------------
@@ -379,21 +409,21 @@ class _RecordingStore(KGStore):
         self.calls = []
 
     def resolve_entity_id(self, label):
-        self.calls.append(("resolve", label, threading.get_ident()))
+        self.calls.append(("resolve", label, threading.current_thread()))
         if label in self.fail:
             raise ProviderError(f"lookup of {label!r} failed")
         return self.inner.resolve_entity_id(label)
 
     def head_relations(self, entity):
-        self.calls.append(("head", entity.id, threading.get_ident()))
+        self.calls.append(("head", entity.id, threading.current_thread()))
         return self.inner.head_relations(entity)
 
     def tail_relations(self, entity):
-        self.calls.append(("tail", entity.id, threading.get_ident()))
+        self.calls.append(("tail", entity.id, threading.current_thread()))
         return self.inner.tail_relations(entity)
 
     def entities(self):
-        self.calls.append(("entities", None, threading.get_ident()))
+        self.calls.append(("entities", None, threading.current_thread()))
         return self.inner.entities()
 
 
@@ -402,13 +432,14 @@ def test_run_parallel_branch_links_each_subject_on_its_claims_thread(movie_store
     stub = _JudgeHookLLM(lambda claim: None)
     answer = run_parallel_branch(QUESTION, _pipe(store, templates, stub))
     assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(FANOUT_CLAIMS)
-    here = threading.get_ident()
     for _, subject in FANOUT_CLAIMS:
         entity_id = movie_store.resolve_entity_id(subject).id
         (resolver,) = [t for name, arg, t in store.calls if name == "resolve" and arg == subject]
-        fetchers = [t for name, arg, t in store.calls if name in ("head", "tail") and arg == entity_id]
-        assert fetchers == [resolver, resolver]
-        assert resolver != here
+        (head,) = [t for name, arg, t in store.calls if name == "head" and arg == entity_id]
+        (tail,) = [t for name, arg, t in store.calls if name == "tail" and arg == entity_id]
+        assert resolver.name.startswith("claim")
+        assert head is resolver  # the claim fetches head itself
+        assert tail.name.startswith("leaf")  # and its tail on the leaf executor, at the same time
 
 
 def test_run_parallel_branch_raises_an_earlier_claims_error_over_a_later_link_error(movie_store, templates):
