@@ -2,10 +2,15 @@
 entity, with dynamic pruning and sufficiency-based early stopping.
 
 Search constraints: depth capped at ``d_max``; per step only the top
-``w_max`` relations above ``theta_search`` survive, and when too many do, an
-LLM picks at most three. After every expansion the freshly extended path is
-checked for sufficiency; a "yes" ends the search immediately. The final
-answer is generated strictly from the triples of the best-scoring paths.
+``w_max`` relations above ``theta_search`` survive, and when more than
+``llm_select_trigger`` do, an LLM picks at most three. The width cut comes
+first, so LLM selection runs only when ``w_max`` exceeds
+``llm_select_trigger``; at the defaults (5 and 8) it never runs, and no
+benchmark workload reaches it. The source abstract does not say whether
+selection should come before the width cut, so the order stays as it is.
+After every expansion the freshly extended path is checked for
+sufficiency; a "yes" ends the search immediately. The final answer is
+generated strictly from the triples of the best-scoring paths.
 """
 
 from __future__ import annotations

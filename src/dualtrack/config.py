@@ -86,46 +86,23 @@ class EngineConfig:
     prompts_dir: str = ""  # empty -> packaged prompts
 
     def __post_init__(self):
+        # Every float key is a weight, threshold or similarity in [0, 1] and
+        # every int key is a count of at least 1; a float key outside [0, 1]
+        # would need its own rule here.
         for spec in dataclasses.fields(self):
             value = getattr(self, spec.name)
             if not _has_type(value, spec.type):
                 raise ValueError(f"{spec.name} must be of type {spec.type}, got {value!r}")
-        for key, factories in PROVIDERS.items():
-            value = getattr(self, key)
-            if value not in factories:
-                raise ValueError(f"{key} must be one of {sorted(factories)}, got {value!r}")
-        if not 0.0 <= self.link_floor <= 1.0:
-            raise ValueError(f"link_floor must be in [0, 1], got {self.link_floor}")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if self.verify_top_k < 1:
-            raise ValueError(f"verify_top_k must be >= 1, got {self.verify_top_k}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.top_n < 1:
-            raise ValueError(f"top_n must be >= 1, got {self.top_n}")
-        if self.dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.dimension}")
-        if self.d_max < 1:
-            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
-        if self.w_max < 1:
-            raise ValueError(f"w_max must be >= 1, got {self.w_max}")
-        if not 0.0 <= self.theta_search <= 1.0:
-            raise ValueError(f"theta_search must be in [0, 1], got {self.theta_search}")
-        if self.llm_select_trigger < 1:
-            raise ValueError(f"llm_select_trigger must be >= 1, got {self.llm_select_trigger}")
-        if self.top_k_paths < 1:
-            raise ValueError(f"top_k_paths must be >= 1, got {self.top_k_paths}")
-        if self.max_expansions < 1:
-            raise ValueError(f"max_expansions must be >= 1, got {self.max_expansions}")
+            if spec.type == "float" and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{spec.name} must be in [0, 1], got {value}")
+            if spec.type == "int" and value < 1:
+                raise ValueError(f"{spec.name} must be >= 1, got {value}")
+            if spec.name in PROVIDERS and value not in PROVIDERS[spec.name]:
+                raise ValueError(f"{spec.name} must be one of {sorted(PROVIDERS[spec.name])}, got {value!r}")
         # lowercased and de-duplicated once, in order; the rule layer matches these
         self.k_invalid = list(dict.fromkeys(k.lower() for k in self.k_invalid))
         if not self.k_invalid or not all(self.k_invalid):
             raise ValueError("k_invalid must be a set of non-empty keywords")
-        if not 0.0 <= self.theta_necessity <= 1.0:
-            raise ValueError(f"theta_necessity must be in [0, 1], got {self.theta_necessity}")
 
 
 # The JSON types each field annotation accepts; a bool is never a number.

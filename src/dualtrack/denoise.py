@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Sequence, Union
 
 from .kg import RelationRef, Triple, term_label
 from .llm import LLMProvider, PromptTemplate, ProviderError, Unparseable, ask, parse_score
-from .scoring import ScoredCandidate
 from .transport import LEAVES
 
 if TYPE_CHECKING:
@@ -30,15 +29,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_INVALID_KEYWORDS = ("id", "source", "version", "metadata")
 
-Denoisable = Union[Triple, RelationRef, ScoredCandidate]
+Denoisable = Union[Triple, RelationRef]
 
 
 def _relation_of(item: Denoisable) -> RelationRef:
-    if isinstance(item, ScoredCandidate):
-        item = item.payload
-    if isinstance(item, Triple):
-        return item.relation
-    return item
+    return item.relation if isinstance(item, Triple) else item
 
 
 def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:

@@ -72,10 +72,19 @@ class Engine:
             raise ValueError(f"a stub script needs llm_provider 'stub', got {cfg.llm_provider!r}")
         if llm is None:
             llm = StubLLM.from_script_file(stub_script) if stub_script else _build(cfg, "llm_provider")
-        templates = load_templates(cfg.prompts_dir or PACKAGED_PROMPTS)
-        missing = sorted({path.stem for path in PACKAGED_PROMPTS.glob("*.txt")} - set(templates))
+        packaged = load_templates(PACKAGED_PROMPTS)
+        templates = load_templates(cfg.prompts_dir) if cfg.prompts_dir else packaged
+        missing = sorted(set(packaged) - set(templates))
         if missing:
             raise ValueError(f"prompts_dir {cfg.prompts_dir} lacks templates: {', '.join(missing)}")
+        for name, template in packaged.items():
+            # a custom template may leave a placeholder out, but not add one
+            # that its stage never binds
+            unknown = sorted(templates[name].required_placeholders - template.required_placeholders)
+            if unknown:
+                raise ValueError(
+                    f"prompts_dir {cfg.prompts_dir}: template {name} uses unknown placeholders: {', '.join(unknown)}"
+                )
         self.pipeline = Pipeline(
             templates=templates,
             store=store or _build_store(cfg),
@@ -96,15 +105,12 @@ class Engine:
     def verify(self, question: Question) -> Answer:
         return run_parallel_branch(question, self.pipeline)
 
-    def denoise(self, triples: list[Triple], question: Question) -> list[Triple]:
-        """Both denoising layers; ``denoise`` sends one necessity prompt per
-        distinct relation label, so triples that share a label share it."""
-        pipe = self.pipeline
-        return denoise(triples, question.text, pipe.config, pipe.llm, pipe.templates["necessity"])
-
     def explain_denoise(self, triples: list[Triple], question: Question) -> list[tuple[Triple, bool, str]]:
-        """Per-triple (triple, kept, reason) breakdown for the CLI."""
-        kept = {t.key() for t in self.denoise(triples, question)}
+        """Per-triple (triple, kept, reason) breakdown of both denoising
+        layers for the CLI; triples that share a relation label share one
+        necessity prompt."""
+        pipe = self.pipeline
+        kept = {t.key() for t in denoise(triples, question.text, pipe.config, pipe.llm, pipe.templates["necessity"])}
         rows = []
         for t in triples:
             if t.key() in kept:

@@ -15,7 +15,7 @@ import requests
 from conftest import MOVIE_LINES, DownSession
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
-from dualtrack.config import EngineConfig
+from dualtrack.config import EngineConfig, load_config
 from dualtrack.engine import PACKAGED_PROMPTS, Engine
 from dualtrack.kg import SparqlClient, parse_triples
 from dualtrack.llm import StubLLM
@@ -350,6 +350,38 @@ def test_cli_incomplete_prompts_dir_exits_1(workspace, capsys):
     )
     assert code == 1
     assert "extract_entity" in capsys.readouterr().err
+
+
+def _custom_prompts(workspace, name, old, new):
+    """A copy of the packaged prompts with ``old`` replaced by ``new`` in
+    template ``name``, and a config that points at it."""
+    prompts = workspace / "prompts"
+    shutil.copytree(PACKAGED_PROMPTS, prompts)
+    path = prompts / f"{name}.txt"
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    config = workspace / "prompts.json"
+    config.write_text(
+        json.dumps({"triples_file": str(workspace / "movies.triples"), "prompts_dir": str(prompts)}),
+        encoding="utf-8",
+    )
+    return config
+
+
+def test_cli_prompts_dir_with_an_unknown_placeholder_exits_1(workspace, capsys):
+    config = _custom_prompts(workspace, "judge", "{fact}", "{claim}")
+    code = main(
+        ["--config", str(config), "--stub-script", str(workspace / "stub.json"), "answer", "--question", PARALLEL_Q]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "judge" in err and "claim" in err
+
+
+def test_prompts_dir_may_leave_a_placeholder_out(workspace):
+    config = _custom_prompts(workspace, "judge", "Claim: {fact}\n", "")
+    engine = Engine(load_config(config, env={}), stub_script=workspace / "stub.json")
+    assert "fact" not in engine.pipeline.templates["judge"].required_placeholders
 
 
 def test_cli_rejects_a_malformed_stub_script(workspace, capsys):

@@ -120,18 +120,32 @@ def test_env_override_that_does_not_convert_names_itself(variable, raw, message)
     assert str(error.value) == message
 
 
+# Every numeric key and its bound, written out by hand rather than read from
+# the dataclass, so the tests below do not restate the rule they check.
+FLOAT_KEYS = ("alpha", "theta_search", "theta_necessity", "tau", "link_floor")  # each in [0, 1]
+INT_KEYS = (  # each at least 1
+    "top_n",
+    "dimension",
+    "verify_top_k",
+    "d_max",
+    "w_max",
+    "llm_select_trigger",
+    "top_k_paths",
+    "max_expansions",
+    "parallelism",
+)
+
+
 def test_validation_errors():
     for kwargs in (
+        *({key: value} for key in FLOAT_KEYS for value in (-0.01, 1.01)),
+        *({key: 0} for key in INT_KEYS),
         {"alpha": 1.5},
-        {"top_n": 0},
         {"llm_provider": "banana"},
         {"embedding_provider": "banana"},
         {"rerank_provider": "banana"},
         {"tau": -0.1},
         {"link_floor": 2.0},
-        {"verify_top_k": 0},
-        {"parallelism": 0},
-        {"d_max": 0},
         {"theta_necessity": 2.0},
         {"k_invalid": []},
         {"k_invalid": ["id", ""]},
@@ -159,6 +173,14 @@ def test_wrong_json_type_is_a_config_error(tmp_path, key, value):
     path.write_text(json.dumps({key: value}), encoding="utf-8")
     with pytest.raises(ValueError, match=key):
         load_config(path, env={})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [*((key, value) for key in FLOAT_KEYS for value in (0.0, 1.0)), *((key, 1) for key in INT_KEYS)],
+)
+def test_each_numeric_key_accepts_its_edges(key, value):
+    assert getattr(EngineConfig(**{key: value}), key) == value
 
 
 def test_float_keys_take_json_integers():
