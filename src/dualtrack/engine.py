@@ -13,7 +13,7 @@ from .classifier import Answer, Classification, Question, QuestionType, classify
 from .config import PROVIDERS, EngineConfig
 from .denoise import denoise, rule_filter
 from .evaluation import AccScorer, evaluate
-from .kg import InMemoryTripleStore, KGStore, SparqlClient, Triple
+from .kg import CachedStore, InMemoryTripleStore, KGStore, SparqlClient, Triple
 from .llm import LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
 from .scoring import EmbeddingProvider, RerankProvider
 from .verify import run_parallel_branch
@@ -54,7 +54,9 @@ class Engine:
     Providers may be injected (tests do), otherwise ``config.PROVIDERS``
     builds the ones the config names. A ``stub_script`` file scripts the
     stub provider and needs ``llm_provider`` "stub". In stub mode with a
-    triples file nothing here touches the network.
+    triples file nothing here touches the network. The KG store, built or
+    injected, is wrapped in one ``CachedStore`` that every question, claim
+    and evaluation thread of the engine shares.
     """
 
     def __init__(
@@ -87,7 +89,7 @@ class Engine:
                 )
         self.pipeline = Pipeline(
             templates=templates,
-            store=store or _build_store(cfg),
+            store=CachedStore(store or _build_store(cfg)),
             llm=llm,
             embedder=embedder or _build(cfg, "embedding_provider"),
             reranker=reranker or _build(cfg, "rerank_provider"),

@@ -1,11 +1,15 @@
 """Knowledge-graph access behind one interface.
 
-Two implementations: :class:`SparqlClient` talks to a live Wikidata-style
-endpoint, :class:`InMemoryTripleStore` serves a fixture graph loaded from a
-pipe-separated triples file. Both expose the same three read operations
-(resolve an entity by label, and an entity's head and tail triples), so
-everything downstream can be exercised deterministically against the
-in-memory store.
+Two stores: :class:`SparqlClient` talks to a live Wikidata-style endpoint,
+:class:`InMemoryTripleStore` serves a fixture graph loaded from a
+pipe-separated triples file. Both expose the same read operations (resolve
+an entity by label, an entity's head and tail triples, and the label
+inventory), so everything downstream can be exercised deterministically
+against the in-memory store.
+
+One cache: :class:`CachedStore` wraps any store so that each of those reads
+reaches it once. ``Engine`` wraps its store in one, shared by every thread
+of the engine.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import os
 import re
 import tempfile
 import threading
-from concurrent.futures import wait
+from collections import OrderedDict
+from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -41,6 +46,10 @@ DIRECT_PROP_IRI_PREFIX = "http://www.wikidata.org/prop/direct/"
 # SparqlClient sends at most this many at once, however many evaluation and
 # claim threads share it.
 MAX_CONCURRENT_QUERIES = 5
+
+# Keys one CachedStore keeps: more than every benchmark workload's whole
+# working set (about 900 on chain_hub, 1.7k on verify_fanout).
+CACHE_ENTRIES = 4096
 
 
 class NotFound(Exception):
@@ -126,6 +135,84 @@ class KGStore:
     def entities(self) -> Iterator[EntityRef]:
         """Known entities, for fuzzy link fallback. Live stores yield nothing."""
         return iter(())
+
+
+class CachedStore(KGStore):
+    """A read-through cache over ``inner``, for the lifetime of one engine.
+
+    Caches ``head_relations`` and ``tail_relations`` per ``EntityRef``
+    value (id and label: a live store builds triples around the entity it
+    was given), ``resolve_entity_id`` per label, a ``NotFound`` miss
+    included, and the ``entities`` inventory. That assumes the KG does not
+    change while the engine runs. An error is never cached: the next call
+    asks ``inner`` again.
+
+    Single-flight: a call for a key already in flight waits for the first
+    call's result instead of sending its own query, so the number of
+    queries does not depend on thread timing. That wait is safe on
+    ``transport.LEAVES``, since the first call is running, not queued.
+    At most ``CACHE_ENTRIES`` keys are kept, the least recently used
+    evicted first. A key holds up to ``RELATION_LIMIT`` triples, so a full
+    cache holds up to ``CACHE_ENTRIES * RELATION_LIMIT`` triples, besides
+    the one label inventory. Every hit returns a fresh list, so a caller
+    may change what it gets back.
+    """
+
+    def __init__(self, inner: KGStore):
+        self.inner = inner
+        self._lock = threading.Lock()
+        # key -> finished value, or a Future while the first call runs
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+
+    def _get(self, key: tuple, fetch):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = Future()
+                if len(self._entries) > CACHE_ENTRIES:
+                    self._entries.popitem(last=False)
+                owner = True
+            else:
+                self._entries.move_to_end(key)
+                owner = False
+        if not owner:
+            return entry.result() if isinstance(entry, Future) else entry
+        try:
+            value = fetch()
+        except BaseException as exc:
+            with self._lock:
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
+            entry.set_exception(exc)
+            raise
+        with self._lock:
+            if self._entries.get(key) is entry:
+                self._entries[key] = value
+        entry.set_result(value)
+        return value
+
+    def _resolve(self, label: str) -> EntityRef | str:
+        try:
+            return self.inner.resolve_entity_id(label)
+        except NotFound as exc:
+            # keep the message, not the exception: a stored exception would
+            # gather the traceback of every caller it is raised to
+            return str(exc)
+
+    def resolve_entity_id(self, label: str) -> EntityRef:
+        found = self._get(("resolve", label), lambda: self._resolve(label))
+        if isinstance(found, str):
+            raise NotFound(found)
+        return found
+
+    def head_relations(self, entity: EntityRef) -> list[Triple]:
+        return list(self._get(("head", entity), lambda: tuple(self.inner.head_relations(entity))))
+
+    def tail_relations(self, entity: EntityRef) -> list[Triple]:
+        return list(self._get(("tail", entity), lambda: tuple(self.inner.tail_relations(entity))))
+
+    def entities(self) -> Iterator[EntityRef]:
+        return iter(self._get(("entities",), lambda: tuple(self.inner.entities())))
 
 
 def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:

@@ -8,7 +8,7 @@ import requests
 
 from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS
-from dualtrack.kg import InMemoryTripleStore, parse_triples
+from dualtrack.kg import InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
 from dualtrack.scoring import HashEmbedding, RerankProvider
 
@@ -45,6 +45,33 @@ def movie_store(movie_triples):
 @pytest.fixture(scope="session")
 def templates():
     return load_templates(PACKAGED_PROMPTS)
+
+
+class RecordingStore(KGStore):
+    """Answers from ``inner`` and records every call as a (method, *args)
+    tuple in ``calls``, after calling ``hook(method)``."""
+
+    def __init__(self, inner, hook=lambda method: None):
+        self.inner = inner
+        self.hook = hook
+        self.calls = []
+
+    def _call(self, method, *args):
+        self.calls.append((method, *args))
+        self.hook(method)
+        return getattr(self.inner, method)(*args)
+
+    def resolve_entity_id(self, label):
+        return self._call("resolve_entity_id", label)
+
+    def head_relations(self, entity):
+        return self._call("head_relations", entity)
+
+    def tail_relations(self, entity):
+        return self._call("tail_relations", entity)
+
+    def entities(self):
+        return self._call("entities")
 
 
 class ConstantRerank(RerankProvider):

@@ -3,24 +3,30 @@ and the no-network guarantee of stub mode."""
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import MOVIE_LINES, DownSession
+from conftest import MOVIE_LINES, DownSession, RecordingStore
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig, load_config
 from dualtrack.engine import PACKAGED_PROMPTS, Engine
-from dualtrack.kg import SparqlClient, parse_triples
+from dualtrack.evaluation import evaluate
+from dualtrack.kg import CachedStore, InMemoryTripleStore, SparqlClient, parse_triples
 from dualtrack.llm import StubLLM
-from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank
+from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
 from dualtrack.transport import ProviderError
+from oracles import RELATION_WORDS, build_store, necessity_script, random_graph_lines, random_necessity, random_question
 
 CHAINED_Q = "When was the wife of the Inception director born?"
 PARALLEL_Q = "Who directed Inception and when was it released?"
@@ -242,6 +248,101 @@ def test_engine_evaluate_parallel_questions_share_the_leaf_executor(workspace):
     assert answers[0] == answers[1]
     assert {track for _, track, _, _ in answers[0]} == {"parallel"}
     assert all(flags == [] for _, _, _, flags in answers[0])
+
+
+def test_engine_sends_each_kg_query_once_per_run(workspace):
+    questions = [Question(id="c", text=CHAINED_Q), Question(id="p", text=PARALLEL_Q)]
+    store = RecordingStore(InMemoryTripleStore.from_file(workspace / "movies.triples"))
+    engine = Engine(EngineConfig(theta_search=0.0), store=store, stub_script=workspace / "stub.json")
+    first = [json.dumps(engine.answer(q).to_dict(), sort_keys=True) for q in questions]
+    sent = len(store.calls)
+    assert sent > 0
+    second = [json.dumps(engine.answer(q).to_dict(), sort_keys=True) for q in questions]
+    assert len(store.calls) == sent
+    assert second == first
+
+    store = RecordingStore(InMemoryTripleStore.from_file(workspace / "movies.triples"))
+    engine = Engine(EngineConfig(theta_search=0.0, parallelism=4), store=store, stub_script=workspace / "stub.json")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = _evaluate_within(engine, [Question(id=f"q{i}", text=q.text) for i, q in enumerate(questions * 6)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["aggregate"]["invalid"] == 0
+    assert len(store.calls) == sent
+    assert set(Counter(store.calls).values()) == {1}
+
+
+def _random_questions(rng: random.Random, node_count: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """Questions of both tracks over an oracle graph of ``node_count``
+    nodes, and the stub script that answers them. Subjects are linked
+    exactly, by case folding, by edit distance, or not at all."""
+    script = []
+
+    def surface(node):
+        return rng.choice([f"node{node}", f"NODE{node}", f"node{node}x", "nothing here"])
+
+    texts = []
+    for i in range(rng.randint(2, 4)):
+        if rng.random() < 0.5:
+            text = random_question(rng, node_count)
+            node = text.rsplit("node", 1)[1].rstrip("?")
+            script += [
+                (f'Question: "{text}"', "yes"),
+                (f"Question:\n{text}\n\nCore entity:", surface(node)),
+            ]
+        else:
+            text = f"what is true of node{rng.randrange(node_count) + 1}, case {i}?"
+            facts = []
+            for j in range(rng.randint(1, 3)):
+                subject = surface(rng.randrange(node_count) + 1)
+                fact = f"{subject} {rng.choice(RELATION_WORDS)} something, claim {i}.{j}."
+                facts.append(f"{fact} | {subject}")
+                if rng.random() < 0.5:
+                    script.append((f"Claim: {fact}\n\nTriples", "yes"))
+            script += [
+                (f'Question: "{text}"', "no"),
+                (f"Question:\n{text}\n\nAnswer:", f"draft {i}"),
+                (f"Response:\ndraft {i}\n", "\n".join(facts)),
+            ]
+        texts.append(text)
+    return texts, script
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
+    rng = random.Random(seed)
+    lines, node_count = random_graph_lines(rng, max_nodes=18)
+    store = build_store(lines)
+    texts, script = _random_questions(rng, node_count)
+    script += necessity_script(random_necessity(rng))
+
+    def engine():
+        config = EngineConfig(alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5)
+        return Engine(
+            config, store=store, llm=StubLLM(script=script, default="no"),
+            embedder=HashEmbedding(48), reranker=OverlapRerank(),
+        )
+
+    def signature(answer):
+        return json.dumps(answer.to_dict(), sort_keys=True)
+
+    fresh = {text: signature(engine().answer(Question(id="f", text=text))) for text in texts}
+    shared = engine()
+    questions = [Question(id=f"q{i}", text=text) for i, text in enumerate(texts * 3)]
+    for _ in ("cold", "warm"):
+        answers = {}
+
+        def answer(question):  # Engine.evaluate's route, keeping each whole answer
+            result = shared.answer(question)
+            answers[question.id] = signature(result)
+            return result
+
+        report = evaluate(questions, answer, parallelism=4)
+        assert report["aggregate"]["invalid"] == 0
+        assert answers == {q.id: fresh[q.text] for q in questions}
 
 
 # ---------------------------------------------------------------------------
@@ -552,5 +653,6 @@ def test_stub_engine_never_imports_requests():
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):
     config = EngineConfig(cache_dir=str(tmp_path / "cache"))
     engine = Engine(config, llm=StubLLM())
-    assert isinstance(engine.pipeline.store, SparqlClient)
-    assert engine.pipeline.store.endpoint_url == "https://query.wikidata.org/sparql"
+    assert isinstance(engine.pipeline.store, CachedStore)
+    assert isinstance(engine.pipeline.store.inner, SparqlClient)
+    assert engine.pipeline.store.inner.endpoint_url == "https://query.wikidata.org/sparql"

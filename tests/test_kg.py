@@ -1,8 +1,10 @@
 """KG store tests: fixture parsing, both store implementations, SPARQL query
-builders, and the live client against a fake transport."""
+builders, the live client against a fake transport, and the read-through
+cache."""
 
 import json
 import random
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -10,13 +12,14 @@ from pathlib import Path
 import pytest
 import requests
 
-from dualtrack import transport
+from conftest import RecordingStore
+from dualtrack import kg, transport
 from dualtrack.kg import (
     MAX_CONCURRENT_QUERIES,
     RELATION_LIMIT,
+    CachedStore,
     EntityRef,
     InMemoryTripleStore,
-    KGStore,
     LiteralValue,
     NotFound,
     RelationRef,
@@ -470,27 +473,10 @@ def test_fetch_relations_union(movie_store):
     assert len(relations.all()) == 5
 
 
-class _HookedStore(KGStore):
-    """Answers head and tail fetches from ``inner`` after calling
-    ``hook("head")`` or ``hook("tail")``."""
-
-    def __init__(self, inner, hook):
-        self.inner = inner
-        self.hook = hook
-
-    def head_relations(self, entity):
-        self.hook("head")
-        return self.inner.head_relations(entity)
-
-    def tail_relations(self, entity):
-        self.hook("tail")
-        return self.inner.tail_relations(entity)
-
-
 def test_fetch_relations_sends_head_and_tail_together(movie_store):
     barrier = threading.Barrier(2, timeout=2)  # breaks unless both fetches are in flight at once
     inception = EntityRef("QF1", "Inception")
-    relations = fetch_relations(_HookedStore(movie_store, lambda side: barrier.wait()), inception)
+    relations = fetch_relations(RecordingStore(movie_store, lambda side: barrier.wait()), inception)
     assert relations.head == movie_store.head_relations(inception)
     assert relations.tail == movie_store.tail_relations(inception)
 
@@ -499,20 +485,107 @@ def test_fetch_relations_raises_heads_error_over_tails(movie_store):
     tail_failed = threading.Event()
 
     def both_down(side):
-        if side == "tail":
+        if side == "tail_relations":
             tail_failed.set()
         else:
             tail_failed.wait(timeout=2)
         raise ProviderError(f"{side} fetch failed")
 
     with pytest.raises(ProviderError, match="head"):
-        fetch_relations(_HookedStore(movie_store, both_down), EntityRef("QF1", "Inception"))
+        fetch_relations(RecordingStore(movie_store, both_down), EntityRef("QF1", "Inception"))
 
 
 def test_fetch_relations_raises_tails_error(movie_store):
     def tail_down(side):
-        if side == "tail":
+        if side == "tail_relations":
             raise ProviderError("tail fetch failed")
 
     with pytest.raises(ProviderError, match="tail"):
-        fetch_relations(_HookedStore(movie_store, tail_down), EntityRef("QF1", "Inception"))
+        fetch_relations(RecordingStore(movie_store, tail_down), EntityRef("QF1", "Inception"))
+
+
+# ---------------------------------------------------------------------------
+# read-through cache
+# ---------------------------------------------------------------------------
+
+
+def test_cached_store_sends_one_query_for_callers_in_flight_together(movie_store):
+    threads = 8
+    barrier = threading.Barrier(threads, timeout=2)
+    # the first query is held open, so every caller asks while it is in flight
+    recording = RecordingStore(movie_store, lambda method: threading.Event().wait(0.05))
+    cached = CachedStore(recording)
+    inception = EntityRef("QF1", "Inception")
+
+    def fetch(_):
+        barrier.wait()
+        return cached.head_relations(inception)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(fetch, range(threads), timeout=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert recording.calls == [("head_relations", inception)]
+    assert results == [movie_store.head_relations(inception)] * threads
+
+
+def test_cached_store_does_not_cache_a_provider_error(movie_store):
+    failures = [ProviderError("endpoint down")]
+
+    def fail_once(method):
+        if failures:
+            raise failures.pop()
+
+    recording = RecordingStore(movie_store, fail_once)
+    cached = CachedStore(recording)
+    inception = EntityRef("QF1", "Inception")
+    with pytest.raises(ProviderError, match="endpoint down"):
+        cached.tail_relations(inception)
+    assert cached.tail_relations(inception) == movie_store.tail_relations(inception)
+    assert cached.tail_relations(inception) == movie_store.tail_relations(inception)
+    assert recording.calls == [("tail_relations", inception)] * 2
+
+
+def test_cached_store_raises_a_new_not_found_on_each_hit(movie_store):
+    recording = RecordingStore(movie_store)
+    cached = CachedStore(recording)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NotFound, match="no entity labelled 'Nope'") as info:
+            cached.resolve_entity_id("Nope")
+        raised.append(info.value)
+    assert len({id(exc) for exc in raised}) == 3
+    assert recording.calls == [("resolve_entity_id", "Nope")]
+    assert cached.resolve_entity_id("Inception") == movie_store.resolve_entity_id("Inception")
+
+
+def test_cached_store_keys_on_the_whole_entity_ref(movie_store):
+    recording = RecordingStore(movie_store)
+    cached = CachedStore(recording)
+    for entity in (EntityRef("QF1", "Inception"), EntityRef("QF1", ""), EntityRef("QF1", "Inception")):
+        cached.head_relations(entity)
+    assert recording.calls == [("head_relations", EntityRef("QF1", "Inception")), ("head_relations", EntityRef("QF1", ""))]
+
+
+def test_cached_store_evicts_the_least_recently_used_entry(movie_store, monkeypatch):
+    monkeypatch.setattr(kg, "CACHE_ENTRIES", 2)
+    recording = RecordingStore(movie_store)
+    cached = CachedStore(recording)
+    for label in ("Inception", "Emma Thomas", "Inception", "Christopher Nolan", "Inception", "Emma Thomas"):
+        cached.resolve_entity_id(label)
+    # "Emma Thomas" was the least recently used when "Christopher Nolan" came in
+    assert [label for _, label in recording.calls] == ["Inception", "Emma Thomas", "Christopher Nolan", "Emma Thomas"]
+
+
+def test_cached_store_hands_each_caller_its_own_list(movie_store):
+    recording = RecordingStore(movie_store)
+    cached = CachedStore(recording)
+    inception = EntityRef("QF1", "Inception")
+    cached.head_relations(inception).clear()
+    cached.head_relations(inception).append(None)
+    assert cached.head_relations(inception) == movie_store.head_relations(inception)
+    assert list(cached.entities()) == list(cached.entities()) == list(movie_store.entities())
+    assert recording.calls == [("head_relations", inception), ("entities",)]
