@@ -14,7 +14,7 @@ from .config import PROVIDERS, EngineConfig
 from .denoise import denoise, rule_filter
 from .evaluation import AccScorer, evaluate
 from .kg import CachedStore, InMemoryTripleStore, KGStore, SparqlClient, Triple
-from .llm import LLMProvider, PromptTemplate, ProviderError, StubLLM, load_templates
+from .llm import LLMProvider, MemoLLM, PromptTemplate, ProviderError, StubLLM, load_templates
 from .scoring import EmbeddingProvider, RerankProvider
 from .verify import run_parallel_branch
 
@@ -27,7 +27,8 @@ PACKAGED_PROMPTS = Path(__file__).parent / "prompts"
 class Pipeline:
     """What both tracks share: the four providers, the prompt templates and
     the config. ``Engine`` builds one around its own config; build one by
-    hand to run a single stage."""
+    hand to run a single stage, without the engine's KG cache and LLM
+    memo."""
 
     store: KGStore
     llm: LLMProvider
@@ -54,9 +55,10 @@ class Engine:
     Providers may be injected (tests do), otherwise ``config.PROVIDERS``
     builds the ones the config names. A ``stub_script`` file scripts the
     stub provider and needs ``llm_provider`` "stub". In stub mode with a
-    triples file nothing here touches the network. The KG store, built or
-    injected, is wrapped in one ``CachedStore`` that every question, claim
-    and evaluation thread of the engine shares.
+    triples file nothing here touches the network. The KG store and the
+    LLM, built or injected, are wrapped once, in a ``CachedStore`` and a
+    ``MemoLLM``, which every question, claim, leaf and evaluation thread of
+    the engine shares.
     """
 
     def __init__(
@@ -90,7 +92,7 @@ class Engine:
         self.pipeline = Pipeline(
             templates=templates,
             store=CachedStore(store or _build_store(cfg)),
-            llm=llm,
+            llm=MemoLLM(llm),
             embedder=embedder or _build(cfg, "embedding_provider"),
             reranker=reranker or _build(cfg, "rerank_provider"),
             config=cfg,

@@ -21,13 +21,12 @@ import os
 import re
 import tempfile
 import threading
-from collections import OrderedDict
-from concurrent.futures import Future, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .transport import LEAVES, ProviderError, http_session, request_json
+from .transport import LEAVES, ProviderError, SingleFlightCache, http_session, request_json
 
 log = logging.getLogger(__name__)
 
@@ -144,52 +143,21 @@ class CachedStore(KGStore):
     value (id and label: a live store builds triples around the entity it
     was given), ``resolve_entity_id`` per label, a ``NotFound`` miss
     included, and the ``entities`` inventory. That assumes the KG does not
-    change while the engine runs. An error is never cached: the next call
-    asks ``inner`` again.
+    change while the engine runs.
 
-    Single-flight: a call for a key already in flight waits for the first
-    call's result instead of sending its own query, so the number of
-    queries does not depend on thread timing. That wait is safe on
-    ``transport.LEAVES``, since the first call is running, not queued.
-    At most ``CACHE_ENTRIES`` keys are kept, the least recently used
-    evicted first. A key holds up to ``RELATION_LIMIT`` triples, so a full
-    cache holds up to ``CACHE_ENTRIES * RELATION_LIMIT`` triples, besides
-    the one label inventory. Every hit returns a fresh list, so a caller
-    may change what it gets back.
+    The keys live in a ``transport.SingleFlightCache`` of ``CACHE_ENTRIES``:
+    a call for a key already in flight waits for the first call's query,
+    an error is never cached (the next call asks ``inner`` again), and the
+    least recently used key is evicted first. A key holds up to
+    ``RELATION_LIMIT`` triples, so a full cache holds up to
+    ``CACHE_ENTRIES * RELATION_LIMIT`` triples, besides the one label
+    inventory. Every hit returns a fresh list, so a caller may change what
+    it gets back.
     """
 
     def __init__(self, inner: KGStore):
         self.inner = inner
-        self._lock = threading.Lock()
-        # key -> finished value, or a Future while the first call runs
-        self._entries: OrderedDict[tuple, object] = OrderedDict()
-
-    def _get(self, key: tuple, fetch):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = Future()
-                if len(self._entries) > CACHE_ENTRIES:
-                    self._entries.popitem(last=False)
-                owner = True
-            else:
-                self._entries.move_to_end(key)
-                owner = False
-        if not owner:
-            return entry.result() if isinstance(entry, Future) else entry
-        try:
-            value = fetch()
-        except BaseException as exc:
-            with self._lock:
-                if self._entries.get(key) is entry:
-                    del self._entries[key]
-            entry.set_exception(exc)
-            raise
-        with self._lock:
-            if self._entries.get(key) is entry:
-                self._entries[key] = value
-        entry.set_result(value)
-        return value
+        self._cache = SingleFlightCache(CACHE_ENTRIES)
 
     def _resolve(self, label: str) -> EntityRef | str:
         try:
@@ -200,25 +168,33 @@ class CachedStore(KGStore):
             return str(exc)
 
     def resolve_entity_id(self, label: str) -> EntityRef:
-        found = self._get(("resolve", label), lambda: self._resolve(label))
+        found = self._cache.get(("resolve", label), lambda: self._resolve(label))
         if isinstance(found, str):
             raise NotFound(found)
         return found
 
     def head_relations(self, entity: EntityRef) -> list[Triple]:
-        return list(self._get(("head", entity), lambda: tuple(self.inner.head_relations(entity))))
+        return list(self._cache.get(("head", entity), lambda: tuple(self.inner.head_relations(entity))))
 
     def tail_relations(self, entity: EntityRef) -> list[Triple]:
-        return list(self._get(("tail", entity), lambda: tuple(self.inner.tail_relations(entity))))
+        return list(self._cache.get(("tail", entity), lambda: tuple(self.inner.tail_relations(entity))))
 
     def entities(self) -> Iterator[EntityRef]:
-        return iter(self._get(("entities",), lambda: tuple(self.inner.entities())))
+        return iter(self._cache.get(("entities",), lambda: tuple(self.inner.entities())))
+
+    def holds_relations(self, entity: EntityRef) -> bool:
+        """Whether the entity's head and tail triples are both cached."""
+        return self._cache.holds(("head", entity)) and self._cache.holds(("tail", entity))
 
 
 def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:
     """The entity's head and tail triples, fetched at the same time: tail on
     ``transport.LEAVES``, head on the calling thread. The call returns or
-    raises once both have finished; when both fail, head's error is raised."""
+    raises once both have finished; when both fail, head's error is raised.
+    When a ``CachedStore`` already holds both, they are read inline, since a
+    hand-off to ``LEAVES`` costs more than the two reads."""
+    if isinstance(store, CachedStore) and store.holds_relations(entity):
+        return RelationSet(head=store.head_relations(entity), tail=store.tail_relations(entity))
     tail = LEAVES.submit(store.tail_relations, entity)
     try:
         head = store.head_relations(entity)

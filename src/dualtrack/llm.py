@@ -7,16 +7,21 @@ the whole engine is bit-reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .transport import ProviderError, http_session, request_json
+from .transport import ProviderError, SingleFlightCache, http_session, request_json
 
 PLACEHOLDER_RE = re.compile(r"\{([a-z_][a-z0-9_]*)\}")
+
+# Requests one MemoLLM keeps. An entry costs about 135 bytes besides its
+# reply text, about 220 with it on the benchmark workloads (tracemalloc);
+# 2048 hold every distinct prompt of batch_mixed's counted questions.
+MEMO_ENTRIES = 2048
 
 
 class Unparseable(ValueError):
@@ -163,35 +168,29 @@ class HttpLLM(LLMProvider):
 
 class MemoLLM(LLMProvider):
     """Sends each distinct request to the wrapped provider once and answers
-    repeats from memory.
+    repeats from memory. ``Engine`` wraps its provider in one for its whole
+    lifetime, so every question, claim and leaf task of the engine shares it.
 
-    Sound because every pipeline call runs at temperature 0, so one request
-    has one reply. Only replies are stored: an exception propagates as before
-    and a later identical request reaches the provider again. Each track
-    wraps its provider in a fresh memo per question, and the question's
-    claim threads and necessity tasks share it, so a lock guards the table.
-    The provider call runs outside the lock: two threads that ask one new
-    request at the same moment both send it. The necessity tasks of one
-    ``denoise`` call ask distinct labels, and claims of one question share
-    a prompt only when the draft repeats a claim, because every prompt a
-    claim sends embeds its text.
+    Sound only while one request has one reply: every pipeline call runs at
+    temperature 0, and a live endpoint must be deterministic there. A
+    request is keyed by a 16-byte digest of its prompt, temperature and
+    ``max_tokens``, and only the reply text is kept. The requests live in a
+    ``transport.SingleFlightCache`` of ``MEMO_ENTRIES``: a request already
+    in flight is waited for, not sent again; an error is never kept, so a
+    later identical request reaches the provider again; the least recently
+    used request is evicted first.
     """
 
     def __init__(self, inner: LLMProvider):
         self.inner = inner
         self.name = inner.name
-        self._lock = threading.Lock()
-        self._replies: dict[tuple[str, float, int], CompletionResponse] = {}
+        self._replies = SingleFlightCache(MEMO_ENTRIES)
 
     def complete(self, request: CompletionRequest) -> CompletionResponse:
-        key = (request.prompt, request.temperature, request.max_tokens)
-        with self._lock:
-            reply = self._replies.get(key)
-        if reply is None:
-            reply = self.inner.complete(request)
-            with self._lock:
-                self._replies[key] = reply
-        return reply
+        fields = f"{float(request.temperature)!r}\0{request.max_tokens}\0{request.prompt}"
+        key = hashlib.blake2b(fields.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+        text = self._replies.get(key, lambda: self.inner.complete(request).text)
+        return CompletionResponse(text=text, provider=self.name)
 
 
 def ask(llm: LLMProvider, template: PromptTemplate, **bindings: str) -> str:

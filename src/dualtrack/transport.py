@@ -3,15 +3,18 @@ the HTTP LLM, embedding and rerank providers.
 
 Every way one of them fails, from a refused connection to a reply the caller
 cannot use, is a :class:`ProviderError`. The module also holds the budget of
-threads that send requests, which sizes every HTTP connection pool.
+threads that send requests, which sizes every HTTP connection pool, and the
+one single-flight cache that both the KG cache and the LLM memo build on.
 """
 
 from __future__ import annotations
 
 import logging
 import random
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Future, ThreadPoolExecutor
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +44,60 @@ LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
 class ProviderError(Exception):
     """An outside service failed: transport, status, or a reply that does
     not hold what the caller asked for."""
+
+
+class SingleFlightCache:
+    """A bounded read-through map shared by threads: ``get(key, fetch)``
+    returns the value kept for ``key``, calling ``fetch()`` on a miss.
+
+    - Single-flight: a call for a key already in flight waits for the first
+      call's result instead of calling ``fetch`` again, so the number of
+      fetches does not depend on thread timing. The wait is safe on
+      ``LEAVES``, since the first call is running, not queued.
+    - An error is never kept: the key is dropped, so the next call fetches
+      again, and the calls already waiting on it get the same error.
+    - At most ``bound`` keys are kept, the least recently used evicted first.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._lock = threading.Lock()
+        # key -> finished value, or a Future while the first call runs
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key, fetch):
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                entry = self._entries[key] = Future()
+                if len(self._entries) > self.bound:
+                    self._entries.popitem(last=False)
+                owner = True
+            else:
+                self._entries.move_to_end(key)
+                owner = False
+        if not owner:
+            return entry.result() if isinstance(entry, Future) else entry
+        try:
+            value = fetch()
+        except BaseException as exc:
+            with self._lock:
+                if self._entries.get(key) is entry:
+                    del self._entries[key]
+            entry.set_exception(exc)
+            raise
+        with self._lock:
+            if self._entries.get(key) is entry:
+                self._entries[key] = value
+        entry.set_result(value)
+        return value
+
+    def holds(self, key) -> bool:
+        """Whether ``key`` has a finished value. It may still be evicted
+        before the next ``get``."""
+        with self._lock:
+            entry = self._entries.get(key)
+        return entry is not None and not isinstance(entry, Future)
 
 
 def http_session(parallelism: int = 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -19,7 +19,7 @@ from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
 from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
-from .llm import LLMProvider, MemoLLM, PromptTemplate, Unparseable, ask, parse_yes_no
+from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, verbalize
 from .transport import LEAVES, MAX_CLAIM_WORKERS
 
@@ -159,8 +159,9 @@ def _summarize(results: list[VerificationResult]) -> str:
 
 def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     """Full parallel track: draft, decompose, verify the facts, synthesize.
-    If nothing was verifiable the draft comes back flagged. Each distinct
-    prompt of the question reaches the LLM once (see ``MemoLLM``).
+    If nothing was verifiable the draft comes back flagged. The pipeline's
+    LLM is used as given: ``Engine`` hands in its run-wide ``MemoLLM``,
+    while a hand-built ``Pipeline`` stays unmemoised.
 
     The facts are independent, so they are verified concurrently, each on
     one of up to ``MAX_CLAIM_WORKERS`` threads that belong to this question;
@@ -168,7 +169,6 @@ def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     If claims fail, the error raised is the earliest failing claim's in fact
     order, whether linking or a later step raised it; claims already running
     finish first, and claims not yet started are cancelled."""
-    pipe = replace(pipe, llm=MemoLLM(pipe.llm))
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
     with ThreadPoolExecutor(max(1, min(len(facts), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:

@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 import threading
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -420,7 +419,7 @@ def test_chain_sends_each_necessity_prompt_once(templates):
     assert answer.flags == set()
 
 
-def test_engine_memo_lives_for_one_question(movie_store):
+def test_engine_memo_lives_for_the_engine(movie_store):
     script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
     stub = StubLLM(script=script)
     engine = Engine(EngineConfig(theta_search=0.0), store=movie_store, llm=stub)
@@ -428,9 +427,7 @@ def test_engine_memo_lives_for_one_question(movie_store):
     once = list(stub.calls)
     assert any(NECESSITY in c for c in once)
     assert engine.answer(QUESTION).to_dict() == first
-    # necessity prompts of one denoise call are sent concurrently, in no fixed order
-    assert len(stub.calls) == 2 * len(once)
-    assert Counter(stub.calls[len(once):]) == Counter(once)
+    assert stub.calls == once
 
 
 # ---------------------------------------------------------------------------

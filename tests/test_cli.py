@@ -274,6 +274,42 @@ def test_engine_sends_each_kg_query_once_per_run(workspace):
     assert set(Counter(store.calls).values()) == {1}
 
 
+def test_engine_sends_each_llm_prompt_once_per_run(workspace):
+    questions = [Question(id="c", text=CHAINED_Q), Question(id="p", text=PARALLEL_Q)]
+    script = [(e["match_substring"], e["response"]) for e in STUB_SCRIPT]
+    store = InMemoryTripleStore.from_file(workspace / "movies.triples")
+
+    def signature(answer):
+        return json.dumps(answer.to_dict(), sort_keys=True)
+
+    serial_llm = StubLLM(script=script)
+    serial = Engine(EngineConfig(theta_search=0.0), store=store, llm=serial_llm)
+    expected = {q.text: signature(serial.answer(q)) for q in questions}
+
+    stub = StubLLM(script=script)
+    engine = Engine(EngineConfig(theta_search=0.0, parallelism=4), store=store, llm=stub)
+    answers = {}
+    route = engine.answer
+
+    def answer(question):  # Engine.evaluate calls self.answer; keep each whole answer
+        result = route(question)
+        answers[question.id] = signature(result)
+        return result
+
+    engine.answer = answer
+    repeated = [Question(id=f"q{i}", text=q.text) for i, q in enumerate(questions * 6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = _evaluate_within(engine, repeated)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report["aggregate"]["invalid"] == 0
+    assert answers == {q.id: expected[q.text] for q in repeated}
+    assert set(Counter(stub.calls).values()) == {1}
+    assert Counter(stub.calls) == Counter(serial_llm.calls)
+
+
 def _random_questions(rng: random.Random, node_count: int) -> tuple[list[str], list[tuple[str, str]]]:
     """Questions of both tracks over an oracle graph of ``node_count``
     nodes, and the stub script that answers them. Subjects are linked
@@ -319,10 +355,10 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
     texts, script = _random_questions(rng, node_count)
     script += necessity_script(random_necessity(rng))
 
-    def engine():
+    def engine(llm=None):
         config = EngineConfig(alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5)
         return Engine(
-            config, store=store, llm=StubLLM(script=script, default="no"),
+            config, store=store, llm=llm or StubLLM(script=script, default="no"),
             embedder=HashEmbedding(48), reranker=OverlapRerank(),
         )
 
@@ -330,7 +366,8 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
         return json.dumps(answer.to_dict(), sort_keys=True)
 
     fresh = {text: signature(engine().answer(Question(id="f", text=text))) for text in texts}
-    shared = engine()
+    shared_llm = StubLLM(script=script, default="no")
+    shared = engine(shared_llm)
     questions = [Question(id=f"q{i}", text=text) for i, text in enumerate(texts * 3)]
     for _ in ("cold", "warm"):
         answers = {}
@@ -343,6 +380,8 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
         report = evaluate(questions, answer, parallelism=4)
         assert report["aggregate"]["invalid"] == 0
         assert answers == {q.id: fresh[q.text] for q in questions}
+    # over both passes, the shared engine sent each distinct prompt once
+    assert set(Counter(shared_llm.calls).values()) == {1}
 
 
 # ---------------------------------------------------------------------------

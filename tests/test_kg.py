@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -504,6 +505,32 @@ def test_fetch_relations_raises_tails_error(movie_store):
         fetch_relations(RecordingStore(movie_store, tail_down), EntityRef("QF1", "Inception"))
 
 
+class _CountingLeaves:
+    """Counts the tasks submitted to ``transport.LEAVES`` and runs them there."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return transport.LEAVES.submit(fn, *args)
+
+
+def test_fetch_relations_reads_a_cached_entity_inline(movie_store, monkeypatch):
+    inception, nolan = EntityRef("QF1", "Inception"), EntityRef("QF2", "Christopher Nolan")
+    expected = fetch_relations(movie_store, inception)
+    leaves = _CountingLeaves()
+    monkeypatch.setattr(kg, "LEAVES", leaves)
+    cached = CachedStore(movie_store)
+    assert fetch_relations(cached, inception) == expected
+    assert leaves.submitted == 1
+    assert fetch_relations(cached, inception) == expected
+    assert leaves.submitted == 1
+    cached.head_relations(nolan)  # only head is cached, so tail is still fetched on a leaf
+    fetch_relations(cached, nolan)
+    assert leaves.submitted == 2
+
+
 # ---------------------------------------------------------------------------
 # read-through cache
 # ---------------------------------------------------------------------------
@@ -547,6 +574,33 @@ def test_cached_store_does_not_cache_a_provider_error(movie_store):
     assert cached.tail_relations(inception) == movie_store.tail_relations(inception)
     assert cached.tail_relations(inception) == movie_store.tail_relations(inception)
     assert recording.calls == [("tail_relations", inception)] * 2
+
+
+def test_cached_store_hands_a_provider_error_to_every_caller_in_flight(movie_store):
+    release = threading.Event()
+    started = threading.Event()
+
+    def fail_first(method):
+        if not started.is_set():
+            started.set()
+            assert release.wait(timeout=2)
+            raise ProviderError("endpoint down")
+
+    recording = RecordingStore(movie_store, fail_first)
+    cached = CachedStore(recording)
+    inception = EntityRef("QF1", "Inception")
+    with ThreadPoolExecutor(4) as pool:
+        first = pool.submit(cached.tail_relations, inception)
+        assert started.wait(timeout=2)
+        waiters = [pool.submit(cached.tail_relations, inception) for _ in range(3)]
+        time.sleep(0.2)  # lets the waiters reach the query in flight
+        release.set()
+        for future in [first, *waiters]:
+            with pytest.raises(ProviderError, match="endpoint down"):
+                future.result(timeout=5)
+    assert recording.calls == [("tail_relations", inception)]
+    assert cached.tail_relations(inception) == movie_store.tail_relations(inception)
+    assert len(recording.calls) == 2
 
 
 def test_cached_store_raises_a_new_not_found_on_each_hit(movie_store):

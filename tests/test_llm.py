@@ -1,6 +1,10 @@
 """Prompt templating, provider doubles, and reply parsers."""
 
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -9,7 +13,7 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dualtrack import transport
+from dualtrack import llm, transport
 from dualtrack.config import PROVIDERS, EngineConfig
 from dualtrack.kg import EntityRef, RelationRef, SparqlClient, Triple
 from dualtrack.llm import (
@@ -440,7 +444,7 @@ def test_ask_renders_and_completes(templates):
 
 
 # ---------------------------------------------------------------------------
-# per-question memo
+# run-wide memo
 # ---------------------------------------------------------------------------
 
 
@@ -461,15 +465,32 @@ def test_memo_does_not_share_replies_across_max_tokens():
     assert stub.calls == ["p", "p"]
 
 
+def test_memo_does_not_share_replies_across_temperatures():
+    stub = StubLLM(default="x")
+    memo = MemoLLM(stub)
+    memo.complete(CompletionRequest("p", temperature=0.0))
+    memo.complete(CompletionRequest("p", temperature=0.7))
+    memo.complete(CompletionRequest("p", temperature=0.0))
+    assert stub.calls == ["p", "p"]
+
+
 class _FailsOnceLLM(LLMProvider):
+    """Raises ``ProviderError`` on its first call, after ``release`` is set
+    when one is given, and replies "ok" from then on."""
+
     name = "fails-once"
 
-    def __init__(self):
+    def __init__(self, release=None):
         self.calls = 0
+        self.started = threading.Event()
+        self.release = release
 
     def complete(self, request):
         self.calls += 1
         if self.calls == 1:
+            self.started.set()
+            if self.release is not None:
+                assert self.release.wait(timeout=2)
             raise ProviderError("transient outage")
         return CompletionResponse(text="ok", provider=self.name)
 
@@ -482,6 +503,61 @@ def test_memo_does_not_store_provider_errors():
     assert memo.complete(CompletionRequest("p")).text == "ok"
     assert memo.complete(CompletionRequest("p")).text == "ok"
     assert inner.calls == 2
+
+
+class _SlowLLM(StubLLM):
+    def complete(self, request):
+        time.sleep(0.05)  # holds the request open, so every caller asks while it is in flight
+        return super().complete(request)
+
+
+def test_memo_sends_one_request_for_callers_in_flight_together():
+    threads = 8
+    barrier = threading.Barrier(threads, timeout=2)
+    stub = _SlowLLM(default="x")
+    memo = MemoLLM(stub)
+
+    def complete(_):
+        barrier.wait()
+        return memo.complete(CompletionRequest("p")).text
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            replies = list(pool.map(complete, range(threads), timeout=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert replies == ["x"] * threads
+    assert stub.calls == ["p"]
+
+
+def test_memo_hands_a_provider_error_to_every_caller_in_flight():
+    release = threading.Event()
+    inner = _FailsOnceLLM(release)
+    memo = MemoLLM(inner)
+    with ThreadPoolExecutor(4) as pool:
+        first = pool.submit(memo.complete, CompletionRequest("p"))
+        assert inner.started.wait(timeout=2)
+        waiters = [pool.submit(memo.complete, CompletionRequest("p")) for _ in range(3)]
+        time.sleep(0.2)  # lets the waiters reach the request in flight
+        release.set()
+        for future in [first, *waiters]:
+            with pytest.raises(ProviderError, match="transient outage"):
+                future.result(timeout=5)
+    assert inner.calls == 1
+    assert memo.complete(CompletionRequest("p")).text == "ok"
+    assert inner.calls == 2
+
+
+def test_memo_evicts_the_least_recently_used_request(monkeypatch):
+    monkeypatch.setattr(llm, "MEMO_ENTRIES", 2)
+    stub = StubLLM(default="x")
+    memo = MemoLLM(stub)
+    for prompt in ("a", "b", "a", "c", "a", "b"):
+        memo.complete(CompletionRequest(prompt))
+    # "b" was the least recently used when "c" came in
+    assert stub.calls == ["a", "b", "c", "b"]
 
 
 # ---------------------------------------------------------------------------
