@@ -26,8 +26,7 @@ from .denoise import denoise
 from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
 from .linking import LinkFailure, link_surface
 from .llm import Unparseable, ask, parse_yes_no
-from .scoring import ScoredCandidate, score_candidates
-from .transport import LEAVES
+from .scoring import ScoredCandidate, score_candidates, submit_scoring
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -142,10 +141,10 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
             candidates.append(triple)
 
     pool = denoise(candidates, question.text, cfg)  # rule layer only
-    # Necessity reads only labels, so the rule-kept pool is scored on a leaf
-    # thread while denoise asks each distinct label once on this one. A
+    # Necessity reads only labels, so the rule-kept pool is scored on leaf
+    # threads while denoise asks each distinct label once on this one. A
     # scoring error wins, raised once both have finished.
-    scoring = LEAVES.submit(score_candidates, question.text, pool, cfg, pipe.embedder, pipe.reranker)
+    scoring = submit_scoring(score_candidates, question.text, pool, cfg, pipe.embedder, pipe.reranker)
     try:
         kept = denoise(pool, question.text, cfg, pipe.llm, pipe.templates["necessity"])
     finally:

@@ -7,7 +7,9 @@ the ones below a threshold. The scores are independent, so each distinct
 relation label is asked once, and all labels are asked concurrently on the
 process's leaf executor, ``transport.LEAVES``. The necessity layer reads
 only labels, so both tracks run it over the rule-kept pool while that pool
-is scored, and keep the scored candidates whose label passed.
+is scored, and keep the scored candidates whose label passed. A label whose
+reply the engine's ``MemoLLM`` already holds is scored inline instead, since
+a hand-off to a leaf thread costs more than reading the memo.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
@@ -15,11 +17,20 @@ provider errors all keep the item and log a warning.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import wait
+from concurrent.futures import Future, wait
 from typing import TYPE_CHECKING, Sequence, Union
 
 from .kg import RelationRef, Triple, term_label
-from .llm import LLMProvider, PromptTemplate, ProviderError, Unparseable, ask, parse_score
+from .llm import (
+    CompletionRequest,
+    LLMProvider,
+    MemoLLM,
+    PromptTemplate,
+    ProviderError,
+    Unparseable,
+    parse_score,
+    render,
+)
 from .transport import LEAVES
 
 if TYPE_CHECKING:
@@ -45,6 +56,10 @@ def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     return any(keyword in label for keyword in cfg.k_invalid)
 
 
+def _necessity_request(relation: RelationRef, question: str, template: PromptTemplate) -> CompletionRequest:
+    return CompletionRequest(prompt=render(template, {"relation": term_label(relation), "question": question}))
+
+
 def necessity_score(
     relation: RelationRef,
     question: str,
@@ -56,7 +71,7 @@ def necessity_score(
     An unparseable reply scores 1.0 (keep) so parse failures can never
     silently delete evidence.
     """
-    reply = ask(llm, template, relation=term_label(relation), question=question)
+    reply = llm.complete(_necessity_request(relation, question, template)).text
     try:
         return parse_score(reply)
     except Unparseable:
@@ -97,10 +112,11 @@ def denoise(
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
     and no task is submitted. Otherwise candidates that share a label share
     one necessity prompt, and the distinct labels are scored concurrently on
-    ``transport.LEAVES``; the call waits for every label. A provider error
-    keeps every candidate with that label. Any other error raised is the one
-    for the earliest such label in input order, raised once every label has
-    finished: no label is cancelled.
+    ``transport.LEAVES``, except those whose reply a ``MemoLLM`` already
+    holds, which are scored inline once the others are submitted; the call
+    waits for every label. A provider error keeps every candidate with that
+    label. Any other error raised is the one for the earliest such label in
+    input order, raised once every label has finished: no label is cancelled.
     """
     kept = [c for c in candidates if not rule_filter(_relation_of(c), cfg)]
     if llm is None or template is None or cfg.theta_necessity == 0.0:
@@ -109,7 +125,27 @@ def denoise(
     for candidate in kept:
         relation = _relation_of(candidate)
         relations.setdefault(term_label(relation), relation)
-    verdicts = [LEAVES.submit(_necessary, r, question, cfg, llm, template) for r in relations.values()]
-    wait(verdicts)
-    necessary = {label: verdict.result() for label, verdict in zip(relations, verdicts)}
+    held = {
+        label: r
+        for label, r in relations.items()
+        if isinstance(llm, MemoLLM) and llm.holds(_necessity_request(r, question, template))
+    }
+    verdicts = {
+        label: LEAVES.submit(_necessary, r, question, cfg, llm, template)
+        for label, r in relations.items()
+        if label not in held
+    }
+    verdicts.update((label, _run_inline(_necessary, r, question, cfg, llm, template)) for label, r in held.items())
+    wait(verdicts.values())
+    necessary = {label: verdicts[label].result() for label in relations}
     return [c for c in kept if necessary[term_label(_relation_of(c))]]
+
+
+def _run_inline(fn, *args) -> Future:
+    """``fn(*args)`` run on this thread, its outcome held in a done future."""
+    outcome = Future()
+    try:
+        outcome.set_result(fn(*args))
+    except Exception as exc:
+        outcome.set_exception(exc)
+    return outcome

@@ -186,11 +186,19 @@ class MemoLLM(LLMProvider):
         self.name = inner.name
         self._replies = SingleFlightCache(MEMO_ENTRIES)
 
-    def complete(self, request: CompletionRequest) -> CompletionResponse:
+    @staticmethod
+    def _key(request: CompletionRequest) -> bytes:
         fields = f"{float(request.temperature)!r}\0{request.max_tokens}\0{request.prompt}"
-        key = hashlib.blake2b(fields.encode("utf-8", "surrogatepass"), digest_size=16).digest()
-        text = self._replies.get(key, lambda: self.inner.complete(request).text)
+        return hashlib.blake2b(fields.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+
+    def complete(self, request: CompletionRequest) -> CompletionResponse:
+        text = self._replies.get(self._key(request), lambda: self.inner.complete(request).text)
         return CompletionResponse(text=text, provider=self.name)
+
+    def holds(self, request: CompletionRequest) -> bool:
+        """Whether the reply to ``request`` is kept, so ``complete`` answers
+        it without a round trip unless it is evicted first."""
+        return self._replies.holds(self._key(request))
 
 
 def ask(llm: LLMProvider, template: PromptTemplate, **bindings: str) -> str:

@@ -2,9 +2,10 @@
 
 Stage I embeds the query and every candidate's verbalization and keeps the
 top-N by cosine similarity; Stage II reranks only the survivors and fuses
-both scores with weight ``alpha``. Embedding and rerank providers are
-pluggable; the built-in hash/overlap providers need no model and keep runs
-deterministic.
+both scores with weight ``alpha``. When the cut keeps every candidate, the
+rerank is sent alongside the embedding instead of after it. Embedding and
+rerank providers are pluggable; the built-in hash/overlap providers need no
+model and keep runs deterministic.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ import hashlib
 import math
 import re
 import sys
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 import numpy as np
 
 from .kg import RelationRef, Triple, term_label
-from .transport import ProviderError, http_session, request_json
+from .transport import LEAVES, ProviderError, http_session, request_json
 
 if TYPE_CHECKING:
     from .config import EngineConfig
@@ -181,6 +183,11 @@ class HttpEmbedding(EmbeddingProvider):
 
 
 class RerankProvider:
+    """Scores each text's relevance to the query: one score per text, in
+    the order of ``texts``. A text's score may not depend on the other texts
+    or on their order. A pool of at most ``top_n`` candidates is sent whole
+    in candidate order, a larger one as its top ``top_n`` in cosine order."""
+
     def rerank(self, query: str, texts: Sequence[str]) -> list[float]:
         raise NotImplementedError
 
@@ -224,20 +231,35 @@ def score_candidates(
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
+    early_rerank: Future | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the query and return them sorted by the fused
     score, descending.
 
     Candidates cut in Stage I are never shown to the reranker; with the
-    default config that bounds every rerank call to 50 texts. An embedder or
-    reranker reply with the wrong number of rows, an embedding row whose
-    shape differs from the query's, or a NaN or infinite value is a
-    ``ProviderError``.
+    default config that bounds every rerank call to 50 texts. With
+    ``early_rerank``, the future of the whole pool's rerank sent by
+    :func:`submit_scoring`, the reranker is not called again: each
+    candidate's Stage II score is read from that reply by its index, once
+    the embedding has returned. Both tracks score through
+    :func:`submit_scoring` while their necessity prompts run, so one
+    grounding step can have embedding, rerank and necessity requests in
+    flight at once.
+
+    An embedding error wins over a rerank error, and either is raised only
+    once the early rerank has finished. An embedder or reranker reply with
+    the wrong number of rows (against the whole pool for an early rerank),
+    an embedding row whose shape differs from the query's, or a NaN or
+    infinite value is a ``ProviderError``.
     """
     if not candidates:
         return []
     texts = [verbalize(c) for c in candidates]
-    vectors = embedder.embed([query_text] + texts)
+    try:
+        vectors = embedder.embed([query_text] + texts)
+    finally:
+        if early_rerank is not None:
+            wait([early_rerank])
     if len(vectors) != len(texts) + 1:
         raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
     query_vec = vectors[0]
@@ -249,8 +271,12 @@ def score_candidates(
         ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))
         for c, t, v in zip(candidates, texts, vectors[1:])
     ]
-    survivors = top_n(scored, cfg.top_n, key="cos")
-    rerank_scores = reranker.rerank(query_text, [s.text for s in survivors])
+    if early_rerank is None:
+        survivors = top_n(scored, cfg.top_n, key="cos")
+        rerank_scores = reranker.rerank(query_text, [s.text for s in survivors])
+    else:
+        survivors = scored  # the cut keeps every candidate, in candidate order
+        rerank_scores = early_rerank.result()
     if len(rerank_scores) != len(survivors):
         raise ProviderError(
             f"reranker returned {len(rerank_scores)} scores for {len(survivors)} candidates"
@@ -262,3 +288,29 @@ def score_candidates(
         for s, score in zip(survivors, rerank_scores)
     ]
     return sorted(fused, key=lambda c: (-c.combined, payload_id(c.payload)))
+
+
+def submit_scoring(
+    score: Callable[..., list[ScoredCandidate]],
+    query_text: str,
+    candidates: Sequence[Payload],
+    cfg: EngineConfig,
+    embedder: EmbeddingProvider,
+    reranker: RerankProvider,
+) -> Future:
+    """Run ``score`` on ``transport.LEAVES`` and return its future. Each
+    caller passes its own module's :func:`score_candidates`, the name a
+    tracer rebinds.
+
+    When the pool holds at most ``cfg.top_n`` candidates, Stage I's cut keeps
+    all of them, so the rerank input is known before the embedding returns.
+    The whole pool's rerank, in candidate order, is then submitted first and
+    handed to ``score`` as ``early_rerank``: the step waits on one round trip
+    instead of two. The scoring task waits only on that earlier task, which
+    ``LEAVES`` has started by then. A larger pool is reranked after the
+    embedding, its top ``cfg.top_n`` in cosine order.
+    """
+    early = None
+    if 0 < len(candidates) <= cfg.top_n:
+        early = LEAVES.submit(reranker.rerank, query_text, [verbalize(c) for c in candidates])
+    return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early)

@@ -28,15 +28,22 @@ HTTP_BACKOFF_S = 1.0
 
 # The provider-request budget. A question runs on one thread and verifies
 # its claims on up to ``MAX_CLAIM_WORKERS`` threads of its own, which mostly
-# wait on provider round trips; 8 claim threads are not yet shown better
-# than 3 over 10 alternating pairs, so 3 stays.
+# wait on provider round trips. More are faster: 8 per question cut
+# verify_fanout's p50 from 33.3 to 24.1 ms (3 alternating pairs, 2-core
+# machine). But the benchmark keeps every answer it measures, so its peak
+# RSS grows with throughput, and one claim executor per process took it
+# past its 10% bound. 3 stays until the benchmark stops keeping answers.
 MAX_CLAIM_WORKERS = 3
 
 # Every leaf task of the process runs on ``LEAVES``, whose threads start on
-# demand and then stay: necessity prompts, tail fetches, and Stage I/II
-# scoring while the necessity prompts are in flight. Question and claim
-# threads share it. That is safe because a task on it never submits to or
-# waits on an executor, so no task waits for one queued behind it.
+# demand and then stay: necessity prompts, tail fetches, early Stage II
+# reranks, and Stage I/II scoring while the necessity prompts are in flight.
+# Question and claim threads share it. That is safe because a task on it
+# never submits to an executor and waits only on work that has started: a
+# cache read on the first call for its key, or a scoring task on its early
+# rerank, submitted just before it. Tasks start in the order they were
+# submitted, so that rerank is running or done, and no task waits for one
+# queued behind it.
 LEAF_THREADS = 64
 LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
 

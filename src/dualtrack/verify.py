@@ -20,8 +20,8 @@ from .denoise import denoise
 from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import score_candidates, verbalize
-from .transport import LEAVES, MAX_CLAIM_WORKERS
+from .scoring import score_candidates, submit_scoring, verbalize
+from .transport import MAX_CLAIM_WORKERS
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -114,8 +114,8 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     pool = denoise(pool, fact.text, pipe.config)  # rule layer only
     if not pool:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    # scored on a leaf thread while the necessity prompts run, as in chain.expand
-    scoring = LEAVES.submit(score_candidates, fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
+    # scored on leaf threads while the necessity prompts run, as in chain.expand
+    scoring = submit_scoring(score_candidates, fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
     try:
         kept = denoise(pool, fact.text, pipe.config, pipe.llm, pipe.templates["necessity"])
     finally:

@@ -107,6 +107,17 @@ class CountingRerank(RerankProvider):
         return self.inner.rerank(query, texts)
 
 
+class CountingLeaves:
+    """Counts the tasks submitted to ``transport.LEAVES`` and runs them there."""
+
+    def __init__(self):
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        return transport.LEAVES.submit(fn, *args)
+
+
 NECESSITY = "Rate how necessary the relation is"
 
 

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import FailingLLM
+from conftest import CountingLeaves, FailingLLM
+from dualtrack import denoise as denoise_module
 from dualtrack.config import EngineConfig
 from dualtrack.denoise import denoise, necessity_score, rule_filter
 from dualtrack.kg import RelationRef, parse_triples
-from dualtrack.llm import CompletionResponse, LLMProvider, ProviderError, StubLLM
+from dualtrack.llm import CompletionResponse, LLMProvider, MemoLLM, ProviderError, StubLLM
 from dualtrack.transport import LEAF_THREADS
 from oracles import serial_denoise
 
@@ -318,6 +319,24 @@ def test_denoise_sends_one_prompt_per_distinct_label(cfg, templates):
     stub = StubLLM(default="0.9")
     assert denoise(relations, "q", cfg, stub, templates["necessity"]) == relations
     assert Counter(_RELATION_LINE.search(c).group(1) for c in stub.calls) == Counter(set(labels))
+
+
+def test_denoise_scores_labels_the_memo_holds_inline(cfg, templates, monkeypatch):
+    leaves = CountingLeaves()
+    monkeypatch.setattr(denoise_module, "LEAVES", leaves)
+    labels = ["director", "height", "director", "spouse"]
+    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    stub = StubLLM(script=[("Relation: height", "0.1")], default="0.9")
+    memo = MemoLLM(stub)
+    expected = [r for r in relations if r.label != "height"]
+    assert denoise(relations, "q", cfg, memo, templates["necessity"]) == expected
+    assert leaves.submitted == 3
+    assert denoise(relations, "q", cfg, memo, templates["necessity"]) == expected
+    assert leaves.submitted == 3  # warm: every label read inline
+    genre = RelationRef("P9", "genre")
+    assert denoise([genre] + relations, "q", cfg, memo, templates["necessity"]) == [genre] + expected
+    assert leaves.submitted == 4  # only the label the memo lacks goes to a leaf
+    assert len(stub.calls) == 4
 
 
 _LABELS = ["director", "spouse", "genre", "cast member", "award", "data source", ""]

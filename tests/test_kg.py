@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from conftest import RecordingStore
+from conftest import CountingLeaves, RecordingStore
 from dualtrack import kg, transport
 from dualtrack.kg import (
     MAX_CONCURRENT_QUERIES,
@@ -505,21 +505,10 @@ def test_fetch_relations_raises_tails_error(movie_store):
         fetch_relations(RecordingStore(movie_store, tail_down), EntityRef("QF1", "Inception"))
 
 
-class _CountingLeaves:
-    """Counts the tasks submitted to ``transport.LEAVES`` and runs them there."""
-
-    def __init__(self):
-        self.submitted = 0
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        return transport.LEAVES.submit(fn, *args)
-
-
 def test_fetch_relations_reads_a_cached_entity_inline(movie_store, monkeypatch):
     inception, nolan = EntityRef("QF1", "Inception"), EntityRef("QF2", "Christopher Nolan")
     expected = fetch_relations(movie_store, inception)
-    leaves = _CountingLeaves()
+    leaves = CountingLeaves()
     monkeypatch.setattr(kg, "LEAVES", leaves)
     cached = CachedStore(movie_store)
     assert fetch_relations(cached, inception) == expected

@@ -474,6 +474,15 @@ def test_memo_does_not_share_replies_across_temperatures():
     assert stub.calls == ["p", "p"]
 
 
+def test_memo_holds_a_request_once_its_reply_is_kept():
+    memo = MemoLLM(StubLLM(default="x"))
+    assert not memo.holds(CompletionRequest("p"))
+    memo.complete(CompletionRequest("p"))
+    assert memo.holds(CompletionRequest("p"))
+    assert not memo.holds(CompletionRequest("p", max_tokens=16))
+    assert not memo.holds(CompletionRequest("q"))
+
+
 class _FailsOnceLLM(LLMProvider):
     """Raises ``ProviderError`` on its first call, after ``release`` is set
     when one is given, and replies "ok" from then on."""

@@ -2,6 +2,7 @@
 the stage-ordering contract."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from dualtrack.scoring import (
     fuse,
     payload_id,
     score_candidates,
+    submit_scoring,
     top_n,
     verbalize,
 )
@@ -271,6 +273,12 @@ def _relations(n):
     return [RelationRef(f"P{i:02d}", f"topic{i} word{i}") for i in range(n)]
 
 
+def _score(query, candidates, cfg, embedder, reranker):
+    """``score_candidates`` as both tracks run it, through ``submit_scoring``:
+    a pool of at most ``cfg.top_n`` candidates has its rerank sent early."""
+    return submit_scoring(score_candidates, query, candidates, cfg, embedder, reranker).result()
+
+
 def test_score_candidates_empty():
     assert score_candidates("q", [], EngineConfig(), HashEmbedding(16), ConstantRerank()) == []
 
@@ -364,9 +372,12 @@ def test_score_candidates_rejects_non_finite_query_embedding(value):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_score_candidates_rejects_non_finite_rerank_score(value):
-    reranker = MappingRerank({"c fact": value}, default=0.5)
-    with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", _ABCD, EngineConfig(), HashEmbedding(16), reranker)
+    # once with the pool within top_n (reranked early), once over it
+    for top in (len(_ABCD), len(_ABCD) - 1):
+        reranker = CountingRerank(MappingRerank({"c fact": value}, default=0.5))
+        with pytest.raises(ProviderError, match="NaN or infinite"):
+            _score("a b c d fact", _ABCD, EngineConfig(top_n=top), HashEmbedding(16), reranker)
+        assert "c fact" in reranker.batches[0]
 
 
 class _ReplyEmbedding(EmbeddingProvider):
@@ -399,20 +410,23 @@ _NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 @st.composite
 def _well_formed_replies(draw):
-    """(candidates, config, embedder rows, rerank scores) for a call whose
-    providers answer one finite row per text and one finite score per
-    Stage-I survivor."""
-    n = draw(st.integers(1, 6))
-    cfg = EngineConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=draw(st.integers(1, n + 1)), dimension=3)
+    """(candidates, config, embedder rows, one rerank score per candidate)
+    for a call whose providers answer one finite row per text and one finite
+    score per text. The pool is drawn within ``top_n`` (reranked alongside
+    the embedding) or over it (reranked after)."""
+    within = draw(st.booleans(), label="pool within top_n")
+    n = draw(st.integers(1 if within else 2, 6))
+    top = draw(st.integers(n, n + 1) if within else st.integers(1, n - 1))
+    cfg = EngineConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=top, dimension=3)
     rows = [draw(_QUERY_ROW)] + draw(st.lists(_ROW, min_size=n, max_size=n))
-    survivors = min(cfg.top_n, n)
-    scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=survivors, max_size=survivors))
+    scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
     return _relations(n), cfg, rows, scores
 
 
 @given(reply=_well_formed_replies())
 def test_score_candidates_well_formed_replies_match_independent_recompute(reply):
     candidates, cfg, rows, scores = reply
+    score = {c.id: value for c, value in zip(candidates, scores)}
     norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
     cos = {
         c.id: sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm) if norm else 0.0
@@ -420,11 +434,11 @@ def test_score_candidates_well_formed_replies_match_independent_recompute(reply)
     }
     survivors = sorted(cos, key=lambda cid: (-cos[cid], cid))[: cfg.top_n]
     combined = {
-        cid: cfg.alpha * min(1.0, max(0.0, score)) + (1.0 - cfg.alpha) * cos[cid]
-        for cid, score in zip(survivors, scores)
+        cid: cfg.alpha * min(1.0, max(0.0, score[cid])) + (1.0 - cfg.alpha) * cos[cid] for cid in survivors
     }
     expected = sorted(combined, key=lambda cid: (-combined[cid], cid))
-    result = score_candidates("q", candidates, cfg, _ReplyEmbedding(rows), _ReplyRerank(scores))
+    reranker = MappingRerank({verbalize(c): value for c, value in zip(candidates, scores)})
+    result = _score("q", candidates, cfg, _ReplyEmbedding(rows), reranker)
     assert [c.payload.id for c in result] == expected
     assert [c.combined for c in result] == pytest.approx([combined[cid] for cid in expected])
 
@@ -453,12 +467,79 @@ def _row_with_non_finite_or_of_another_length(row):
 @given(reply=_well_formed_replies(), data=st.data())
 def test_score_candidates_malformed_provider_reply_is_a_provider_error(reply, data):
     candidates, cfg, rows, scores = reply
+    scores = scores[: cfg.top_n]  # one per text the reranker is shown
     if data.draw(st.booleans(), label="spoil the embedder"):
         rows = _spoiled(data, rows, _row_with_non_finite_or_of_another_length)
     else:
         scores = _spoiled(data, scores, lambda score: _NON_FINITE)
     with pytest.raises(ProviderError, match="embedder returned|reranker returned"):
-        score_candidates("q", candidates, cfg, _ReplyEmbedding(rows), _ReplyRerank(scores))
+        _score("q", candidates, cfg, _ReplyEmbedding(rows), _ReplyRerank(scores))
+
+
+class _LoggingEmbedding(HashEmbedding):
+    """Hash embeddings that hold their reply back until the reranker has
+    been called, or ``patience`` seconds have passed, then log it."""
+
+    def __init__(self, log, reranked, patience):
+        super().__init__(16)
+        self.log = log
+        self.reranked = reranked
+        self.patience = patience
+
+    def embed(self, texts):
+        self.reranked.wait(timeout=self.patience)
+        self.log.append("embedding reply")
+        return super().embed(texts)
+
+
+class _LoggingRerank(OverlapRerank):
+    """Token-overlap rerank that logs the texts of every call."""
+
+    def __init__(self, log, reranked):
+        self.log = log
+        self.reranked = reranked
+
+    def rerank(self, query, texts):
+        self.log.append(("rerank", list(texts)))
+        self.reranked.set()
+        return super().rerank(query, texts)
+
+
+_QUERY = "topic3 word7 topic5"
+
+
+def test_a_pool_within_top_n_is_reranked_before_the_embedding_returns():
+    log, reranked = [], threading.Event()
+    candidates = _relations(5)
+    cfg = EngineConfig(top_n=5)
+    embedder = _LoggingEmbedding(log, reranked, patience=5)
+    result = _score(_QUERY, candidates, cfg, embedder, _LoggingRerank(log, reranked))
+    assert log == [("rerank", [verbalize(c) for c in candidates]), "embedding reply"]
+    assert result == score_candidates(_QUERY, candidates, cfg, HashEmbedding(16), OverlapRerank())
+
+
+def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embedding():
+    log, reranked = [], threading.Event()
+    candidates = _relations(6)
+    cfg = EngineConfig(top_n=5)
+    _score(_QUERY, candidates, cfg, _LoggingEmbedding(log, reranked, patience=0), _LoggingRerank(log, reranked))
+    texts = [verbalize(c) for c in candidates]
+    vectors = HashEmbedding(16).embed([_QUERY] + texts)
+    cos = {c.id: cosine(vectors[0], v) for c, v in zip(candidates, vectors[1:])}
+    by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].id], pair[0].id))
+    assert log == ["embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
+
+
+class _DownRerank(RerankProvider):
+    def rerank(self, query, texts):
+        raise ProviderError("rerank endpoint failed: down")
+
+
+def test_an_embedding_error_wins_over_an_early_rerank_error():
+    reranker = CountingRerank(_DownRerank())
+    with pytest.raises(ProviderError, match="embedder returned 5 vectors"):
+        _score("topic", _relations(5), EngineConfig(), _ShortEmbedding(16), reranker)
+    assert len(reranker.batches) == 1  # the early rerank was sent, and finished first
 
 
 def test_stage_two_never_sees_stage_one_rejects():
