@@ -71,7 +71,11 @@ def necessity_score(
     An unparseable reply scores 1.0 (keep) so parse failures can never
     silently delete evidence.
     """
-    reply = llm.complete(_necessity_request(relation, question, template)).text
+    return _score(relation, _necessity_request(relation, question, template), llm)
+
+
+def _score(relation: RelationRef, request: CompletionRequest, llm: LLMProvider) -> float:
+    reply = llm.complete(request).text
     try:
         return parse_score(reply)
     except Unparseable:
@@ -79,17 +83,11 @@ def necessity_score(
         return 1.0
 
 
-def _necessary(
-    relation: RelationRef,
-    question: str,
-    cfg: EngineConfig,
-    llm: LLMProvider,
-    template: PromptTemplate,
-) -> bool:
+def _necessary(relation: RelationRef, request: CompletionRequest, cfg: EngineConfig, llm: LLMProvider) -> bool:
     """True when the relation passes the necessity threshold or cannot be
     scored because the provider failed."""
     try:
-        score = necessity_score(relation, question, llm, template)
+        score = _score(relation, request, llm)
     except ProviderError as exc:
         log.warning("necessity scoring failed for %s (%s); keeping", relation.id, exc)
         return True
@@ -111,12 +109,13 @@ def denoise(
 
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
     and no task is submitted. Otherwise candidates that share a label share
-    one necessity prompt, and the distinct labels are scored concurrently on
-    ``transport.LEAVES``, except those whose reply a ``MemoLLM`` already
-    holds, which are scored inline once the others are submitted; the call
-    waits for every label. A provider error keeps every candidate with that
-    label. Any other error raised is the one for the earliest such label in
-    input order, raised once every label has finished: no label is cancelled.
+    one necessity prompt, rendered once, and the distinct labels are scored
+    concurrently on ``transport.LEAVES``, except those whose reply a
+    ``MemoLLM`` already holds, which are scored inline once the others are
+    submitted; the call waits for every label. A provider error keeps every
+    candidate with that label. Any other error raised is the one for the
+    earliest such label in input order, raised once every label has
+    finished: no label is cancelled.
     """
     kept = [c for c in candidates if not rule_filter(_relation_of(c), cfg)]
     if llm is None or template is None or cfg.theta_necessity == 0.0:
@@ -125,27 +124,27 @@ def denoise(
     for candidate in kept:
         relation = _relation_of(candidate)
         relations.setdefault(term_label(relation), relation)
-    held = {
-        label: r
-        for label, r in relations.items()
-        if isinstance(llm, MemoLLM) and llm.holds(_necessity_request(r, question, template))
-    }
-    verdicts = {
-        label: LEAVES.submit(_necessary, r, question, cfg, llm, template)
-        for label, r in relations.items()
+    requests = {label: _necessity_request(r, question, template) for label, r in relations.items()}
+    held = [label for label, request in requests.items() if isinstance(llm, MemoLLM) and llm.holds(request)]
+    verdicts: dict[str, bool | Exception | Future] = {
+        label: LEAVES.submit(_necessary, relations[label], request, cfg, llm)
+        for label, request in requests.items()
         if label not in held
     }
-    verdicts.update((label, _run_inline(_necessary, r, question, cfg, llm, template)) for label, r in held.items())
-    wait(verdicts.values())
-    necessary = {label: verdicts[label].result() for label in relations}
+    for label in held:
+        try:
+            verdicts[label] = _necessary(relations[label], requests[label], cfg, llm)
+        except Exception as exc:  # raised below, in label order
+            verdicts[label] = exc
+    wait([v for v in verdicts.values() if isinstance(v, Future)])
+    necessary = {label: _verdict(verdicts[label]) for label in relations}
     return [c for c in kept if necessary[term_label(_relation_of(c))]]
 
 
-def _run_inline(fn, *args) -> Future:
-    """``fn(*args)`` run on this thread, its outcome held in a done future."""
-    outcome = Future()
-    try:
-        outcome.set_result(fn(*args))
-    except Exception as exc:
-        outcome.set_exception(exc)
+def _verdict(outcome: bool | Exception | Future) -> bool:
+    """A label's verdict from a leaf's future, or from its inline outcome."""
+    if isinstance(outcome, Future):
+        return outcome.result()
+    if isinstance(outcome, Exception):
+        raise outcome
     return outcome

@@ -16,9 +16,8 @@ import re
 import sys
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence, Union
-
-import numpy as np
 
 from .kg import RelationRef, Triple, term_label
 from .transport import LEAVES, ProviderError, http_session, request_json
@@ -60,15 +59,32 @@ def verbalize(payload: Payload) -> str:
     return " ".join(term_label(part) for part in (payload.subject, payload.relation, payload.object))
 
 
-def cosine(query: np.ndarray, row: np.ndarray) -> float:
-    """Cosine of a candidate row and the query row. An all-zero candidate
-    row scores 0.0, so its candidate still ranks deterministically; an
-    all-zero query has no direction and raises ``ZeroVector``."""
-    norm_query = float(np.linalg.norm(query))
+def _norm(values: Sequence[float]) -> float:
+    """Euclidean norm of ``values``. A NaN or infinite value, or a sum of
+    squares beyond the float range, is an embedder fault."""
+    squares = sum(map(mul, values, values))
+    if not math.isfinite(squares):
+        raise ProviderError("embedder returned a NaN or infinite value")
+    return math.sqrt(squares)
+
+
+def cosines(query: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
+    """Cosine of each row with the query. Zero coordinates are skipped, which
+    is exact, since a zero adds nothing: a dot product reads only the query's
+    nonzero coordinates, and a row's norm only the row's own. A NaN or
+    infinite value in any row is a ``ProviderError``; after that, an all-zero
+    query has no direction and raises ``ZeroVector``, while an all-zero row
+    scores 0.0, so its candidate still ranks deterministically."""
+    spots = [i for i, x in enumerate(query) if x]  # NaN is truthy, so it stays
+    query_values = [query[i] for i in spots]
+    norm_query = _norm(query_values)
+    norms = [_norm(list(filter(None, row))) for row in rows]
     if norm_query == 0.0:
         raise ZeroVector("cosine undefined for a zero query vector")
-    norm_row = float(np.linalg.norm(row))
-    return float(np.dot(query, row) / (norm_query * norm_row)) if norm_row else 0.0
+    return [
+        sum(map(mul, query_values, map(row.__getitem__, spots))) / (norm_query * norm) if norm else 0.0
+        for row, norm in zip(rows, norms)
+    ]
 
 
 def fuse(candidate: ScoredCandidate, cfg: EngineConfig) -> ScoredCandidate:
@@ -118,9 +134,11 @@ def token_jaccard(a: str, b: str) -> float:
 
 
 class EmbeddingProvider:
+    """Embeds texts: one row of ``dimension`` floats per text, in order."""
+
     dimension: int = 0
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         raise NotImplementedError
 
 
@@ -136,10 +154,10 @@ class HashEmbedding(EmbeddingProvider):
         digest = hashlib.sha1(token.encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.dimension
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         vectors = []
         for text in texts:
-            vec = np.zeros(self.dimension, dtype=float)
+            vec = [0.0] * self.dimension
             for token in _tokens(text):
                 vec[self._index(token)] += 1.0
             vectors.append(vec)
@@ -167,19 +185,18 @@ class HttpEmbedding(EmbeddingProvider):
         self._session = session or http_session(parallelism)
         self.timeout = timeout
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> list[list[float]]:
         payload = {"texts": list(texts)}
         reply = request_json(self._session, "post", self.url, self.timeout, "embedding", json=payload)
         rows = reply.get("embeddings")
         if not isinstance(rows, list) or not all(_is_numbers(row) for row in rows):
             raise ProviderError("embedding endpoint failed: 'embeddings' is not a list of number lists")
-        vectors = [np.asarray(row, dtype=float) for row in rows]
-        for vec in vectors:
-            if vec.shape != (self.dimension,):
+        for row in rows:
+            if len(row) != self.dimension:
                 raise ProviderError(
-                    f"embedding endpoint failed: expected dimension {self.dimension}, got {vec.shape}"
+                    f"embedding endpoint failed: expected dimension {self.dimension}, got {len(row)}"
                 )
-        return vectors
+        return [list(map(float, row)) for row in rows]
 
 
 class RerankProvider:
@@ -249,7 +266,7 @@ def score_candidates(
     An embedding error wins over a rerank error, and either is raised only
     once the early rerank has finished. An embedder or reranker reply with
     the wrong number of rows (against the whole pool for an early rerank),
-    an embedding row whose shape differs from the query's, or a NaN or
+    an embedding row whose length differs from the query's, or a NaN or
     infinite value is a ``ProviderError``.
     """
     if not candidates:
@@ -262,14 +279,11 @@ def score_candidates(
             wait([early_rerank])
     if len(vectors) != len(texts) + 1:
         raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
-    query_vec = vectors[0]
-    if any(np.shape(v) != np.shape(query_vec) for v in vectors):
+    if any(len(v) != len(vectors[0]) for v in vectors):
         raise ProviderError("embedder returned rows of different shapes")
-    if not all(np.isfinite(v).all() for v in vectors):
-        raise ProviderError("embedder returned a NaN or infinite value")
     scored = [
-        ScoredCandidate(payload=c, text=t, cos=cosine(query_vec, v))
-        for c, t, v in zip(candidates, texts, vectors[1:])
+        ScoredCandidate(payload=c, text=t, cos=cos)
+        for c, t, cos in zip(candidates, texts, cosines(vectors[0], vectors[1:]))
     ]
     if early_rerank is None:
         survivors = top_n(scored, cfg.top_n, key="cos")

@@ -26,24 +26,25 @@ log = logging.getLogger(__name__)
 HTTP_RETRIES = 3
 HTTP_BACKOFF_S = 1.0
 
-# The provider-request budget. A question runs on one thread and verifies
-# its claims on up to ``MAX_CLAIM_WORKERS`` threads of its own, which mostly
-# wait on provider round trips. More are faster: 8 per question cut
-# verify_fanout's p50 from 33.3 to 24.1 ms (3 alternating pairs, 2-core
-# machine). But the benchmark keeps every answer it measures, so its peak
-# RSS grows with throughput, and one claim executor per process took it
-# past its 10% bound. 3 stays until the benchmark stops keeping answers.
-MAX_CLAIM_WORKERS = 3
+# The provider-request budget: two long-lived, process-wide executors whose
+# threads start on demand and then stay. Both mostly wait on provider round
+# trips.
+#
+# Every claim of the process runs on ``CLAIMS``: a parallel question submits
+# all of its claims at once, so up to 8 claims of each of 4 questions run at
+# the same time. A claim waits on leaf tasks and never submits to
+# ``CLAIMS``, so no claim waits for one queued behind it.
+CLAIM_THREADS = 32
+CLAIMS = ThreadPoolExecutor(CLAIM_THREADS, thread_name_prefix="claim")
 
-# Every leaf task of the process runs on ``LEAVES``, whose threads start on
-# demand and then stay: necessity prompts, tail fetches, early Stage II
-# reranks, and Stage I/II scoring while the necessity prompts are in flight.
-# Question and claim threads share it. That is safe because a task on it
-# never submits to an executor and waits only on work that has started: a
-# cache read on the first call for its key, or a scoring task on its early
-# rerank, submitted just before it. Tasks start in the order they were
-# submitted, so that rerank is running or done, and no task waits for one
-# queued behind it.
+# Every leaf task of the process runs on ``LEAVES``: necessity prompts, tail
+# fetches, early Stage II reranks, and Stage I/II scoring while the necessity
+# prompts are in flight. Question and claim threads share it. That is safe
+# because a task on it never submits to an executor and waits only on work
+# that has started: a cache read on the first call for its key, or a scoring
+# task on its early rerank, submitted just before it. Tasks start in the
+# order they were submitted, so that rerank is running or done, and no task
+# waits for one queued behind it.
 LEAF_THREADS = 64
 LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
 
@@ -110,13 +111,13 @@ class SingleFlightCache:
 def http_session(parallelism: int = 1):
     """A ``requests`` session that keeps a connection open for every thread
     that can send a request at once, so concurrent requests reuse their
-    connections: ``parallelism`` question threads, ``MAX_CLAIM_WORKERS``
-    claim threads for each, and the ``LEAF_THREADS`` of ``LEAVES``."""
+    connections: ``parallelism`` question threads, the ``CLAIM_THREADS`` of
+    ``CLAIMS`` and the ``LEAF_THREADS`` of ``LEAVES``."""
     import requests  # deferred: stub and offline runs never pay its import
     from requests.adapters import HTTPAdapter
 
     session = requests.Session()
-    adapter = HTTPAdapter(pool_maxsize=parallelism * (1 + MAX_CLAIM_WORKERS) + LEAF_THREADS)
+    adapter = HTTPAdapter(pool_maxsize=parallelism + CLAIM_THREADS + LEAF_THREADS)
     session.mount("http://", adapter)
     session.mount("https://", adapter)
     return session

@@ -9,10 +9,9 @@ final answer is synthesized from the draft plus all verification results.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
@@ -21,7 +20,7 @@ from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import score_candidates, submit_scoring, verbalize
-from .transport import MAX_CLAIM_WORKERS
+from .transport import CLAIMS
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -163,16 +162,16 @@ def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     LLM is used as given: ``Engine`` hands in its run-wide ``MemoLLM``,
     while a hand-built ``Pipeline`` stays unmemoised.
 
-    The facts are independent, so they are verified concurrently, each on
-    one of up to ``MAX_CLAIM_WORKERS`` threads that belong to this question;
-    a claim links its own subject on its thread. Results follow fact order.
-    If claims fail, the error raised is the earliest failing claim's in fact
-    order, whether linking or a later step raised it; claims already running
-    finish first, and claims not yet started are cancelled."""
+    The facts are independent, so all of them are verified at once, each on
+    a thread of the process-wide ``transport.CLAIMS``; a claim links its own
+    subject on its thread. Results follow fact order. If claims fail, the
+    error raised is the earliest failing claim's in fact order, whether
+    linking or a later step raised it, once every claim has finished."""
     draft = draft_response(question, pipe.llm, pipe.templates)
     facts = decompose(draft, pipe.llm, pipe.templates)
-    with ThreadPoolExecutor(max(1, min(len(facts), MAX_CLAIM_WORKERS)), thread_name_prefix="claim") as pool:
-        results = list(pool.map(verify_fact, facts, repeat(pipe)))
+    claims = [CLAIMS.submit(verify_fact, fact, pipe) for fact in facts]
+    wait(claims)
+    results = [claim.result() for claim in claims]
     if not facts or all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
         return Answer(
             text=draft,

@@ -6,15 +6,18 @@ and necessity inputs but none of the engine's search machinery. Each step
 runs its layers one after another: score, necessity, threshold, width.
 ``serial_denoise`` is the denoiser as one loop over the candidates, one
 necessity prompt each. ``linear_link`` is entity linking as one full scan of
-every label's similarity.
+every label's similarity. ``serial_verify`` is the parallel track with its
+claims verified one after another on the calling thread.
 """
 
 import random
 
+from dualtrack.classifier import Answer, QuestionType
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, Triple, parse_triples
 from dualtrack.linking import LinkFailure, similarity
-from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, render
-from dualtrack.scoring import score_candidates
+from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, parse_yes_no, render
+from dualtrack.scoring import score_candidates, verbalize
+from dualtrack.verify import VerificationResult, VerificationStatus, decompose, draft_response
 
 # none of these contain any default k_invalid keyword as a substring
 RELATION_WORDS = [
@@ -187,3 +190,82 @@ def linear_link(surface: str, store: KGStore, floor: float) -> EntityRef:
     if best_entity is None or best_sim < floor:
         raise LinkFailure(f"no entity within similarity {floor} of {surface!r}")
     return best_entity
+
+
+def _complete(llm, template, **fields) -> str:
+    return llm.complete(CompletionRequest(prompt=render(template, fields))).text
+
+
+def _verify_one(fact, pipe) -> VerificationResult:
+    """One claim, each step after the last: link, fetch head then tail, the
+    keyword rule, score the rule-kept pool, keep the triples whose label
+    passed necessity, judge the best, rewrite a mismatch."""
+    cfg, templates = pipe.config, pipe.templates
+
+    def result(status, best=(), revised=None):
+        return VerificationResult(fact=fact, status=status, best_triples=list(best), revised_text=revised)
+
+    try:
+        entity = linear_link(fact.subject_surface, pipe.store, cfg.link_floor)
+    except LinkFailure:
+        return result(VerificationStatus.UNVERIFIABLE)
+    pool = pipe.store.head_relations(entity) + pipe.store.tail_relations(entity)
+    pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
+    if not pool:
+        return result(VerificationStatus.UNVERIFIABLE)
+    scored = score_candidates(fact.text, pool, cfg, pipe.embedder, pipe.reranker)
+    necessary = serial_denoise(pool, fact.text, (), cfg.theta_necessity, pipe.llm, templates["necessity"])
+    keys = {t.key() for t in necessary}
+    best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]
+    if not best:
+        return result(VerificationStatus.UNVERIFIABLE)
+    evidence = "\n".join(verbalize(t) for t in best)
+    reply = _complete(pipe.llm, templates["judge"], fact=fact.text, triples=evidence)
+    try:
+        matched = parse_yes_no(reply)
+    except Unparseable:
+        return result(VerificationStatus.UNVERIFIABLE, best)
+    if matched:
+        return result(VerificationStatus.VERIFIED, best)
+    revised = _complete(pipe.llm, templates["rewrite"], fact=fact.text, triples=evidence).strip()
+    if not revised or revised == fact.text:
+        return result(VerificationStatus.UNVERIFIABLE, best)
+    return result(VerificationStatus.REVISED, best, revised)
+
+
+def serial_verify(question, pipe):
+    """The parallel track with no executor: draft, decompose, then verify the
+    claims one by one on the calling thread, every claim even after one has
+    failed. Returns ``(answer, None)``, or ``(None, error)`` with the first
+    error: the draft's or the decomposition's, else the earliest failing
+    claim's in fact order, else the synthesis's."""
+    try:
+        return _serial_answer(question, pipe), None
+    except Exception as exc:
+        return None, exc
+
+
+def _serial_answer(question, pipe) -> Answer:
+    draft = draft_response(question, pipe.llm, pipe.templates)
+    facts = decompose(draft, pipe.llm, pipe.templates)
+    results, errors = [], []
+    for fact in facts:
+        try:
+            results.append(_verify_one(fact, pipe))
+        except Exception as exc:
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    answer = Answer(text=draft, track=QuestionType.PARALLEL, verification=results, draft=draft)
+    if all(r.status is VerificationStatus.UNVERIFIABLE for r in results):
+        answer.flags = {"unverified"}
+        return answer
+    summary = []
+    for r in results:
+        summary += [f"- claim: {r.fact.text}", f"  status: {r.status.value}"]
+        summary += [f"  revision: {r.revised_text}"] if r.revised_text else []
+        summary += ["  evidence: " + "; ".join(map(verbalize, r.best_triples))] if r.best_triples else []
+    answer.text = _complete(
+        pipe.llm, pipe.templates["synthesize"], question=question.text, draft=draft, verifications="\n".join(summary)
+    ).strip()
+    return answer

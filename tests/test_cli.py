@@ -689,6 +689,22 @@ def test_stub_engine_never_imports_requests():
     assert result.stdout.strip() == "False 1"  # and no thread starts before a question runs
 
 
+def test_answering_questions_never_imports_numpy(workspace):
+    # both tracks score with the standard library: one chained and one
+    # parallel movie question, scored on hash embeddings, load no numpy
+    root = Path(__file__).resolve().parent.parent
+    code = (
+        "import json, sys, dualtrack\n"
+        f"engine = dualtrack.Engine(dualtrack.load_config({str(workspace / 'config.json')!r}, env={{}}),"
+        f" stub_script={str(workspace / 'stub.json')!r})\n"
+        f"answers = [engine.answer(dualtrack.Question(id=str(i), text=t)) for i, t in enumerate({[CHAINED_Q, PARALLEL_Q]!r})]\n"
+        "print(json.dumps([sorted(a.flags) for a in answers]), 'numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[[], []] False"
+
+
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):
     config = EngineConfig(cache_dir=str(tmp_path / "cache"))
     engine = Engine(config, llm=StubLLM())

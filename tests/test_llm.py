@@ -264,7 +264,7 @@ HTTP_CASES = {
     ),
     "embedding": _HttpCase(
         make=lambda **kw: HttpEmbedding("http://emb.test", dimension=2, **kw),
-        call=lambda provider: [vec.tolist() for vec in provider.embed(["x"])],
+        call=lambda provider: provider.embed(["x"]),
         reply={"embeddings": [[1.0, 2.0]]},
         result=[[1.0, 2.0]],
         field="embeddings",
@@ -344,11 +344,11 @@ def test_http_provider_rate_limit_wait_is_jittered(monkeypatch, retry_sleeps, ca
 
 @registered_case
 def test_http_provider_connection_pool_holds_a_question_in_flight_per_parallel_question(case):
-    # each question thread, its claim threads, and the process's leaf threads
+    # each question thread, and the process's claim and leaf threads
     def pool_size(parallelism):
-        return parallelism * (1 + transport.MAX_CLAIM_WORKERS) + transport.LEAF_THREADS
+        return parallelism + transport.CLAIM_THREADS + transport.LEAF_THREADS
 
-    assert (pool_size(1), pool_size(4)) == (68, 80)
+    assert (pool_size(1), pool_size(4)) == (97, 100)
     for parallelism in (1, 4):
         provider = case.make(parallelism=parallelism)
         for url in ("http://x.test", "https://x.test"):

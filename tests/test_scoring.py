@@ -2,9 +2,9 @@
 the stage-ordering contract."""
 
 import math
+import random
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +23,7 @@ from dualtrack.scoring import (
     RerankProvider,
     ScoredCandidate,
     ZeroVector,
-    cosine,
+    cosines,
     fuse,
     payload_id,
     score_candidates,
@@ -38,22 +38,70 @@ from dualtrack.scoring import (
 
 
 def test_cosine_identical_vectors():
-    v = np.array([0.3, 0.4])
-    assert cosine(v, v) == pytest.approx(1.0)
+    v = [0.3, 0.4]
+    assert cosines(v, [v]) == [pytest.approx(1.0)]
 
 
 def test_cosine_orthogonal():
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(0.0)
+    assert cosines([1.0, 0.0], [[0.0, 1.0]]) == [pytest.approx(0.0)]
 
 
 def test_cosine_hand_value():
     # (1,1) . (1,0) / (sqrt2 * 1) = 1/sqrt2
-    assert cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(0.70710678, abs=1e-8)
+    assert cosines([1.0, 1.0], [[1.0, 0.0]]) == [pytest.approx(0.70710678, abs=1e-8)]
 
 
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
-        cosine(np.zeros(3), np.ones(3))
+        cosines([0.0] * 3, [[1.0] * 3])
+
+
+def _sequential_cosine(query, row):
+    """The textbook cosine: every coordinate, one after another, in order."""
+    dot = norm_query = norm_row = 0.0
+    for q, x in zip(query, row):
+        dot += q * x
+        norm_query += q * q
+        norm_row += x * x
+    return dot / (math.sqrt(norm_query) * math.sqrt(norm_row)) if norm_row else 0.0
+
+
+def _vectors(values, dimension):
+    """(query, rows): a query with a nonzero coordinate and 0-5 rows, any of
+    which may be all zero."""
+    row = st.lists(values, min_size=dimension, max_size=dimension)
+    return st.tuples(row.filter(any), st.lists(row, max_size=5))
+
+
+@given(data=st.data(), dimension=st.integers(1, 12))
+def test_cosines_equal_the_sequential_cosine_exactly_on_integer_rows(data, dimension):
+    # every product and sum of small integers is exact, so skipping zeros
+    # and summing in another order cannot change a bit
+    integers = st.integers(-4, 4).map(float) | st.just(0.0)
+    query, rows = data.draw(_vectors(integers, dimension))
+    assert cosines(query, rows) == [_sequential_cosine(query, row) for row in rows]
+
+
+@given(data=st.data(), dimension=st.integers(1, 12))
+def test_cosines_equal_the_sequential_cosine_on_float_rows(data, dimension):
+    floats = st.floats(-1e3, 1e3) | st.just(0.0)
+    query, rows = data.draw(_vectors(floats.filter(lambda x: x == 0.0 or abs(x) > 1e-3), dimension))
+    assert cosines(query, rows) == pytest.approx([_sequential_cosine(query, row) for row in rows], abs=1e-12)
+
+
+def test_cosines_score_an_all_zero_row_zero_and_reject_an_all_zero_query_without_rows():
+    assert cosines([0.0, 2.0], [[0.0, 0.0], [0.0, -1.0]]) == [0.0, -1.0]
+    with pytest.raises(ZeroVector):
+        cosines([0.0, 0.0], [])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e200])
+def test_cosines_reject_a_row_with_a_value_no_norm_holds(value):
+    # the check is each norm's sum of squares: it comes before the zero-query
+    # check, and it also catches finite values whose squares overflow
+    for query, rows in (([1.0, 0.0], [[0.0, value]]), ([0.0, value], [[1.0, 0.0]]), ([0.0, 0.0], [[value, 1.0]])):
+        with pytest.raises(ProviderError, match="NaN or infinite"):
+            cosines(query, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +217,11 @@ def test_top_n_subset_monotonicity(scores, n, m):
 
 
 def test_top_n_matches_sort_oracle():
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     for _ in range(50):
-        count = int(rng.integers(0, 40))
-        candidates = [
-            _candidate(cos=float(rng.uniform(-1, 1)), pid=f"P{i}") for i in range(count)
-        ]
-        n = int(rng.integers(1, 60))
+        count = rng.randrange(40)
+        candidates = [_candidate(cos=rng.uniform(-1, 1), pid=f"P{i}") for i in range(count)]
+        n = rng.randrange(1, 60)
         expected = sorted(candidates, key=lambda c: (-c.cos, payload_id(c.payload)))[:n]
         assert top_n(candidates, n, key="cos") == expected
 
@@ -205,9 +251,9 @@ def test_verbalization_injective_on_fixture(movie_triples):
 def test_hash_embedding_deterministic_across_instances():
     a = HashEmbedding(dimension=64).embed(["the quick brown fox"])[0]
     b = HashEmbedding(dimension=64).embed(["the quick brown fox"])[0]
-    assert np.array_equal(a, b)
-    assert a.shape == (64,)
-    assert a.sum() == 4
+    assert a == b
+    assert len(a) == 64
+    assert sum(a) == 4
 
 
 def test_hash_embedding_token_counts():
@@ -239,7 +285,9 @@ class _FakeSession:
 def test_http_embedding_roundtrip_and_dimension_check():
     provider = HttpEmbedding("http://emb.test", dimension=2, session=_FakeSession({"embeddings": [[1.0, 2.0]]}))
     (vec,) = provider.embed(["x"])
-    assert np.array_equal(vec, np.array([1.0, 2.0]))
+    assert vec == [1.0, 2.0]
+    integers = HttpEmbedding("http://emb.test", dimension=2, session=_FakeSession({"embeddings": [[1, 2]]}))
+    assert [type(x) for x in integers.embed(["x"])[0]] == [float, float]
     bad = HttpEmbedding("http://emb.test", dimension=3, session=_FakeSession({"embeddings": [[1.0, 2.0]]}))
     with pytest.raises(ProviderError, match="expected dimension 3"):
         bad.embed(["x"])
@@ -295,9 +343,7 @@ def test_score_candidates_matches_independent_recompute():
 
     texts = [verbalize(c) for c in candidates]
     vectors = embedder.embed([query] + texts)
-    cos_by_id = {
-        c.id: cosine(vectors[0], v) for c, v in zip(candidates, vectors[1:])
-    }
+    cos_by_id = {c.id: cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
     expected_ids = [
         c.id
         for c in sorted(candidates, key=lambda c: (-cos_by_id[c.id], c.id))[:5]
@@ -387,7 +433,7 @@ class _ReplyEmbedding(EmbeddingProvider):
         self.rows = rows
 
     def embed(self, texts):
-        return [np.array(row, dtype=float) for row in self.rows]
+        return [[float(x) for x in row] for row in self.rows]
 
 
 class _ReplyRerank(RerankProvider):
@@ -525,7 +571,7 @@ def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embeddi
     _score(_QUERY, candidates, cfg, _LoggingEmbedding(log, reranked, patience=0), _LoggingRerank(log, reranked))
     texts = [verbalize(c) for c in candidates]
     vectors = HashEmbedding(16).embed([_QUERY] + texts)
-    cos = {c.id: cosine(vectors[0], v) for c, v in zip(candidates, vectors[1:])}
+    cos = {c.id: cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
     by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].id], pair[0].id))
     assert log == ["embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
 

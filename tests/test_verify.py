@@ -2,10 +2,14 @@
 graph with scripted stubs."""
 
 import logging
+import random
+import re
 import threading
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GatedEmbedding, NecessityGateLLM
 from dualtrack.classifier import Question, QuestionType
@@ -15,6 +19,8 @@ from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.linking import LinkFailure, link_surface
 from dualtrack.llm import ProviderError, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank
+from dualtrack.transport import CLAIM_THREADS
+from oracles import RELATION_WORDS, build_store, random_graph_lines, random_necessity, serial_verify
 from dualtrack.verify import (
     AtomicFact,
     VerificationStatus,
@@ -334,15 +340,26 @@ FANOUT_CLAIMS = [
 FANOUT_TEXTS = [text for text, _ in FANOUT_CLAIMS]
 
 
+# as many claims as the benchmark's largest decompositions, over every
+# fixture entity
+WIDE_CLAIMS = FANOUT_CLAIMS + [
+    ("Leonardo DiCaprio starred in Inception.", "Leonardo DiCaprio"),
+    ("Inception is a science fiction film.", "Inception"),
+    ("Christopher Nolan directed Inception.", "Christopher Nolan"),
+    ("Emma Thomas is married to Christopher Nolan.", "Emma Thomas"),
+    ("science fiction film is the genre of Inception.", "science fiction film"),
+]
+
+
 class _JudgeHookLLM(StubLLM):
     """Calls ``hook(claim)`` on the claim's thread before answering its judge
     prompt, so a test can order or synchronise the claims."""
 
-    def __init__(self, hook):
+    def __init__(self, hook, claims=FANOUT_CLAIMS):
         super().__init__(
             script=[
                 ("in one or two short sentences", "A draft."),
-                ("Split the response into atomic facts", "\n".join(f"{t} | {s}" for t, s in FANOUT_CLAIMS)),
+                ("Split the response into atomic facts", "\n".join(f"{t} | {s}" for t, s in claims)),
                 ("Judgment (yes/no)", "yes"),
                 ("Compose the corrected final answer", "A final answer."),
             ]
@@ -362,6 +379,24 @@ def test_run_parallel_branch_judges_claims_concurrently(movie_store, templates):
     answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
     assert "error" not in answer.flags
     assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(FANOUT_CLAIMS)
+
+
+def test_run_parallel_branch_judges_eight_claims_concurrently(movie_store, templates):
+    barrier = threading.Barrier(len(WIDE_CLAIMS), timeout=2)
+    stub = _JudgeHookLLM(lambda claim: barrier.wait(), claims=WIDE_CLAIMS)
+    answer = run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
+    assert [r.fact.text for r in answer.verification] == [text for text, _ in WIDE_CLAIMS]
+    assert [r.status for r in answer.verification] == [VerificationStatus.VERIFIED] * len(WIDE_CLAIMS)
+
+
+def test_consecutive_questions_share_the_long_lived_claim_threads(movie_store, templates):
+    judged_on = set()
+    stub = _JudgeHookLLM(lambda claim: judged_on.add(threading.current_thread()))
+    for _ in range(CLAIM_THREADS + 1):
+        run_parallel_branch(QUESTION, _pipe(movie_store, templates, stub))
+    # more questions than claim threads, and every thread they used still runs
+    assert len(judged_on) <= CLAIM_THREADS
+    assert judged_on <= {t for t in threading.enumerate() if t.name.startswith("claim")}
 
 
 def test_run_parallel_branch_keeps_fact_order_when_claims_finish_in_reverse(movie_store, templates):
@@ -456,3 +491,180 @@ def test_run_parallel_branch_raises_a_link_error_on_its_claims_turn(movie_store,
     store = _RecordingStore(movie_store, fail={FANOUT_CLAIMS[1][1]})
     with pytest.raises(ProviderError, match="Christopher Nolan"):
         run_parallel_branch(QUESTION, _pipe(store, templates, _JudgeHookLLM(lambda claim: None)))
+
+
+# ---------------------------------------------------------------------------
+# the parallel track against its serial oracle
+# ---------------------------------------------------------------------------
+#
+# A fault names one kind of call and what it is about: ("resolve", surface),
+# ("head" or "tail", entity id) and ("entities", None) for the store;
+# ("draft" / "decompose" / "synthesize", None) for those prompts; ("judge" /
+# "rewrite" / "embed" / "rerank" / "necessity", relation word) for the calls
+# about a claim that holds the word. Every call it names raises, whichever
+# thread makes it and in whatever order, so the serial and the concurrent
+# run see the same failures.
+
+
+class _FaultyStore(KGStore):
+    def __init__(self, inner, fault):
+        self.inner = inner
+        self.fault = fault
+
+    def _check(self, kind, subject):
+        if self.fault == (kind, subject):
+            raise ProviderError(f"{kind} of {subject} failed")
+
+    def resolve_entity_id(self, label):
+        self._check("resolve", label)
+        return self.inner.resolve_entity_id(label)
+
+    def head_relations(self, entity):
+        self._check("head", entity.id)
+        return self.inner.head_relations(entity)
+
+    def tail_relations(self, entity):
+        self._check("tail", entity.id)
+        return self.inner.tail_relations(entity)
+
+    def entities(self):
+        self._check("entities", None)
+        return self.inner.entities()
+
+
+def _about(fault, kind, text):
+    if fault[0] == kind and (fault[1] is None or fault[1] in text.split()):
+        raise ProviderError(f"{kind} about {text!r} failed")
+
+
+class _FaultyEmbedding(HashEmbedding):
+    def __init__(self, fault):
+        super().__init__(48)
+        self.fault = fault
+
+    def embed(self, texts):
+        _about(self.fault, "embed", texts[0])
+        return super().embed(texts)
+
+
+class _FaultyRerank(OverlapRerank):
+    def __init__(self, fault):
+        self.fault = fault
+
+    def rerank(self, query, texts):
+        _about(self.fault, "rerank", query)
+        return super().rerank(query, texts)
+
+
+def _section(prompt, name):
+    """The text after ``name:`` in a prompt, up to the next blank line."""
+    return re.search(rf"{name}:\s(.*?)\n\n", prompt, re.S).group(1)
+
+
+class _TrackLLM(StubLLM):
+    """Answers every prompt of the parallel track from its content: a claim
+    is supported when its words, less the full stop, are an evidence line;
+    a claim with the ``unsure`` word gets an unparseable judgment, one in
+    ``echoed`` a rewrite that changes nothing, any other the first line of
+    its evidence. Synthesis answers with the verification results."""
+
+    def __init__(self, decomposition, necessity, unsure, echoed, fault):
+        super().__init__()
+        self.decomposition = decomposition
+        self.necessity = necessity
+        self.unsure = unsure
+        self.echoed = echoed
+        self.fault = fault
+
+    def complete(self, request):
+        return replace(super().complete(request), text=self._reply(request.prompt))
+
+    def _reply(self, prompt):
+        if "in one or two short sentences" in prompt:
+            _about(self.fault, "draft", "")
+            return "A draft."
+        if "Split the response into atomic facts" in prompt:
+            _about(self.fault, "decompose", "")
+            return self.decomposition
+        if "Rate how necessary" in prompt:
+            word = re.search(r"Relation: (.*)\n", prompt).group(1)
+            _about(self.fault, "necessity", word)
+            return str(self.necessity.get(word, 1.0))
+        if "Compose the corrected final answer" in prompt:
+            _about(self.fault, "synthesize", "")
+            return _section(prompt, "Verification results")
+        claim, evidence = _section(prompt, "Claim"), _section(prompt, "Triples").splitlines()
+        if "Judgment (yes/no)" in prompt:
+            _about(self.fault, "judge", claim)
+            if self.unsure in claim.split():
+                return "perhaps"
+            return "yes" if claim.rstrip(".") in evidence else "no"
+        _about(self.fault, "rewrite", claim)
+        return claim if claim in self.echoed else evidence[0] + "."
+
+
+def _random_claims(rng, lines, node_count):
+    """0-8 ``(text, subject)`` claims: true ones read off a triple, false
+    ones drawn at random, and some about a misspelt or unknown subject."""
+    claims = []
+    for _ in range(rng.randint(0, 8)):
+        node = rng.randrange(node_count) + 1
+        subject = rng.choice([f"node{node}"] * 6 + [f"nod{node}", "zqxw"])
+        heads = [line.split("|") for line in lines if line.startswith(f"Q{node}|")]
+        if heads and rng.random() < 0.5:
+            _, _, _, word, obj_field, obj_label = rng.choice(heads)
+            text = f"{subject} {word} {obj_label or obj_field}."
+        else:
+            text = f"{subject} {rng.choice(RELATION_WORDS)} node{rng.randrange(node_count) + 1}."
+        claims.append((text, subject))
+    return claims
+
+
+def _random_fault(rng, claims, node_count):
+    if not claims or rng.random() < 0.25:
+        return (None, None)
+    text, subject = rng.choice(claims)
+    word = text.split()[1]
+    return rng.choice(
+        [
+            ("resolve", subject),
+            ("head", f"Q{rng.randrange(node_count) + 1}"),
+            ("tail", f"Q{rng.randrange(node_count) + 1}"),
+            ("entities", None),
+            (rng.choice(["draft", "decompose", "synthesize"]), None),
+        ]
+        + [(kind, word) for kind in ("judge", "rewrite", "embed", "rerank", "necessity")] * 2
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_run_parallel_branch_matches_the_serial_oracle(templates, seed):
+    rng = random.Random(seed)
+    lines, node_count = random_graph_lines(rng, max_nodes=12)
+    claims = _random_claims(rng, lines, node_count)
+    fault = _random_fault(rng, claims, node_count)
+    llm = _TrackLLM(
+        decomposition="\n".join(f"{text} | {subject}" for text, subject in claims),
+        necessity=random_necessity(rng),
+        unsure=rng.choice(RELATION_WORDS),
+        echoed={text for text, _ in claims if rng.random() < 0.2},
+        fault=fault,
+    )
+    pipe = Pipeline(
+        store=_FaultyStore(build_store(lines), fault),
+        llm=llm,
+        templates=templates,
+        embedder=_FaultyEmbedding(fault),
+        reranker=_FaultyRerank(fault),
+        config=EngineConfig(
+            dimension=48, top_n=rng.choice([2, 4, 50]), verify_top_k=rng.choice([1, 3]), theta_necessity=0.5
+        ),
+    )
+    expected, error = serial_verify(QUESTION, pipe)
+    if error is None:
+        assert run_parallel_branch(QUESTION, pipe).to_dict() == expected.to_dict()
+    else:
+        with pytest.raises(type(error)) as raised:
+            run_parallel_branch(QUESTION, pipe)
+        assert str(raised.value) == str(error)
