@@ -26,7 +26,7 @@ from .denoise import denoise
 from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
 from .linking import LinkFailure, link_surface
 from .llm import Unparseable, ask, parse_yes_no
-from .scoring import ScoredCandidate, score_candidates, submit_scoring
+from .scoring import ScoredCandidate, ground, score_candidates
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -116,11 +116,9 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
 
 
 def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[ReasoningPath]:
-    """One expansion step: retrieve, denoise, score, prune, extend.
-
-    The necessity layer sees the rule-kept pool before Stage I's top-N cut,
-    so a label whose every triple the cut removes is still asked once.
-    Returns one extended path per surviving relation, best score first.
+    """One expansion step: retrieve, ground (``scoring.ground``), prune,
+    extend. Returns one extended path per surviving relation, best score
+    first.
     """
     cfg = pipe.config
     tip = path.tip()
@@ -140,19 +138,9 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
             direction_by_key[triple.key()] = direction
             candidates.append(triple)
 
-    pool = denoise(candidates, question.text, cfg)  # rule layer only
-    # Necessity reads only labels, so the rule-kept pool is scored on leaf
-    # threads while denoise asks each distinct label once on this one. A
-    # scoring error wins, raised once both have finished.
-    scoring = submit_scoring(score_candidates, question.text, pool, cfg, pipe.embedder, pipe.reranker)
-    try:
-        kept = denoise(pool, question.text, cfg, pipe.llm, pipe.templates["necessity"])
-    finally:
-        scored = scoring.result()
-    necessary = {t.key() for t in kept}
-    # score_candidates sorts by (-combined, id) and both filters keep that order
-    survivors = [c for c in scored if c.payload.key() in necessary and c.combined >= cfg.theta_search]
-    survivors = survivors[: cfg.w_max]
+    scored = ground(question.text, candidates, pipe, score_candidates, denoise)
+    # ground returns best first, and the theta cut keeps that order
+    survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
     if len(survivors) > cfg.llm_select_trigger:
         survivors = _llm_select(survivors, question, pipe)
     return [

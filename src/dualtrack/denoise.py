@@ -5,11 +5,11 @@ relations ("entity ID", "data source", ...). Layer two asks the LLM for a
 necessity score of each remaining relation against the question and drops
 the ones below a threshold. The scores are independent, so each distinct
 relation label is asked once, and all labels are asked concurrently on the
-process's leaf executor, ``transport.LEAVES``. The necessity layer reads
-only labels, so both tracks run it over the rule-kept pool while that pool
-is scored, and keep the scored candidates whose label passed. A label whose
-reply the engine's ``MemoLLM`` already holds is scored inline instead, since
-a hand-off to a leaf thread costs more than reading the memo.
+process's leaf executor, ``transport.LEAVES``; a label whose reply the
+engine's ``MemoLLM`` already holds is scored inline instead, since a
+hand-off to a leaf thread costs more than reading the memo. Both tracks run
+both layers through ``scoring.ground``, which scores the rule-kept pool
+while the necessity layer runs and keeps the candidates whose label passed.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
@@ -60,36 +60,18 @@ def _necessity_request(relation: RelationRef, question: str, template: PromptTem
     return CompletionRequest(prompt=render(template, {"relation": term_label(relation), "question": question}))
 
 
-def necessity_score(
-    relation: RelationRef,
-    question: str,
-    llm: LLMProvider,
-    template: PromptTemplate,
-) -> float:
-    """LLM-judged necessity of the relation for the question, in [0, 1].
-
-    An unparseable reply scores 1.0 (keep) so parse failures can never
-    silently delete evidence.
-    """
-    return _score(relation, _necessity_request(relation, question, template), llm)
-
-
-def _score(relation: RelationRef, request: CompletionRequest, llm: LLMProvider) -> float:
-    reply = llm.complete(request).text
-    try:
-        return parse_score(reply)
-    except Unparseable:
-        log.warning("unparseable necessity reply %r for relation %s; keeping", reply, relation.id)
-        return 1.0
-
-
 def _necessary(relation: RelationRef, request: CompletionRequest, cfg: EngineConfig, llm: LLMProvider) -> bool:
-    """True when the relation passes the necessity threshold or cannot be
-    scored because the provider failed."""
+    """True when the relation passes the necessity threshold, or cannot be
+    scored because the provider failed or its reply does not parse."""
     try:
-        score = _score(relation, request, llm)
+        reply = llm.complete(request).text
     except ProviderError as exc:
         log.warning("necessity scoring failed for %s (%s); keeping", relation.id, exc)
+        return True
+    try:
+        score = parse_score(reply)
+    except Unparseable:
+        log.warning("unparseable necessity reply %r for relation %s; keeping", reply, relation.id)
         return True
     if score < cfg.theta_necessity:
         log.debug("dropping %s: necessity %.2f < %.2f", relation.id, score, cfg.theta_necessity)

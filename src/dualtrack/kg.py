@@ -113,7 +113,11 @@ class RelationSet:
     tail: list[Triple]
 
     def all(self) -> list[Triple]:
-        return self.head + self.tail
+        """Head then tail, each triple key once: a self-loop is on both sides."""
+        unique: dict[str, Triple] = {}
+        for triple in self.head + self.tail:
+            unique.setdefault(triple.key(), triple)
+        return list(unique.values())
 
 
 class KGStore:

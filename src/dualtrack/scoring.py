@@ -24,6 +24,7 @@ from .transport import LEAVES, ProviderError, http_session, request_json
 
 if TYPE_CHECKING:
     from .config import EngineConfig
+    from .engine import Pipeline
 
 Payload = Union[Triple, RelationRef]
 
@@ -258,8 +259,8 @@ def score_candidates(
     ``early_rerank``, the future of the whole pool's rerank sent by
     :func:`submit_scoring`, the reranker is not called again: each
     candidate's Stage II score is read from that reply by its index, once
-    the embedding has returned. Both tracks score through
-    :func:`submit_scoring` while their necessity prompts run, so one
+    the embedding has returned. Both tracks score through :func:`ground`,
+    which runs this on a leaf thread while the necessity prompts run, so one
     grounding step can have embedding, rerank and necessity requests in
     flight at once.
 
@@ -312,9 +313,8 @@ def submit_scoring(
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
 ) -> Future:
-    """Run ``score`` on ``transport.LEAVES`` and return its future. Each
-    caller passes its own module's :func:`score_candidates`, the name a
-    tracer rebinds.
+    """Run ``score`` (:func:`score_candidates`, or a tracer's wrapper of it)
+    on ``transport.LEAVES`` and return its future.
 
     When the pool holds at most ``cfg.top_n`` candidates, Stage I's cut keeps
     all of them, so the rerank input is known before the embedding returns.
@@ -328,3 +328,35 @@ def submit_scoring(
     if 0 < len(candidates) <= cfg.top_n:
         early = LEAVES.submit(reranker.rerank, query_text, [verbalize(c) for c in candidates])
     return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early)
+
+
+def ground(
+    query_text: str,
+    triples: Sequence[Triple],
+    pipe: Pipeline,
+    score: Callable[..., list[ScoredCandidate]],
+    denoise: Callable[..., list[Triple]],
+) -> list[ScoredCandidate]:
+    """One grounding step, the same on both tracks: the keyword rule, then
+    scoring and the necessity layer at once. Returns the scored rule-kept
+    triples whose label passed necessity, best fused score first.
+
+    ``score`` and ``denoise`` are the caller's module names
+    (:func:`score_candidates` and ``denoise.denoise``), which a tracer
+    rebinds there. An empty rule-kept pool returns ``[]`` with nothing
+    submitted. Otherwise necessity reads only labels, so the pool is scored
+    on leaf threads while ``denoise`` asks each distinct label once on this
+    one; it sees the whole pool, before Stage I's top-N cut. A scoring error
+    wins, raised once both have finished.
+    """
+    cfg = pipe.config
+    pool = denoise(triples, query_text, cfg)  # rule layer only
+    if not pool:
+        return []
+    scoring = submit_scoring(score, query_text, pool, cfg, pipe.embedder, pipe.reranker)
+    try:
+        kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"])
+    finally:
+        scored = scoring.result()
+    necessary = {t.key() for t in kept}
+    return [c for c in scored if c.payload.key() in necessary]

@@ -19,7 +19,7 @@ from .denoise import denoise
 from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import score_candidates, submit_scoring, verbalize
+from .scoring import ground, score_candidates, verbalize
 from .transport import CLAIMS
 
 if TYPE_CHECKING:
@@ -94,11 +94,10 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
 
 def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     """Ground one claim: link its subject, retrieve the entity's triples,
-    denoise, score, and let the LLM judge the best ones against the claim.
-    As in ``chain.expand``, scoring runs while the necessity layer asks about
-    the whole rule-kept pool, and a scoring error wins over a necessity one.
+    ground them (``scoring.ground``, as ``chain.expand`` does), and let the
+    LLM judge the best ones against the claim.
 
-    Unlinkable subjects (``LinkFailure``) and empty candidate sets come back
+    Unlinkable subjects (``LinkFailure``) and empty grounded sets come back
     unverifiable; any other error propagates. A mismatch triggers the
     rewrite prompt. The rewrite must actually change the claim, otherwise
     the result is downgraded to unverifiable.
@@ -109,18 +108,8 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
         log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    pool = fetch_relations(pipe.store, entity).all()
-    pool = denoise(pool, fact.text, pipe.config)  # rule layer only
-    if not pool:
-        return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
-    # scored on leaf threads while the necessity prompts run, as in chain.expand
-    scoring = submit_scoring(score_candidates, fact.text, pool, pipe.config, pipe.embedder, pipe.reranker)
-    try:
-        kept = denoise(pool, fact.text, pipe.config, pipe.llm, pipe.templates["necessity"])
-    finally:
-        scored = scoring.result()
-    necessary = {t.key() for t in kept}
-    scored = [c for c in scored if c.payload.key() in necessary]
+    triples = fetch_relations(pipe.store, entity).all()
+    scored = ground(fact.text, triples, pipe, score_candidates, denoise)
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 

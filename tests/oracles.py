@@ -197,9 +197,10 @@ def _complete(llm, template, **fields) -> str:
 
 
 def _verify_one(fact, pipe) -> VerificationResult:
-    """One claim, each step after the last: link, fetch head then tail, the
-    keyword rule, score the rule-kept pool, keep the triples whose label
-    passed necessity, judge the best, rewrite a mismatch."""
+    """One claim, each step after the last: link, fetch head then tail (each
+    triple key once), the keyword rule, score the rule-kept pool, keep the
+    triples whose label passed necessity, judge the best, rewrite a
+    mismatch."""
     cfg, templates = pipe.config, pipe.templates
 
     def result(status, best=(), revised=None):
@@ -210,6 +211,7 @@ def _verify_one(fact, pipe) -> VerificationResult:
     except LinkFailure:
         return result(VerificationStatus.UNVERIFIABLE)
     pool = pipe.store.head_relations(entity) + pipe.store.tail_relations(entity)
+    pool = [t for i, t in enumerate(pool) if t.key() not in {u.key() for u in pool[:i]}]  # a self-loop once
     pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
     if not pool:
         return result(VerificationStatus.UNVERIFIABLE)

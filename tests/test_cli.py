@@ -384,6 +384,38 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
     assert set(Counter(shared_llm.calls).values()) == {1}
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_engine_evaluate_gives_the_same_records_at_parallelism_one_and_four(seed):
+    rng = random.Random(seed)
+    lines, node_count = random_graph_lines(rng, max_nodes=18)
+    store = build_store(lines)
+    texts, script = _random_questions(rng, node_count)
+    script += necessity_script(random_necessity(rng))
+    questions = [
+        Question(id=f"q{i}", text=text, gold_answers=[rng.choice(["no", "yes", text])])
+        for i, text in enumerate(texts * 2)
+    ]
+
+    def records(parallelism):
+        config = EngineConfig(
+            alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5,
+            parallelism=parallelism,
+        )
+        engine = Engine(
+            config, store=store, llm=StubLLM(script=script, default="no"),
+            embedder=HashEmbedding(48), reranker=OverlapRerank(),
+        )
+        report = engine.evaluate(questions)
+        for record in report["records"]:
+            del record["latency_ms"]
+        return report
+
+    serial = records(1)
+    assert {r["track"] for r in serial["records"]} <= {"chained", "parallel"}
+    assert records(4) == serial
+
+
 # ---------------------------------------------------------------------------
 # CLI subcommands
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import CountingLeaves, FailingLLM
 from dualtrack import denoise as denoise_module
 from dualtrack.config import EngineConfig
-from dualtrack.denoise import denoise, necessity_score, rule_filter
+from dualtrack.denoise import denoise, rule_filter
 from dualtrack.kg import RelationRef, parse_triples
 from dualtrack.llm import CompletionResponse, LLMProvider, MemoLLM, ProviderError, StubLLM
 from dualtrack.transport import LEAF_THREADS
@@ -75,15 +75,24 @@ def test_necessity_score_scripted(templates):
     # keys target the rendered 'Relation:' line; bare relation words would
     # collide with the template's own few-shot examples
     stub = StubLLM(script=[("Relation: director", "0.9"), ("Relation: height", "0.1")])
-    assert necessity_score(RelationRef("P1", "director"), "Who directed it?", stub, templates["necessity"]) == 0.9
-    assert necessity_score(RelationRef("P2", "height"), "When is the birthday?", stub, templates["necessity"]) == 0.1
+    director, height = RelationRef("P1", "director"), RelationRef("P2", "height")
+
+    def kept(relation, question, theta):
+        cfg = EngineConfig(theta_necessity=theta)
+        return denoise([relation], question, cfg, stub, templates["necessity"]) == [relation]
+
+    # each scripted score keeps its relation at a threshold equal to it, not above
+    assert kept(director, "Who directed it?", 0.9) and not kept(director, "Who directed it?", 0.95)
+    assert kept(height, "When is the birthday?", 0.1) and not kept(height, "When is the birthday?", 0.15)
 
 
 def test_necessity_unparseable_keeps_with_warning(templates, caplog):
     stub = StubLLM(default="hard to say")
+    relation = RelationRef("P1", "director")
     with caplog.at_level(logging.WARNING):
-        score = necessity_score(RelationRef("P1", "director"), "q", stub, templates["necessity"])
-    assert score == 1.0
+        kept = denoise([relation], "q", EngineConfig(theta_necessity=1.0), stub, templates["necessity"])
+    assert kept == [relation]
+    assert len(stub.calls) == 1
     assert "unparseable" in caplog.text
 
 

@@ -474,6 +474,14 @@ def test_fetch_relations_union(movie_store):
     assert len(relations.all()) == 5
 
 
+def test_relation_set_lists_a_self_loop_once():
+    loop, other = parse_triples(["Q1|Alpha|P1|same as|Q1|Alpha", "Q1|Alpha|P2|located in|Q2|Beta"])
+    relations = fetch_relations(InMemoryTripleStore([loop, other]), EntityRef("Q1", "Alpha"))
+    assert relations.head == [loop, other]
+    assert relations.tail == [loop]
+    assert relations.all() == [loop, other]
+
+
 def test_fetch_relations_sends_head_and_tail_together(movie_store):
     barrier = threading.Barrier(2, timeout=2)  # breaks unless both fetches are in flight at once
     inception = EntityRef("QF1", "Inception")

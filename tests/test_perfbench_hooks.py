@@ -63,13 +63,16 @@ def test_traced_movie_questions_record_every_layer(tracing, capsys):
     originals = {(m, a): _resolve(m, a) for m, a, _, _ in tracing.PATCHES}
 
     engine = _engine()
-    with tracing.instrument(tracing.Tracer()) as tracer:
-        traced = [engine.answer(q).to_dict() for q in questions]
+    traced, spans = [], {}
+    for question in questions:  # one tracer per question, so each track shows its own layers
+        with tracing.instrument(tracing.Tracer()) as tracer:
+            traced.append(engine.answer(question).to_dict())
+        spans[question.id] = tracer.spans
 
     assert "not found" not in capsys.readouterr().err
     assert traced == untraced
     assert {(m, a): _resolve(m, a) for m, a, _, _ in tracing.PATCHES} == originals
-    names = {span.name for span in tracer.spans}
+    names = {span.name for track_spans in spans.values() for span in track_spans}
     for layer in (
         "engine",
         "classifier",
@@ -81,8 +84,12 @@ def test_traced_movie_questions_record_every_layer(tracing, capsys):
         "denoise",
     ):
         assert layer in names, layer
-    assert any(s.attrs.get("necessity") for s in tracer.spans if s.name == "denoise")
-    assert {s.attrs["track"] for s in tracer.spans if s.name == "engine"} == {"chained", "parallel"}
+    for question in questions:  # each track passes its own module's scoring and denoise names
+        track_spans = spans[question.id]
+        assert any(s.name == "scoring" for s in track_spans), question.id
+        assert any(s.name == "denoise" and s.attrs["necessity"] for s in track_spans), question.id
+    tracks = [s.attrs["track"] for q in questions for s in spans[q.id] if s.name == "engine"]
+    assert tracks == ["chained", "parallel"]
 
 
 def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):

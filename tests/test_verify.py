@@ -216,6 +216,18 @@ def test_verify_fact_best_triples_come_from_linked_entity(movie_store, templates
     assert {t.key() for t in result.best_triples} <= entity_triples
 
 
+def test_verify_fact_scores_and_shows_a_self_loop_once(templates):
+    store = InMemoryTripleStore(
+        parse_triples(["Q1|Alpha|P1|same as|Q1|Alpha", "Q1|Alpha|P2|located in|Q2|Beta"])
+    )
+    stub = StubLLM(script=[("Judgment (yes/no)", "yes")])
+    result = verify_fact(AtomicFact("Alpha is the same as Alpha.", "Alpha", 0), _pipe(store, templates, stub))
+    assert result.status is VerificationStatus.VERIFIED
+    assert sorted(t.key() for t in result.best_triples) == ["Q1|P1|Q1", "Q1|P2|Q2"]
+    (judge_prompt,) = [p for p in stub.calls if "Judgment (yes/no)" in p]
+    assert judge_prompt.count("Alpha same as Alpha") == 1
+
+
 def _gated_pipe(movie_store, templates, gate, embed_error=None, necessity_error=None):
     """Necessity layer on, failing only "publication date"; the embedder
     waits for a necessity prompt."""
