@@ -133,10 +133,10 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
             far = triple.object if direction == HEAD else triple.subject
             if isinstance(far, EntityRef) and far.id in visited:
                 continue  # cycle guard: never revisit an entity
-            if triple.key() in direction_by_key:
-                continue
-            direction_by_key[triple.key()] = direction
-            candidates.append(triple)
+            key = triple.key()
+            if key not in direction_by_key:
+                direction_by_key[key] = direction
+                candidates.append(triple)
 
     scored = ground(question.text, candidates, pipe, score_candidates, denoise)
     # ground returns best first, and the theta cut keeps that order

@@ -1,7 +1,8 @@
 """Dual-layer task-aware relation denoising.
 
 Layer one is a provider-free keyword rule that drops administrative
-relations ("entity ID", "data source", ...). Layer two asks the LLM for a
+relations ("entity ID", "data source", ...); its verdict depends only on
+the label, so it is taken once per label. Layer two asks the LLM for a
 necessity score of each remaining relation against the question and drops
 the ones below a threshold. The scores are independent, so each distinct
 relation label is asked once, and all labels are asked concurrently on the
@@ -56,6 +57,22 @@ def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     return any(keyword in label for keyword in cfg.k_invalid)
 
 
+def _rule_kept(
+    candidates: Sequence[Denoisable], cfg: EngineConfig, verdicts: dict[str, bool]
+) -> list[Denoisable]:
+    """The candidates the keyword rule keeps, in input order. ``rule_filter``
+    runs only for a label not yet in ``verdicts``, which gets its verdict."""
+    kept = []
+    for candidate in candidates:
+        relation = _relation_of(candidate)
+        dropped = verdicts.get(relation.label)
+        if dropped is None:
+            dropped = verdicts[relation.label] = rule_filter(relation, cfg)
+        if not dropped:
+            kept.append(candidate)
+    return kept
+
+
 def _necessity_request(relation: RelationRef, question: str, template: PromptTemplate) -> CompletionRequest:
     return CompletionRequest(prompt=render(template, {"relation": term_label(relation), "question": question}))
 
@@ -85,9 +102,15 @@ def denoise(
     cfg: EngineConfig,
     llm: LLMProvider | None = None,
     template: PromptTemplate | None = None,
+    rule_verdicts: dict[str, bool] | None = None,
 ) -> list[Denoisable]:
     """Apply the keyword rule, then (when an LLM is supplied) the necessity
     threshold. Survivor order follows input order.
+
+    The rule judges each distinct label once. ``rule_verdicts`` holds its
+    verdicts by label and gets those of the labels it judges: a caller that
+    passes one dict to several calls has each label judged once in all of
+    them, as ``scoring.ground`` does for its two calls of one step.
 
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
     and no task is submitted. Otherwise candidates that share a label share
@@ -99,13 +122,14 @@ def denoise(
     earliest such label in input order, raised once every label has
     finished: no label is cancelled.
     """
-    kept = [c for c in candidates if not rule_filter(_relation_of(c), cfg)]
+    kept = _rule_kept(candidates, cfg, {} if rule_verdicts is None else rule_verdicts)
     if llm is None or template is None or cfg.theta_necessity == 0.0:
         return kept
+    labels = [term_label(_relation_of(c)) for c in kept]
     relations: dict[str, RelationRef] = {}
-    for candidate in kept:
-        relation = _relation_of(candidate)
-        relations.setdefault(term_label(relation), relation)
+    for label, candidate in zip(labels, kept):
+        if label not in relations:
+            relations[label] = _relation_of(candidate)
     requests = {label: _necessity_request(r, question, template) for label, r in relations.items()}
     held = [label for label, request in requests.items() if isinstance(llm, MemoLLM) and llm.holds(request)]
     verdicts: dict[str, bool | Exception | Future] = {
@@ -120,7 +144,7 @@ def denoise(
             verdicts[label] = exc
     wait([v for v in verdicts.values() if isinstance(v, Future)])
     necessary = {label: _verdict(verdicts[label]) for label in relations}
-    return [c for c in kept if necessary[term_label(_relation_of(c))]]
+    return [c for label, c in zip(labels, kept) if necessary[label]]
 
 
 def _verdict(outcome: bool | Exception | Future) -> bool:

@@ -10,6 +10,10 @@ against the in-memory store.
 One cache: :class:`CachedStore` wraps any store so that each of those reads
 reaches it once. ``Engine`` wraps its store in one, shared by every thread
 of the engine.
+
+Refs and triples are slotted and immutable. A :class:`Triple` computes its
+key and its verbalized text once, when it is built, and every reader shares
+them: one grounding step reads each many times.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import re
 import tempfile
 import threading
 from concurrent.futures import wait
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -55,7 +59,7 @@ class NotFound(Exception):
     """Lookup produced zero bindings."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRef:
     """A KG item: QID plus human-readable label (label may lag resolution)."""
 
@@ -63,7 +67,7 @@ class EntityRef:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationRef:
     """A KG property: PID plus label; label may be empty before resolution."""
 
@@ -71,7 +75,7 @@ class RelationRef:
     label: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LiteralValue:
     """A literal object position (dates, strings, quantities)."""
 
@@ -90,19 +94,32 @@ def term_label(term: EntityRef | RelationRef | LiteralValue) -> str:
     return term.label or term.id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
+    """A (subject, relation, object) statement. ``text``, its words joined
+    by spaces, is what the embedding and rerank providers read; it and the
+    key are set once, at construction, and take no part in ``==``."""
+
     subject: EntityRef
     relation: RelationRef
     object: ObjectTerm
+    _key: str = field(init=False, repr=False, compare=False)
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        subject, relation, obj = self.subject, self.relation, self.object
+        if isinstance(obj, EntityRef):
+            obj_id, obj_word = obj.id, obj.label or obj.id
+        else:
+            obj_id = obj_word = obj.value
+        object.__setattr__(self, "_key", f"{subject.id}|{relation.id}|{obj_id}")
+        # each position's term_label, inlined: every triple of a store is built at load
+        words = f"{subject.label or subject.id} {relation.label or relation.id} {obj_word}"
+        object.__setattr__(self, "text", words)
 
     def key(self) -> str:
         """Deterministic identifier, used for tie-breaking and dedup."""
-        if isinstance(self.object, EntityRef):
-            obj = self.object.id
-        else:
-            obj = self.object.value
-        return f"{self.subject.id}|{self.relation.id}|{obj}"
+        return self._key
 
 
 @dataclass
@@ -226,21 +243,15 @@ def parse_triples(lines: Iterable[str], source: str = "<memory>") -> list[Triple
         fields = line.split("|")
         if len(fields) != 6:
             raise ValueError(f"{source}:{lineno}: expected 6 '|'-separated fields, got {len(fields)}")
-        s_id, s_label, r_id, r_label, obj_field, obj_label = (f.strip() for f in fields)
+        s_id, s_label, r_id, r_label, obj_field, obj_label = map(str.strip, fields)
         if not s_id or not r_id or not obj_field:
             raise ValueError(f"{source}:{lineno}: subject, relation and object must be non-empty")
         obj: ObjectTerm
         if ENTITY_ID_RE.match(obj_field):
-            obj = EntityRef(id=obj_field, label=obj_label)
+            obj = EntityRef(obj_field, obj_label)
         else:
-            obj = LiteralValue(value=obj_field)
-        triples.append(
-            Triple(
-                subject=EntityRef(id=s_id, label=s_label),
-                relation=RelationRef(id=r_id, label=r_label),
-                object=obj,
-            )
-        )
+            obj = LiteralValue(obj_field)
+        triples.append(Triple(EntityRef(s_id, s_label), RelationRef(r_id, r_label), obj))
     return triples
 
 

@@ -14,6 +14,7 @@ import hashlib
 import math
 import re
 import sys
+import threading
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, replace
 from operator import mul
@@ -54,10 +55,11 @@ def payload_id(payload: Payload) -> str:
 
 
 def verbalize(payload: Payload) -> str:
-    """Plain-text form handed to embedding and rerank providers."""
+    """Plain-text form handed to embedding and rerank providers: a triple's
+    ``text``, a relation's ``term_label``."""
     if isinstance(payload, RelationRef):
         return term_label(payload)
-    return " ".join(term_label(part) for part in (payload.subject, payload.relation, payload.object))
+    return payload.text
 
 
 def _norm(values: Sequence[float]) -> float:
@@ -88,11 +90,21 @@ def cosines(query: Sequence[float], rows: Sequence[Sequence[float]]) -> list[flo
     ]
 
 
+def _fused(cos: float, rerank: float, cfg: EngineConfig) -> float:
+    """The fusion formula: Stage II weighted by ``alpha``, Stage I by the rest."""
+    return cfg.alpha * rerank + (1.0 - cfg.alpha) * cos
+
+
 def fuse(candidate: ScoredCandidate, cfg: EngineConfig) -> ScoredCandidate:
     if candidate.cos is None or candidate.rerank is None:
         raise MissingStageScore("both cos and rerank must be set before fusion")
-    combined = cfg.alpha * candidate.rerank + (1.0 - cfg.alpha) * candidate.cos
-    return replace(candidate, combined=combined)
+    return replace(candidate, combined=_fused(candidate.cos, candidate.rerank, cfg))
+
+
+def _ranked(scores: Sequence[float], ids: Sequence[str]) -> list[int]:
+    """Indices of ``scores``, largest first; ties break on ``ids``, so the
+    order never depends on input order."""
+    return sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
 
 
 def top_n(candidates: Sequence[ScoredCandidate], n: int, key: str = "cos") -> list[ScoredCandidate]:
@@ -105,8 +117,8 @@ def top_n(candidates: Sequence[ScoredCandidate], n: int, key: str = "cos") -> li
     for c in candidates:
         if getattr(c, key) is None:
             raise MissingStageScore(f"candidate {payload_id(c.payload)} has no {key} score")
-    ranked = sorted(candidates, key=lambda c: (-getattr(c, key), payload_id(c.payload)))
-    return ranked[:n]
+    ranked = _ranked([getattr(c, key) for c in candidates], [payload_id(c.payload) for c in candidates])
+    return [candidates[i] for i in ranked[:n]]
 
 
 def _clamp01(value: float) -> float:
@@ -143,24 +155,44 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
+# Tokens one HashEmbedding keeps the bucket of; it forgets all of them at
+# once when full. About 1k distinct tokens make up a benchmark workload.
+TOKEN_BUCKETS = 1 << 15
+
+
 class HashEmbedding(EmbeddingProvider):
-    """Deterministic token-hash bag-of-words embedding; no model required."""
+    """Deterministic token-hash bag-of-words embedding; no model required.
+
+    A token's bucket is the first 8 bytes of its sha1, modulo ``dimension``.
+    The bucket is remembered, up to ``TOKEN_BUCKETS`` tokens, so a token is
+    hashed once however often it occurs (two threads meeting a new token at
+    once may both hash it, to the same bucket). Only storing a bucket takes
+    the lock; reading one does not."""
 
     def __init__(self, dimension: int = 256):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
+        self._buckets: dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def _index(self, token: str) -> int:
         digest = hashlib.sha1(token.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.dimension
+        bucket = int.from_bytes(digest[:8], "big") % self.dimension
+        with self._lock:
+            if len(self._buckets) >= TOKEN_BUCKETS:
+                self._buckets.clear()
+            self._buckets[token] = bucket
+        return bucket
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
+        buckets = self._buckets
         vectors = []
         for text in texts:
             vec = [0.0] * self.dimension
             for token in _tokens(text):
-                vec[self._index(token)] += 1.0
+                bucket = buckets.get(token)
+                vec[self._index(token) if bucket is None else bucket] += 1.0
             vectors.append(vec)
         return vectors
 
@@ -273,6 +305,7 @@ def score_candidates(
     if not candidates:
         return []
     texts = [verbalize(c) for c in candidates]
+    ids = [payload_id(c) for c in candidates]
     try:
         vectors = embedder.embed([query_text] + texts)
     finally:
@@ -282,15 +315,12 @@ def score_candidates(
         raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
     if any(len(v) != len(vectors[0]) for v in vectors):
         raise ProviderError("embedder returned rows of different shapes")
-    scored = [
-        ScoredCandidate(payload=c, text=t, cos=cos)
-        for c, t, cos in zip(candidates, texts, cosines(vectors[0], vectors[1:]))
-    ]
+    cos = cosines(vectors[0], vectors[1:])
     if early_rerank is None:
-        survivors = top_n(scored, cfg.top_n, key="cos")
-        rerank_scores = reranker.rerank(query_text, [s.text for s in survivors])
+        survivors = _ranked(cos, ids)[: cfg.top_n]  # Stage I's cut, as top_n(key="cos")
+        rerank_scores = reranker.rerank(query_text, [texts[i] for i in survivors])
     else:
-        survivors = scored  # the cut keeps every candidate, in candidate order
+        survivors = range(len(candidates))  # the cut keeps every candidate, in candidate order
         rerank_scores = early_rerank.result()
     if len(rerank_scores) != len(survivors):
         raise ProviderError(
@@ -299,10 +329,11 @@ def score_candidates(
     if not all(math.isfinite(score) for score in rerank_scores):
         raise ProviderError("reranker returned a NaN or infinite score")
     fused = [
-        fuse(replace(s, rerank=_clamp01(score)), cfg)
-        for s, score in zip(survivors, rerank_scores)
+        ScoredCandidate(candidates[i], texts[i], cos[i], rerank, _fused(cos[i], rerank, cfg))
+        for i, rerank in zip(survivors, map(_clamp01, rerank_scores))
     ]
-    return sorted(fused, key=lambda c: (-c.combined, payload_id(c.payload)))
+    order = _ranked([c.combined for c in fused], [ids[i] for i in survivors])
+    return [fused[j] for j in order]
 
 
 def submit_scoring(
@@ -350,12 +381,13 @@ def ground(
     wins, raised once both have finished.
     """
     cfg = pipe.config
-    pool = denoise(triples, query_text, cfg)  # rule layer only
+    rule_verdicts: dict[str, bool] = {}  # both calls share it: the rule judges each label once a step
+    pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
     scoring = submit_scoring(score, query_text, pool, cfg, pipe.embedder, pipe.reranker)
     try:
-        kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"])
+        kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
     finally:
         scored = scoring.result()
     necessary = {t.key() for t in kept}

@@ -44,9 +44,29 @@ CLAIMS = ThreadPoolExecutor(CLAIM_THREADS, thread_name_prefix="claim")
 # that has started: a cache read on the first call for its key, or a scoring
 # task on its early rerank, submitted just before it. Tasks start in the
 # order they were submitted, so that rerank is running or done, and no task
-# waits for one queued behind it.
+# waits for one queued behind it. ``LEAVES`` checks the first rule: a submit
+# from one of its own threads raises ``RuntimeError`` instead of queueing a
+# task that could wait for a free leaf thread forever.
 LEAF_THREADS = 64
-LEAVES = ThreadPoolExecutor(LEAF_THREADS, thread_name_prefix="leaf")
+
+
+class _LeafExecutor(ThreadPoolExecutor):
+    """A thread pool that refuses a submit from one of its own threads."""
+
+    def __init__(self, max_workers: int, thread_name_prefix: str):
+        self._own = threading.local()
+        super().__init__(max_workers, thread_name_prefix, initializer=self._adopt)
+
+    def _adopt(self) -> None:
+        self._own.thread = True
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        if getattr(self._own, "thread", False):
+            raise RuntimeError("a leaf task submitted to LEAVES; leaf tasks never submit to an executor")
+        return super().submit(fn, *args, **kwargs)
+
+
+LEAVES = _LeafExecutor(LEAF_THREADS, thread_name_prefix="leaf")
 
 
 class ProviderError(Exception):

@@ -8,9 +8,14 @@ runs its layers one after another: score, necessity, threshold, width.
 necessity prompt each. ``linear_link`` is entity linking as one full scan of
 every label's similarity. ``serial_verify`` is the parallel track with its
 claims verified one after another on the calling thread.
+``triple_reference`` gives a triple's key, text and hash from its plain
+fields, and ``hash_embedding_rows`` the hash embedding with every token's
+sha1 computed anew.
 """
 
+import hashlib
 import random
+import re
 
 from dualtrack.classifier import Answer, QuestionType
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, Triple, parse_triples
@@ -132,6 +137,34 @@ def enumerate_paths(
 
     recurse(origin, {origin.id}, ())
     return results
+
+
+def triple_reference(fields) -> tuple[str, str, int]:
+    """Key, verbalized text and hash of the triple with these plain fields:
+    ``((subject_id, subject_label), (relation_id, relation_label), obj)``,
+    where ``obj`` is ``("entity", id, label)`` or ``("literal", value,
+    datatype)``. The key joins the ids (a literal's value) with ``|``; the
+    text joins each position's label, or its id when the label is empty (a
+    literal's value), with spaces; the hash is that of the nested field
+    tuples."""
+    (s_id, s_label), (r_id, r_label), (kind, o_first, o_second) = fields
+    o_word = (o_second or o_first) if kind == "entity" else o_first
+    key = "|".join((s_id, r_id, o_first))
+    text = " ".join((s_label or s_id, r_label or r_id, o_word))
+    return key, text, hash(((s_id, s_label), (r_id, r_label), (o_first, o_second)))
+
+
+def hash_embedding_rows(texts, dimension: int) -> list[list[float]]:
+    """One row per text: each lower-cased word token adds 1.0 at the first 8
+    bytes of its sha1, big-endian, modulo ``dimension``."""
+    rows = []
+    for text in texts:
+        row = [0.0] * dimension
+        for token in re.findall(r"\w+", text.lower()):
+            digest = hashlib.sha1(token.encode("utf-8")).digest()
+            row[int.from_bytes(digest[:8], "big") % dimension] += 1.0
+        rows.append(row)
+    return rows
 
 
 def build_store(lines) -> InMemoryTripleStore:

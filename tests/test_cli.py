@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOVIE_LINES, DownSession, RecordingStore
+from dualtrack import transport
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig, load_config
@@ -248,6 +249,23 @@ def test_engine_evaluate_parallel_questions_share_the_leaf_executor(workspace):
     assert answers[0] == answers[1]
     assert {track for _, track, _, _ in answers[0]} == {"parallel"}
     assert all(flags == [] for _, _, _, flags in answers[0])
+
+
+def test_leaves_refuses_a_submit_from_a_leaf_task(workspace):
+    """A leaf task that submits to LEAVES gets a RuntimeError at once, where
+    its task could otherwise wait for a free leaf thread forever; question
+    and claim threads still submit, so both movie questions answer."""
+    refused = transport.LEAVES.submit(transport.LEAVES.submit, sum, [1, 2])
+    with pytest.raises(RuntimeError, match="leaf task"):
+        refused.result(timeout=30)
+    assert transport.LEAVES.submit(sum, [1, 2]).result(timeout=30) == 3
+
+    engine = _engine(workspace, theta_necessity=0.5)
+    chained = engine.answer(Question(id="c", text=CHAINED_Q))
+    parallel = engine.answer(Question(id="p", text=PARALLEL_Q))
+    assert (chained.text, chained.flags) == ("Emma Thomas was born on 1975-05-26.", set())
+    assert parallel.text == "Inception was directed by Christopher Nolan and released in 2010."
+    assert sorted(r.status.value for r in parallel.verification) == ["revised", "verified"]
 
 
 def test_engine_sends_each_kg_query_once_per_run(workspace):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import CountingLeaves, RecordingStore
 from dualtrack import kg, transport
@@ -34,7 +36,9 @@ from dualtrack.kg import (
     parse_triples,
     tail_relations_query,
 )
+from dualtrack.scoring import verbalize
 from dualtrack.transport import ProviderError
+from oracles import triple_reference
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "sparql"
 
@@ -89,6 +93,41 @@ def test_load_triples_roundtrip(tmp_path, movie_triples):
         encoding="utf-8",
     )
     assert load_triples(path) == movie_triples
+
+
+# ---------------------------------------------------------------------------
+# triples
+# ---------------------------------------------------------------------------
+
+# a small alphabet, so that two drawn triples are often equal and labels
+# are often empty
+_words = st.text(alphabet="ab |", max_size=2)
+_triple_fields = st.tuples(
+    st.tuples(_words, _words),
+    st.tuples(_words, _words),
+    st.one_of(
+        st.tuples(st.just("entity"), _words, _words),
+        st.tuples(st.just("literal"), _words, st.one_of(st.none(), _words)),
+    ),
+)
+
+
+def _triple(fields) -> Triple:
+    (s_id, s_label), (r_id, r_label), (kind, o_first, o_second) = fields
+    obj = EntityRef(o_first, o_second) if kind == "entity" else LiteralValue(o_first, o_second)
+    return Triple(EntityRef(s_id, s_label), RelationRef(r_id, r_label), obj)
+
+
+@given(_triple_fields, _triple_fields)
+def test_triple_key_text_equality_and_hash_match_the_reference(a_fields, b_fields):
+    a, b = _triple(a_fields), _triple(b_fields)
+    key, text, digest = triple_reference(a_fields)
+    assert (a.key(), verbalize(a), hash(a)) == (key, text, digest)
+    assert (a == b) is (a_fields == b_fields)
+    assert a == _triple(a_fields) and hash(a) == hash(_triple(a_fields))
+    assert not hasattr(a, "__dict__")  # slotted
+    with pytest.raises(AttributeError):
+        a.subject = b.subject
 
 
 # ---------------------------------------------------------------------------

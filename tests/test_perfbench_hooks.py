@@ -5,14 +5,20 @@ re-signed function there silently reads zero. These tests load that module
 as it is and check that every hook still resolves and records its span.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import sys
+import threading
+import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import MOVIE_LINES
+from dualtrack import chain, scoring, verify
+from dualtrack import denoise as denoise_module
 from dualtrack.classifier import Question
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
@@ -111,3 +117,46 @@ def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):
     assert all(calls == unique for calls, unique in budget.values()), budget
     assert budget["necessity"][0] > 0
     assert budget["other"] == (0, 0)
+
+
+def test_movie_questions_stay_within_the_grounding_work_budget(monkeypatch):
+    """Work budget: within each grounding step the keyword rule runs at most
+    once per distinct relation label, and the engine's one HashEmbedding
+    hashes each distinct token at most once."""
+    rule_calls = []  # (thread, label)
+    rule_filter = denoise_module.rule_filter
+
+    def counted_rule(relation, cfg):
+        rule_calls.append((threading.get_ident(), relation.label))
+        return rule_filter(relation, cfg)
+
+    monkeypatch.setattr(denoise_module, "rule_filter", counted_rule)
+
+    steps = []  # (rule labels seen in the step, the step's relation labels)
+
+    def counted(ground):
+        def wrapper(query_text, triples, *rest):
+            me, before = threading.get_ident(), len(rule_calls)
+            try:
+                return ground(query_text, triples, *rest)
+            finally:  # claims ground on several threads at once
+                seen = [label for thread, label in rule_calls[before:] if thread == me]
+                steps.append((seen, {t.relation.label for t in triples}))
+
+        return wrapper
+
+    for module in (chain, verify):
+        monkeypatch.setattr(module, "ground", counted(module.ground))
+    hashed = []
+    monkeypatch.setattr(
+        scoring, "hashlib", types.SimpleNamespace(sha1=lambda data: hashed.append(data) or hashlib.sha1(data))
+    )
+
+    engine = _engine()
+    for question in (Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)):
+        engine.answer(question)
+
+    assert len(steps) > 2 and sum(len(seen) for seen, _ in steps) > 0
+    for seen, labels in steps:
+        assert len(seen) == len(set(seen)) and set(seen) <= labels, (seen, labels)
+    assert hashed and set(Counter(hashed).values()) == {1}

@@ -3,6 +3,7 @@ the stage-ordering contract."""
 
 import math
 import random
+import sys
 import threading
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import ConstantRerank, CountingRerank, DownSession, MappingRerank
+from dualtrack import scoring
 from dualtrack.config import EngineConfig
 from dualtrack.kg import RelationRef
 from dualtrack.llm import ProviderError
@@ -31,6 +33,7 @@ from dualtrack.scoring import (
     top_n,
     verbalize,
 )
+from oracles import hash_embedding_rows
 
 # ---------------------------------------------------------------------------
 # cosine
@@ -259,6 +262,59 @@ def test_hash_embedding_deterministic_across_instances():
 def test_hash_embedding_token_counts():
     vec = HashEmbedding(dimension=32).embed(["word word other"])[0]
     assert sorted(v for v in vec if v) in ([1.0, 2.0], [3.0])  # collision tolerated
+
+
+_EMBEDDERS = {dimension: HashEmbedding(dimension) for dimension in (1, 7, 256)}
+
+
+@given(
+    st.lists(st.text(alphabet="ab cÄé_1.", max_size=12), max_size=5),
+    st.sampled_from(sorted(_EMBEDDERS)),
+)
+def test_hash_embedding_matches_an_uncached_sha1_reference(texts, dimension):
+    embedder = _EMBEDDERS[dimension]  # shared, so most tokens come from its memo
+    expected = hash_embedding_rows(texts, dimension)
+    assert embedder.embed(texts) == expected
+    for text, row in zip(texts, expected):
+        assert embedder.embed([text]) == [row]
+
+
+def test_hash_embedding_token_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(scoring, "TOKEN_BUCKETS", 3)
+    embedder = HashEmbedding(dimension=16)
+    texts = [" ".join(f"w{i}_{j}" for j in range(4)) for i in range(5)]
+    for text in texts:
+        assert embedder.embed([text]) == hash_embedding_rows([text], 16)
+        assert len(embedder._buckets) <= 3
+    assert embedder.embed(texts) == hash_embedding_rows(texts, 16)
+
+
+def test_hash_embedding_shared_by_threads_keeps_its_bound(monkeypatch):
+    monkeypatch.setattr(scoring, "TOKEN_BUCKETS", 5)
+    embedder = HashEmbedding(dimension=16)
+    texts = [[f"t{i}_{j} t{j}" for j in range(40)] for i in range(8)]
+    rows, sizes = {}, []
+
+    def work(i):
+        rows[i] = []
+        for text in texts[i]:
+            rows[i].append(embedder.embed([text]))
+            sizes.append(len(embedder._buckets))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so stores interleave
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i in range(8):
+        assert rows[i] == [hash_embedding_rows([text], 16) for text in texts[i]]
+    assert max(sizes) <= 5
 
 
 def test_overlap_rerank_jaccard():
