@@ -40,8 +40,7 @@ def main() -> int:
 
     templates = load_templates(PACKAGED_PROMPTS)
     config = EngineConfig(
-        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
-        theta_necessity=0.5,
+        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5,
     )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()

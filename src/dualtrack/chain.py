@@ -3,11 +3,11 @@ entity, with dynamic pruning and sufficiency-based early stopping.
 
 Search constraints: depth capped at ``d_max``; per step only the top
 ``w_max`` relations above ``theta_search`` survive, and when more than
-``llm_select_trigger`` do, an LLM picks at most three. The width cut comes
-first, so LLM selection runs only when ``w_max`` exceeds
-``llm_select_trigger``; at the defaults (5 and 8) it never runs, and no
-benchmark workload reaches it. The source abstract does not say whether
-selection should come before the width cut, so the order stays as it is.
+``LLM_SELECT_TRIGGER`` (8) do, an LLM picks at most three. The width cut
+comes first, so LLM selection runs only when ``w_max`` is 9 or more; at the
+default ``w_max`` of 5 it never runs, and no benchmark workload reaches it.
+The source abstract does not say whether selection should come before the
+width cut, so the order stays as it is.
 After every expansion the freshly extended path is checked for
 sufficiency; a "yes" ends the search immediately. The final answer is
 generated strictly from the triples of the best-scoring paths.
@@ -35,6 +35,9 @@ log = logging.getLogger(__name__)
 
 HEAD = "head"
 TAIL = "tail"
+
+# Survivors of the width cut above which an LLM picks at most three.
+LLM_SELECT_TRIGGER = 8
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
     scored = ground(question.text, candidates, pipe, score_candidates, denoise)
     # ground returns best first, and the theta cut keeps that order
     survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
-    if len(survivors) > cfg.llm_select_trigger:
+    if len(survivors) > LLM_SELECT_TRIGGER:
         survivors = _llm_select(survivors, question, pipe)
     return [
         path.extend(

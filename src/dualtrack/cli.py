@@ -19,7 +19,6 @@ from .config import load_config
 from .engine import Engine
 from .evaluation import format_report, load_dataset
 from .kg import load_triples
-from .scoring import verbalize
 from .transport import ProviderError
 
 log = logging.getLogger(__name__)
@@ -101,7 +100,7 @@ def _cmd_denoise(engine: Engine, args) -> int:
     triples = load_triples(args.triples)
     for triple, kept, reason in engine.explain_denoise(triples, _question(args.question)):
         verdict = "KEEP" if kept else "DROP"
-        print(f"{verdict} ({verbalize(triple)})" + ("" if kept else f"  [{reason}]"))
+        print(f"{verdict} ({triple.text})" + ("" if kept else f"  [{reason}]"))
     return 0
 
 

@@ -71,7 +71,6 @@ class EngineConfig:
     d_max: int = 3
     w_max: int = 5
     theta_search: float = 0.3
-    llm_select_trigger: int = 8
     top_k_paths: int = 3
     max_expansions: int = 500  # global budget per question
 

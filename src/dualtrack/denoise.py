@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import Future, wait
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 from .kg import RelationRef, Triple, term_label
 from .llm import (
@@ -41,12 +41,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_INVALID_KEYWORDS = ("id", "source", "version", "metadata")
 
-Denoisable = Union[Triple, RelationRef]
-
-
-def _relation_of(item: Denoisable) -> RelationRef:
-    return item.relation if isinstance(item, Triple) else item
-
 
 def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     """True when the relation should be dropped by the keyword rule."""
@@ -57,14 +51,12 @@ def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     return any(keyword in label for keyword in cfg.k_invalid)
 
 
-def _rule_kept(
-    candidates: Sequence[Denoisable], cfg: EngineConfig, verdicts: dict[str, bool]
-) -> list[Denoisable]:
+def _rule_kept(candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[str, bool]) -> list[Triple]:
     """The candidates the keyword rule keeps, in input order. ``rule_filter``
     runs only for a label not yet in ``verdicts``, which gets its verdict."""
     kept = []
     for candidate in candidates:
-        relation = _relation_of(candidate)
+        relation = candidate.relation
         dropped = verdicts.get(relation.label)
         if dropped is None:
             dropped = verdicts[relation.label] = rule_filter(relation, cfg)
@@ -97,13 +89,13 @@ def _necessary(relation: RelationRef, request: CompletionRequest, cfg: EngineCon
 
 
 def denoise(
-    candidates: Sequence[Denoisable],
+    candidates: Sequence[Triple],
     question: str,
     cfg: EngineConfig,
     llm: LLMProvider | None = None,
     template: PromptTemplate | None = None,
     rule_verdicts: dict[str, bool] | None = None,
-) -> list[Denoisable]:
+) -> list[Triple]:
     """Apply the keyword rule, then (when an LLM is supplied) the necessity
     threshold. Survivor order follows input order.
 
@@ -125,11 +117,10 @@ def denoise(
     kept = _rule_kept(candidates, cfg, {} if rule_verdicts is None else rule_verdicts)
     if llm is None or template is None or cfg.theta_necessity == 0.0:
         return kept
-    labels = [term_label(_relation_of(c)) for c in kept]
+    labels = [term_label(c.relation) for c in kept]
     relations: dict[str, RelationRef] = {}
     for label, candidate in zip(labels, kept):
-        if label not in relations:
-            relations[label] = _relation_of(candidate)
+        relations.setdefault(label, candidate.relation)
     requests = {label: _necessity_request(r, question, template) for label, r in relations.items()}
     held = [label for label, request in requests.items() if isinstance(llm, MemoLLM) and llm.holds(request)]
     verdicts: dict[str, bool | Exception | Future] = {

@@ -54,11 +54,11 @@ class Engine:
 
     Providers may be injected (tests do), otherwise ``config.PROVIDERS``
     builds the ones the config names. A ``stub_script`` file scripts the
-    stub provider and needs ``llm_provider`` "stub". In stub mode with a
-    triples file nothing here touches the network. The KG store and the
-    LLM, built or injected, are wrapped once, in a ``CachedStore`` and a
-    ``MemoLLM``, which every question, claim, leaf and evaluation thread of
-    the engine shares.
+    stub provider: it needs ``llm_provider`` "stub" and no injected
+    ``llm``. In stub mode with a triples file nothing here touches the
+    network. The KG store and the LLM, built or injected, are wrapped once,
+    in a ``CachedStore`` and a ``MemoLLM``, which every question, claim,
+    leaf and evaluation thread of the engine shares.
     """
 
     def __init__(
@@ -74,6 +74,8 @@ class Engine:
         self.config = cfg = config or EngineConfig()
         if stub_script and cfg.llm_provider != "stub":
             raise ValueError(f"a stub script needs llm_provider 'stub', got {cfg.llm_provider!r}")
+        if stub_script and llm is not None:
+            raise ValueError("a stub script scripts the engine's own stub; it cannot go with an injected llm")
         if llm is None:
             llm = StubLLM.from_script_file(stub_script) if stub_script else _build(cfg, "llm_provider")
         packaged = load_templates(PACKAGED_PROMPTS)

@@ -1,6 +1,6 @@
 """Two-stage hybrid candidate scoring.
 
-Stage I embeds the query and every candidate's verbalization and keeps the
+Stage I embeds the query and every candidate triple's text and keeps the
 top-N by cosine similarity; Stage II reranks only the survivors and fuses
 both scores with weight ``alpha``. When the cut keeps every candidate, the
 rerank is sent alongside the embedding instead of after it. Embedding and
@@ -16,50 +16,31 @@ import re
 import sys
 import threading
 from concurrent.futures import Future, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence
 
-from .kg import RelationRef, Triple, term_label
+from .kg import Triple
 from .transport import LEAVES, ProviderError, http_session, request_json
 
 if TYPE_CHECKING:
     from .config import EngineConfig
     from .engine import Pipeline
 
-Payload = Union[Triple, RelationRef]
-
 
 class ZeroVector(ValueError):
     pass
 
 
-class MissingStageScore(ValueError):
-    """Fusion or selection asked for a score that was never computed."""
-
-
 @dataclass
 class ScoredCandidate:
-    payload: Payload
-    text: str
-    cos: float | None = None
-    rerank: float | None = None
-    combined: float | None = None
+    """A triple that passed Stage I, with its cosine, its clamped rerank
+    score and the two fused."""
 
-
-def payload_id(payload: Payload) -> str:
-    """Deterministic identifier used for tie-breaking."""
-    if isinstance(payload, Triple):
-        return payload.key()
-    return payload.id
-
-
-def verbalize(payload: Payload) -> str:
-    """Plain-text form handed to embedding and rerank providers: a triple's
-    ``text``, a relation's ``term_label``."""
-    if isinstance(payload, RelationRef):
-        return term_label(payload)
-    return payload.text
+    payload: Triple
+    cos: float
+    rerank: float
+    combined: float
 
 
 def _norm(values: Sequence[float]) -> float:
@@ -90,35 +71,10 @@ def cosines(query: Sequence[float], rows: Sequence[Sequence[float]]) -> list[flo
     ]
 
 
-def _fused(cos: float, rerank: float, cfg: EngineConfig) -> float:
-    """The fusion formula: Stage II weighted by ``alpha``, Stage I by the rest."""
-    return cfg.alpha * rerank + (1.0 - cfg.alpha) * cos
-
-
-def fuse(candidate: ScoredCandidate, cfg: EngineConfig) -> ScoredCandidate:
-    if candidate.cos is None or candidate.rerank is None:
-        raise MissingStageScore("both cos and rerank must be set before fusion")
-    return replace(candidate, combined=_fused(candidate.cos, candidate.rerank, cfg))
-
-
 def _ranked(scores: Sequence[float], ids: Sequence[str]) -> list[int]:
     """Indices of ``scores``, largest first; ties break on ``ids``, so the
     order never depends on input order."""
     return sorted(range(len(scores)), key=lambda i: (-scores[i], ids[i]))
-
-
-def top_n(candidates: Sequence[ScoredCandidate], n: int, key: str = "cos") -> list[ScoredCandidate]:
-    """The n largest by ``key`` (cos|combined), descending; ties break on the
-    payload identifier so output order never depends on input order."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if key not in ("cos", "combined"):
-        raise ValueError(f"key must be 'cos' or 'combined', got {key!r}")
-    for c in candidates:
-        if getattr(c, key) is None:
-            raise MissingStageScore(f"candidate {payload_id(c.payload)} has no {key} score")
-    ranked = _ranked([getattr(c, key) for c in candidates], [payload_id(c.payload) for c in candidates])
-    return [candidates[i] for i in ranked[:n]]
 
 
 def _clamp01(value: float) -> float:
@@ -277,7 +233,7 @@ class HttpRerank(RerankProvider):
 
 def score_candidates(
     query_text: str,
-    candidates: Sequence[Payload],
+    candidates: Sequence[Triple],
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
@@ -304,8 +260,8 @@ def score_candidates(
     """
     if not candidates:
         return []
-    texts = [verbalize(c) for c in candidates]
-    ids = [payload_id(c) for c in candidates]
+    texts = [c.text for c in candidates]
+    ids = [c.key() for c in candidates]
     try:
         vectors = embedder.embed([query_text] + texts)
     finally:
@@ -317,7 +273,7 @@ def score_candidates(
         raise ProviderError("embedder returned rows of different shapes")
     cos = cosines(vectors[0], vectors[1:])
     if early_rerank is None:
-        survivors = _ranked(cos, ids)[: cfg.top_n]  # Stage I's cut, as top_n(key="cos")
+        survivors = _ranked(cos, ids)[: cfg.top_n]  # Stage I's cut
         rerank_scores = reranker.rerank(query_text, [texts[i] for i in survivors])
     else:
         survivors = range(len(candidates))  # the cut keeps every candidate, in candidate order
@@ -328,8 +284,9 @@ def score_candidates(
         )
     if not all(math.isfinite(score) for score in rerank_scores):
         raise ProviderError("reranker returned a NaN or infinite score")
+    alpha = cfg.alpha  # Stage II's weight in the fusion, Stage I's is the rest
     fused = [
-        ScoredCandidate(candidates[i], texts[i], cos[i], rerank, _fused(cos[i], rerank, cfg))
+        ScoredCandidate(candidates[i], cos[i], rerank, alpha * rerank + (1.0 - alpha) * cos[i])
         for i, rerank in zip(survivors, map(_clamp01, rerank_scores))
     ]
     order = _ranked([c.combined for c in fused], [ids[i] for i in survivors])
@@ -339,7 +296,7 @@ def score_candidates(
 def submit_scoring(
     score: Callable[..., list[ScoredCandidate]],
     query_text: str,
-    candidates: Sequence[Payload],
+    candidates: Sequence[Triple],
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
@@ -357,7 +314,7 @@ def submit_scoring(
     """
     early = None
     if 0 < len(candidates) <= cfg.top_n:
-        early = LEAVES.submit(reranker.rerank, query_text, [verbalize(c) for c in candidates])
+        early = LEAVES.submit(reranker.rerank, query_text, [c.text for c in candidates])
     return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early)
 
 

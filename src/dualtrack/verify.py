@@ -19,7 +19,7 @@ from .denoise import denoise
 from .kg import Triple, fetch_relations
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import ground, score_candidates, verbalize
+from .scoring import ground, score_candidates
 from .transport import CLAIMS
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ class VerificationResult:
             "subject": self.fact.subject_surface,
             "origin_index": self.fact.origin_index,
             "status": self.status.value,
-            "best_triples": [verbalize(t) for t in self.best_triples],
+            "best_triples": [t.text for t in self.best_triples],
             "revised_text": self.revised_text,
         }
 
@@ -114,7 +114,7 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
     best = [c.payload for c in scored[: pipe.config.verify_top_k]]
-    evidence = "\n".join(verbalize(t) for t in best)
+    evidence = "\n".join(t.text for t in best)
     reply = ask(pipe.llm, pipe.templates["judge"], fact=fact.text, triples=evidence)
     try:
         matched = parse_yes_no(reply)
@@ -141,7 +141,7 @@ def _summarize(results: list[VerificationResult]) -> str:
         if r.revised_text:
             lines.append(f"  revision: {r.revised_text}")
         if r.best_triples:
-            lines.append("  evidence: " + "; ".join(verbalize(t) for t in r.best_triples))
+            lines.append("  evidence: " + "; ".join(t.text for t in r.best_triples))
     return "\n".join(lines)
 
 

@@ -10,7 +10,7 @@ from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS
 from dualtrack.kg import InMemoryTripleStore, KGStore, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
-from dualtrack.scoring import HashEmbedding, RerankProvider
+from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider
 
 MOVIE_LINES = [
     "QF1|Inception|PF1|director|QF2|Christopher Nolan",
@@ -82,6 +82,16 @@ class ConstantRerank(RerankProvider):
 
     def rerank(self, query, texts):
         return [self.value] * len(texts)
+
+
+class MappingEmbedding(EmbeddingProvider):
+    """Fixed text -> row mapping: every text asked must be in it."""
+
+    def __init__(self, rows):
+        self.rows = dict(rows)
+
+    def embed(self, texts):
+        return [list(self.rows[t]) for t in texts]
 
 
 class MappingRerank(RerankProvider):

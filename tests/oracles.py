@@ -18,10 +18,10 @@ import random
 import re
 
 from dualtrack.classifier import Answer, QuestionType
-from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, Triple, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, parse_triples
 from dualtrack.linking import LinkFailure, similarity
 from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, parse_yes_no, render
-from dualtrack.scoring import score_candidates, verbalize
+from dualtrack.scoring import score_candidates
 from dualtrack.verify import VerificationResult, VerificationStatus, decompose, draft_response
 
 # none of these contain any default k_invalid keyword as a substring
@@ -177,7 +177,7 @@ def serial_denoise(candidates, question, k_invalid, theta, llm, template):
     candidate; with ``theta`` 0 the provider is never asked."""
     survivors = []
     for candidate in candidates:
-        relation = candidate.relation if isinstance(candidate, Triple) else candidate
+        relation = candidate.relation
         if relation.label and any(k in relation.label.lower() for k in k_invalid):
             continue
         if theta == 0.0:
@@ -254,7 +254,7 @@ def _verify_one(fact, pipe) -> VerificationResult:
     best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]
     if not best:
         return result(VerificationStatus.UNVERIFIABLE)
-    evidence = "\n".join(verbalize(t) for t in best)
+    evidence = "\n".join(t.text for t in best)
     reply = _complete(pipe.llm, templates["judge"], fact=fact.text, triples=evidence)
     try:
         matched = parse_yes_no(reply)
@@ -299,7 +299,7 @@ def _serial_answer(question, pipe) -> Answer:
     for r in results:
         summary += [f"- claim: {r.fact.text}", f"  status: {r.status.value}"]
         summary += [f"  revision: {r.revised_text}"] if r.revised_text else []
-        summary += ["  evidence: " + "; ".join(map(verbalize, r.best_triples))] if r.best_triples else []
+        summary += ["  evidence: " + "; ".join(t.text for t in r.best_triples)] if r.best_triples else []
     answer.text = _complete(
         pipe.llm, pipe.templates["synthesize"], question=question.text, draft=draft, verifications="\n".join(summary)
     ).strip()

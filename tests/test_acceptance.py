@@ -7,10 +7,11 @@ lines and timings.
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
-from conftest import MOVIE_LINES, ConstantRerank, FailingLLM, MappingRerank, CountingRerank
+from conftest import MOVIE_LINES, ConstantRerank, FailingLLM, MappingEmbedding, MappingRerank, CountingRerank
 from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
 from dualtrack.classifier import Question, QuestionType, classify
 from dualtrack.config import EngineConfig
@@ -20,22 +21,16 @@ from dualtrack.evaluation import AccScorer, evaluate, exact_match, semantic_acc
 from dualtrack.kg import (
     EntityRef,
     InMemoryTripleStore,
+    LiteralValue,
     RelationRef,
+    Triple,
     parse_triples,
     entity_id_query,
     head_relations_query,
     tail_relations_query,
 )
 from dualtrack.llm import StubLLM
-from dualtrack.scoring import (
-    HashEmbedding,
-    OverlapRerank,
-    ScoredCandidate,
-    fuse,
-    payload_id,
-    score_candidates,
-    top_n,
-)
+from dualtrack.scoring import HashEmbedding, OverlapRerank, score_candidates, submit_scoring
 from dualtrack.verify import VerificationStatus, verify_fact
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
 from test_chain import CHAIN_MAPPING, CHAIN_SCRIPT
@@ -79,27 +74,56 @@ def test_01_classifier_fidelity(templates):
 # ---------------------------------------------------------------------------
 
 
+# Candidate rows (a, b, norm) with an integer norm, so that against a query
+# on the first axis every cosine is a/norm, correctly rounded: equal ratios
+# give bit-equal cosines, and ties are real ties. (0, 0) is an all-zero row.
+_PYTHAGOREAN = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5), (6, 8, 10), (5, 12, 13), (12, 5, 13), (8, 15, 17)]
+_ROWS = [(s * a, b, norm) for a, b, norm in _PYTHAGOREAN for s in (1, -1)] + [(0, 0, 0)]
+_RERANKS = [-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5]  # clamped to [0, 1] before fusion
+
+
 def test_02_scoring_math_oracle():
     rng = random.Random(2024)
+    pools = {"early": 0, "late": 0}
     start = time.perf_counter()
-    for _ in range(500):
+    for _ in range(1000):
         alpha = rng.random()
-        cos, rerank = rng.uniform(-1, 1), rng.random()
-        candidate = ScoredCandidate(payload=RelationRef("P1", "r"), text="r", cos=cos, rerank=rerank)
-        fused = fuse(candidate, EngineConfig(alpha=alpha))
-        assert abs(fused.combined - (alpha * rerank + (1 - alpha) * cos)) <= 1e-9
-    for _ in range(500):
-        count = rng.randint(0, 50)
-        candidates = [
-            ScoredCandidate(payload=RelationRef(f"P{i}", "r"), text="r", cos=rng.uniform(-1, 1))
-            for i in range(count)
-        ]
-        n = rng.randint(1, 60)
-        expected = sorted(candidates, key=lambda c: (-c.cos, payload_id(c.payload)))[:n]
-        assert top_n(candidates, n, key="cos") == expected
+        count, top = rng.randint(1, 30), rng.randint(1, 30)
+        cfg = EngineConfig(alpha=alpha, top_n=top)
+        scale = rng.choice([1, 2, 3, -1, -2])  # the query row (scale, 0)
+        ids = rng.sample(range(1000), count)  # keys in no relation to input order
+        triples = [Triple(EntityRef(f"Q{i}", f"s{i}"), RelationRef("P1", "r"), LiteralValue("v")) for i in ids]
+        rows = [rng.choice(_ROWS) for _ in triples]
+        reranks = [rng.choice(_RERANKS) for _ in triples]
+        embedder = MappingEmbedding({"q": [scale, 0]} | {t.text: row[:2] for t, row in zip(triples, rows)})
+        reranker = CountingRerank(MappingRerank({t.text: r for t, r in zip(triples, reranks)}))
+
+        result = submit_scoring(score_candidates, "q", triples, cfg, embedder, reranker).result()
+
+        cos = {
+            t.key(): float(Fraction(scale * a, abs(scale) * norm)) if norm else 0.0
+            for t, (a, _, norm) in zip(triples, rows)
+        }
+        rerank = {t.key(): min(1.0, max(0.0, r)) for t, r in zip(triples, reranks)}
+        by_cosine = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))
+        survivors = by_cosine[:top]  # Stage I's cut
+        if count <= top:
+            pools["early"] += 1  # reranked whole, in candidate order, alongside the embedding
+            assert reranker.batches == [[t.text for t in triples]]
+        else:
+            pools["late"] += 1  # only Stage I's survivors, in cosine order
+            assert reranker.batches == [[t.text for t in survivors]]
+        combined = {t.key(): alpha * rerank[t.key()] + (1 - alpha) * cos[t.key()] for t in survivors}
+        expected = sorted(survivors, key=lambda t: (-combined[t.key()], t.key()))
+        assert [c.payload for c in result] == expected
+        for c in result:
+            key = c.payload.key()
+            assert (c.cos, c.rerank) == (cos[key], rerank[key])
+            assert abs(c.combined - combined[key]) <= 1e-9
     elapsed = time.perf_counter() - start
+    assert min(pools.values()) >= 300
     assert elapsed < 5.0
-    _report(2, "1000 fuse/top_n cases match the sort/arithmetic oracle", elapsed)
+    _report(2, "1000 score_candidates cases match the sort/arithmetic oracle", elapsed)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +135,7 @@ def test_03_top_n_default_honored(templates):
     assert EngineConfig().top_n == 50
 
     counting = CountingRerank(ConstantRerank(0.5))
-    candidates = [RelationRef(f"P{i}", f"topic{i}") for i in range(120)]
+    candidates = parse_triples([f"QF1|Hub|P{i}|topic{i}|QF{i + 10}|spoke{i}" for i in range(120)])
     score_candidates("which topic?", candidates, EngineConfig(), HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 50
@@ -151,7 +175,6 @@ def test_04_search_constraints_and_oracle(templates):
         d_max=d_max,
         w_max=w_max,
         theta_search=theta,
-        llm_select_trigger=10_000,
         theta_necessity=0.0,  # necessity layer off
     )
     embedder = HashEmbedding(dimension=48)
@@ -261,7 +284,9 @@ def test_06_denoiser_rule_layer(templates):
     assert counting_stub.calls == []  # rule layer is provider-free
 
     # keep-on-failure: a failing provider must never drop clean relations
-    clean = [RelationRef("P10", "director"), RelationRef("P11", "spouse")]
+    clean = parse_triples(
+        ["QF1|Inception|P10|director|QF2|Christopher Nolan", "QF2|Christopher Nolan|P11|spouse|QF3|Emma Thomas"]
+    )
     assert denoise(clean, "q", cfg, FailingLLM(), templates["necessity"]) == clean
     _report(6, "keyword rule drops 100% admin relations with zero LLM calls; failures keep")
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from conftest import MOVIE_LINES, NECESSITY, GatedEmbedding, MappingRerank, NecessityGateLLM
 from dualtrack.chain import (
     HEAD,
+    LLM_SELECT_TRIGGER,
     Hop,
     ReasoningPath,
     check_sufficiency,
@@ -188,25 +189,43 @@ def test_expand_width_cut(templates):
     assert [c.hops[-1].triple.relation.label for c in children] == ["relh", "relg", "relf"]
 
 
-def test_expand_llm_selection_picks_named_relations(templates):
-    greek = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota", "kappa"]
-    store = _star_store(greek)
-    stub = StubLLM(script=[("Select at most three relations", "epsilon, theta, beta")], default="no")
-    search = dict(theta_search=0.1, w_max=10, llm_select_trigger=5)
-    pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.8), stub, **search)
+# nine relations: one more than LLM_SELECT_TRIGGER
+_GREEK = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "iota"]
+_SELECT = "Select at most three relations"
+
+
+def _selection_prompts(stub):
+    return [prompt for prompt in stub.calls if _SELECT in prompt]
+
+
+def _select_from_nine(templates, w_max):
+    """(selection prompts sent, labels of the children) for one expansion
+    of a hub whose nine relations all score 0.8."""
+    stub = StubLLM(script=[(_SELECT, "epsilon, theta, beta")], default="no")
+    reranker = MappingRerank({}, default=0.8)
+    pipe = _expand_pipe(templates, _star_store(_GREEK), reranker, stub, theta_search=0.1, w_max=w_max)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
-    assert sorted(c.hops[-1].triple.relation.label for c in children) == ["beta", "epsilon", "theta"]
+    return len(_selection_prompts(stub)), sorted(c.hops[-1].triple.relation.label for c in children)
+
+
+def test_expand_llm_selection_waits_for_more_than_the_trigger(templates):
+    # w_max 8 leaves LLM_SELECT_TRIGGER survivors: no selection
+    assert LLM_SELECT_TRIGGER == len(_GREEK) - 1
+    assert _select_from_nine(templates, w_max=8) == (0, sorted(_GREEK[:8]))
+
+
+def test_expand_llm_selection_picks_named_relations(templates):
+    # w_max 9 leaves one survivor more: one selection prompt
+    assert _select_from_nine(templates, w_max=9) == (1, ["beta", "epsilon", "theta"])
 
 
 def test_expand_llm_selection_fallback_keeps_top_three(templates):
-    greek = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-    store = _star_store(greek)
-    mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(greek)}
-    stub = StubLLM(script=[("Select at most three relations", "none of those words")], default="no")
-    search = dict(theta_search=0.1, w_max=6, llm_select_trigger=5)
-    pipe = _expand_pipe(templates, store, MappingRerank(mapping), stub, **search)
+    mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(_GREEK)}
+    stub = StubLLM(script=[(_SELECT, "none of those words")], default="no")
+    pipe = _expand_pipe(templates, _star_store(_GREEK), MappingRerank(mapping), stub, theta_search=0.1, w_max=9)
     children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
-    assert [c.hops[-1].triple.relation.label for c in children] == ["zeta", "epsilon", "delta"]
+    assert len(_selection_prompts(stub)) == 1
+    assert [c.hops[-1].triple.relation.label for c in children] == ["iota", "theta", "eta"]
 
 
 def test_expand_never_revisits_entities(templates):
@@ -440,7 +459,6 @@ def test_search_config_validation():
         {"d_max": 0},
         {"w_max": 0},
         {"theta_search": 1.2},
-        {"llm_select_trigger": 0},
         {"top_k_paths": 0},
         {"max_expansions": 0},
     ):
@@ -461,8 +479,7 @@ def _check_search_against_oracle(templates, rng, theta_necessity):
     question = Question(id="r", text=random_question(rng, n))
     necessity = random_necessity(rng)
     config = EngineConfig(
-        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, llm_select_trigger=10_000,
-        theta_necessity=theta_necessity,
+        alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=theta_necessity,
     )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()

@@ -98,7 +98,9 @@ def _engine(workspace, llm=None, **overrides):
     config = EngineConfig(
         triples_file=str(workspace / "movies.triples"), theta_search=0.0, **overrides
     )
-    return Engine(config, llm=llm, stub_script=workspace / "stub.json")
+    if llm is None:
+        return Engine(config, stub_script=workspace / "stub.json")
+    return Engine(config, llm=llm)
 
 
 def test_engine_routes_chained_question(workspace):
@@ -600,6 +602,13 @@ def test_cli_stub_script_needs_the_stub_llm(workspace, monkeypatch, capsys):
     )
     assert code == 1
     assert "llm_provider" in capsys.readouterr().err
+
+
+def test_engine_refuses_a_stub_script_with_an_injected_llm(workspace):
+    # the script is never opened, so an injected stub would silently run unscripted
+    config = EngineConfig(triples_file=str(workspace / "movies.triples"))
+    with pytest.raises(ValueError, match="injected llm"):
+        Engine(config, llm=StubLLM(default="x"), stub_script=workspace / "stub.json")
 
 
 def test_cli_unreachable_endpoint_exits_2(workspace, monkeypatch, capsys):

@@ -22,7 +22,6 @@ def test_defaults_match_documented_values():
     assert cfg.d_max == 3
     assert cfg.w_max == 5
     assert cfg.theta_search == 0.3
-    assert cfg.llm_select_trigger == 8
     assert cfg.top_k_paths == 3
     assert cfg.max_expansions == 500
     assert cfg.theta_necessity == 0.5
@@ -129,7 +128,6 @@ INT_KEYS = (  # each at least 1
     "verify_top_k",
     "d_max",
     "w_max",
-    "llm_select_trigger",
     "top_k_paths",
     "max_expansions",
     "parallelism",

@@ -15,7 +15,7 @@ from conftest import CountingLeaves, FailingLLM
 from dualtrack import denoise as denoise_module
 from dualtrack.config import EngineConfig
 from dualtrack.denoise import denoise, rule_filter
-from dualtrack.kg import RelationRef, parse_triples
+from dualtrack.kg import EntityRef, LiteralValue, RelationRef, Triple, parse_triples
 from dualtrack.llm import CompletionResponse, LLMProvider, MemoLLM, ProviderError, StubLLM
 from dualtrack.transport import LEAF_THREADS
 from oracles import serial_denoise
@@ -24,6 +24,12 @@ from oracles import serial_denoise
 @pytest.fixture
 def cfg():
     return EngineConfig()
+
+
+def _triples(relations):
+    """One triple per relation, in order: the denoiser reads only a
+    candidate's relation."""
+    return [Triple(EntityRef("Q1", "subject"), relation, LiteralValue(relation.id)) for relation in relations]
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +85,7 @@ def test_necessity_score_scripted(templates):
 
     def kept(relation, question, theta):
         cfg = EngineConfig(theta_necessity=theta)
-        return denoise([relation], question, cfg, stub, templates["necessity"]) == [relation]
+        return denoise(_triples([relation]), question, cfg, stub, templates["necessity"]) == _triples([relation])
 
     # each scripted score keeps its relation at a threshold equal to it, not above
     assert kept(director, "Who directed it?", 0.9) and not kept(director, "Who directed it?", 0.95)
@@ -88,10 +94,10 @@ def test_necessity_score_scripted(templates):
 
 def test_necessity_unparseable_keeps_with_warning(templates, caplog):
     stub = StubLLM(default="hard to say")
-    relation = RelationRef("P1", "director")
+    triples = _triples([RelationRef("P1", "director")])
     with caplog.at_level(logging.WARNING):
-        kept = denoise([relation], "q", EngineConfig(theta_necessity=1.0), stub, templates["necessity"])
-    assert kept == [relation]
+        kept = denoise(triples, "q", EngineConfig(theta_necessity=1.0), stub, templates["necessity"])
+    assert kept == triples
     assert len(stub.calls) == 1
     assert "unparseable" in caplog.text
 
@@ -115,57 +121,60 @@ def test_denoise_empty_input(cfg, templates):
 
 def test_denoise_mixed_scores_threshold(templates):
     cfg = EngineConfig(theta_necessity=0.5)
-    relations = [RelationRef("P1", "director"), RelationRef("P2", "height")]
+    triples = _triples([RelationRef("P1", "director"), RelationRef("P2", "height")])
     stub = StubLLM(script=[("Relation: director", "0.9"), ("Relation: height", "0.1")])
-    kept = denoise(relations, "Who directed Inception?", cfg, stub, templates["necessity"])
-    assert kept == [relations[0]]
+    kept = denoise(triples, "Who directed Inception?", cfg, stub, templates["necessity"])
+    assert kept == [triples[0]]
 
 
 def test_denoise_preserves_input_order(cfg, templates):
-    relations = [RelationRef(f"P{i}", f"topic{i}") for i in range(6)]
+    triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(6)])
     stub = StubLLM(default="0.9")
-    kept = denoise(relations, "q", cfg, stub, templates["necessity"])
-    assert kept == relations
+    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    assert kept == triples
 
 
 def test_denoise_without_llm_runs_rule_layer_only(cfg):
-    relations = [RelationRef("P1", "director"), RelationRef("P2", "wikidata:id")]
-    assert denoise(relations, "q", cfg) == [relations[0]]
+    triples = _triples([RelationRef("P1", "director"), RelationRef("P2", "wikidata:id")])
+    assert denoise(triples, "q", cfg) == [triples[0]]
 
 
 def test_denoise_theta_zero_skips_llm_calls(templates):
     cfg = EngineConfig(theta_necessity=0.0)
     stub = StubLLM(default="0.0")
-    relations = [RelationRef("P1", "director")]
-    kept = denoise(relations, "q", cfg, stub, templates["necessity"])
-    assert kept == relations
+    triples = _triples([RelationRef("P1", "director")])
+    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    assert kept == triples
     assert stub.calls == []
 
 
 def test_denoise_keeps_items_on_provider_failure(cfg, templates, caplog):
-    relations = [RelationRef("P1", "director"), RelationRef("P2", "spouse")]
+    triples = _triples([RelationRef("P1", "director"), RelationRef("P2", "spouse")])
     with caplog.at_level(logging.WARNING):
-        kept = denoise(relations, "q", cfg, FailingLLM(), templates["necessity"])
-    assert kept == relations
+        kept = denoise(triples, "q", cfg, FailingLLM(), templates["necessity"])
+    assert kept == triples
     assert "keeping" in caplog.text
 
 
 def test_denoise_output_subset_of_input(cfg, templates):
-    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(["a", "entity id", "b", "source of", "c"])]
+    labels = ["a", "entity id", "b", "source of", "c"]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(script=[("- relation", "0.7")], default="0.7")
-    kept = denoise(relations, "q", cfg, stub, templates["necessity"])
-    assert set(r.id for r in kept) <= set(r.id for r in relations)
+    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    assert set(t.key() for t in kept) <= set(t.key() for t in triples)
 
 
 def test_denoise_full_drop_when_every_label_matches(cfg, templates):
-    relations = [
-        RelationRef("P1", "wikidata:id"),
-        RelationRef("P2", "data source"),
-        RelationRef("P3", "schema version"),
-        RelationRef("P4", "metadata block"),
-    ]
+    triples = _triples(
+        [
+            RelationRef("P1", "wikidata:id"),
+            RelationRef("P2", "data source"),
+            RelationRef("P3", "schema version"),
+            RelationRef("P4", "metadata block"),
+        ]
+    )
     stub = StubLLM(default="0.9")
-    assert denoise(relations, "q", cfg, stub, templates["necessity"]) == []
+    assert denoise(triples, "q", cfg, stub, templates["necessity"]) == []
     assert stub.calls == []
 
 
@@ -210,9 +219,9 @@ def test_denoise_scores_distinct_labels_concurrently(cfg, templates):
         barrier.wait()  # breaks unless every label is being scored at once
         return "0.9"
 
-    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     llm = _PerLabelLLM(reply)
-    assert denoise(relations, "q", cfg, llm, templates["necessity"]) == relations
+    assert denoise(triples, "q", cfg, llm, templates["necessity"]) == triples
     assert sorted(llm.asked) == labels
 
 
@@ -229,10 +238,10 @@ def test_denoise_keeps_input_order_when_replies_finish_in_reverse(cfg, templates
         done[label].set()
         return "0.9" if labels.index(label) % 2 == 0 else "0.1"
 
-    relations = [RelationRef(f"P{i}", labels[i % 5]) for i in range(10)]
-    kept = denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    triples = _triples([RelationRef(f"P{i}", labels[i % 5]) for i in range(10)])
+    kept = denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
     assert finished == labels[::-1]
-    assert kept == [r for r in relations if r.label in ("topic0", "topic2", "topic4")]
+    assert kept == [t for t in triples if t.relation.label in ("topic0", "topic2", "topic4")]
 
 
 def test_denoise_raises_the_earliest_labels_error(cfg, templates):
@@ -248,9 +257,9 @@ def test_denoise_raises_the_earliest_labels_error(cfg, templates):
             raise ValueError("first")
         return "0.9"
 
-    relations = [RelationRef("P1", "first"), RelationRef("P2", "second"), RelationRef("P3", "third")]
+    triples = _triples([RelationRef("P1", "first"), RelationRef("P2", "second"), RelationRef("P3", "third")])
     with pytest.raises(ValueError, match="first"):
-        denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+        denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
 
 
 def test_denoise_raises_only_after_every_label_is_scored(cfg, templates):
@@ -265,9 +274,9 @@ def test_denoise_raises_only_after_every_label_is_scored(cfg, templates):
         return "0.9"
 
     llm = _PerLabelLLM(reply)
-    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     with pytest.raises(ValueError, match="first"):
-        denoise(relations, "q", cfg, llm, templates["necessity"])
+        denoise(triples, "q", cfg, llm, templates["necessity"])
     assert sorted(llm.asked) == sorted(labels)  # no label was cancelled
     assert sorted(answered) == sorted(labels[1:])
 
@@ -287,8 +296,8 @@ def _thread_recording_llm(threads, together):
 
 def test_denoise_prompt_threads_outlive_the_call(cfg, templates):
     threads = []
-    relations = [RelationRef(f"P{i}", f"topic{i}") for i in range(5)]
-    assert denoise(relations, "q", cfg, _thread_recording_llm(threads, 5), templates["necessity"]) == relations
+    triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(5)])
+    assert denoise(triples, "q", cfg, _thread_recording_llm(threads, 5), templates["necessity"]) == triples
     assert len(set(threads)) == 5
     assert all(thread.is_alive() for thread in threads)
 
@@ -296,9 +305,9 @@ def test_denoise_prompt_threads_outlive_the_call(cfg, templates):
 def test_denoise_calls_share_at_most_leaf_threads(cfg, templates):
     threads = []
     llm = _thread_recording_llm(threads, 5)
-    relations = [RelationRef(f"P{i}", f"topic{i}") for i in range(5)]
+    triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(5)])
     for _ in range(30):
-        denoise(relations, "q", cfg, llm, templates["necessity"])
+        denoise(triples, "q", cfg, llm, templates["necessity"])
     assert len(threads) == 30 * 5
     assert len(set(threads)) <= LEAF_THREADS
 
@@ -312,21 +321,23 @@ def test_denoise_provider_error_keeps_every_candidate_with_that_label(cfg, templ
             raise ProviderError("transient outage")
         return "0.1"
 
-    relations = [
-        RelationRef("P1", "director"),
-        RelationRef("P2", "spouse"),
-        RelationRef("P9", "director"),
-        RelationRef("P3", "height"),
-    ]
-    kept = denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
-    assert kept == [relations[0], relations[2]]
+    triples = _triples(
+        [
+            RelationRef("P1", "director"),
+            RelationRef("P2", "spouse"),
+            RelationRef("P9", "director"),
+            RelationRef("P3", "height"),
+        ]
+    )
+    kept = denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    assert kept == [triples[0], triples[2]]
 
 
 def test_denoise_sends_one_prompt_per_distinct_label(cfg, templates):
     labels = ["director", "spouse", "director", "genre", "spouse", "director"]
-    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(default="0.9")
-    assert denoise(relations, "q", cfg, stub, templates["necessity"]) == relations
+    assert denoise(triples, "q", cfg, stub, templates["necessity"]) == triples
     assert Counter(_RELATION_LINE.search(c).group(1) for c in stub.calls) == Counter(set(labels))
 
 
@@ -334,16 +345,16 @@ def test_denoise_scores_labels_the_memo_holds_inline(cfg, templates, monkeypatch
     leaves = CountingLeaves()
     monkeypatch.setattr(denoise_module, "LEAVES", leaves)
     labels = ["director", "height", "director", "spouse"]
-    relations = [RelationRef(f"P{i}", label) for i, label in enumerate(labels)]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(script=[("Relation: height", "0.1")], default="0.9")
     memo = MemoLLM(stub)
-    expected = [r for r in relations if r.label != "height"]
-    assert denoise(relations, "q", cfg, memo, templates["necessity"]) == expected
+    expected = [t for t in triples if t.relation.label != "height"]
+    assert denoise(triples, "q", cfg, memo, templates["necessity"]) == expected
     assert leaves.submitted == 3
-    assert denoise(relations, "q", cfg, memo, templates["necessity"]) == expected
+    assert denoise(triples, "q", cfg, memo, templates["necessity"]) == expected
     assert leaves.submitted == 3  # warm: every label read inline
-    genre = RelationRef("P9", "genre")
-    assert denoise([genre] + relations, "q", cfg, memo, templates["necessity"]) == [genre] + expected
+    genre = _triples([RelationRef("P9", "genre")])
+    assert denoise(genre + triples, "q", cfg, memo, templates["necessity"]) == genre + expected
     assert leaves.submitted == 4  # only the label the memo lacks goes to a leaf
     assert len(stub.calls) == 4
 
@@ -361,7 +372,7 @@ _LABELS = ["director", "spouse", "genre", "cast member", "award", "data source",
 )
 def test_denoise_matches_serial_oracle(templates, picks, theta, offsets, failing):
     # an empty label is asked by relation id; every such candidate gets its own
-    relations = [RelationRef(f"P{i}" if not _LABELS[p] else f"P{p}", _LABELS[p]) for i, p in enumerate(picks)]
+    triples = _triples([RelationRef(f"P{i}" if not _LABELS[p] else f"P{p}", _LABELS[p]) for i, p in enumerate(picks)])
 
     def reply(label):
         index = _LABELS.index(label) if label in _LABELS else _LABELS.index("")
@@ -371,5 +382,5 @@ def test_denoise_matches_serial_oracle(templates, picks, theta, offsets, failing
         return "unsure" if offset is None else f"{min(1.0, max(0.0, theta + offset)):.2f}"
 
     cfg = EngineConfig(theta_necessity=theta)
-    expected = serial_denoise(relations, "q", cfg.k_invalid, theta, _PerLabelLLM(reply), templates["necessity"])
-    assert denoise(relations, "q", cfg, _PerLabelLLM(reply), templates["necessity"]) == expected
+    expected = serial_denoise(triples, "q", cfg.k_invalid, theta, _PerLabelLLM(reply), templates["necessity"])
+    assert denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"]) == expected

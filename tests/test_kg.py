@@ -36,7 +36,6 @@ from dualtrack.kg import (
     parse_triples,
     tail_relations_query,
 )
-from dualtrack.scoring import verbalize
 from dualtrack.transport import ProviderError
 from oracles import triple_reference
 
@@ -122,7 +121,7 @@ def _triple(fields) -> Triple:
 def test_triple_key_text_equality_and_hash_match_the_reference(a_fields, b_fields):
     a, b = _triple(a_fields), _triple(b_fields)
     key, text, digest = triple_reference(a_fields)
-    assert (a.key(), verbalize(a), hash(a)) == (key, text, digest)
+    assert (a.key(), a.text, hash(a)) == (key, text, digest)
     assert (a == b) is (a_fields == b_fields)
     assert a == _triple(a_fields) and hash(a) == hash(_triple(a_fields))
     assert not hasattr(a, "__dict__")  # slotted

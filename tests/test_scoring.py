@@ -1,5 +1,5 @@
-"""Two-stage scoring: cosine, fusion, top-N selection, provider doubles, and
-the stage-ordering contract."""
+"""Two-stage scoring: cosine, fusion and the top-N cut (each driven through
+``score_candidates``), provider doubles, and the stage-ordering contract."""
 
 import math
 import random
@@ -10,28 +10,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ConstantRerank, CountingRerank, DownSession, MappingRerank
+from conftest import ConstantRerank, CountingRerank, DownSession, MappingEmbedding, MappingRerank
 from dualtrack import scoring
 from dualtrack.config import EngineConfig
-from dualtrack.kg import RelationRef
+from dualtrack.kg import EntityRef, LiteralValue, RelationRef, Triple, term_label
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
     EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
     HttpRerank,
-    MissingStageScore,
     OverlapRerank,
     RerankProvider,
-    ScoredCandidate,
     ZeroVector,
     cosines,
-    fuse,
-    payload_id,
     score_candidates,
     submit_scoring,
-    top_n,
-    verbalize,
 )
 from oracles import hash_embedding_rows
 
@@ -108,125 +102,106 @@ def test_cosines_reject_a_row_with_a_value_no_norm_holds(value):
 
 
 # ---------------------------------------------------------------------------
-# fusion
+# fusion and the top-N cut, through score_candidates
 # ---------------------------------------------------------------------------
 
 
-def _candidate(cos=None, rerank=None, pid="P1"):
-    return ScoredCandidate(payload=RelationRef(pid, pid), text=pid, cos=cos, rerank=rerank)
+def _fact(i, subject=None):
+    """A triple keyed ``Q<i>|P1|fact``, two digits wide; its subject label
+    (``topic<i>`` by default) makes its text its own."""
+    return Triple(EntityRef(f"Q{i:02d}", subject or f"topic{i}"), RelationRef("P1", f"word{i}"), LiteralValue("fact"))
+
+
+def _scored(rows, reranks, alpha=0.7, top=50, triples=None):
+    """``score_candidates`` over one triple per row, with scripted rows
+    against the query row (1, 0) and scripted rerank scores. Against that
+    query a row (a, b) whose norm is an integer has the cosine a/norm,
+    correctly rounded."""
+    triples = triples or [_fact(i) for i in range(len(rows))]
+    embedder = MappingEmbedding({"q": [1.0, 0.0]} | {t.text: row for t, row in zip(triples, rows)})
+    reranker = MappingRerank({t.text: score for t, score in zip(triples, reranks)})
+    return _score("q", triples, EngineConfig(alpha=alpha, top_n=top), embedder, reranker)
 
 
 def test_fuse_alpha_one_keeps_rerank_only():
-    fused = fuse(_candidate(cos=0.2, rerank=0.8), EngineConfig(alpha=1.0))
-    assert fused.combined == pytest.approx(0.8)
+    (fused,) = _scored([[3.0, 4.0]], [0.8], alpha=1.0)
+    assert (fused.cos, fused.rerank, fused.combined) == (0.6, 0.8, pytest.approx(0.8))
 
 
 def test_fuse_alpha_zero_keeps_cosine_only():
-    fused = fuse(_candidate(cos=0.6, rerank=0.8), EngineConfig(alpha=0.0))
+    (fused,) = _scored([[3.0, 4.0]], [0.8], alpha=0.0)
     assert fused.combined == pytest.approx(0.6)
 
 
 def test_fuse_hand_value():
-    fused = fuse(_candidate(cos=0.6, rerank=0.8), EngineConfig(alpha=0.7))
+    (fused,) = _scored([[3.0, 4.0]], [0.8], alpha=0.7)
     assert fused.combined == pytest.approx(0.74)
 
 
-def test_fuse_requires_both_scores():
-    with pytest.raises(MissingStageScore):
-        fuse(_candidate(cos=0.5), EngineConfig())
-    with pytest.raises(MissingStageScore):
-        fuse(_candidate(rerank=0.5), EngineConfig())
+_PAIR_ROW = st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=2)
 
 
-def test_fuse_does_not_mutate_input():
-    original = _candidate(cos=0.1, rerank=0.2)
-    fuse(original, EngineConfig())
-    assert original.combined is None
-
-
-@given(
-    alpha=st.floats(0.01, 1.0),
-    cos=st.floats(-1.0, 1.0),
-    r1=st.floats(0.0, 1.0),
-    r2=st.floats(0.0, 1.0),
-)
-def test_fuse_monotone_in_rerank(alpha, cos, r1, r2):
+@given(alpha=st.floats(0.01, 1.0), row=_PAIR_ROW, r1=st.floats(0.0, 1.0), r2=st.floats(0.0, 1.0))
+def test_fuse_monotone_in_rerank(alpha, row, r1, r2):
     lo, hi = sorted((r1, r2))
-    cfg = EngineConfig(alpha=alpha)
-    assert fuse(_candidate(cos=cos, rerank=lo), cfg).combined <= (
-        fuse(_candidate(cos=cos, rerank=hi), cfg).combined + 1e-12
-    )
+    combined = {c.payload.key(): c.combined for c in _scored([row, row], [lo, hi], alpha=alpha)}
+    assert combined[_fact(0).key()] <= combined[_fact(1).key()] + 1e-12
 
 
-@given(
-    alpha=st.floats(0.0, 0.99),
-    rerank=st.floats(0.0, 1.0),
-    c1=st.floats(-1.0, 1.0),
-    c2=st.floats(-1.0, 1.0),
-)
-def test_fuse_monotone_in_cosine(alpha, rerank, c1, c2):
-    lo, hi = sorted((c1, c2))
-    cfg = EngineConfig(alpha=alpha)
-    assert fuse(_candidate(cos=lo, rerank=rerank), cfg).combined <= (
-        fuse(_candidate(cos=hi, rerank=rerank), cfg).combined + 1e-12
-    )
-
-
-# ---------------------------------------------------------------------------
-# top-N
-# ---------------------------------------------------------------------------
+@given(alpha=st.floats(0.0, 0.99), rerank=st.floats(0.0, 1.0), rows=st.lists(_PAIR_ROW, min_size=2, max_size=2))
+def test_fuse_monotone_in_cosine(alpha, rerank, rows):
+    low, high = sorted(_scored(rows, [rerank, rerank], alpha=alpha), key=lambda c: c.cos)
+    assert low.combined <= high.combined + 1e-12
 
 
 def test_top_n_takes_largest():
-    candidates = [_candidate(cos=i / 60, pid=f"P{i:02d}") for i in range(60)]
-    kept = top_n(candidates, 50, key="cos")
-    assert len(kept) == 50
-    assert kept[0].cos == pytest.approx(59 / 60)
-    assert min(c.cos for c in kept) == pytest.approx(10 / 60)
+    # the cosine of (i, 60) rises with i
+    result = _scored([[float(i), 60.0] for i in range(60)], [0.5] * 60, top=50)
+    assert sorted(c.payload.key() for c in result) == [_fact(i).key() for i in range(10, 60)]
+    assert result[0].cos == pytest.approx(59 / math.hypot(59, 60))
+    assert min(c.cos for c in result) == pytest.approx(10 / math.hypot(10, 60))
 
 
 def test_top_n_fewer_than_n_returns_all_sorted():
-    candidates = [_candidate(cos=c, pid=p) for c, p in [(0.1, "Pa"), (0.9, "Pb"), (0.5, "Pc")]]
-    kept = top_n(candidates, 50, key="cos")
-    assert [c.payload.id for c in kept] == ["Pb", "Pc", "Pa"]
+    result = _scored([[0.0, 1.0], [1.0, 0.0], [3.0, 4.0]], [0.5] * 3, top=50)
+    assert [c.payload.key() for c in result] == [_fact(i).key() for i in (1, 2, 0)]
 
 
 def test_top_n_tiebreak_by_payload_id():
-    candidates = [_candidate(cos=0.5, pid=p) for p in ["Pz", "Pa", "Pm"]]
-    kept = top_n(candidates, 2, key="cos")
-    assert [c.payload.id for c in kept] == ["Pa", "Pm"]
-
-
-def test_top_n_rejects_bad_args():
-    with pytest.raises(ValueError):
-        top_n([], 0)
-    with pytest.raises(ValueError):
-        top_n([], 1, key="rerank")
-    with pytest.raises(MissingStageScore):
-        top_n([_candidate()], 1, key="cos")
+    # equal rows and equal rerank scores: the cut and the order go by key
+    triples = [_fact(i, subject=name) for i, name in ((25, "z"), (0, "a"), (12, "m"))]
+    result = _scored([[3.0, 4.0]] * 3, [0.5] * 3, top=2, triples=triples)
+    assert [c.payload.key() for c in result] == [_fact(0).key(), _fact(12).key()]
 
 
 @given(
-    scores=st.lists(st.floats(-1.0, 1.0), min_size=0, max_size=30),
+    rows=st.lists(_PAIR_ROW, max_size=30),
     n=st.integers(1, 10),
     m=st.integers(1, 10),
 )
-def test_top_n_subset_monotonicity(scores, n, m):
+def test_top_n_subset_monotonicity(rows, n, m):
     n, m = sorted((n, m))
-    candidates = [_candidate(cos=s, pid=f"P{i}") for i, s in enumerate(scores)]
-    small = {payload_id(c.payload) for c in top_n(candidates, n, key="cos")}
-    big = {payload_id(c.payload) for c in top_n(candidates, m, key="cos")}
+    small = {c.payload.key() for c in _scored(rows, [0.5] * len(rows), top=n)}
+    big = {c.payload.key() for c in _scored(rows, [0.5] * len(rows), top=m)}
     assert small <= big
 
 
 def test_top_n_matches_sort_oracle():
+    # Stage I keeps the top n by (-cosine, key) and shows them to the
+    # reranker in that order
     rng = random.Random(11)
     for _ in range(50):
-        count = rng.randrange(40)
-        candidates = [_candidate(cos=rng.uniform(-1, 1), pid=f"P{i}") for i in range(count)]
-        n = rng.randrange(1, 60)
-        expected = sorted(candidates, key=lambda c: (-c.cos, payload_id(c.payload)))[:n]
-        assert top_n(candidates, n, key="cos") == expected
+        count, n = rng.randrange(1, 40), rng.randrange(1, 60)
+        triples = [_fact(i) for i in rng.sample(range(100), count)]
+        rows = [[float(rng.randint(-3, 3)) for _ in range(3)] for _ in range(count + 1)]
+        rows[0][0] = 1.0  # a query row is never all zero
+        cos = dict(zip((t.key() for t in triples), cosines(rows[0], rows[1:])))
+        expected = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))[:n]
+        embedder = MappingEmbedding({"q": rows[0]} | {t.text: row for t, row in zip(triples, rows[1:])})
+        reranker = CountingRerank(ConstantRerank(0.5))
+        result = score_candidates("q", triples, EngineConfig(top_n=n), embedder, reranker)
+        assert reranker.batches == [[t.text for t in expected]]
+        assert {c.payload for c in result} == set(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -235,14 +210,16 @@ def test_top_n_matches_sort_oracle():
 
 
 def test_verbalize_triple_and_relation(movie_triples):
-    assert verbalize(movie_triples[0]) == "Inception director Christopher Nolan"
-    assert verbalize(movie_triples[2]) == "Emma Thomas birthdate 1975-05-26"
-    assert verbalize(RelationRef("P57", "director")) == "director"
-    assert verbalize(RelationRef("P57")) == "P57"
+    # a triple's text feeds the embedding and rerank providers; a relation's
+    # term_label feeds the necessity prompt
+    assert movie_triples[0].text == "Inception director Christopher Nolan"
+    assert movie_triples[2].text == "Emma Thomas birthdate 1975-05-26"
+    assert term_label(RelationRef("P57", "director")) == "director"
+    assert term_label(RelationRef("P57")) == "P57"
 
 
 def test_verbalization_injective_on_fixture(movie_triples):
-    texts = [verbalize(t) for t in movie_triples]
+    texts = [t.text for t in movie_triples]
     assert len(set(texts)) == len(texts)
 
 
@@ -373,8 +350,8 @@ def test_http_providers_require_url():
 # ---------------------------------------------------------------------------
 
 
-def _relations(n):
-    return [RelationRef(f"P{i:02d}", f"topic{i} word{i}") for i in range(n)]
+def _facts(n):
+    return [_fact(i) for i in range(n)]
 
 
 def _score(query, candidates, cfg, embedder, reranker):
@@ -394,22 +371,22 @@ def test_score_candidates_matches_independent_recompute():
     embedder = HashEmbedding(dimension=64)
     reranker = ConstantRerank(0.5)
     cfg = EngineConfig(alpha=0.7, top_n=5, dimension=64)
-    candidates = _relations(10)
+    candidates = _facts(10)
     query = "topic3 word7 topic5"
 
-    texts = [verbalize(c) for c in candidates]
+    texts = [c.text for c in candidates]
     vectors = embedder.embed([query] + texts)
-    cos_by_id = {c.id: cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
+    cos_by_id = {c.key(): cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
     expected_ids = [
-        c.id
-        for c in sorted(candidates, key=lambda c: (-cos_by_id[c.id], c.id))[:5]
+        c.key()
+        for c in sorted(candidates, key=lambda c: (-cos_by_id[c.key()], c.key()))[:5]
     ]
     expected_combined = {cid: 0.7 * 0.5 + 0.3 * cos_by_id[cid] for cid in expected_ids}
 
     result = score_candidates(query, candidates, cfg, embedder, reranker)
-    assert sorted(c.payload.id for c in result) == sorted(expected_ids)
+    assert sorted(c.payload.key() for c in result) == sorted(expected_ids)
     for c in result:
-        assert c.combined == pytest.approx(expected_combined[c.payload.id], abs=1e-9)
+        assert c.combined == pytest.approx(expected_combined[c.payload.key()], abs=1e-9)
     assert [c.combined for c in result] == sorted((c.combined for c in result), reverse=True)
 
 
@@ -422,19 +399,21 @@ class _ShortEmbedding(HashEmbedding):
 
 def test_score_candidates_rejects_missing_embedding_rows():
     with pytest.raises(ProviderError, match="embedder returned 5 vectors for 6 texts"):
-        score_candidates("topic", _relations(5), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
+        score_candidates("topic", _facts(5), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
 def test_score_candidates_rejects_embedding_row_of_another_shape():
     embedder = _ReplyEmbedding([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ProviderError, match="embedder returned rows of different shapes"):
-        score_candidates("q", _relations(2), EngineConfig(), embedder, ConstantRerank())
+        score_candidates("q", _facts(2), EngineConfig(), embedder, ConstantRerank())
 
 
 def test_score_candidates_ranks_a_zero_candidate_row_last():
     embedder = _ReplyEmbedding([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    result = score_candidates("q", _relations(3), EngineConfig(), embedder, ConstantRerank(0.5))
-    assert [(c.payload.id, c.cos) for c in result] == [("P01", pytest.approx(0.70710678)), ("P00", 0.0), ("P02", 0.0)]
+    result = score_candidates("q", _facts(3), EngineConfig(), embedder, ConstantRerank(0.5))
+    keys = [c.key() for c in _facts(3)]
+    expected = [(keys[1], pytest.approx(0.70710678)), (keys[0], 0.0), (keys[2], 0.0)]
+    assert [(c.payload.key(), c.cos) for c in result] == expected
 
 
 class _PoisonedEmbedding(HashEmbedding):
@@ -453,14 +432,15 @@ class _PoisonedEmbedding(HashEmbedding):
         return vectors
 
 
-_ABCD = [RelationRef(f"P{i}", f"{name} fact") for i, name in enumerate("abcd")]
+_ABCD = [_fact(i, subject=name) for i, name in enumerate("abcd")]
+_C_TEXT = _ABCD[2].text
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("order", ["abdc", "dcba"])
 def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
-    embedder = _PoisonedEmbedding(16, "c fact", value)
+    embedder = _PoisonedEmbedding(16, _C_TEXT, value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
         score_candidates("a b c d fact", candidates, EngineConfig(), embedder, ConstantRerank())
 
@@ -476,10 +456,10 @@ def test_score_candidates_rejects_non_finite_query_embedding(value):
 def test_score_candidates_rejects_non_finite_rerank_score(value):
     # once with the pool within top_n (reranked early), once over it
     for top in (len(_ABCD), len(_ABCD) - 1):
-        reranker = CountingRerank(MappingRerank({"c fact": value}, default=0.5))
+        reranker = CountingRerank(MappingRerank({_C_TEXT: value}, default=0.5))
         with pytest.raises(ProviderError, match="NaN or infinite"):
             _score("a b c d fact", _ABCD, EngineConfig(top_n=top), HashEmbedding(16), reranker)
-        assert "c fact" in reranker.batches[0]
+        assert _C_TEXT in reranker.batches[0]
 
 
 class _ReplyEmbedding(EmbeddingProvider):
@@ -522,16 +502,16 @@ def _well_formed_replies(draw):
     cfg = EngineConfig(alpha=draw(st.floats(0.0, 1.0)), top_n=top, dimension=3)
     rows = [draw(_QUERY_ROW)] + draw(st.lists(_ROW, min_size=n, max_size=n))
     scores = draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
-    return _relations(n), cfg, rows, scores
+    return _facts(n), cfg, rows, scores
 
 
 @given(reply=_well_formed_replies())
 def test_score_candidates_well_formed_replies_match_independent_recompute(reply):
     candidates, cfg, rows, scores = reply
-    score = {c.id: value for c, value in zip(candidates, scores)}
+    score = {c.key(): value for c, value in zip(candidates, scores)}
     norms = [math.sqrt(sum(x * x for x in row)) for row in rows]
     cos = {
-        c.id: sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm) if norm else 0.0
+        c.key(): sum(q * x for q, x in zip(rows[0], row)) / (norms[0] * norm) if norm else 0.0
         for c, row, norm in zip(candidates, rows[1:], norms[1:])
     }
     survivors = sorted(cos, key=lambda cid: (-cos[cid], cid))[: cfg.top_n]
@@ -539,9 +519,9 @@ def test_score_candidates_well_formed_replies_match_independent_recompute(reply)
         cid: cfg.alpha * min(1.0, max(0.0, score[cid])) + (1.0 - cfg.alpha) * cos[cid] for cid in survivors
     }
     expected = sorted(combined, key=lambda cid: (-combined[cid], cid))
-    reranker = MappingRerank({verbalize(c): value for c, value in zip(candidates, scores)})
+    reranker = MappingRerank({c.text: value for c, value in zip(candidates, scores)})
     result = _score("q", candidates, cfg, _ReplyEmbedding(rows), reranker)
-    assert [c.payload.id for c in result] == expected
+    assert [c.payload.key() for c in result] == expected
     assert [c.combined for c in result] == pytest.approx([combined[cid] for cid in expected])
 
 
@@ -612,23 +592,23 @@ _QUERY = "topic3 word7 topic5"
 
 def test_a_pool_within_top_n_is_reranked_before_the_embedding_returns():
     log, reranked = [], threading.Event()
-    candidates = _relations(5)
+    candidates = _facts(5)
     cfg = EngineConfig(top_n=5)
     embedder = _LoggingEmbedding(log, reranked, patience=5)
     result = _score(_QUERY, candidates, cfg, embedder, _LoggingRerank(log, reranked))
-    assert log == [("rerank", [verbalize(c) for c in candidates]), "embedding reply"]
+    assert log == [("rerank", [c.text for c in candidates]), "embedding reply"]
     assert result == score_candidates(_QUERY, candidates, cfg, HashEmbedding(16), OverlapRerank())
 
 
 def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embedding():
     log, reranked = [], threading.Event()
-    candidates = _relations(6)
+    candidates = _facts(6)
     cfg = EngineConfig(top_n=5)
     _score(_QUERY, candidates, cfg, _LoggingEmbedding(log, reranked, patience=0), _LoggingRerank(log, reranked))
-    texts = [verbalize(c) for c in candidates]
+    texts = [c.text for c in candidates]
     vectors = HashEmbedding(16).embed([_QUERY] + texts)
-    cos = {c.id: cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
-    by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].id], pair[0].id))
+    cos = {c.key(): cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
+    by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].key()], pair[0].key()))
     assert log == ["embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
 
 
@@ -640,32 +620,32 @@ class _DownRerank(RerankProvider):
 def test_an_embedding_error_wins_over_an_early_rerank_error():
     reranker = CountingRerank(_DownRerank())
     with pytest.raises(ProviderError, match="embedder returned 5 vectors"):
-        _score("topic", _relations(5), EngineConfig(), _ShortEmbedding(16), reranker)
+        _score("topic", _facts(5), EngineConfig(), _ShortEmbedding(16), reranker)
     assert len(reranker.batches) == 1  # the early rerank was sent, and finished first
 
 
 def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
     cfg = EngineConfig(top_n=5)
-    score_candidates("query", _relations(20), cfg, HashEmbedding(32), counting)
+    score_candidates("query", _facts(20), cfg, HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 5
 
 
 def test_identical_texts_share_scores_and_sort_by_id():
-    candidates = [RelationRef(f"P{i}", "same text") for i in (3, 1, 2)]
+    candidates = [Triple(EntityRef(f"Q{i}", "same"), RelationRef("P1", "text"), LiteralValue("x")) for i in (3, 1, 2)]
     result = score_candidates("same text", candidates, EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
     assert len({c.combined for c in result}) == 1
-    assert [c.payload.id for c in result] == ["P1", "P2", "P3"]
+    assert [c.payload.key() for c in result] == ["Q1|P1|x", "Q2|P1|x", "Q3|P1|x"]
 
 
 def test_rerank_scores_clamped():
-    mapping = MappingRerank({"alpha": 7.0, "beta": -3.0})
-    candidates = [RelationRef("P1", "alpha"), RelationRef("P2", "beta")]
+    candidates = [_fact(1, "alpha"), _fact(2, "beta")]
+    mapping = MappingRerank({candidates[0].text: 7.0, candidates[1].text: -3.0})
     result = score_candidates("alpha", candidates, EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
-    by_id = {c.payload.id: c for c in result}
-    assert by_id["P1"].rerank == 1.0
-    assert by_id["P2"].rerank == 0.0
+    by_key = {c.payload: c for c in result}
+    assert by_key[candidates[0]].rerank == 1.0
+    assert by_key[candidates[1]].rerank == 0.0
 
 
 def test_scoring_config_validation():
