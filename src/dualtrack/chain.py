@@ -141,7 +141,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
                 direction_by_key[key] = direction
                 candidates.append(triple)
 
-    scored = ground(question.text, candidates, pipe, score_candidates, denoise)
+    scored = ground(question.text, candidates, relations, pipe, score_candidates, denoise)
     # ground returns best first, and the theta cut keeps that order
     survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
     if len(survivors) > LLM_SELECT_TRIGGER:

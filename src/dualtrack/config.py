@@ -125,7 +125,9 @@ def _coerce(annotation: str, raw: str):
 
 
 def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = None) -> EngineConfig:
-    """Build a config from an optional JSON file plus environment overrides."""
+    """Build a config from an optional JSON file plus environment overrides.
+    An unknown key in the file, or a ``DUALTRACK_`` variable that names no
+    key, is a ``ValueError``."""
     env = os.environ if env is None else env
     known = {f.name: f for f in dataclasses.fields(EngineConfig)}
 
@@ -139,6 +141,10 @@ def load_config(path: str | Path | None = None, env: Mapping[str, str] | None = 
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         data.update(raw)
 
+    read = {ENV_PREFIX + name.upper() for name in known}
+    stray = sorted(key for key in env if key.startswith(ENV_PREFIX) and key not in read)
+    if stray:
+        raise ValueError(f"environment variables name no config key: {', '.join(stray)}")
     for name, spec in known.items():
         env_key = ENV_PREFIX + name.upper()
         if env_key in env:

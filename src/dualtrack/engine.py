@@ -15,7 +15,7 @@ from .denoise import denoise, rule_filter
 from .evaluation import AccScorer, evaluate
 from .kg import CachedStore, InMemoryTripleStore, KGStore, SparqlClient, Triple
 from .llm import LLMProvider, MemoLLM, PromptTemplate, ProviderError, StubLLM, load_templates
-from .scoring import EmbeddingProvider, RerankProvider
+from .scoring import CachedEmbedder, EmbeddingProvider, RerankProvider
 from .verify import run_parallel_branch
 
 log = logging.getLogger(__name__)
@@ -27,8 +27,8 @@ PACKAGED_PROMPTS = Path(__file__).parent / "prompts"
 class Pipeline:
     """What both tracks share: the four providers, the prompt templates and
     the config. ``Engine`` builds one around its own config; build one by
-    hand to run a single stage, without the engine's KG cache and LLM
-    memo."""
+    hand to run a single stage, without the engine's KG cache, LLM memo
+    and embedding cache."""
 
     store: KGStore
     llm: LLMProvider
@@ -56,9 +56,10 @@ class Engine:
     builds the ones the config names. A ``stub_script`` file scripts the
     stub provider: it needs ``llm_provider`` "stub" and no injected
     ``llm``. In stub mode with a triples file nothing here touches the
-    network. The KG store and the LLM, built or injected, are wrapped once,
-    in a ``CachedStore`` and a ``MemoLLM``, which every question, claim,
-    leaf and evaluation thread of the engine shares.
+    network. The KG store, the LLM and the embedder, built or injected, are
+    wrapped once, in a ``CachedStore``, a ``MemoLLM`` and a
+    ``CachedEmbedder``, which every question, claim, leaf and evaluation
+    thread of the engine shares.
     """
 
     def __init__(
@@ -95,7 +96,7 @@ class Engine:
             templates=templates,
             store=CachedStore(store or _build_store(cfg)),
             llm=MemoLLM(llm),
-            embedder=embedder or _build(cfg, "embedding_provider"),
+            embedder=CachedEmbedder(embedder or _build(cfg, "embedding_provider")),
             reranker=reranker or _build(cfg, "rerank_provider"),
             config=cfg,
         )

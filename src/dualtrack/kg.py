@@ -124,8 +124,9 @@ class Triple:
 
 @dataclass
 class RelationSet:
-    """All triples touching one entity, split by which side it occupies."""
+    """All triples touching ``entity``, split by which side it occupies."""
 
+    entity: EntityRef
     head: list[Triple]
     tail: list[Triple]
 
@@ -215,13 +216,13 @@ def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:
     When a ``CachedStore`` already holds both, they are read inline, since a
     hand-off to ``LEAVES`` costs more than the two reads."""
     if isinstance(store, CachedStore) and store.holds_relations(entity):
-        return RelationSet(head=store.head_relations(entity), tail=store.tail_relations(entity))
+        return RelationSet(entity, store.head_relations(entity), store.tail_relations(entity))
     tail = LEAVES.submit(store.tail_relations, entity)
     try:
         head = store.head_relations(entity)
     finally:
         wait([tail])
-    return RelationSet(head=head, tail=tail.result())
+    return RelationSet(entity, head, tail.result())
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,19 @@ def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:
 
 
 def parse_triples(lines: Iterable[str], source: str = "<memory>") -> list[Triple]:
+    """The triples of a fixture file's lines. Refs are interned: the triples
+    share one ``EntityRef`` or ``RelationRef`` object per distinct (id,
+    label), which holds a large store's load memory down."""
     triples = []
+    refs: dict[tuple[type, str, str], EntityRef | RelationRef] = {}
+
+    def ref(kind, ref_id, label):
+        key = (kind, ref_id, label)
+        found = refs.get(key)
+        if found is None:
+            found = refs[key] = kind(ref_id, label)
+        return found
+
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -248,10 +261,10 @@ def parse_triples(lines: Iterable[str], source: str = "<memory>") -> list[Triple
             raise ValueError(f"{source}:{lineno}: subject, relation and object must be non-empty")
         obj: ObjectTerm
         if ENTITY_ID_RE.match(obj_field):
-            obj = EntityRef(obj_field, obj_label)
+            obj = ref(EntityRef, obj_field, obj_label)
         else:
             obj = LiteralValue(obj_field)
-        triples.append(Triple(EntityRef(s_id, s_label), RelationRef(r_id, r_label), obj))
+        triples.append(Triple(ref(EntityRef, s_id, s_label), ref(RelationRef, r_id, r_label), obj))
     return triples
 
 

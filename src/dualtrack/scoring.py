@@ -6,22 +6,30 @@ both scores with weight ``alpha``. When the cut keeps every candidate, the
 rerank is sent alongside the embedding instead of after it. Embedding and
 rerank providers are pluggable; the built-in hash/overlap providers need no
 model and keep runs deterministic.
+
+Every embedding row is checked and packed once, when it arrives (see
+:func:`pack`), and cosines are computed over packed rows only.
+:class:`CachedEmbedder` keeps packed rows for a whole engine: each query
+text and each KG entity is embedded once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
+import struct
 import sys
 import threading
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
+from itertools import compress, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .kg import Triple
-from .transport import LEAVES, ProviderError, http_session, request_json
+from .kg import RelationSet, Triple
+from .transport import LEAVES, ProviderError, SingleFlightCache, http_session, request_json
 
 if TYPE_CHECKING:
     from .config import EngineConfig
@@ -52,23 +60,48 @@ def _norm(values: Sequence[float]) -> float:
     return math.sqrt(squares)
 
 
-def cosines(query: Sequence[float], rows: Sequence[Sequence[float]]) -> list[float]:
-    """Cosine of each row with the query. Zero coordinates are skipped, which
-    is exact, since a zero adds nothing: a dot product reads only the query's
-    nonzero coordinates, and a row's norm only the row's own. A NaN or
-    infinite value in any row is a ``ProviderError``; after that, an all-zero
-    query has no direction and raises ``ZeroVector``, while an all-zero row
-    scores 0.0, so its candidate still ranks deterministically."""
-    spots = [i for i, x in enumerate(query) if x]  # NaN is truthy, so it stays
-    query_values = [query[i] for i in spots]
-    norm_query = _norm(query_values)
-    norms = [_norm(list(filter(None, row))) for row in rows]
+@functools.lru_cache(maxsize=None)
+def _layout(nonzeros: int) -> struct.Struct:
+    """The packed form of a row with ``nonzeros`` nonzero coordinates. Kept
+    for every count seen, which is at most the widest row's length plus one."""
+    return struct.Struct(f"<{nonzeros + 1}d{nonzeros}I")
+
+
+def pack(row: Sequence[float]) -> bytes:
+    """A row as one ``bytes`` object: its norm, its nonzero values and their
+    indices, in index order. That is 8 + 12 bytes a nonzero: a 6-token hash
+    row takes 113 bytes in memory, a 256-float list 2.1 KB. A NaN or
+    infinite value, or a sum of squares beyond the float range, is a
+    ``ProviderError``, raised here, before the row is kept anywhere."""
+    spots = list(compress(range(len(row)), row))  # NaN is truthy, so it stays
+    values = [row[i] for i in spots]
+    return _layout(len(spots)).pack(_norm(values), *values, *spots)
+
+
+def _unpack(row: bytes) -> tuple[float, tuple, tuple]:
+    """(norm, nonzero values, their indices) of a packed row."""
+    nonzeros = (len(row) - 8) // 12
+    fields = _layout(nonzeros).unpack(row)
+    return fields[0], fields[1 : nonzeros + 1], fields[nonzeros + 1 :]
+
+
+def cosines(query: bytes, rows: Sequence[bytes]) -> list[float]:
+    """Cosine of each packed row with the packed query. A dot product reads
+    the indices both share, in index order, and the norms were taken when
+    the rows were packed, so each cosine is bit-identical to sums over every
+    coordinate in index order: a zero adds nothing. An all-zero query has no
+    direction and raises ``ZeroVector``, while an all-zero row scores 0.0, so
+    its candidate still ranks deterministically."""
+    norm_query, values, spots = _unpack(query)
     if norm_query == 0.0:
         raise ZeroVector("cosine undefined for a zero query vector")
-    return [
-        sum(map(mul, query_values, map(row.__getitem__, spots))) / (norm_query * norm) if norm else 0.0
-        for row, norm in zip(rows, norms)
-    ]
+    weight = dict(zip(spots, values)).get
+    scores = []
+    for row in rows:
+        norm, values, spots = _unpack(row)
+        dot = sum(map(mul, map(weight, spots, repeat(0.0)), values))
+        scores.append(dot / (norm_query * norm) if norm else 0.0)
+    return scores
 
 
 def _ranked(scores: Sequence[float], ids: Sequence[str]) -> list[int]:
@@ -188,6 +221,67 @@ class HttpEmbedding(EmbeddingProvider):
         return [list(map(float, row)) for row in rows]
 
 
+def embed_packed(embedder: EmbeddingProvider, texts: Sequence[str]) -> list[bytes]:
+    """One embedding request for ``texts``, each row checked and packed by
+    :func:`pack`. A reply with the wrong number of rows, rows of different
+    lengths, or a NaN or infinite value is a ``ProviderError``."""
+    rows = embedder.embed(texts)
+    if len(rows) != len(texts):
+        raise ProviderError(f"embedder returned {len(rows)} vectors for {len(texts)} texts")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ProviderError("embedder returned rows of different shapes")
+    return [pack(row) for row in rows]
+
+
+# Keys one CachedEmbedder keeps: query texts and entities. More than every
+# benchmark workload's whole working set (about 1.7k keys on verify_fanout).
+EMBED_ENTRIES = 4096
+
+
+class CachedEmbedder(EmbeddingProvider):
+    """Packed embedding rows kept for the lifetime of one engine, which
+    wraps its embedder in one next to its KG cache and LLM memo.
+
+    Two kinds of key, each filled by one request, in one map (a ``str``
+    never equals an ``EntityRef``):
+
+    - a query text maps to its row, a request of one text;
+    - an entity's ``EntityRef`` maps to the rows of every distinct text of
+      its ``RelationSet``, head then tail. This assumes the KG does not
+      change while the engine runs, as the KG cache does.
+
+    The keys live in a ``transport.SingleFlightCache`` of ``EMBED_ENTRIES``,
+    so the embedder is sent one request per distinct key, whatever the
+    thread timing; an error, a malformed reply included, is never kept, so
+    the next call asks again; the least recently used key is evicted first.
+    An entity key holds up to ``2 * kg.RELATION_LIMIT`` rows. ``embed``
+    passes straight through, uncached.
+    """
+
+    def __init__(self, inner: EmbeddingProvider):
+        self.inner = inner
+        self.dimension = inner.dimension
+        self._rows = SingleFlightCache(EMBED_ENTRIES)
+
+    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
+        return self.inner.embed(texts)
+
+    def query_row(self, text: str) -> bytes:
+        return self._rows.get(text, lambda: embed_packed(self.inner, [text])[0])
+
+    def holds_query(self, text: str) -> bool:
+        return self._rows.holds(text)
+
+    def entity_rows(self, relations: RelationSet) -> dict[str, bytes]:
+        """Packed row of each text of the entity's triples, by text."""
+
+        def fill():
+            texts = list(dict.fromkeys(t.text for t in relations.head + relations.tail))
+            return dict(zip(texts, embed_packed(self.inner, texts)))
+
+        return self._rows.get(relations.entity, fill)
+
+
 class RerankProvider:
     """Scores each text's relevance to the query: one score per text, in
     the order of ``texts``. A text's score may not depend on the other texts
@@ -238,6 +332,7 @@ def score_candidates(
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
     early_rerank: Future | None = None,
+    relations: RelationSet | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the query and return them sorted by the fused
     score, descending.
@@ -252,26 +347,33 @@ def score_candidates(
     grounding step can have embedding, rerank and necessity requests in
     flight at once.
 
+    With a :class:`CachedEmbedder` and the ``relations`` the candidates were
+    drawn from, the rows come from the cache: the query's row, and the rows
+    of the entity of ``relations``. Otherwise the query and the candidates
+    are embedded in one request.
+
     An embedding error wins over a rerank error, and either is raised only
     once the early rerank has finished. An embedder or reranker reply with
     the wrong number of rows (against the whole pool for an early rerank),
-    an embedding row whose length differs from the query's, or a NaN or
-    infinite value is a ``ProviderError``.
+    embedding rows of different lengths in one reply, or a NaN or infinite
+    value is a ``ProviderError``. An all-zero query row raises
+    ``ZeroVector``, once every row has passed those checks.
     """
     if not candidates:
         return []
     texts = [c.text for c in candidates]
     ids = [c.key() for c in candidates]
     try:
-        vectors = embedder.embed([query_text] + texts)
+        if relations is not None and isinstance(embedder, CachedEmbedder):
+            query = embedder.query_row(query_text)
+            by_text = embedder.entity_rows(relations)
+            rows = [by_text[text] for text in texts]
+        else:
+            query, *rows = embed_packed(embedder, [query_text] + texts)
     finally:
         if early_rerank is not None:
             wait([early_rerank])
-    if len(vectors) != len(texts) + 1:
-        raise ProviderError(f"embedder returned {len(vectors)} vectors for {len(texts) + 1} texts")
-    if any(len(v) != len(vectors[0]) for v in vectors):
-        raise ProviderError("embedder returned rows of different shapes")
-    cos = cosines(vectors[0], vectors[1:])
+    cos = cosines(query, rows)
     if early_rerank is None:
         survivors = _ranked(cos, ids)[: cfg.top_n]  # Stage I's cut
         rerank_scores = reranker.rerank(query_text, [texts[i] for i in survivors])
@@ -300,6 +402,7 @@ def submit_scoring(
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
+    relations: RelationSet | None = None,
 ) -> Future:
     """Run ``score`` (:func:`score_candidates`, or a tracer's wrapper of it)
     on ``transport.LEAVES`` and return its future.
@@ -308,26 +411,37 @@ def submit_scoring(
     all of them, so the rerank input is known before the embedding returns.
     The whole pool's rerank, in candidate order, is then submitted first and
     handed to ``score`` as ``early_rerank``: the step waits on one round trip
-    instead of two. The scoring task waits only on that earlier task, which
-    ``LEAVES`` has started by then. A larger pool is reranked after the
-    embedding, its top ``cfg.top_n`` in cosine order.
+    instead of two. A larger pool is reranked after the embedding, its top
+    ``cfg.top_n`` in cosine order.
+
+    With a :class:`CachedEmbedder` that lacks the query's row, the row's fill
+    is submitted ahead of ``score`` too, and ``score`` fills the entity's
+    rows itself: a fresh step sends both requests at once, a warm one none.
+
+    The scoring task waits only on tasks submitted before it, which
+    ``LEAVES`` has started by then.
     """
     early = None
     if 0 < len(candidates) <= cfg.top_n:
         early = LEAVES.submit(reranker.rerank, query_text, [c.text for c in candidates])
-    return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early)
+    if relations is not None and isinstance(embedder, CachedEmbedder) and not embedder.holds_query(query_text):
+        LEAVES.submit(embedder.query_row, query_text)
+    return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early, relations)
 
 
 def ground(
     query_text: str,
     triples: Sequence[Triple],
+    relations: RelationSet,
     pipe: Pipeline,
     score: Callable[..., list[ScoredCandidate]],
     denoise: Callable[..., list[Triple]],
 ) -> list[ScoredCandidate]:
     """One grounding step, the same on both tracks: the keyword rule, then
-    scoring and the necessity layer at once. Returns the scored rule-kept
-    triples whose label passed necessity, best fused score first.
+    scoring and the necessity layer at once. ``triples`` are drawn from
+    ``relations``, the entity's fetched triples, whose rows the engine's
+    embedding cache keeps. Returns the scored rule-kept triples whose label
+    passed necessity, best fused score first.
 
     ``score`` and ``denoise`` are the caller's module names
     (:func:`score_candidates` and ``denoise.denoise``), which a tracer
@@ -342,7 +456,7 @@ def ground(
     pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
-    scoring = submit_scoring(score, query_text, pool, cfg, pipe.embedder, pipe.reranker)
+    scoring = submit_scoring(score, query_text, pool, cfg, pipe.embedder, pipe.reranker, relations)
     try:
         kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
     finally:

@@ -4,7 +4,8 @@ the HTTP LLM, embedding and rerank providers.
 Every way one of them fails, from a refused connection to a reply the caller
 cannot use, is a :class:`ProviderError`. The module also holds the budget of
 threads that send requests, which sizes every HTTP connection pool, and the
-one single-flight cache that both the KG cache and the LLM memo build on.
+one single-flight cache that the KG cache, the LLM memo and the embedding
+cache build on.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ CLAIM_THREADS = 32
 CLAIMS = ThreadPoolExecutor(CLAIM_THREADS, thread_name_prefix="claim")
 
 # Every leaf task of the process runs on ``LEAVES``: necessity prompts, tail
-# fetches, early Stage II reranks, and Stage I/II scoring while the necessity
-# prompts are in flight. Question and claim threads share it. That is safe
-# because a task on it never submits to an executor and waits only on work
-# that has started: a cache read on the first call for its key, or a scoring
-# task on its early rerank, submitted just before it. Tasks start in the
+# fetches, early Stage II reranks, query embedding fills, and Stage I/II
+# scoring while the necessity prompts are in flight. Question and claim
+# threads share it. That is safe because a task on it never submits to an
+# executor and waits only on work that has started: a cache read on the
+# first call for its key, or a scoring task on its early rerank and its
+# query's fill, submitted just before it. Tasks start in the
 # order they were submitted, so that rerank is running or done, and no task
 # waits for one queued behind it. ``LEAVES`` checks the first rule: a submit
 # from one of its own threads raises ``RuntimeError`` instead of queueing a

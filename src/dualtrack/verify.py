@@ -108,8 +108,8 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
         log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    triples = fetch_relations(pipe.store, entity).all()
-    scored = ground(fact.text, triples, pipe, score_candidates, denoise)
+    relations = fetch_relations(pipe.store, entity)
+    scored = ground(fact.text, relations.all(), relations, pipe, score_candidates, denoise)
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 

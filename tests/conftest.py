@@ -167,6 +167,22 @@ class GatedEmbedding(HashEmbedding):
         return super().embed(texts)
 
 
+class RecordingEmbedding(HashEmbedding):
+    """Hash embeddings that record the texts of every request in
+    ``requests``, and spoil the replies to the first ``len(faults)``
+    requests with ``faults`` in turn."""
+
+    def __init__(self, dimension: int = 16, faults=()):
+        super().__init__(dimension)
+        self.requests = []
+        self.faults = list(faults)
+
+    def embed(self, texts):
+        self.requests.append(tuple(texts))
+        rows = super().embed(texts)
+        return self.faults.pop(0)(rows) if self.faults else rows
+
+
 class FailingLLM(LLMProvider):
     name = "failing"
 

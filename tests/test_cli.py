@@ -16,7 +16,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MOVIE_LINES, DownSession, RecordingStore
+from conftest import MOVIE_LINES, DownSession, RecordingEmbedding, RecordingStore
 from dualtrack import transport
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
@@ -375,11 +375,11 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
     texts, script = _random_questions(rng, node_count)
     script += necessity_script(random_necessity(rng))
 
-    def engine(llm=None):
+    def engine(llm=None, embedder=None):
         config = EngineConfig(alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5)
         return Engine(
             config, store=store, llm=llm or StubLLM(script=script, default="no"),
-            embedder=HashEmbedding(48), reranker=OverlapRerank(),
+            embedder=embedder or HashEmbedding(48), reranker=OverlapRerank(),
         )
 
     def signature(answer):
@@ -387,7 +387,8 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
 
     fresh = {text: signature(engine().answer(Question(id="f", text=text))) for text in texts}
     shared_llm = StubLLM(script=script, default="no")
-    shared = engine(shared_llm)
+    shared_embedder = RecordingEmbedding(48)
+    shared = engine(shared_llm, shared_embedder)
     questions = [Question(id=f"q{i}", text=text) for i, text in enumerate(texts * 3)]
     for _ in ("cold", "warm"):
         answers = {}
@@ -402,6 +403,15 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
         assert answers == {q.id: fresh[q.text] for q in questions}
     # over both passes, the shared engine sent each distinct prompt once
     assert set(Counter(shared_llm.calls).values()) == {1}
+    # and one embedding request per distinct query text and per distinct
+    # entity: a query's one text, or every distinct text of the entity's triples
+    keys = list(shared.pipeline.embedder._rows._entries)
+    expected = [
+        (key,) if isinstance(key, str)  # a query text; else an EntityRef
+        else tuple(dict.fromkeys(t.text for t in store.head_relations(key) + store.tail_relations(key)))
+        for key in keys
+    ]
+    assert Counter(shared_embedder.requests) == Counter(expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -422,18 +432,20 @@ def test_engine_evaluate_gives_the_same_records_at_parallelism_one_and_four(seed
             alpha=0.5, dimension=48, d_max=3, w_max=3, theta_search=0.12, theta_necessity=0.5,
             parallelism=parallelism,
         )
+        embedder = RecordingEmbedding(48)
         engine = Engine(
             config, store=store, llm=StubLLM(script=script, default="no"),
-            embedder=HashEmbedding(48), reranker=OverlapRerank(),
+            embedder=embedder, reranker=OverlapRerank(),
         )
         report = engine.evaluate(questions)
         for record in report["records"]:
             del record["latency_ms"]
-        return report
+        return report, (len(embedder.requests), sum(map(len, embedder.requests)))
 
-    serial = records(1)
+    serial, serial_embedding = records(1)
     assert {r["track"] for r in serial["records"]} <= {"chained", "parallel"}
-    assert records(4) == serial
+    # the same records, and the same embedding requests and texts from a cold engine
+    assert records(4) == (serial, serial_embedding)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dualtrack.cli import main
 from dualtrack.config import PROVIDERS, EngineConfig, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -117,6 +118,20 @@ def test_env_override_that_does_not_convert_names_itself(variable, raw, message)
     with pytest.raises(ValueError) as error:
         load_config(None, env={variable: raw})
     assert str(error.value) == message
+
+
+def test_env_variable_that_names_no_key_is_rejected():
+    env = {"DUALTRACK_LLM_SELECT_TRIGGER": "3", "DUALTRACK_W_MAXX": "9", "DUALTRACK_W_MAX": "4", "OTHER": "1"}
+    with pytest.raises(ValueError) as error:
+        load_config(None, env=env)
+    names = "DUALTRACK_LLM_SELECT_TRIGGER, DUALTRACK_W_MAXX"
+    assert str(error.value) == f"environment variables name no config key: {names}"
+
+
+def test_cli_exits_1_on_an_env_variable_that_names_no_key(monkeypatch, capsys):
+    monkeypatch.setenv("DUALTRACK_W_MAXX", "9")
+    assert main(["classify", "--question", "x"]) == 1
+    assert "DUALTRACK_W_MAXX" in capsys.readouterr().err
 
 
 # Every numeric key and its bound, written out by hand rather than read from

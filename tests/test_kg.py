@@ -129,6 +129,36 @@ def test_triple_key_text_equality_and_hash_match_the_reference(a_fields, b_field
         a.subject = b.subject
 
 
+# fixture-file fields: ids that parse as entities, labels often shared or empty
+_ids = st.sampled_from(["Q1", "Q2"])
+_labels = st.sampled_from(["", "a", "b"])
+_line_fields = st.tuples(
+    st.tuples(_ids, _labels),
+    st.tuples(st.sampled_from(["P1", "P2"]), _labels),
+    st.one_of(
+        st.tuples(st.just("entity"), _ids, _labels),
+        st.tuples(st.just("literal"), st.sampled_from(["x", "y"]), st.none()),
+    ),
+)
+
+
+@given(st.lists(_line_fields, max_size=12))
+def test_parse_triples_interns_refs_and_keeps_keys_texts_and_equality(rows):
+    lines = [
+        "|".join((s_id, s_label, r_id, r_label, o_first, o_second or ""))
+        for (s_id, s_label), (r_id, r_label), (_, o_first, o_second) in rows
+    ]
+    triples = parse_triples(lines)
+    assert len(triples) == len(rows)
+    interned = {}  # (type, id, label) -> the one ref object parse_triples built
+    for fields, triple in zip(rows, triples):
+        assert (triple.key(), triple.text, hash(triple)) == triple_reference(fields)
+        assert triple == _triple(fields)
+        for ref in (triple.subject, triple.relation, triple.object):
+            if not isinstance(ref, LiteralValue):
+                assert interned.setdefault((type(ref), ref.id, ref.label), ref) is ref
+
+
 # ---------------------------------------------------------------------------
 # in-memory store
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import MOVIE_LINES
+from conftest import MOVIE_LINES, RecordingEmbedding
 from dualtrack import chain, scoring, verify
 from dualtrack import denoise as denoise_module
 from dualtrack.classifier import Question
 from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
-from dualtrack.kg import InMemoryTripleStore, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.llm import StubLLM
 from test_cli import CHAINED_Q, PARALLEL_Q, STUB_SCRIPT
 
@@ -55,11 +55,12 @@ def test_every_patch_target_resolves(tracing):
     assert missing == []
 
 
-def _engine(llm=None):
+def _engine(llm=None, embedder=None):
     return Engine(
         EngineConfig(theta_search=0.0),
         store=InMemoryTripleStore(parse_triples(MOVIE_LINES)),
         llm=llm or StubLLM(script=SCRIPT),
+        embedder=embedder,
     )
 
 
@@ -117,6 +118,32 @@ def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):
     assert all(calls == unique for calls, unique in budget.values()), budget
     assert budget["necessity"][0] > 0
     assert budget["other"] == (0, 0)
+
+
+def test_movie_questions_embed_each_query_and_entity_once():
+    """Embedding budget: over both questions each distinct query text and
+    each distinct entity reaches the embedder once, in one request: a
+    query's one text, or every distinct text of the entity's triples. The
+    chain grounds Inception, Christopher Nolan and Emma Thomas; both claims
+    are about Inception, whose rows the chain already fetched."""
+    embedder = RecordingEmbedding(256)
+    engine = _engine(embedder=embedder)
+    engine.answer(Question(id="q1", text=CHAINED_Q))
+    claims = [result.fact.text for result in engine.answer(Question(id="q2", text=PARALLEL_Q)).verification]
+
+    store = InMemoryTripleStore(parse_triples(MOVIE_LINES))
+
+    def entity_texts(qid, label):
+        entity = EntityRef(qid, label)
+        return tuple(dict.fromkeys(t.text for t in store.head_relations(entity) + store.tail_relations(entity)))
+
+    expected = [(CHAINED_Q,)] + [(claim,) for claim in claims] + [
+        entity_texts("QF1", "Inception"),
+        entity_texts("QF2", "Christopher Nolan"),
+        entity_texts("QF3", "Emma Thomas"),
+    ]
+    assert len(claims) == 2
+    assert Counter(embedder.requests) == Counter(expected)
 
 
 def test_movie_questions_stay_within_the_grounding_work_budget(monkeypatch):

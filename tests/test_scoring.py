@@ -5,17 +5,27 @@ import math
 import random
 import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ConstantRerank, CountingRerank, DownSession, MappingEmbedding, MappingRerank
+from conftest import (
+    ConstantRerank,
+    CountingRerank,
+    DownSession,
+    MappingEmbedding,
+    MappingRerank,
+    RecordingEmbedding,
+)
 from dualtrack import scoring
 from dualtrack.config import EngineConfig
-from dualtrack.kg import EntityRef, LiteralValue, RelationRef, Triple, term_label
+from dualtrack.kg import EntityRef, LiteralValue, RelationRef, RelationSet, Triple, term_label
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
+    CachedEmbedder,
     EmbeddingProvider,
     HashEmbedding,
     HttpEmbedding,
@@ -24,6 +34,7 @@ from dualtrack.scoring import (
     RerankProvider,
     ZeroVector,
     cosines,
+    pack,
     score_candidates,
     submit_scoring,
 )
@@ -34,23 +45,28 @@ from oracles import hash_embedding_rows
 # ---------------------------------------------------------------------------
 
 
+def _cosines(query, rows):
+    """``cosines`` of dense rows, each packed first, as every embedder reply is."""
+    return cosines(pack(query), [pack(row) for row in rows])
+
+
 def test_cosine_identical_vectors():
     v = [0.3, 0.4]
-    assert cosines(v, [v]) == [pytest.approx(1.0)]
+    assert _cosines(v, [v]) == [pytest.approx(1.0)]
 
 
 def test_cosine_orthogonal():
-    assert cosines([1.0, 0.0], [[0.0, 1.0]]) == [pytest.approx(0.0)]
+    assert _cosines([1.0, 0.0], [[0.0, 1.0]]) == [pytest.approx(0.0)]
 
 
 def test_cosine_hand_value():
     # (1,1) . (1,0) / (sqrt2 * 1) = 1/sqrt2
-    assert cosines([1.0, 1.0], [[1.0, 0.0]]) == [pytest.approx(0.70710678, abs=1e-8)]
+    assert _cosines([1.0, 1.0], [[1.0, 0.0]]) == [pytest.approx(0.70710678, abs=1e-8)]
 
 
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
-        cosines([0.0] * 3, [[1.0] * 3])
+        _cosines([0.0] * 3, [[1.0] * 3])
 
 
 def _sequential_cosine(query, row):
@@ -76,20 +92,51 @@ def test_cosines_equal_the_sequential_cosine_exactly_on_integer_rows(data, dimen
     # and summing in another order cannot change a bit
     integers = st.integers(-4, 4).map(float) | st.just(0.0)
     query, rows = data.draw(_vectors(integers, dimension))
-    assert cosines(query, rows) == [_sequential_cosine(query, row) for row in rows]
+    assert _cosines(query, rows) == [_sequential_cosine(query, row) for row in rows]
 
 
 @given(data=st.data(), dimension=st.integers(1, 12))
 def test_cosines_equal_the_sequential_cosine_on_float_rows(data, dimension):
     floats = st.floats(-1e3, 1e3) | st.just(0.0)
     query, rows = data.draw(_vectors(floats.filter(lambda x: x == 0.0 or abs(x) > 1e-3), dimension))
-    assert cosines(query, rows) == pytest.approx([_sequential_cosine(query, row) for row in rows], abs=1e-12)
+    assert _cosines(query, rows) == pytest.approx([_sequential_cosine(query, row) for row in rows], abs=1e-12)
+
+
+def _dense_cosines(query, rows):
+    """The cosines as scored before rows were packed: each dot product over
+    the query's nonzero coordinates, each norm over its row's nonzero values,
+    all in index order; ``ZeroVector`` when the query's norm is 0."""
+    spots = [i for i, x in enumerate(query) if x]
+    query_values = [query[i] for i in spots]
+    norm_query = math.sqrt(sum(x * x for x in query_values))
+    if norm_query == 0.0:
+        raise ZeroVector("zero query")
+    scores = []
+    for row in rows:
+        norm = math.sqrt(sum(x * x for x in filter(None, row)))
+        dot = sum(q * row[i] for q, i in zip(query_values, spots))
+        scores.append(dot / (norm_query * norm) if norm else 0.0)
+    return scores
+
+
+def _outcome(cosines_of, query, rows):
+    try:
+        return cosines_of(query, rows)
+    except ZeroVector:  # a query whose squares all underflow
+        return ZeroVector
+
+
+@given(data=st.data(), dimension=st.integers(1, 12))
+def test_packed_cosines_are_bit_identical_to_the_dense_ones(data, dimension):
+    floats = st.floats(-1e3, 1e3) | st.just(0.0) | st.just(-0.0)
+    query, rows = data.draw(_vectors(floats, dimension))
+    assert _outcome(_cosines, query, rows) == _outcome(_dense_cosines, query, rows)
 
 
 def test_cosines_score_an_all_zero_row_zero_and_reject_an_all_zero_query_without_rows():
-    assert cosines([0.0, 2.0], [[0.0, 0.0], [0.0, -1.0]]) == [0.0, -1.0]
+    assert _cosines([0.0, 2.0], [[0.0, 0.0], [0.0, -1.0]]) == [0.0, -1.0]
     with pytest.raises(ZeroVector):
-        cosines([0.0, 0.0], [])
+        _cosines([0.0, 0.0], [])
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e200])
@@ -98,7 +145,7 @@ def test_cosines_reject_a_row_with_a_value_no_norm_holds(value):
     # check, and it also catches finite values whose squares overflow
     for query, rows in (([1.0, 0.0], [[0.0, value]]), ([0.0, value], [[1.0, 0.0]]), ([0.0, 0.0], [[value, 1.0]])):
         with pytest.raises(ProviderError, match="NaN or infinite"):
-            cosines(query, rows)
+            _cosines(query, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +242,7 @@ def test_top_n_matches_sort_oracle():
         triples = [_fact(i) for i in rng.sample(range(100), count)]
         rows = [[float(rng.randint(-3, 3)) for _ in range(3)] for _ in range(count + 1)]
         rows[0][0] = 1.0  # a query row is never all zero
-        cos = dict(zip((t.key() for t in triples), cosines(rows[0], rows[1:])))
+        cos = dict(zip((t.key() for t in triples), _cosines(rows[0], rows[1:])))
         expected = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))[:n]
         embedder = MappingEmbedding({"q": rows[0]} | {t.text: row for t, row in zip(triples, rows[1:])})
         reranker = CountingRerank(ConstantRerank(0.5))
@@ -376,7 +423,7 @@ def test_score_candidates_matches_independent_recompute():
 
     texts = [c.text for c in candidates]
     vectors = embedder.embed([query] + texts)
-    cos_by_id = {c.key(): cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
+    cos_by_id = {c.key(): cos for c, cos in zip(candidates, _cosines(vectors[0], vectors[1:]))}
     expected_ids = [
         c.key()
         for c in sorted(candidates, key=lambda c: (-cos_by_id[c.key()], c.key()))[:5]
@@ -607,7 +654,7 @@ def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embeddi
     _score(_QUERY, candidates, cfg, _LoggingEmbedding(log, reranked, patience=0), _LoggingRerank(log, reranked))
     texts = [c.text for c in candidates]
     vectors = HashEmbedding(16).embed([_QUERY] + texts)
-    cos = {c.key(): cos for c, cos in zip(candidates, cosines(vectors[0], vectors[1:]))}
+    cos = {c.key(): cos for c, cos in zip(candidates, _cosines(vectors[0], vectors[1:]))}
     by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].key()], pair[0].key()))
     assert log == ["embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
 
@@ -652,3 +699,115 @@ def test_scoring_config_validation():
     for kwargs in ({"alpha": 1.5}, {"top_n": 0}, {"dimension": 0}):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             EngineConfig(**kwargs)
+
+
+# ---------------------------------------------------------------------------
+# the engine's embedding cache
+# ---------------------------------------------------------------------------
+
+
+def _down(rows):
+    raise ProviderError("embedding endpoint failed: down")
+
+
+def _poisoned(value):
+    def spoil(rows):
+        rows[-1][0] = value
+        return rows
+
+    return spoil
+
+
+_FAULTS = {
+    "error": (_down, "down"),
+    "row count": (lambda rows: rows[:-1], "embedder returned"),
+    "shapes": (lambda rows: rows[:-1] + [rows[-1][:-1]], "different shapes"),
+    "nan": (_poisoned(float("nan")), "NaN or infinite"),
+    "inf": (_poisoned(float("inf")), "NaN or infinite"),
+    "1e200": (_poisoned(1e200), "NaN or infinite"),
+}
+_TOPIC = RelationSet(EntityRef("Q00", "topic0"), _facts(2), [_fact(1), _fact(2)])
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_embedding_cache_never_keeps_a_failed_fill_and_asks_again(fault):
+    spoil, message = _FAULTS[fault]
+    texts = tuple(dict.fromkeys(t.text for t in _TOPIC.head + _TOPIC.tail))
+    rows = dict(zip(texts, map(pack, HashEmbedding(16).embed(texts))))
+    fills = [(lambda cache: cache.entity_rows(_TOPIC), texts, rows)]
+    if fault != "shapes":  # a one-text request has no second row to differ from
+        fills.append((lambda cache: cache.query_row("q"), ("q",), pack(HashEmbedding(16).embed(["q"])[0])))
+    for fill, request, expected in fills:
+        inner = RecordingEmbedding(faults=[spoil])
+        cache = CachedEmbedder(inner)
+        with pytest.raises(ProviderError, match=message):
+            fill(cache)
+        assert fill(cache) == expected == fill(cache)
+        assert inner.requests == [request, request]  # asked again once, then kept
+
+
+def test_embedding_cache_raises_zero_vector_only_once_the_rows_pass():
+    query = "¿??"  # no word token: an all-zero hash row
+    cfg = EngineConfig()
+    entity_poisoned = CachedEmbedder(RecordingEmbedding(faults=[lambda rows: rows, _poisoned(float("nan"))]))
+    with pytest.raises(ProviderError, match="NaN or infinite"):
+        score_candidates(query, _TOPIC.head, cfg, entity_poisoned, ConstantRerank(), None, _TOPIC)
+    with pytest.raises(ZeroVector):
+        score_candidates(query, _TOPIC.head, cfg, entity_poisoned, ConstantRerank(), None, _TOPIC)
+
+
+def test_embedding_cache_scores_as_one_uncached_request_does():
+    inner = RecordingEmbedding()
+    cache = CachedEmbedder(inner)
+    cfg = EngineConfig(top_n=2)  # once reranked early, once after the embedding
+    for pool in (_TOPIC.head, _TOPIC.head + _TOPIC.tail[1:]):
+        expected = score_candidates(_QUERY, pool, cfg, HashEmbedding(16), OverlapRerank())
+        scored = submit_scoring(score_candidates, _QUERY, pool, cfg, cache, OverlapRerank(), _TOPIC).result()
+        assert scored == expected
+    assert sorted(inner.requests) == sorted([(_QUERY,), tuple(t.text for t in _facts(3))])
+
+
+def test_embedding_cache_keeps_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(scoring, "EMBED_ENTRIES", 3)
+    inner = RecordingEmbedding()
+    cache = CachedEmbedder(inner)
+    for i in range(8):
+        cache.query_row(f"q{i}")
+        assert len(cache._rows._entries) <= 3
+    assert cache.holds_query("q7") and not cache.holds_query("q4")
+    cache.query_row("q0")  # evicted, so asked again
+    assert len(inner.requests) == 9
+
+
+class _SlowEmbedding(RecordingEmbedding):
+    """Recording hash embeddings that take 2 ms a request, so that callers
+    meet while a fill is in flight."""
+
+    def embed(self, texts):
+        time.sleep(0.002)
+        return super().embed(texts)
+
+
+def test_embedding_cache_sends_one_request_per_key_from_many_threads():
+    inner = _SlowEmbedding()
+    cache = CachedEmbedder(inner)
+    entities = [RelationSet(EntityRef(f"Q{i}", f"e{i}"), [_fact(i), _fact(i + 1)], []) for i in range(4)]
+
+    def work(k):
+        for j in range(40):
+            cache.query_row(f"q{(k + j) % 5}")
+            cache.entity_rows(entities[(k * j) % 4])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = [(f"q{i}",) for i in range(5)] + [tuple(t.text for t in relations.head) for relations in entities]
+    assert Counter(inner.requests) == Counter(expected)
