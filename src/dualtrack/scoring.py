@@ -8,9 +8,12 @@ rerank providers are pluggable; the built-in hash/overlap providers need no
 model and keep runs deterministic.
 
 Every embedding row is checked and packed once, when it arrives (see
-:func:`pack`), and cosines are computed over packed rows only.
-:class:`CachedEmbedder` keeps packed rows for a whole engine: each query
-text and each KG entity is embedded once.
+:func:`pack`), and cosines are computed over packed rows only. A grounding
+step asks its embedder for its rows in one call,
+:meth:`EmbeddingProvider.step_rows`: a plain provider embeds the query and
+the candidates in one request, and :class:`CachedEmbedder` keeps packed
+rows for a whole engine, so that each query text and each KG entity is
+embedded once.
 """
 
 from __future__ import annotations
@@ -143,6 +146,18 @@ class EmbeddingProvider:
     def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         raise NotImplementedError
 
+    def step_rows(self, query_text: str, relations: RelationSet, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
+        """The packed rows of one grounding step: the query's, and those of
+        ``texts``, which are texts of the triples of ``relations``. Here one
+        request of the query and ``texts``, checked by :func:`embed_packed`."""
+        query, *rows = embed_packed(self, [query_text, *texts])
+        return query, rows
+
+    def prefetch_query(self, text: str) -> None:
+        """Start the fill of ``text``'s row ahead of its step, on
+        ``transport.LEAVES``, where a fill is kept for the step to read.
+        Nothing is kept here, so nothing starts."""
+
 
 # Tokens one HashEmbedding keeps the bucket of; it forgets all of them at
 # once when full. About 1k distinct tokens make up a benchmark workload.
@@ -233,9 +248,16 @@ def embed_packed(embedder: EmbeddingProvider, texts: Sequence[str]) -> list[byte
     return [pack(row) for row in rows]
 
 
-# Keys one CachedEmbedder keeps: query texts and entities. More than every
-# benchmark workload's whole working set (about 1.7k keys on verify_fanout).
-EMBED_ENTRIES = 4096
+# Bytes of packed rows one CachedEmbedder keeps. Every benchmark workload's
+# whole working set of 256-dimension hash rows fits 50 times over (0.64 MB
+# on chain_hub, the largest); of a dense 768-dimension embedder, whose rows
+# pack to 9.3 KB, it holds about 3.6k rows, some 18 entities of 200 triples.
+EMBED_BYTES = 32 << 20
+
+
+def _row_bytes(value: bytes | dict[str, bytes]) -> int:
+    """Bytes of the packed rows of a query key or of an entity key."""
+    return sum(map(sys.getsizeof, value.values())) if isinstance(value, dict) else sys.getsizeof(value)
 
 
 class CachedEmbedder(EmbeddingProvider):
@@ -247,21 +269,23 @@ class CachedEmbedder(EmbeddingProvider):
 
     - a query text maps to its row, a request of one text;
     - an entity's ``EntityRef`` maps to the rows of every distinct text of
-      its ``RelationSet``, head then tail. This assumes the KG does not
-      change while the engine runs, as the KG cache does.
+      its ``RelationSet``, head then tail. A text the kept rows lack, from
+      triples fetched again since and found changed, is embedded for its
+      step only.
 
-    The keys live in a ``transport.SingleFlightCache`` of ``EMBED_ENTRIES``,
-    so the embedder is sent one request per distinct key, whatever the
-    thread timing; an error, a malformed reply included, is never kept, so
-    the next call asks again; the least recently used key is evicted first.
-    An entity key holds up to ``2 * kg.RELATION_LIMIT`` rows. ``embed``
-    passes straight through, uncached.
+    The keys live in a ``transport.SingleFlightCache``, so the embedder is
+    sent one request per distinct key, whatever the thread timing; an
+    error, a malformed reply included, is never kept, so the next call asks
+    again. The rows kept weigh at most ``EMBED_BYTES`` in all (as
+    ``sys.getsizeof`` counts them; the texts and the map's slots come on
+    top), the least recently used key evicted first. ``embed`` passes
+    straight through, uncached.
     """
 
     def __init__(self, inner: EmbeddingProvider):
         self.inner = inner
         self.dimension = inner.dimension
-        self._rows = SingleFlightCache(EMBED_ENTRIES)
+        self._rows = SingleFlightCache(EMBED_BYTES, _row_bytes)
 
     def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         return self.inner.embed(texts)
@@ -272,6 +296,10 @@ class CachedEmbedder(EmbeddingProvider):
     def holds_query(self, text: str) -> bool:
         return self._rows.holds(text)
 
+    def prefetch_query(self, text: str) -> None:
+        if not self.holds_query(text):
+            LEAVES.submit(self.query_row, text)
+
     def entity_rows(self, relations: RelationSet) -> dict[str, bytes]:
         """Packed row of each text of the entity's triples, by text."""
 
@@ -280,6 +308,16 @@ class CachedEmbedder(EmbeddingProvider):
             return dict(zip(texts, embed_packed(self.inner, texts)))
 
         return self._rows.get(relations.entity, fill)
+
+    def step_rows(self, query_text: str, relations: RelationSet, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
+        """The entity's rows first, so that its request is in flight while
+        a query fill started by :meth:`prefetch_query` runs: a fresh step
+        waits on one round trip, a warm one on none."""
+        by_text = self.entity_rows(relations)
+        missing = [text for text in texts if text not in by_text]
+        if missing:
+            by_text = by_text | dict(zip(missing, embed_packed(self.inner, missing)))
+        return self.query_row(query_text), [by_text[text] for text in texts]
 
 
 class RerankProvider:
@@ -328,11 +366,11 @@ class HttpRerank(RerankProvider):
 def score_candidates(
     query_text: str,
     candidates: Sequence[Triple],
+    relations: RelationSet,
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
     early_rerank: Future | None = None,
-    relations: RelationSet | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the query and return them sorted by the fused
     score, descending.
@@ -347,10 +385,10 @@ def score_candidates(
     grounding step can have embedding, rerank and necessity requests in
     flight at once.
 
-    With a :class:`CachedEmbedder` and the ``relations`` the candidates were
-    drawn from, the rows come from the cache: the query's row, and the rows
-    of the entity of ``relations``. Otherwise the query and the candidates
-    are embedded in one request.
+    ``candidates`` are drawn from ``relations``, one entity's triples. The
+    embedder's :meth:`~EmbeddingProvider.step_rows` gives the query's row
+    and the candidates': one request of the query and the candidates, or,
+    from a :class:`CachedEmbedder`, the rows it keeps.
 
     An embedding error wins over a rerank error, and either is raised only
     once the early rerank has finished. An embedder or reranker reply with
@@ -364,12 +402,7 @@ def score_candidates(
     texts = [c.text for c in candidates]
     ids = [c.key() for c in candidates]
     try:
-        if relations is not None and isinstance(embedder, CachedEmbedder):
-            query = embedder.query_row(query_text)
-            by_text = embedder.entity_rows(relations)
-            rows = [by_text[text] for text in texts]
-        else:
-            query, *rows = embed_packed(embedder, [query_text] + texts)
+        query, rows = embedder.step_rows(query_text, relations, texts)
     finally:
         if early_rerank is not None:
             wait([early_rerank])
@@ -399,10 +432,10 @@ def submit_scoring(
     score: Callable[..., list[ScoredCandidate]],
     query_text: str,
     candidates: Sequence[Triple],
+    relations: RelationSet,
     cfg: EngineConfig,
     embedder: EmbeddingProvider,
     reranker: RerankProvider,
-    relations: RelationSet | None = None,
 ) -> Future:
     """Run ``score`` (:func:`score_candidates`, or a tracer's wrapper of it)
     on ``transport.LEAVES`` and return its future.
@@ -414,9 +447,10 @@ def submit_scoring(
     instead of two. A larger pool is reranked after the embedding, its top
     ``cfg.top_n`` in cosine order.
 
-    With a :class:`CachedEmbedder` that lacks the query's row, the row's fill
-    is submitted ahead of ``score`` too, and ``score`` fills the entity's
-    rows itself: a fresh step sends both requests at once, a warm one none.
+    The embedder's :meth:`~EmbeddingProvider.prefetch_query` is called
+    before ``score`` is submitted: a :class:`CachedEmbedder` that lacks the
+    query's row submits its fill there, and ``score`` fills the entity's
+    rows meanwhile, so a fresh step sends both requests at once.
 
     The scoring task waits only on tasks submitted before it, which
     ``LEAVES`` has started by then.
@@ -424,9 +458,8 @@ def submit_scoring(
     early = None
     if 0 < len(candidates) <= cfg.top_n:
         early = LEAVES.submit(reranker.rerank, query_text, [c.text for c in candidates])
-    if relations is not None and isinstance(embedder, CachedEmbedder) and not embedder.holds_query(query_text):
-        LEAVES.submit(embedder.query_row, query_text)
-    return LEAVES.submit(score, query_text, candidates, cfg, embedder, reranker, early, relations)
+    embedder.prefetch_query(query_text)
+    return LEAVES.submit(score, query_text, candidates, relations, cfg, embedder, reranker, early)
 
 
 def ground(
@@ -456,7 +489,7 @@ def ground(
     pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
-    scoring = submit_scoring(score, query_text, pool, cfg, pipe.embedder, pipe.reranker, relations)
+    scoring = submit_scoring(score, query_text, pool, relations, cfg, pipe.embedder, pipe.reranker)
     try:
         kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
     finally:

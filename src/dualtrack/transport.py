@@ -86,22 +86,35 @@ class SingleFlightCache:
       ``LEAVES``, since the first call is running, not queued.
     - An error is never kept: the key is dropped, so the next call fetches
       again, and the calls already waiting on it get the same error.
-    - At most ``bound`` keys are kept, the least recently used evicted first.
+    - The kept values weigh at most ``bound`` in all, the least recently
+      used evicted first. ``weigh(value)`` is a finished value's weight, 1
+      by default, so that ``bound`` counts keys; a key in flight weighs 1.
     """
 
-    def __init__(self, bound: int):
+    def __init__(self, bound: int, weigh=None):
         self.bound = bound
+        self._weigh = weigh or (lambda value: 1)
         self._lock = threading.Lock()
         # key -> finished value, or a Future while the first call runs
         self._entries: OrderedDict = OrderedDict()
+        self._load = 0  # the entries' weights summed
+
+    def _add(self, weight: int) -> None:
+        """Add ``weight`` to the load, then evict the least recently used
+        keys until it fits ``bound``. A value is weighed again when it is
+        evicted, so it must not change while kept. Called with the lock
+        held."""
+        self._load += weight
+        while self._load > self.bound:
+            _, evicted = self._entries.popitem(last=False)
+            self._load -= 1 if isinstance(evicted, Future) else self._weigh(evicted)
 
     def get(self, key, fetch):
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 entry = self._entries[key] = Future()
-                if len(self._entries) > self.bound:
-                    self._entries.popitem(last=False)
+                self._add(1)
                 owner = True
             else:
                 self._entries.move_to_end(key)
@@ -114,11 +127,14 @@ class SingleFlightCache:
             with self._lock:
                 if self._entries.get(key) is entry:
                     del self._entries[key]
+                    self._load -= 1
             entry.set_exception(exc)
             raise
+        weight = self._weigh(value)
         with self._lock:
             if self._entries.get(key) is entry:
                 self._entries[key] = value
+                self._add(weight - 1)
         entry.set_result(value)
         return value
 

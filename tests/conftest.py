@@ -8,7 +8,7 @@ import requests
 
 from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS
-from dualtrack.kg import InMemoryTripleStore, KGStore, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, RelationSet, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
 from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider
 
@@ -82,6 +82,12 @@ class ConstantRerank(RerankProvider):
 
     def rerank(self, query, texts):
         return [self.value] * len(texts)
+
+
+def relations_of(triples) -> RelationSet:
+    """One entity's ``RelationSet`` holding ``triples``, for a scoring step
+    whose candidates they are."""
+    return RelationSet(EntityRef("Q0", "pool"), list(triples), [])
 
 
 class MappingEmbedding(EmbeddingProvider):

@@ -18,7 +18,7 @@ import random
 import re
 
 from dualtrack.classifier import Answer, QuestionType
-from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, parse_triples
+from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, RelationSet, parse_triples
 from dualtrack.linking import LinkFailure, similarity
 from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, parse_yes_no, render
 from dualtrack.scoring import score_candidates
@@ -103,10 +103,11 @@ def enumerate_paths(
             if hops:
                 results.add(tuple(hops))
             return
+        relations = RelationSet(tip, store.head_relations(tip), store.tail_relations(tip))
         options = []
-        for t in store.head_relations(tip):
+        for t in relations.head:
             options.append((t, "head", t.object))
-        for t in store.tail_relations(tip):
+        for t in relations.tail:
             options.append((t, "tail", t.subject))
         filtered, keys = [], set()
         for t, direction, far in options:
@@ -119,7 +120,7 @@ def enumerate_paths(
                 continue
             filtered.append((t, direction, far))
         scored = score_candidates(
-            question_text, [t for t, _, _ in filtered], scoring, embedder, reranker
+            question_text, [t for t, _, _ in filtered], relations, scoring, embedder, reranker
         )
         scored = [c for c in scored if necessity.get(c.payload.relation.label, 1.0) >= theta_necessity]
         by_key = {t.key(): (direction, far) for t, direction, far in filtered}
@@ -243,12 +244,13 @@ def _verify_one(fact, pipe) -> VerificationResult:
         entity = linear_link(fact.subject_surface, pipe.store, cfg.link_floor)
     except LinkFailure:
         return result(VerificationStatus.UNVERIFIABLE)
-    pool = pipe.store.head_relations(entity) + pipe.store.tail_relations(entity)
+    relations = RelationSet(entity, pipe.store.head_relations(entity), pipe.store.tail_relations(entity))
+    pool = relations.head + relations.tail
     pool = [t for i, t in enumerate(pool) if t.key() not in {u.key() for u in pool[:i]}]  # a self-loop once
     pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
     if not pool:
         return result(VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, cfg, pipe.embedder, pipe.reranker)
+    scored = score_candidates(fact.text, pool, relations, cfg, pipe.embedder, pipe.reranker)
     necessary = serial_denoise(pool, fact.text, (), cfg.theta_necessity, pipe.llm, templates["necessity"])
     keys = {t.key() for t in necessary}
     best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]

@@ -11,7 +11,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import MOVIE_LINES, ConstantRerank, FailingLLM, MappingEmbedding, MappingRerank, CountingRerank
+from conftest import (
+    MOVIE_LINES,
+    ConstantRerank,
+    CountingRerank,
+    FailingLLM,
+    MappingEmbedding,
+    MappingRerank,
+    relations_of,
+)
 from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
 from dualtrack.classifier import Question, QuestionType, classify
 from dualtrack.config import EngineConfig
@@ -98,7 +106,7 @@ def test_02_scoring_math_oracle():
         embedder = MappingEmbedding({"q": [scale, 0]} | {t.text: row[:2] for t, row in zip(triples, rows)})
         reranker = CountingRerank(MappingRerank({t.text: r for t, r in zip(triples, reranks)}))
 
-        result = submit_scoring(score_candidates, "q", triples, cfg, embedder, reranker).result()
+        result = submit_scoring(score_candidates, "q", triples, relations_of(triples), cfg, embedder, reranker).result()
 
         cos = {
             t.key(): float(Fraction(scale * a, abs(scale) * norm)) if norm else 0.0
@@ -136,7 +144,7 @@ def test_03_top_n_default_honored(templates):
 
     counting = CountingRerank(ConstantRerank(0.5))
     candidates = parse_triples([f"QF1|Hub|P{i}|topic{i}|QF{i + 10}|spoke{i}" for i in range(120)])
-    score_candidates("which topic?", candidates, EngineConfig(), HashEmbedding(32), counting)
+    score_candidates("which topic?", candidates, relations_of(candidates), EngineConfig(), HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 50
 

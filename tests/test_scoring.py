@@ -19,6 +19,7 @@ from conftest import (
     MappingEmbedding,
     MappingRerank,
     RecordingEmbedding,
+    relations_of,
 )
 from dualtrack import scoring
 from dualtrack.config import EngineConfig
@@ -246,7 +247,7 @@ def test_top_n_matches_sort_oracle():
         expected = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))[:n]
         embedder = MappingEmbedding({"q": rows[0]} | {t.text: row for t, row in zip(triples, rows[1:])})
         reranker = CountingRerank(ConstantRerank(0.5))
-        result = score_candidates("q", triples, EngineConfig(top_n=n), embedder, reranker)
+        result = score_candidates("q", triples, relations_of(triples), EngineConfig(top_n=n), embedder, reranker)
         assert reranker.batches == [[t.text for t in expected]]
         assert {c.payload for c in result} == set(expected)
 
@@ -404,11 +405,11 @@ def _facts(n):
 def _score(query, candidates, cfg, embedder, reranker):
     """``score_candidates`` as both tracks run it, through ``submit_scoring``:
     a pool of at most ``cfg.top_n`` candidates has its rerank sent early."""
-    return submit_scoring(score_candidates, query, candidates, cfg, embedder, reranker).result()
+    return submit_scoring(score_candidates, query, candidates, relations_of(candidates), cfg, embedder, reranker).result()
 
 
 def test_score_candidates_empty():
-    assert score_candidates("q", [], EngineConfig(), HashEmbedding(16), ConstantRerank()) == []
+    assert score_candidates("q", [], relations_of([]), EngineConfig(), HashEmbedding(16), ConstantRerank()) == []
 
 
 def test_score_candidates_matches_independent_recompute():
@@ -430,7 +431,7 @@ def test_score_candidates_matches_independent_recompute():
     ]
     expected_combined = {cid: 0.7 * 0.5 + 0.3 * cos_by_id[cid] for cid in expected_ids}
 
-    result = score_candidates(query, candidates, cfg, embedder, reranker)
+    result = score_candidates(query, candidates, relations_of(candidates), cfg, embedder, reranker)
     assert sorted(c.payload.key() for c in result) == sorted(expected_ids)
     for c in result:
         assert c.combined == pytest.approx(expected_combined[c.payload.key()], abs=1e-9)
@@ -445,19 +446,22 @@ class _ShortEmbedding(HashEmbedding):
 
 
 def test_score_candidates_rejects_missing_embedding_rows():
+    facts = _facts(5)
     with pytest.raises(ProviderError, match="embedder returned 5 vectors for 6 texts"):
-        score_candidates("topic", _facts(5), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
+        score_candidates("topic", facts, relations_of(facts), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
 
 
 def test_score_candidates_rejects_embedding_row_of_another_shape():
     embedder = _ReplyEmbedding([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0]])
+    facts = _facts(2)
     with pytest.raises(ProviderError, match="embedder returned rows of different shapes"):
-        score_candidates("q", _facts(2), EngineConfig(), embedder, ConstantRerank())
+        score_candidates("q", facts, relations_of(facts), EngineConfig(), embedder, ConstantRerank())
 
 
 def test_score_candidates_ranks_a_zero_candidate_row_last():
     embedder = _ReplyEmbedding([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    result = score_candidates("q", _facts(3), EngineConfig(), embedder, ConstantRerank(0.5))
+    facts = _facts(3)
+    result = score_candidates("q", facts, relations_of(facts), EngineConfig(), embedder, ConstantRerank(0.5))
     keys = [c.key() for c in _facts(3)]
     expected = [(keys[1], pytest.approx(0.70710678)), (keys[0], 0.0), (keys[2], 0.0)]
     assert [(c.payload.key(), c.cos) for c in result] == expected
@@ -489,14 +493,14 @@ def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
     embedder = _PoisonedEmbedding(16, _C_TEXT, value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", candidates, EngineConfig(), embedder, ConstantRerank())
+        score_candidates("a b c d fact", candidates, relations_of(candidates), EngineConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
 def test_score_candidates_rejects_non_finite_query_embedding(value):
     embedder = _PoisonedEmbedding(16, "a b c d fact", value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", _ABCD, EngineConfig(), embedder, ConstantRerank())
+        score_candidates("a b c d fact", _ABCD, relations_of(_ABCD), EngineConfig(), embedder, ConstantRerank())
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -644,7 +648,7 @@ def test_a_pool_within_top_n_is_reranked_before_the_embedding_returns():
     embedder = _LoggingEmbedding(log, reranked, patience=5)
     result = _score(_QUERY, candidates, cfg, embedder, _LoggingRerank(log, reranked))
     assert log == [("rerank", [c.text for c in candidates]), "embedding reply"]
-    assert result == score_candidates(_QUERY, candidates, cfg, HashEmbedding(16), OverlapRerank())
+    assert result == score_candidates(_QUERY, candidates, relations_of(candidates), cfg, HashEmbedding(16), OverlapRerank())
 
 
 def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embedding():
@@ -674,14 +678,15 @@ def test_an_embedding_error_wins_over_an_early_rerank_error():
 def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
     cfg = EngineConfig(top_n=5)
-    score_candidates("query", _facts(20), cfg, HashEmbedding(32), counting)
+    facts = _facts(20)
+    score_candidates("query", facts, relations_of(facts), cfg, HashEmbedding(32), counting)
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 5
 
 
 def test_identical_texts_share_scores_and_sort_by_id():
     candidates = [Triple(EntityRef(f"Q{i}", "same"), RelationRef("P1", "text"), LiteralValue("x")) for i in (3, 1, 2)]
-    result = score_candidates("same text", candidates, EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
+    result = score_candidates("same text", candidates, relations_of(candidates), EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
     assert len({c.combined for c in result}) == 1
     assert [c.payload.key() for c in result] == ["Q1|P1|x", "Q2|P1|x", "Q3|P1|x"]
 
@@ -689,7 +694,7 @@ def test_identical_texts_share_scores_and_sort_by_id():
 def test_rerank_scores_clamped():
     candidates = [_fact(1, "alpha"), _fact(2, "beta")]
     mapping = MappingRerank({candidates[0].text: 7.0, candidates[1].text: -3.0})
-    result = score_candidates("alpha", candidates, EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
+    result = score_candidates("alpha", candidates, relations_of(candidates), EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
     by_key = {c.payload: c for c in result}
     assert by_key[candidates[0]].rerank == 1.0
     assert by_key[candidates[1]].rerank == 0.0
@@ -750,10 +755,11 @@ def test_embedding_cache_raises_zero_vector_only_once_the_rows_pass():
     query = "¿??"  # no word token: an all-zero hash row
     cfg = EngineConfig()
     entity_poisoned = CachedEmbedder(RecordingEmbedding(faults=[lambda rows: rows, _poisoned(float("nan"))]))
+    entity_poisoned.query_row(query)  # the all-zero row is kept before the entity's rows arrive
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates(query, _TOPIC.head, cfg, entity_poisoned, ConstantRerank(), None, _TOPIC)
+        score_candidates(query, _TOPIC.head, _TOPIC, cfg, entity_poisoned, ConstantRerank())
     with pytest.raises(ZeroVector):
-        score_candidates(query, _TOPIC.head, cfg, entity_poisoned, ConstantRerank(), None, _TOPIC)
+        score_candidates(query, _TOPIC.head, _TOPIC, cfg, entity_poisoned, ConstantRerank())
 
 
 def test_embedding_cache_scores_as_one_uncached_request_does():
@@ -761,22 +767,99 @@ def test_embedding_cache_scores_as_one_uncached_request_does():
     cache = CachedEmbedder(inner)
     cfg = EngineConfig(top_n=2)  # once reranked early, once after the embedding
     for pool in (_TOPIC.head, _TOPIC.head + _TOPIC.tail[1:]):
-        expected = score_candidates(_QUERY, pool, cfg, HashEmbedding(16), OverlapRerank())
-        scored = submit_scoring(score_candidates, _QUERY, pool, cfg, cache, OverlapRerank(), _TOPIC).result()
+        expected = score_candidates(_QUERY, pool, relations_of(pool), cfg, HashEmbedding(16), OverlapRerank())
+        scored = submit_scoring(score_candidates, _QUERY, pool, _TOPIC, cfg, cache, OverlapRerank()).result()
         assert scored == expected
     assert sorted(inner.requests) == sorted([(_QUERY,), tuple(t.text for t in _facts(3))])
 
 
+def _kept_bytes(cache):
+    """Bytes of the packed rows a CachedEmbedder keeps, counted afresh."""
+    kept = [value for value in cache._rows._entries.values() if isinstance(value, (bytes, dict))]
+    return sum(map(scoring._row_bytes, kept))
+
+
 def test_embedding_cache_keeps_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(scoring, "EMBED_ENTRIES", 3)
+    row = sys.getsizeof(pack(HashEmbedding(16).embed(["q0"])[0]))  # every one-token row packs alike
+    monkeypatch.setattr(scoring, "EMBED_BYTES", 3 * row)
     inner = RecordingEmbedding()
     cache = CachedEmbedder(inner)
     for i in range(8):
         cache.query_row(f"q{i}")
-        assert len(cache._rows._entries) <= 3
+        assert _kept_bytes(cache) == cache._rows._load <= 3 * row
     assert cache.holds_query("q7") and not cache.holds_query("q4")
     cache.query_row("q0")  # evicted, so asked again
     assert len(inner.requests) == 9
+
+
+class _DenseEmbedding(RecordingEmbedding):
+    """Recording rows of 768 nonzero floats, as a dense model returns."""
+
+    def __init__(self):
+        super().__init__(dimension=768)
+
+    def embed(self, texts):
+        return [[1.0 + i / 768 for i in range(768)] for _ in super().embed(texts)]
+
+
+def test_embedding_cache_bounds_the_bytes_of_dense_rows(monkeypatch):
+    row = sys.getsizeof(pack([1.0] * 768))
+    assert 9_200 < row < 9_300  # 8 + 12 bytes a nonzero
+    monkeypatch.setattr(scoring, "EMBED_BYTES", 20 * row)
+    inner = _DenseEmbedding()
+    cache = CachedEmbedder(inner)
+    entities = [RelationSet(EntityRef(f"Q{i}", f"e{i}"), _facts(8), []) for i in range(4)]
+    for relations in entities:
+        assert len(cache.entity_rows(relations)) == 8
+        assert _kept_bytes(cache) == cache._rows._load <= 20 * row
+    assert [cache._rows.holds(r.entity) for r in entities] == [False, False, True, True]
+    wide = RelationSet(EntityRef("Q9", "wide"), _facts(21), [])  # more rows than the bound holds
+    assert len(cache.entity_rows(wide)) == 21
+    assert not cache._rows.holds(wide.entity) and cache._rows._load == 0
+
+
+class _GatedEmbedding(RecordingEmbedding):
+    """Recording hash embeddings that hold every request, listed in
+    ``held`` on arrival, until ``gate`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.held = []
+        self.gate = threading.Event()
+
+    def embed(self, texts):
+        self.held.append(tuple(texts))
+        self.gate.wait(timeout=10)
+        return super().embed(texts)
+
+
+def test_embedding_cache_sends_a_fresh_steps_two_requests_at_once():
+    inner = _GatedEmbedding()
+    cache = CachedEmbedder(inner)
+    cfg = EngineConfig()
+    scoring_step = submit_scoring(score_candidates, _QUERY, _TOPIC.head, _TOPIC, cfg, cache, OverlapRerank())
+    deadline = time.monotonic() + 5
+    while len(inner.held) < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    both = Counter([(_QUERY,), tuple(t.text for t in _facts(3))])
+    assert Counter(inner.held) == both and not inner.requests  # both in flight, neither answered
+    inner.gate.set()
+    expected = score_candidates(_QUERY, _TOPIC.head, _TOPIC, cfg, HashEmbedding(16), OverlapRerank())
+    assert scoring_step.result() == expected
+    assert Counter(inner.requests) == both
+
+
+def test_embedding_cache_embeds_texts_of_triples_fetched_again_and_changed():
+    inner = RecordingEmbedding()
+    cache = CachedEmbedder(inner)
+    cfg = EngineConfig()
+    cache.entity_rows(_TOPIC)  # rows kept from the entity's first fetch
+    changed = RelationSet(_TOPIC.entity, [_fact(0), _fact(7)], [_fact(1)])  # its triples, fetched again
+    expected = score_candidates(_QUERY, changed.all(), changed, cfg, HashEmbedding(16), OverlapRerank())
+    for _ in range(2):
+        assert score_candidates(_QUERY, changed.all(), changed, cfg, cache, OverlapRerank()) == expected
+    new = (_fact(7).text,)
+    assert inner.requests == [tuple(t.text for t in _facts(3)), new, (_QUERY,), new]  # the new text is not kept
 
 
 class _SlowEmbedding(RecordingEmbedding):
