@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Stress the path search on random fixture graphs and time it against the
 brute-force enumeration oracle. Each graph draws a necessity score for every
-relation label, and the search runs with the necessity layer on.
+relation label, and the search runs with the necessity layer on, twice on
+one pipeline: cold, then warm, reading what the first search left in the
+pipeline's caches. Both must match the oracle.
 
 Usage: python scripts/stress_search.py [graphs] [max_nodes] [seed]
 """
@@ -45,8 +47,10 @@ def main() -> int:
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
 
-    search_time = oracle_time = 0.0
-    paths = mismatches = 0
+    search_time = {"cold": 0.0, "warm": 0.0}
+    mismatches = {"cold": 0, "warm": 0}
+    oracle_time = 0.0
+    paths = 0
     for index in range(graphs):
         lines, n = random_graph_lines(rng, max_nodes=max_nodes)
         store = build_store(lines)
@@ -54,7 +58,6 @@ def main() -> int:
         necessity = random_necessity(rng)
         origin = EntityRef("Q1", "node1")
 
-        t0 = time.perf_counter()
         pipe = Pipeline(
             store=store,
             llm=StubLLM(script=necessity_script(necessity), default="no"),
@@ -63,8 +66,11 @@ def main() -> int:
             reranker=reranker,
             config=config,
         )
-        completed, _ = search_paths(origin, question, pipe)
-        search_time += time.perf_counter() - t0
+        searched = {}
+        for run in search_time:
+            t0 = time.perf_counter()
+            searched[run], _ = search_paths(origin, question, pipe)
+            search_time[run] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         expected = enumerate_paths(
@@ -76,17 +82,19 @@ def main() -> int:
         )
         oracle_time += time.perf_counter() - t0
 
-        paths += len(completed)
-        if {p.signature() for p in completed} != expected:
-            mismatches += 1
-            print(f"MISMATCH on graph {index} (seed {seed})")
+        paths += len(searched["cold"])
+        for run, completed in searched.items():
+            if {p.signature() for p in completed} != expected:
+                mismatches[run] += 1
+                print(f"MISMATCH on graph {index} ({run} pipeline, seed {seed})")
 
     print(f"graphs={graphs} max_nodes={max_nodes} seed={seed}")
     print(f"paths emitted: {paths}")
-    print(f"search time:   {search_time:.3f}s")
+    print(f"search time:   {search_time['cold']:.3f}s cold, {search_time['warm']:.3f}s warm")
     print(f"oracle time:   {oracle_time:.3f}s")
-    print(f"mismatches:    {mismatches}")
-    return 1 if mismatches else 0
+    print(f"mismatches:    {sum(mismatches.values())}")
+    print(f"  cold {mismatches['cold']}, warm {mismatches['warm']}")
+    return 1 if any(mismatches.values()) else 0
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
-from .kg import EntityRef, ObjectTerm, Triple, fetch_relations, term_label
+from .kg import EntityRef, ObjectTerm, Triple, term_label
 from .linking import LinkFailure, link_surface
 from .llm import Unparseable, ask, parse_yes_no
 from .scoring import ScoredCandidate, ground, score_candidates
@@ -127,7 +127,7 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
     tip = path.tip()
     if not isinstance(tip, EntityRef) or path.depth() >= cfg.d_max:
         return []
-    relations = fetch_relations(pipe.store, tip)
+    relations = pipe.store.relations(tip)
     visited = path.visited_ids()
     candidates: list[Triple] = []
     direction_by_key: dict[str, str] = {}
@@ -232,9 +232,8 @@ def search_paths(
 
 def run_chain_branch(question: Question, pipe: Pipeline, trace: list | None = None) -> Answer:
     """Full chained track: extract and link the central entity, search, then
-    generate an answer grounded strictly in the best paths' triples. The
-    pipeline's LLM is used as given: ``Engine`` hands in its run-wide
-    ``MemoLLM``, while a hand-built ``Pipeline`` stays unmemoised.
+    generate an answer grounded strictly in the best paths' triples, every
+    provider read through the pipeline's caches.
 
     The ``insufficient`` flag marks runs where no path was ever judged
     sufficient: either nothing was found at all, or the search exhausted its

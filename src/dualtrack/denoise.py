@@ -1,38 +1,30 @@
 """Dual-layer task-aware relation denoising.
 
 Layer one is a provider-free keyword rule that drops administrative
-relations ("entity ID", "data source", ...); its verdict depends only on
-the label, so it is taken once per label. Layer two asks the LLM for a
-necessity score of each remaining relation against the question and drops
-the ones below a threshold. The scores are independent, so each distinct
+relations ("entity ID", "data source", ...): a label that holds a keyword
+as whole words. Its verdict depends only on the label, so it is taken once
+per label. Layer two asks the LLM for a necessity score of each remaining
+relation against the question and drops the ones below a threshold. The scores are independent, so each distinct
 relation label is asked once, and all labels are asked concurrently on the
-process's leaf executor, ``transport.LEAVES``; a label whose reply the
-engine's ``MemoLLM`` already holds is scored inline instead, since a
-hand-off to a leaf thread costs more than reading the memo. Both tracks run
-both layers through ``scoring.ground``, which scores the rule-kept pool
-while the necessity layer runs and keeps the candidates whose label passed.
+process's leaf executor, ``transport.LEAVES``, through the pipeline's
+``MemoLLM``: a label whose reply it keeps is scored inline, with no hand-off
+to a leaf thread. Both tracks run both layers through ``scoring.ground``,
+which scores the rule-kept pool while the necessity layer runs and keeps
+the candidates whose label passed.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import re
 from concurrent.futures import Future, wait
 from typing import TYPE_CHECKING, Sequence
 
 from .kg import RelationRef, Triple, term_label
-from .llm import (
-    CompletionRequest,
-    LLMProvider,
-    MemoLLM,
-    PromptTemplate,
-    ProviderError,
-    Unparseable,
-    parse_score,
-    render,
-)
-from .transport import LEAVES
+from .llm import CompletionRequest, MemoLLM, PromptTemplate, ProviderError, Unparseable, parse_score, render
 
 if TYPE_CHECKING:
     from .config import EngineConfig
@@ -42,13 +34,23 @@ log = logging.getLogger(__name__)
 DEFAULT_INVALID_KEYWORDS = ("id", "source", "version", "metadata")
 
 
+@functools.lru_cache(maxsize=16)
+def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
+    """Finds any of ``keywords`` in a lower-cased label as whole words: a
+    keyword's words in order, apart by anything but word characters. A
+    keyword with no word never matches."""
+    phrases = "|".join(filter(None, (r"\W+".join(map(re.escape, re.findall(r"\w+", k))) for k in keywords)))
+    return re.compile(rf"\b(?:{phrases})\b" if phrases else "(?!)")
+
+
 def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
-    """True when the relation should be dropped by the keyword rule."""
+    """True when the relation should be dropped by the keyword rule: some
+    keyword's words occur in its label as whole words, in order ("id" drops
+    "wikidata:id" and "Entity ID", not "width" or "place of residence")."""
     if not relation.label:
         log.warning("relation %s has no label; keeping it unfiltered", relation.id)
         return False
-    label = relation.label.lower()
-    return any(keyword in label for keyword in cfg.k_invalid)
+    return _keyword_pattern(tuple(cfg.k_invalid)).search(relation.label.lower()) is not None
 
 
 def _rule_kept(candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[str, bool]) -> list[Triple]:
@@ -65,15 +67,12 @@ def _rule_kept(candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[s
     return kept
 
 
-def _necessity_request(relation: RelationRef, question: str, template: PromptTemplate) -> CompletionRequest:
-    return CompletionRequest(prompt=render(template, {"relation": term_label(relation), "question": question}))
-
-
-def _necessary(relation: RelationRef, request: CompletionRequest, cfg: EngineConfig, llm: LLMProvider) -> bool:
+def _necessary(relation: RelationRef, reply: str | Future, cfg: EngineConfig) -> bool:
     """True when the relation passes the necessity threshold, or cannot be
-    scored because the provider failed or its reply does not parse."""
+    scored because the provider failed or its reply does not parse.
+    ``reply`` is what ``MemoLLM.start`` returned for the relation's prompt."""
     try:
-        reply = llm.complete(request).text
+        reply = reply.result() if isinstance(reply, Future) else reply
     except ProviderError as exc:
         log.warning("necessity scoring failed for %s (%s); keeping", relation.id, exc)
         return True
@@ -92,7 +91,7 @@ def denoise(
     candidates: Sequence[Triple],
     question: str,
     cfg: EngineConfig,
-    llm: LLMProvider | None = None,
+    llm: MemoLLM | None = None,
     template: PromptTemplate | None = None,
     rule_verdicts: dict[str, bool] | None = None,
 ) -> list[Triple]:
@@ -106,13 +105,12 @@ def denoise(
 
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
     and no task is submitted. Otherwise candidates that share a label share
-    one necessity prompt, rendered once, and the distinct labels are scored
-    concurrently on ``transport.LEAVES``, except those whose reply a
-    ``MemoLLM`` already holds, which are scored inline once the others are
-    submitted; the call waits for every label. A provider error keeps every
-    candidate with that label. Any other error raised is the one for the
-    earliest such label in input order, raised once every label has
-    finished: no label is cancelled.
+    one necessity prompt, rendered once, and ``llm.start`` sends the
+    distinct labels' prompts concurrently on ``transport.LEAVES``, save
+    those whose reply the memo keeps or has in flight; the call waits for
+    every label. A provider error keeps every candidate with that label.
+    Any other error raised is the one for the earliest such label in input
+    order, raised once every label has finished: no label is cancelled.
     """
     kept = _rule_kept(candidates, cfg, {} if rule_verdicts is None else rule_verdicts)
     if llm is None or template is None or cfg.theta_necessity == 0.0:
@@ -121,27 +119,10 @@ def denoise(
     relations: dict[str, RelationRef] = {}
     for label, candidate in zip(labels, kept):
         relations.setdefault(label, candidate.relation)
-    requests = {label: _necessity_request(r, question, template) for label, r in relations.items()}
-    held = [label for label, request in requests.items() if isinstance(llm, MemoLLM) and llm.holds(request)]
-    verdicts: dict[str, bool | Exception | Future] = {
-        label: LEAVES.submit(_necessary, relations[label], request, cfg, llm)
-        for label, request in requests.items()
-        if label not in held
+    replies = {
+        label: llm.start(CompletionRequest(prompt=render(template, {"relation": label, "question": question})))
+        for label in relations
     }
-    for label in held:
-        try:
-            verdicts[label] = _necessary(relations[label], requests[label], cfg, llm)
-        except Exception as exc:  # raised below, in label order
-            verdicts[label] = exc
-    wait([v for v in verdicts.values() if isinstance(v, Future)])
-    necessary = {label: _verdict(verdicts[label]) for label in relations}
+    wait([reply for reply in replies.values() if isinstance(reply, Future)])
+    necessary = {label: _necessary(relation, replies[label], cfg) for label, relation in relations.items()}
     return [c for label, c in zip(labels, kept) if necessary[label]]
-
-
-def _verdict(outcome: bool | Exception | Future) -> bool:
-    """A label's verdict from a leaf's future, or from its inline outcome."""
-    if isinstance(outcome, Future):
-        return outcome.result()
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome

@@ -27,8 +27,12 @@ PACKAGED_PROMPTS = Path(__file__).parent / "prompts"
 class Pipeline:
     """What both tracks share: the four providers, the prompt templates and
     the config. ``Engine`` builds one around its own config; build one by
-    hand to run a single stage, without the engine's KG cache, LLM memo
-    and embedding cache."""
+    hand to run a single stage on the same path.
+
+    The store, the LLM and the embedder are read through a ``CachedStore``,
+    a ``MemoLLM`` and a ``CachedEmbedder``: a provider handed in unwrapped
+    is wrapped here, and one already wrapped is kept, so a pipeline made by
+    ``dataclasses.replace`` shares its parent's caches."""
 
     store: KGStore
     llm: LLMProvider
@@ -36,6 +40,12 @@ class Pipeline:
     embedder: EmbeddingProvider
     reranker: RerankProvider
     config: EngineConfig = field(default_factory=EngineConfig)
+
+    def __post_init__(self):
+        for name, cache in (("store", CachedStore), ("llm", MemoLLM), ("embedder", CachedEmbedder)):
+            provider = getattr(self, name)
+            if not isinstance(provider, cache):
+                object.__setattr__(self, name, cache(provider))
 
 
 def _build_store(cfg: EngineConfig) -> KGStore:
@@ -56,10 +66,10 @@ class Engine:
     builds the ones the config names. A ``stub_script`` file scripts the
     stub provider: it needs ``llm_provider`` "stub" and no injected
     ``llm``. In stub mode with a triples file nothing here touches the
-    network. The KG store, the LLM and the embedder, built or injected, are
-    wrapped once, in a ``CachedStore``, a ``MemoLLM`` and a
-    ``CachedEmbedder``, which every question, claim, leaf and evaluation
-    thread of the engine shares.
+    network. Its ``Pipeline`` wraps the KG store, the LLM and the
+    embedder, built or injected, once, in a ``CachedStore``, a ``MemoLLM``
+    and a ``CachedEmbedder``, which every question, claim, leaf and
+    evaluation thread of the engine shares.
     """
 
     def __init__(
@@ -94,9 +104,9 @@ class Engine:
                 )
         self.pipeline = Pipeline(
             templates=templates,
-            store=CachedStore(store or _build_store(cfg)),
-            llm=MemoLLM(llm),
-            embedder=CachedEmbedder(embedder or _build(cfg, "embedding_provider")),
+            store=store or _build_store(cfg),
+            llm=llm,
+            embedder=embedder or _build(cfg, "embedding_provider"),
             reranker=reranker or _build(cfg, "rerank_provider"),
             config=cfg,
         )

@@ -8,8 +8,8 @@ inventory), so everything downstream can be exercised deterministically
 against the in-memory store.
 
 One cache: :class:`CachedStore` wraps any store so that each of those reads
-reaches it once. ``Engine`` wraps its store in one, shared by every thread
-of the engine.
+reaches it once. Every ``Pipeline`` reads its store through one, which the
+engine's threads share.
 
 Refs and triples are slotted and immutable. A :class:`Triple` computes its
 key and its verbalized text once, when it is built, and every reader shares
@@ -25,12 +25,12 @@ import os
 import re
 import tempfile
 import threading
-from concurrent.futures import wait
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .transport import LEAVES, ProviderError, SingleFlightCache, http_session, request_json
+from .transport import ProviderError, SingleFlightCache, http_session, request_json
 
 log = logging.getLogger(__name__)
 
@@ -204,25 +204,19 @@ class CachedStore(KGStore):
     def entities(self) -> Iterator[EntityRef]:
         return iter(self._cache.get(("entities",), lambda: tuple(self.inner.entities())))
 
-    def holds_relations(self, entity: EntityRef) -> bool:
-        """Whether the entity's head and tail triples are both cached."""
-        return self._cache.holds(("head", entity)) and self._cache.holds(("tail", entity))
-
-
-def fetch_relations(store: KGStore, entity: EntityRef) -> RelationSet:
-    """The entity's head and tail triples, fetched at the same time: tail on
-    ``transport.LEAVES``, head on the calling thread. The call returns or
-    raises once both have finished; when both fail, head's error is raised.
-    When a ``CachedStore`` already holds both, they are read inline, since a
-    hand-off to ``LEAVES`` costs more than the two reads."""
-    if isinstance(store, CachedStore) and store.holds_relations(entity):
-        return RelationSet(entity, store.head_relations(entity), store.tail_relations(entity))
-    tail = LEAVES.submit(store.tail_relations, entity)
-    try:
-        head = store.head_relations(entity)
-    finally:
-        wait([tail])
-    return RelationSet(entity, head, tail.result())
+    def relations(self, entity: EntityRef) -> RelationSet:
+        """The entity's head and tail triples, fetched at the same time:
+        tail on ``transport.LEAVES``, head on the calling thread. The call
+        returns or raises once both have finished; when both fail, head's
+        error is raised. A side the cache keeps is read inline, so a warm
+        entity costs no hand-off."""
+        tail = self._cache.start(("tail", entity), lambda: tuple(self.inner.tail_relations(entity)))
+        try:
+            head = self.head_relations(entity)
+        finally:
+            if isinstance(tail, Future):
+                wait([tail])
+        return RelationSet(entity, head, list(tail.result() if isinstance(tail, Future) else tail))
 
 
 # ---------------------------------------------------------------------------

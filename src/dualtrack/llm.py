@@ -168,8 +168,8 @@ class HttpLLM(LLMProvider):
 
 class MemoLLM(LLMProvider):
     """Sends each distinct request to the wrapped provider once and answers
-    repeats from memory. ``Engine`` wraps its provider in one for its whole
-    lifetime, so every question, claim and leaf task of the engine shares it.
+    repeats from memory. Every ``Pipeline`` wraps its provider in one, so
+    every question, claim and leaf task of an engine shares it.
 
     Sound only while one request has one reply: every pipeline call runs at
     temperature 0, and a live endpoint must be deterministic there. A
@@ -195,10 +195,11 @@ class MemoLLM(LLMProvider):
         text = self._replies.get(self._key(request), lambda: self.inner.complete(request).text)
         return CompletionResponse(text=text, provider=self.name)
 
-    def holds(self, request: CompletionRequest) -> bool:
-        """Whether the reply to ``request`` is kept, so ``complete`` answers
-        it without a round trip unless it is evicted first."""
-        return self._replies.holds(self._key(request))
+    def start(self, request: CompletionRequest):
+        """Send ``request`` on ``transport.LEAVES`` unless its reply is kept
+        or in flight. Returns the future of the reply's text while it is in
+        flight, else the kept text."""
+        return self._replies.start(self._key(request), lambda: self.inner.complete(request).text)
 
 
 def ask(llm: LLMProvider, template: PromptTemplate, **bindings: str) -> str:

@@ -8,12 +8,10 @@ rerank providers are pluggable; the built-in hash/overlap providers need no
 model and keep runs deterministic.
 
 Every embedding row is checked and packed once, when it arrives (see
-:func:`pack`), and cosines are computed over packed rows only. A grounding
-step asks its embedder for its rows in one call,
-:meth:`EmbeddingProvider.step_rows`: a plain provider embeds the query and
-the candidates in one request, and :class:`CachedEmbedder` keeps packed
-rows for a whole engine, so that each query text and each KG entity is
-embedded once.
+:func:`pack`), and cosines are computed over packed rows only. Every
+``Pipeline`` reads its embedder through a :class:`CachedEmbedder`, which
+keeps packed rows for a whole engine, so that each query text and each KG
+entity is embedded once.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 import re
 import struct
 import sys
-import threading
 from concurrent.futures import Future, wait
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -35,7 +32,6 @@ from .kg import RelationSet, Triple
 from .transport import LEAVES, ProviderError, SingleFlightCache, http_session, request_json
 
 if TYPE_CHECKING:
-    from .config import EngineConfig
     from .engine import Pipeline
 
 
@@ -146,57 +142,23 @@ class EmbeddingProvider:
     def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
         raise NotImplementedError
 
-    def step_rows(self, query_text: str, relations: RelationSet, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
-        """The packed rows of one grounding step: the query's, and those of
-        ``texts``, which are texts of the triples of ``relations``. Here one
-        request of the query and ``texts``, checked by :func:`embed_packed`."""
-        query, *rows = embed_packed(self, [query_text, *texts])
-        return query, rows
-
-    def prefetch_query(self, text: str) -> None:
-        """Start the fill of ``text``'s row ahead of its step, on
-        ``transport.LEAVES``, where a fill is kept for the step to read.
-        Nothing is kept here, so nothing starts."""
-
-
-# Tokens one HashEmbedding keeps the bucket of; it forgets all of them at
-# once when full. About 1k distinct tokens make up a benchmark workload.
-TOKEN_BUCKETS = 1 << 15
-
 
 class HashEmbedding(EmbeddingProvider):
     """Deterministic token-hash bag-of-words embedding; no model required.
-
-    A token's bucket is the first 8 bytes of its sha1, modulo ``dimension``.
-    The bucket is remembered, up to ``TOKEN_BUCKETS`` tokens, so a token is
-    hashed once however often it occurs (two threads meeting a new token at
-    once may both hash it, to the same bucket). Only storing a bucket takes
-    the lock; reading one does not."""
+    A token's bucket is the first 8 bytes of its sha1, modulo ``dimension``."""
 
     def __init__(self, dimension: int = 256):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self._buckets: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def _index(self, token: str) -> int:
-        digest = hashlib.sha1(token.encode("utf-8")).digest()
-        bucket = int.from_bytes(digest[:8], "big") % self.dimension
-        with self._lock:
-            if len(self._buckets) >= TOKEN_BUCKETS:
-                self._buckets.clear()
-            self._buckets[token] = bucket
-        return bucket
 
     def embed(self, texts: Sequence[str]) -> list[list[float]]:
-        buckets = self._buckets
         vectors = []
         for text in texts:
             vec = [0.0] * self.dimension
             for token in _tokens(text):
-                bucket = buckets.get(token)
-                vec[self._index(token) if bucket is None else bucket] += 1.0
+                digest = hashlib.sha1(token.encode("utf-8")).digest()
+                vec[int.from_bytes(digest[:8], "big") % self.dimension] += 1.0
             vectors.append(vec)
         return vectors
 
@@ -238,13 +200,15 @@ class HttpEmbedding(EmbeddingProvider):
 
 def embed_packed(embedder: EmbeddingProvider, texts: Sequence[str]) -> list[bytes]:
     """One embedding request for ``texts``, each row checked and packed by
-    :func:`pack`. A reply with the wrong number of rows, rows of different
-    lengths, or a NaN or infinite value is a ``ProviderError``."""
+    :func:`pack`. A reply with the wrong number of rows, a row that is not
+    ``embedder.dimension`` long, or a NaN or infinite value is a
+    ``ProviderError``. A step's query row and its candidates' rows come from
+    different requests, so the dimension is what keeps them comparable."""
     rows = embedder.embed(texts)
     if len(rows) != len(texts):
         raise ProviderError(f"embedder returned {len(rows)} vectors for {len(texts)} texts")
-    if any(len(row) != len(rows[0]) for row in rows):
-        raise ProviderError("embedder returned rows of different shapes")
+    if any(len(row) != embedder.dimension for row in rows):
+        raise ProviderError(f"embedder returned a row that is not of its dimension {embedder.dimension}")
     return [pack(row) for row in rows]
 
 
@@ -260,9 +224,10 @@ def _row_bytes(value: bytes | dict[str, bytes]) -> int:
     return sum(map(sys.getsizeof, value.values())) if isinstance(value, dict) else sys.getsizeof(value)
 
 
-class CachedEmbedder(EmbeddingProvider):
-    """Packed embedding rows kept for the lifetime of one engine, which
-    wraps its embedder in one next to its KG cache and LLM memo.
+class CachedEmbedder:
+    """Packed embedding rows kept for the lifetime of one engine: every
+    ``Pipeline`` wraps its embedder in one, next to its KG cache and LLM
+    memo.
 
     Two kinds of key, each filled by one request, in one map (a ``str``
     never equals an ``EntityRef``):
@@ -278,27 +243,20 @@ class CachedEmbedder(EmbeddingProvider):
     error, a malformed reply included, is never kept, so the next call asks
     again. The rows kept weigh at most ``EMBED_BYTES`` in all (as
     ``sys.getsizeof`` counts them; the texts and the map's slots come on
-    top), the least recently used key evicted first. ``embed`` passes
-    straight through, uncached.
+    top), the least recently used key evicted first.
     """
 
     def __init__(self, inner: EmbeddingProvider):
         self.inner = inner
-        self.dimension = inner.dimension
         self._rows = SingleFlightCache(EMBED_BYTES, _row_bytes)
-
-    def embed(self, texts: Sequence[str]) -> list[Sequence[float]]:
-        return self.inner.embed(texts)
 
     def query_row(self, text: str) -> bytes:
         return self._rows.get(text, lambda: embed_packed(self.inner, [text])[0])
 
-    def holds_query(self, text: str) -> bool:
-        return self._rows.holds(text)
-
     def prefetch_query(self, text: str) -> None:
-        if not self.holds_query(text):
-            LEAVES.submit(self.query_row, text)
+        """Start the fill of ``text``'s row on ``transport.LEAVES``, unless
+        it is kept or in flight."""
+        self._rows.start(text, lambda: embed_packed(self.inner, [text])[0])
 
     def entity_rows(self, relations: RelationSet) -> dict[str, bytes]:
         """Packed row of each text of the entity's triples, by text."""
@@ -310,9 +268,11 @@ class CachedEmbedder(EmbeddingProvider):
         return self._rows.get(relations.entity, fill)
 
     def step_rows(self, query_text: str, relations: RelationSet, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
-        """The entity's rows first, so that its request is in flight while
-        a query fill started by :meth:`prefetch_query` runs: a fresh step
-        waits on one round trip, a warm one on none."""
+        """The packed rows of one grounding step: the query's, and those of
+        ``texts``, texts of the triples of ``relations``. The entity's rows
+        are read first, so that their request is in flight while a query
+        fill started by :meth:`prefetch_query` runs: a fresh step waits on
+        one round trip, a warm one on none."""
         by_text = self.entity_rows(relations)
         missing = [text for text in texts if text not in by_text]
         if missing:
@@ -367,9 +327,7 @@ def score_candidates(
     query_text: str,
     candidates: Sequence[Triple],
     relations: RelationSet,
-    cfg: EngineConfig,
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
+    pipe: Pipeline,
     early_rerank: Future | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the query and return them sorted by the fused
@@ -385,31 +343,31 @@ def score_candidates(
     grounding step can have embedding, rerank and necessity requests in
     flight at once.
 
-    ``candidates`` are drawn from ``relations``, one entity's triples. The
-    embedder's :meth:`~EmbeddingProvider.step_rows` gives the query's row
-    and the candidates': one request of the query and the candidates, or,
-    from a :class:`CachedEmbedder`, the rows it keeps.
+    ``candidates`` are drawn from ``relations``, one entity's triples; the
+    pipeline's :meth:`CachedEmbedder.step_rows` gives their rows and the
+    query's.
 
     An embedding error wins over a rerank error, and either is raised only
     once the early rerank has finished. An embedder or reranker reply with
     the wrong number of rows (against the whole pool for an early rerank),
-    embedding rows of different lengths in one reply, or a NaN or infinite
-    value is a ``ProviderError``. An all-zero query row raises
+    an embedding row that is not the embedder's ``dimension`` long, or a
+    NaN or infinite value is a ``ProviderError``. An all-zero query row raises
     ``ZeroVector``, once every row has passed those checks.
     """
     if not candidates:
         return []
+    cfg = pipe.config
     texts = [c.text for c in candidates]
     ids = [c.key() for c in candidates]
     try:
-        query, rows = embedder.step_rows(query_text, relations, texts)
+        query, rows = pipe.embedder.step_rows(query_text, relations, texts)
     finally:
         if early_rerank is not None:
             wait([early_rerank])
     cos = cosines(query, rows)
     if early_rerank is None:
         survivors = _ranked(cos, ids)[: cfg.top_n]  # Stage I's cut
-        rerank_scores = reranker.rerank(query_text, [texts[i] for i in survivors])
+        rerank_scores = pipe.reranker.rerank(query_text, [texts[i] for i in survivors])
     else:
         survivors = range(len(candidates))  # the cut keeps every candidate, in candidate order
         rerank_scores = early_rerank.result()
@@ -433,33 +391,31 @@ def submit_scoring(
     query_text: str,
     candidates: Sequence[Triple],
     relations: RelationSet,
-    cfg: EngineConfig,
-    embedder: EmbeddingProvider,
-    reranker: RerankProvider,
+    pipe: Pipeline,
 ) -> Future:
     """Run ``score`` (:func:`score_candidates`, or a tracer's wrapper of it)
     on ``transport.LEAVES`` and return its future.
 
-    When the pool holds at most ``cfg.top_n`` candidates, Stage I's cut keeps
+    When the pool holds at most ``top_n`` candidates, Stage I's cut keeps
     all of them, so the rerank input is known before the embedding returns.
     The whole pool's rerank, in candidate order, is then submitted first and
     handed to ``score`` as ``early_rerank``: the step waits on one round trip
     instead of two. A larger pool is reranked after the embedding, its top
-    ``cfg.top_n`` in cosine order.
+    ``top_n`` in cosine order.
 
-    The embedder's :meth:`~EmbeddingProvider.prefetch_query` is called
-    before ``score`` is submitted: a :class:`CachedEmbedder` that lacks the
-    query's row submits its fill there, and ``score`` fills the entity's
-    rows meanwhile, so a fresh step sends both requests at once.
+    :meth:`CachedEmbedder.prefetch_query` is called before ``score`` is
+    submitted: it starts the query row's fill unless the row is kept or in
+    flight, and ``score`` fills the entity's rows meanwhile, so a fresh step
+    sends both requests at once.
 
     The scoring task waits only on tasks submitted before it, which
     ``LEAVES`` has started by then.
     """
     early = None
-    if 0 < len(candidates) <= cfg.top_n:
-        early = LEAVES.submit(reranker.rerank, query_text, [c.text for c in candidates])
-    embedder.prefetch_query(query_text)
-    return LEAVES.submit(score, query_text, candidates, relations, cfg, embedder, reranker, early)
+    if 0 < len(candidates) <= pipe.config.top_n:
+        early = LEAVES.submit(pipe.reranker.rerank, query_text, [c.text for c in candidates])
+    pipe.embedder.prefetch_query(query_text)
+    return LEAVES.submit(score, query_text, candidates, relations, pipe, early)
 
 
 def ground(
@@ -472,7 +428,7 @@ def ground(
 ) -> list[ScoredCandidate]:
     """One grounding step, the same on both tracks: the keyword rule, then
     scoring and the necessity layer at once. ``triples`` are drawn from
-    ``relations``, the entity's fetched triples, whose rows the engine's
+    ``relations``, the entity's fetched triples, whose rows the pipeline's
     embedding cache keeps. Returns the scored rule-kept triples whose label
     passed necessity, best fused score first.
 
@@ -489,7 +445,7 @@ def ground(
     pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
-    scoring = submit_scoring(score, query_text, pool, relations, cfg, pipe.embedder, pipe.reranker)
+    scoring = submit_scoring(score, query_text, pool, relations, pipe)
     try:
         kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
     finally:

@@ -78,7 +78,8 @@ class ProviderError(Exception):
 
 class SingleFlightCache:
     """A bounded read-through map shared by threads: ``get(key, fetch)``
-    returns the value kept for ``key``, calling ``fetch()`` on a miss.
+    returns the value kept for ``key``, calling ``fetch()`` on a miss, and
+    ``start(key, fetch)`` begins that call on ``LEAVES`` instead.
 
     - Single-flight: a call for a key already in flight waits for the first
       call's result instead of calling ``fetch`` again, so the number of
@@ -109,26 +110,33 @@ class SingleFlightCache:
             _, evicted = self._entries.popitem(last=False)
             self._load -= 1 if isinstance(evicted, Future) else self._weigh(evicted)
 
-    def get(self, key, fetch):
+    def _claim(self, key):
+        """(entry, True) for a key claimed by this call, whose entry is a
+        new future, else (the kept value or the future in flight, False)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                entry = self._entries[key] = Future()
-                self._add(1)
-                owner = True
-            else:
+            if entry is not None:
                 self._entries.move_to_end(key)
-                owner = False
-        if not owner:
-            return entry.result() if isinstance(entry, Future) else entry
+                return entry, False
+            entry = self._entries[key] = Future()
+            self._add(1)
+        return entry, True
+
+    def _drop(self, key, entry: Future, exc: BaseException) -> None:
+        """Forget a claimed key whose fill failed; every call waiting on
+        ``entry`` gets ``exc``."""
+        with self._lock:
+            if self._entries.get(key) is entry:
+                del self._entries[key]
+                self._load -= 1
+        entry.set_exception(exc)
+
+    def _fill(self, key, entry: Future, fetch):
+        """Fill a claimed key with ``fetch()``'s value and return it."""
         try:
             value = fetch()
         except BaseException as exc:
-            with self._lock:
-                if self._entries.get(key) is entry:
-                    del self._entries[key]
-                    self._load -= 1
-            entry.set_exception(exc)
+            self._drop(key, entry, exc)
             raise
         weight = self._weigh(value)
         with self._lock:
@@ -138,12 +146,27 @@ class SingleFlightCache:
         entry.set_result(value)
         return value
 
-    def holds(self, key) -> bool:
-        """Whether ``key`` has a finished value. It may still be evicted
-        before the next ``get``."""
-        with self._lock:
-            entry = self._entries.get(key)
-        return entry is not None and not isinstance(entry, Future)
+    def get(self, key, fetch):
+        entry, claimed = self._claim(key)
+        if claimed:
+            return self._fill(key, entry, fetch)
+        return entry.result() if isinstance(entry, Future) else entry
+
+    def start(self, key, fetch):
+        """Claim ``key`` and fill it on ``LEAVES``, unless it is kept or in
+        flight. Returns the key's entry: the future of its fill while one
+        runs, else its kept value. A caller that reads a fill it started
+        reads that future: once the fill has failed, its key is gone, and a
+        ``get`` would fetch again. Raises ``RuntimeError``, claiming
+        nothing, when called from a leaf task."""
+        entry, claimed = self._claim(key)
+        if claimed:
+            try:
+                LEAVES.submit(self._fill, key, entry, fetch)
+            except RuntimeError as exc:
+                self._drop(key, entry, exc)
+                raise
+        return entry
 
 
 def http_session(parallelism: int = 1):

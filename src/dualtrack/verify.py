@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
-from .kg import Triple, fetch_relations
+from .kg import Triple
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
 from .scoring import ground, score_candidates
@@ -108,7 +108,7 @@ def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
         log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    relations = fetch_relations(pipe.store, entity)
+    relations = pipe.store.relations(entity)
     scored = ground(fact.text, relations.all(), relations, pipe, score_candidates, denoise)
     if not scored:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
@@ -147,9 +147,8 @@ def _summarize(results: list[VerificationResult]) -> str:
 
 def run_parallel_branch(question: Question, pipe: Pipeline) -> Answer:
     """Full parallel track: draft, decompose, verify the facts, synthesize.
-    If nothing was verifiable the draft comes back flagged. The pipeline's
-    LLM is used as given: ``Engine`` hands in its run-wide ``MemoLLM``,
-    while a hand-built ``Pipeline`` stays unmemoised.
+    If nothing was verifiable the draft comes back flagged. Every provider
+    is read through the pipeline's caches.
 
     The facts are independent, so all of them are verified at once, each on
     a thread of the process-wide ``transport.CLAIMS``; a claim links its own

@@ -7,7 +7,7 @@ import pytest
 import requests
 
 from dualtrack import transport
-from dualtrack.engine import PACKAGED_PROMPTS
+from dualtrack.engine import PACKAGED_PROMPTS, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, RelationSet, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
 from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider
@@ -90,11 +90,21 @@ def relations_of(triples) -> RelationSet:
     return RelationSet(EntityRef("Q0", "pool"), list(triples), [])
 
 
+def scoring_pipe(cfg, embedder, reranker) -> Pipeline:
+    """A pipeline for scoring steps alone: ``cfg`` and the two scoring
+    providers, with an empty store and a silent stub LLM."""
+    return Pipeline(
+        store=InMemoryTripleStore([]), llm=StubLLM(), templates={}, embedder=embedder, reranker=reranker, config=cfg
+    )
+
+
 class MappingEmbedding(EmbeddingProvider):
-    """Fixed text -> row mapping: every text asked must be in it."""
+    """Fixed text -> row mapping: every text asked must be in it. Its
+    dimension is the first row's length."""
 
     def __init__(self, rows):
         self.rows = dict(rows)
+        self.dimension = len(next(iter(self.rows.values())))
 
     def embed(self, texts):
         return [list(self.rows[t]) for t in texts]
@@ -124,14 +134,16 @@ class CountingRerank(RerankProvider):
 
 
 class CountingLeaves:
-    """Counts the tasks submitted to ``transport.LEAVES`` and runs them there."""
+    """Counts the tasks submitted to ``transport.LEAVES`` and runs them
+    there; patch it over ``transport.LEAVES`` to count a cache's fills."""
 
     def __init__(self):
         self.submitted = 0
+        self.leaves = transport.LEAVES
 
     def submit(self, fn, *args):
         self.submitted += 1
-        return transport.LEAVES.submit(fn, *args)
+        return self.leaves.submit(fn, *args)
 
 
 NECESSITY = "Rate how necessary the relation is"

@@ -4,7 +4,8 @@
 recursive enumeration over the store, applying the same per-step scoring
 and necessity inputs but none of the engine's search machinery. Each step
 runs its layers one after another: score, necessity, threshold, width.
-``serial_denoise`` is the denoiser as one loop over the candidates, one
+``keyword_rule`` is the denoiser's keyword rule as a scan of word runs, and
+``serial_denoise`` the denoiser as one loop over the candidates, one
 necessity prompt each. ``linear_link`` is entity linking as one full scan of
 every label's similarity. ``serial_verify`` is the parallel track with its
 claims verified one after another on the calling thread.
@@ -18,13 +19,14 @@ import random
 import re
 
 from dualtrack.classifier import Answer, QuestionType
+from dualtrack.engine import Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, NotFound, RelationSet, parse_triples
 from dualtrack.linking import LinkFailure, similarity
-from dualtrack.llm import CompletionRequest, ProviderError, Unparseable, parse_score, parse_yes_no, render
+from dualtrack.llm import CompletionRequest, ProviderError, StubLLM, Unparseable, parse_score, parse_yes_no, render
 from dualtrack.scoring import score_candidates
 from dualtrack.verify import VerificationResult, VerificationStatus, decompose, draft_response
 
-# none of these contain any default k_invalid keyword as a substring
+# none of these contain any default k_invalid keyword, even as a substring
 RELATION_WORDS = [
     "knows", "leads", "owns", "makes", "joins", "helps", "links", "marks",
     "meets", "names", "notes", "opens", "parts", "plays", "pulls", "reads",
@@ -96,6 +98,7 @@ def enumerate_paths(
     Returns the set of path signatures: tuples of (triple key, direction).
     """
     necessity = necessity or {}
+    pipe = Pipeline(store=store, llm=StubLLM(), templates={}, embedder=embedder, reranker=reranker, config=scoring)
     results = set()
 
     def recurse(tip, visited, hops):
@@ -116,12 +119,10 @@ def enumerate_paths(
             if t.key() in keys:
                 continue
             keys.add(t.key())
-            if t.relation.label and any(k in t.relation.label.lower() for k in k_invalid):
+            if t.relation.label and keyword_rule(t.relation.label, k_invalid):
                 continue
             filtered.append((t, direction, far))
-        scored = score_candidates(
-            question_text, [t for t, _, _ in filtered], relations, scoring, embedder, reranker
-        )
+        scored = score_candidates(question_text, [t for t, _, _ in filtered], relations, pipe)
         scored = [c for c in scored if necessity.get(c.payload.relation.label, 1.0) >= theta_necessity]
         by_key = {t.key(): (direction, far) for t, direction, far in filtered}
         keep = [c for c in scored if c.combined >= theta]
@@ -172,6 +173,18 @@ def build_store(lines) -> InMemoryTripleStore:
     return InMemoryTripleStore(parse_triples(lines))
 
 
+def keyword_rule(label, k_invalid) -> bool:
+    """True when the words of some keyword occur as a run of the label's
+    words, both lower-cased and split into ``\\w+`` words. A keyword with
+    no word matches nothing."""
+    words = re.findall(r"\w+", label.lower())
+    for keyword in k_invalid:
+        run = re.findall(r"\w+", keyword.lower())
+        if run and any(words[i : i + len(run)] == run for i in range(len(words) - len(run) + 1)):
+            return True
+    return False
+
+
 def serial_denoise(candidates, question, k_invalid, theta, llm, template):
     """Keyword rule, then one necessity prompt per surviving candidate, in
     input order. A provider error or an unparseable reply keeps the
@@ -179,7 +192,7 @@ def serial_denoise(candidates, question, k_invalid, theta, llm, template):
     survivors = []
     for candidate in candidates:
         relation = candidate.relation
-        if relation.label and any(k in relation.label.lower() for k in k_invalid):
+        if relation.label and keyword_rule(relation.label, k_invalid):
             continue
         if theta == 0.0:
             survivors.append(candidate)
@@ -250,7 +263,7 @@ def _verify_one(fact, pipe) -> VerificationResult:
     pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
     if not pool:
         return result(VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, relations, cfg, pipe.embedder, pipe.reranker)
+    scored = score_candidates(fact.text, pool, relations, pipe)
     necessary = serial_denoise(pool, fact.text, (), cfg.theta_necessity, pipe.llm, templates["necessity"])
     keys = {t.key() for t in necessary}
     best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]

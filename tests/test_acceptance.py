@@ -19,6 +19,7 @@ from conftest import (
     MappingEmbedding,
     MappingRerank,
     relations_of,
+    scoring_pipe,
 )
 from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
 from dualtrack.classifier import Question, QuestionType, classify
@@ -37,7 +38,7 @@ from dualtrack.kg import (
     head_relations_query,
     tail_relations_query,
 )
-from dualtrack.llm import StubLLM
+from dualtrack.llm import MemoLLM, StubLLM
 from dualtrack.scoring import HashEmbedding, OverlapRerank, score_candidates, submit_scoring
 from dualtrack.verify import VerificationStatus, verify_fact
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
@@ -106,7 +107,9 @@ def test_02_scoring_math_oracle():
         embedder = MappingEmbedding({"q": [scale, 0]} | {t.text: row[:2] for t, row in zip(triples, rows)})
         reranker = CountingRerank(MappingRerank({t.text: r for t, r in zip(triples, reranks)}))
 
-        result = submit_scoring(score_candidates, "q", triples, relations_of(triples), cfg, embedder, reranker).result()
+        result = submit_scoring(
+            score_candidates, "q", triples, relations_of(triples), scoring_pipe(cfg, embedder, reranker)
+        ).result()
 
         cos = {
             t.key(): float(Fraction(scale * a, abs(scale) * norm)) if norm else 0.0
@@ -144,7 +147,9 @@ def test_03_top_n_default_honored(templates):
 
     counting = CountingRerank(ConstantRerank(0.5))
     candidates = parse_triples([f"QF1|Hub|P{i}|topic{i}|QF{i + 10}|spoke{i}" for i in range(120)])
-    score_candidates("which topic?", candidates, relations_of(candidates), EngineConfig(), HashEmbedding(32), counting)
+    score_candidates(
+        "which topic?", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), HashEmbedding(32), counting)
+    )
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 50
 
@@ -287,7 +292,7 @@ def test_06_denoiser_rule_layer(templates):
     triples = parse_triples(admin_lines)
     cfg = EngineConfig()
     counting_stub = StubLLM(default="0.9")
-    kept = denoise(triples, "Who directed Inception?", cfg, counting_stub, templates["necessity"])
+    kept = denoise(triples, "Who directed Inception?", cfg, MemoLLM(counting_stub), templates["necessity"])
     assert kept == []
     assert counting_stub.calls == []  # rule layer is provider-free
 
@@ -295,7 +300,7 @@ def test_06_denoiser_rule_layer(templates):
     clean = parse_triples(
         ["QF1|Inception|P10|director|QF2|Christopher Nolan", "QF2|Christopher Nolan|P11|spouse|QF3|Emma Thomas"]
     )
-    assert denoise(clean, "q", cfg, FailingLLM(), templates["necessity"]) == clean
+    assert denoise(clean, "q", cfg, MemoLLM(FailingLLM()), templates["necessity"]) == clean
     _report(6, "keyword rule drops 100% admin relations with zero LLM calls; failures keep")
 
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,11 +22,11 @@ from dualtrack import transport
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig, load_config
-from dualtrack.engine import PACKAGED_PROMPTS, Engine
+from dualtrack.engine import PACKAGED_PROMPTS, Engine, Pipeline
 from dualtrack.evaluation import evaluate
 from dualtrack.kg import CachedStore, InMemoryTripleStore, SparqlClient, parse_triples
-from dualtrack.llm import StubLLM
-from dualtrack.scoring import HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
+from dualtrack.llm import MemoLLM, StubLLM
+from dualtrack.scoring import CachedEmbedder, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
 from dualtrack.transport import ProviderError
 from oracles import RELATION_WORDS, build_store, necessity_script, random_graph_lines, random_necessity, random_question
 
@@ -774,6 +775,17 @@ def test_answering_questions_never_imports_numpy(workspace):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[[], []] False"
+
+
+def test_pipeline_wraps_raw_providers_once_and_replace_keeps_its_caches(movie_store, templates):
+    stub, embedder = StubLLM(), HashEmbedding(16)
+    pipe = Pipeline(store=movie_store, llm=stub, templates=templates, embedder=embedder, reranker=OverlapRerank())
+    assert isinstance(pipe.store, CachedStore) and pipe.store.inner is movie_store
+    assert isinstance(pipe.llm, MemoLLM) and pipe.llm.inner is stub
+    assert isinstance(pipe.embedder, CachedEmbedder) and pipe.embedder.inner is embedder
+    narrow = replace(pipe, config=EngineConfig(w_max=2))
+    assert (narrow.store, narrow.llm, narrow.embedder) == (pipe.store, pipe.llm, pipe.embedder)
+    assert Engine(llm=stub, store=pipe.store).pipeline.store is pipe.store  # an injected cache is kept
 
 
 def test_sparql_client_is_default_store_in_live_mode(tmp_path):

@@ -12,13 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CountingLeaves, FailingLLM
-from dualtrack import denoise as denoise_module
+from dualtrack import transport
 from dualtrack.config import EngineConfig
 from dualtrack.denoise import denoise, rule_filter
 from dualtrack.kg import EntityRef, LiteralValue, RelationRef, Triple, parse_triples
 from dualtrack.llm import CompletionResponse, LLMProvider, MemoLLM, ProviderError, StubLLM
 from dualtrack.transport import LEAF_THREADS
-from oracles import serial_denoise
+from oracles import keyword_rule, serial_denoise
 
 
 @pytest.fixture
@@ -41,11 +41,24 @@ def test_rule_filter_drops_administrative_labels(cfg):
     assert rule_filter(RelationRef("P1", "wikidata:id"), cfg) is True
     assert rule_filter(RelationRef("P2", "data source"), cfg) is True
     assert rule_filter(RelationRef("P3", "schema version"), cfg) is True
+    assert rule_filter(RelationRef("P9", "external id"), cfg) is True
 
 
 def test_rule_filter_keeps_content_labels(cfg):
     assert rule_filter(RelationRef("P4", "spouse"), cfg) is False
     assert rule_filter(RelationRef("P5", "director"), cfg) is False
+    # a keyword matches whole words only: "id" and "source" are inside these
+    for label in ("place of residence", "width", "said to be the same as", "candidacy in election",
+                  "side effect", "resource"):
+        assert rule_filter(RelationRef("P551", label), cfg) is False, label
+
+
+def test_rule_filter_matches_a_keyword_of_several_words_in_order():
+    cfg = EngineConfig(k_invalid=["data source"])
+    assert rule_filter(RelationRef("P1", "Data-Source"), cfg) is True
+    assert rule_filter(RelationRef("P2", "data source of record"), cfg) is True
+    assert rule_filter(RelationRef("P3", "source data"), cfg) is False
+    assert rule_filter(RelationRef("P4", "metadata sources"), cfg) is False
 
 
 def test_rule_filter_case_insensitive(cfg):
@@ -57,6 +70,15 @@ def test_rule_filter_unresolved_label_kept_with_warning(cfg, caplog):
     with caplog.at_level(logging.WARNING):
         assert rule_filter(RelationRef("P8", ""), cfg) is False
     assert "no label" in caplog.text
+
+
+@given(
+    label=st.text(alphabet="ab İé_:- 1", min_size=1, max_size=12),
+    keywords=st.lists(st.text(alphabet="ab İé_:- 1", min_size=1, max_size=5), min_size=1, max_size=3),
+)
+def test_rule_filter_matches_the_word_run_oracle(label, keywords):
+    cfg = EngineConfig(k_invalid=keywords)
+    assert rule_filter(RelationRef("P1", label), cfg) == keyword_rule(label, cfg.k_invalid)
 
 
 @given(
@@ -85,7 +107,9 @@ def test_necessity_score_scripted(templates):
 
     def kept(relation, question, theta):
         cfg = EngineConfig(theta_necessity=theta)
-        return denoise(_triples([relation]), question, cfg, stub, templates["necessity"]) == _triples([relation])
+        return denoise(
+            _triples([relation]), question, cfg, MemoLLM(stub), templates["necessity"]
+        ) == _triples([relation])
 
     # each scripted score keeps its relation at a threshold equal to it, not above
     assert kept(director, "Who directed it?", 0.9) and not kept(director, "Who directed it?", 0.95)
@@ -96,7 +120,7 @@ def test_necessity_unparseable_keeps_with_warning(templates, caplog):
     stub = StubLLM(default="hard to say")
     triples = _triples([RelationRef("P1", "director")])
     with caplog.at_level(logging.WARNING):
-        kept = denoise(triples, "q", EngineConfig(theta_necessity=1.0), stub, templates["necessity"])
+        kept = denoise(triples, "q", EngineConfig(theta_necessity=1.0), MemoLLM(stub), templates["necessity"])
     assert kept == triples
     assert len(stub.calls) == 1
     assert "unparseable" in caplog.text
@@ -110,27 +134,27 @@ def test_necessity_unparseable_keeps_with_warning(templates, caplog):
 def test_denoise_drops_paper_style_admin_triple(cfg, templates):
     triples = parse_triples(["QF1|Inception|PF7|wikidata:id|Q1375011|"])
     stub = StubLLM(default="0.9")
-    assert denoise(triples, "Who directed Inception?", cfg, stub, templates["necessity"]) == []
+    assert denoise(triples, "Who directed Inception?", cfg, MemoLLM(stub), templates["necessity"]) == []
     # dropped by the rule layer alone: the LLM is never consulted
     assert stub.calls == []
 
 
 def test_denoise_empty_input(cfg, templates):
-    assert denoise([], "q", cfg, StubLLM(), templates["necessity"]) == []
+    assert denoise([], "q", cfg, MemoLLM(StubLLM()), templates["necessity"]) == []
 
 
 def test_denoise_mixed_scores_threshold(templates):
     cfg = EngineConfig(theta_necessity=0.5)
     triples = _triples([RelationRef("P1", "director"), RelationRef("P2", "height")])
     stub = StubLLM(script=[("Relation: director", "0.9"), ("Relation: height", "0.1")])
-    kept = denoise(triples, "Who directed Inception?", cfg, stub, templates["necessity"])
+    kept = denoise(triples, "Who directed Inception?", cfg, MemoLLM(stub), templates["necessity"])
     assert kept == [triples[0]]
 
 
 def test_denoise_preserves_input_order(cfg, templates):
     triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(6)])
     stub = StubLLM(default="0.9")
-    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    kept = denoise(triples, "q", cfg, MemoLLM(stub), templates["necessity"])
     assert kept == triples
 
 
@@ -143,7 +167,7 @@ def test_denoise_theta_zero_skips_llm_calls(templates):
     cfg = EngineConfig(theta_necessity=0.0)
     stub = StubLLM(default="0.0")
     triples = _triples([RelationRef("P1", "director")])
-    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    kept = denoise(triples, "q", cfg, MemoLLM(stub), templates["necessity"])
     assert kept == triples
     assert stub.calls == []
 
@@ -151,7 +175,7 @@ def test_denoise_theta_zero_skips_llm_calls(templates):
 def test_denoise_keeps_items_on_provider_failure(cfg, templates, caplog):
     triples = _triples([RelationRef("P1", "director"), RelationRef("P2", "spouse")])
     with caplog.at_level(logging.WARNING):
-        kept = denoise(triples, "q", cfg, FailingLLM(), templates["necessity"])
+        kept = denoise(triples, "q", cfg, MemoLLM(FailingLLM()), templates["necessity"])
     assert kept == triples
     assert "keeping" in caplog.text
 
@@ -160,7 +184,7 @@ def test_denoise_output_subset_of_input(cfg, templates):
     labels = ["a", "entity id", "b", "source of", "c"]
     triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(script=[("- relation", "0.7")], default="0.7")
-    kept = denoise(triples, "q", cfg, stub, templates["necessity"])
+    kept = denoise(triples, "q", cfg, MemoLLM(stub), templates["necessity"])
     assert set(t.key() for t in kept) <= set(t.key() for t in triples)
 
 
@@ -174,7 +198,7 @@ def test_denoise_full_drop_when_every_label_matches(cfg, templates):
         ]
     )
     stub = StubLLM(default="0.9")
-    assert denoise(triples, "q", cfg, stub, templates["necessity"]) == []
+    assert denoise(triples, "q", cfg, MemoLLM(stub), templates["necessity"]) == []
     assert stub.calls == []
 
 
@@ -221,7 +245,7 @@ def test_denoise_scores_distinct_labels_concurrently(cfg, templates):
 
     triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     llm = _PerLabelLLM(reply)
-    assert denoise(triples, "q", cfg, llm, templates["necessity"]) == triples
+    assert denoise(triples, "q", cfg, MemoLLM(llm), templates["necessity"]) == triples
     assert sorted(llm.asked) == labels
 
 
@@ -239,7 +263,7 @@ def test_denoise_keeps_input_order_when_replies_finish_in_reverse(cfg, templates
         return "0.9" if labels.index(label) % 2 == 0 else "0.1"
 
     triples = _triples([RelationRef(f"P{i}", labels[i % 5]) for i in range(10)])
-    kept = denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    kept = denoise(triples, "q", cfg, MemoLLM(_PerLabelLLM(reply)), templates["necessity"])
     assert finished == labels[::-1]
     assert kept == [t for t in triples if t.relation.label in ("topic0", "topic2", "topic4")]
 
@@ -259,7 +283,7 @@ def test_denoise_raises_the_earliest_labels_error(cfg, templates):
 
     triples = _triples([RelationRef("P1", "first"), RelationRef("P2", "second"), RelationRef("P3", "third")])
     with pytest.raises(ValueError, match="first"):
-        denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+        denoise(triples, "q", cfg, MemoLLM(_PerLabelLLM(reply)), templates["necessity"])
 
 
 def test_denoise_raises_only_after_every_label_is_scored(cfg, templates):
@@ -276,7 +300,7 @@ def test_denoise_raises_only_after_every_label_is_scored(cfg, templates):
     llm = _PerLabelLLM(reply)
     triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     with pytest.raises(ValueError, match="first"):
-        denoise(triples, "q", cfg, llm, templates["necessity"])
+        denoise(triples, "q", cfg, MemoLLM(llm), templates["necessity"])
     assert sorted(llm.asked) == sorted(labels)  # no label was cancelled
     assert sorted(answered) == sorted(labels[1:])
 
@@ -297,7 +321,7 @@ def _thread_recording_llm(threads, together):
 def test_denoise_prompt_threads_outlive_the_call(cfg, templates):
     threads = []
     triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(5)])
-    assert denoise(triples, "q", cfg, _thread_recording_llm(threads, 5), templates["necessity"]) == triples
+    assert denoise(triples, "q", cfg, MemoLLM(_thread_recording_llm(threads, 5)), templates["necessity"]) == triples
     assert len(set(threads)) == 5
     assert all(thread.is_alive() for thread in threads)
 
@@ -307,7 +331,7 @@ def test_denoise_calls_share_at_most_leaf_threads(cfg, templates):
     llm = _thread_recording_llm(threads, 5)
     triples = _triples([RelationRef(f"P{i}", f"topic{i}") for i in range(5)])
     for _ in range(30):
-        denoise(triples, "q", cfg, llm, templates["necessity"])
+        denoise(triples, "q", cfg, MemoLLM(llm), templates["necessity"])
     assert len(threads) == 30 * 5
     assert len(set(threads)) <= LEAF_THREADS
 
@@ -329,7 +353,7 @@ def test_denoise_provider_error_keeps_every_candidate_with_that_label(cfg, templ
             RelationRef("P3", "height"),
         ]
     )
-    kept = denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"])
+    kept = denoise(triples, "q", cfg, MemoLLM(_PerLabelLLM(reply)), templates["necessity"])
     assert kept == [triples[0], triples[2]]
 
 
@@ -337,13 +361,13 @@ def test_denoise_sends_one_prompt_per_distinct_label(cfg, templates):
     labels = ["director", "spouse", "director", "genre", "spouse", "director"]
     triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(default="0.9")
-    assert denoise(triples, "q", cfg, stub, templates["necessity"]) == triples
+    assert denoise(triples, "q", cfg, MemoLLM(stub), templates["necessity"]) == triples
     assert Counter(_RELATION_LINE.search(c).group(1) for c in stub.calls) == Counter(set(labels))
 
 
 def test_denoise_scores_labels_the_memo_holds_inline(cfg, templates, monkeypatch):
     leaves = CountingLeaves()
-    monkeypatch.setattr(denoise_module, "LEAVES", leaves)
+    monkeypatch.setattr(transport, "LEAVES", leaves)
     labels = ["director", "height", "director", "spouse"]
     triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
     stub = StubLLM(script=[("Relation: height", "0.1")], default="0.9")
@@ -383,4 +407,4 @@ def test_denoise_matches_serial_oracle(templates, picks, theta, offsets, failing
 
     cfg = EngineConfig(theta_necessity=theta)
     expected = serial_denoise(triples, "q", cfg.k_invalid, theta, _PerLabelLLM(reply), templates["necessity"])
-    assert denoise(triples, "q", cfg, _PerLabelLLM(reply), templates["necessity"]) == expected
+    assert denoise(triples, "q", cfg, MemoLLM(_PerLabelLLM(reply)), templates["necessity"]) == expected

@@ -30,7 +30,6 @@ from dualtrack.kg import (
     Triple,
     entity_id_query,
     escape_label,
-    fetch_relations,
     head_relations_query,
     load_triples,
     parse_triples,
@@ -536,7 +535,7 @@ def test_client_cache_serves_repeat_queries(tmp_path):
 
 
 def test_fetch_relations_union(movie_store):
-    relations = fetch_relations(movie_store, EntityRef("QF1", "Inception"))
+    relations = CachedStore(movie_store).relations(EntityRef("QF1", "Inception"))
     assert len(relations.head) == 4
     assert len(relations.tail) == 1
     assert len(relations.all()) == 5
@@ -544,7 +543,7 @@ def test_fetch_relations_union(movie_store):
 
 def test_relation_set_lists_a_self_loop_once():
     loop, other = parse_triples(["Q1|Alpha|P1|same as|Q1|Alpha", "Q1|Alpha|P2|located in|Q2|Beta"])
-    relations = fetch_relations(InMemoryTripleStore([loop, other]), EntityRef("Q1", "Alpha"))
+    relations = CachedStore(InMemoryTripleStore([loop, other])).relations(EntityRef("Q1", "Alpha"))
     assert relations.head == [loop, other]
     assert relations.tail == [loop]
     assert relations.all() == [loop, other]
@@ -553,7 +552,7 @@ def test_relation_set_lists_a_self_loop_once():
 def test_fetch_relations_sends_head_and_tail_together(movie_store):
     barrier = threading.Barrier(2, timeout=2)  # breaks unless both fetches are in flight at once
     inception = EntityRef("QF1", "Inception")
-    relations = fetch_relations(RecordingStore(movie_store, lambda side: barrier.wait()), inception)
+    relations = CachedStore(RecordingStore(movie_store, lambda side: barrier.wait())).relations(inception)
     assert relations.head == movie_store.head_relations(inception)
     assert relations.tail == movie_store.tail_relations(inception)
 
@@ -569,31 +568,42 @@ def test_fetch_relations_raises_heads_error_over_tails(movie_store):
         raise ProviderError(f"{side} fetch failed")
 
     with pytest.raises(ProviderError, match="head"):
-        fetch_relations(RecordingStore(movie_store, both_down), EntityRef("QF1", "Inception"))
+        CachedStore(RecordingStore(movie_store, both_down)).relations(EntityRef("QF1", "Inception"))
 
 
 def test_fetch_relations_raises_tails_error(movie_store):
+    tail_failed = threading.Event()
+
     def tail_down(side):
         if side == "tail_relations":
+            tail_failed.set()
             raise ProviderError("tail fetch failed")
+        assert tail_failed.wait(timeout=2)
+        time.sleep(0.05)  # the failed fill has dropped its key by then
 
+    recording = RecordingStore(movie_store, tail_down)
+    inception = EntityRef("QF1", "Inception")
     with pytest.raises(ProviderError, match="tail"):
-        fetch_relations(RecordingStore(movie_store, tail_down), EntityRef("QF1", "Inception"))
+        CachedStore(recording).relations(inception)
+    # the failed fill's error is read from its future, not fetched again
+    assert sorted(recording.calls) == [("head_relations", inception), ("tail_relations", inception)]
 
 
 def test_fetch_relations_reads_a_cached_entity_inline(movie_store, monkeypatch):
     inception, nolan = EntityRef("QF1", "Inception"), EntityRef("QF2", "Christopher Nolan")
-    expected = fetch_relations(movie_store, inception)
+    expected = kg.RelationSet(inception, movie_store.head_relations(inception), movie_store.tail_relations(inception))
     leaves = CountingLeaves()
-    monkeypatch.setattr(kg, "LEAVES", leaves)
+    monkeypatch.setattr(transport, "LEAVES", leaves)
     cached = CachedStore(movie_store)
-    assert fetch_relations(cached, inception) == expected
+    assert cached.relations(inception) == expected
     assert leaves.submitted == 1
-    assert fetch_relations(cached, inception) == expected
+    assert cached.relations(inception) == expected
     assert leaves.submitted == 1
     cached.head_relations(nolan)  # only head is cached, so tail is still fetched on a leaf
-    fetch_relations(cached, nolan)
+    cached.relations(nolan)
     assert leaves.submitted == 2
+    cached.tail_relations(inception).clear()  # each call gets lists of its own
+    assert cached.relations(inception) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -475,12 +475,16 @@ def test_memo_does_not_share_replies_across_temperatures():
 
 
 def test_memo_holds_a_request_once_its_reply_is_kept():
-    memo = MemoLLM(StubLLM(default="x"))
-    assert not memo.holds(CompletionRequest("p"))
-    memo.complete(CompletionRequest("p"))
-    assert memo.holds(CompletionRequest("p"))
-    assert not memo.holds(CompletionRequest("p", max_tokens=16))
-    assert not memo.holds(CompletionRequest("q"))
+    stub = StubLLM(default="x")
+    memo = MemoLLM(stub)
+    started = memo.start(CompletionRequest("p"))  # sent on a leaf thread
+    assert isinstance(started, Future) and started.result(timeout=2) == "x"
+    assert memo.start(CompletionRequest("p")) == "x"  # kept: the text, and nothing sent
+    assert memo.complete(CompletionRequest("p")).text == "x"
+    assert isinstance(memo.start(CompletionRequest("p", max_tokens=16)), Future)
+    assert isinstance(memo.start(CompletionRequest("q")), Future)
+    assert memo.complete(CompletionRequest("q")).text == "x"
+    assert sorted(stub.calls) == ["p", "p", "q"]
 
 
 class _FailsOnceLLM(LLMProvider):

@@ -20,6 +20,7 @@ from conftest import (
     MappingRerank,
     RecordingEmbedding,
     relations_of,
+    scoring_pipe,
 )
 from dualtrack import scoring
 from dualtrack.config import EngineConfig
@@ -247,7 +248,9 @@ def test_top_n_matches_sort_oracle():
         expected = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))[:n]
         embedder = MappingEmbedding({"q": rows[0]} | {t.text: row for t, row in zip(triples, rows[1:])})
         reranker = CountingRerank(ConstantRerank(0.5))
-        result = score_candidates("q", triples, relations_of(triples), EngineConfig(top_n=n), embedder, reranker)
+        result = score_candidates(
+            "q", triples, relations_of(triples), scoring_pipe(EngineConfig(top_n=n), embedder, reranker)
+        )
         assert reranker.batches == [[t.text for t in expected]]
         assert {c.payload for c in result} == set(expected)
 
@@ -297,49 +300,11 @@ _EMBEDDERS = {dimension: HashEmbedding(dimension) for dimension in (1, 7, 256)}
     st.sampled_from(sorted(_EMBEDDERS)),
 )
 def test_hash_embedding_matches_an_uncached_sha1_reference(texts, dimension):
-    embedder = _EMBEDDERS[dimension]  # shared, so most tokens come from its memo
+    embedder = _EMBEDDERS[dimension]
     expected = hash_embedding_rows(texts, dimension)
     assert embedder.embed(texts) == expected
     for text, row in zip(texts, expected):
         assert embedder.embed([text]) == [row]
-
-
-def test_hash_embedding_token_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(scoring, "TOKEN_BUCKETS", 3)
-    embedder = HashEmbedding(dimension=16)
-    texts = [" ".join(f"w{i}_{j}" for j in range(4)) for i in range(5)]
-    for text in texts:
-        assert embedder.embed([text]) == hash_embedding_rows([text], 16)
-        assert len(embedder._buckets) <= 3
-    assert embedder.embed(texts) == hash_embedding_rows(texts, 16)
-
-
-def test_hash_embedding_shared_by_threads_keeps_its_bound(monkeypatch):
-    monkeypatch.setattr(scoring, "TOKEN_BUCKETS", 5)
-    embedder = HashEmbedding(dimension=16)
-    texts = [[f"t{i}_{j} t{j}" for j in range(40)] for i in range(8)]
-    rows, sizes = {}, []
-
-    def work(i):
-        rows[i] = []
-        for text in texts[i]:
-            rows[i].append(embedder.embed([text]))
-            sizes.append(len(embedder._buckets))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so stores interleave
-    try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for i in range(8):
-        assert rows[i] == [hash_embedding_rows([text], 16) for text in texts[i]]
-    assert max(sizes) <= 5
 
 
 def test_overlap_rerank_jaccard():
@@ -405,11 +370,15 @@ def _facts(n):
 def _score(query, candidates, cfg, embedder, reranker):
     """``score_candidates`` as both tracks run it, through ``submit_scoring``:
     a pool of at most ``cfg.top_n`` candidates has its rerank sent early."""
-    return submit_scoring(score_candidates, query, candidates, relations_of(candidates), cfg, embedder, reranker).result()
+    return submit_scoring(
+        score_candidates, query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker)
+    ).result()
 
 
 def test_score_candidates_empty():
-    assert score_candidates("q", [], relations_of([]), EngineConfig(), HashEmbedding(16), ConstantRerank()) == []
+    assert score_candidates(
+        "q", [], relations_of([]), scoring_pipe(EngineConfig(), HashEmbedding(16), ConstantRerank())
+    ) == []
 
 
 def test_score_candidates_matches_independent_recompute():
@@ -431,7 +400,7 @@ def test_score_candidates_matches_independent_recompute():
     ]
     expected_combined = {cid: 0.7 * 0.5 + 0.3 * cos_by_id[cid] for cid in expected_ids}
 
-    result = score_candidates(query, candidates, relations_of(candidates), cfg, embedder, reranker)
+    result = score_candidates(query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker))
     assert sorted(c.payload.key() for c in result) == sorted(expected_ids)
     for c in result:
         assert c.combined == pytest.approx(expected_combined[c.payload.key()], abs=1e-9)
@@ -447,21 +416,25 @@ class _ShortEmbedding(HashEmbedding):
 
 def test_score_candidates_rejects_missing_embedding_rows():
     facts = _facts(5)
-    with pytest.raises(ProviderError, match="embedder returned 5 vectors for 6 texts"):
-        score_candidates("topic", facts, relations_of(facts), EngineConfig(), _ShortEmbedding(16), ConstantRerank())
+    with pytest.raises(ProviderError, match="embedder returned 4 vectors for 5 texts"):
+        score_candidates(
+            "topic", facts, relations_of(facts), scoring_pipe(EngineConfig(), _ShortEmbedding(16), ConstantRerank())
+        )
 
 
 def test_score_candidates_rejects_embedding_row_of_another_shape():
     embedder = _ReplyEmbedding([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0]])
     facts = _facts(2)
-    with pytest.raises(ProviderError, match="embedder returned rows of different shapes"):
-        score_candidates("q", facts, relations_of(facts), EngineConfig(), embedder, ConstantRerank())
+    with pytest.raises(ProviderError, match="embedder returned a row that is not of its dimension 3"):
+        score_candidates("q", facts, relations_of(facts), scoring_pipe(EngineConfig(), embedder, ConstantRerank()))
 
 
 def test_score_candidates_ranks_a_zero_candidate_row_last():
     embedder = _ReplyEmbedding([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     facts = _facts(3)
-    result = score_candidates("q", facts, relations_of(facts), EngineConfig(), embedder, ConstantRerank(0.5))
+    result = score_candidates(
+        "q", facts, relations_of(facts), scoring_pipe(EngineConfig(), embedder, ConstantRerank(0.5))
+    )
     keys = [c.key() for c in _facts(3)]
     expected = [(keys[1], pytest.approx(0.70710678)), (keys[0], 0.0), (keys[2], 0.0)]
     assert [(c.payload.key(), c.cos) for c in result] == expected
@@ -493,14 +466,18 @@ def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
     embedder = _PoisonedEmbedding(16, _C_TEXT, value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", candidates, relations_of(candidates), EngineConfig(), embedder, ConstantRerank())
+        score_candidates(
+            "a b c d fact", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), embedder, ConstantRerank())
+        )
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
 def test_score_candidates_rejects_non_finite_query_embedding(value):
     embedder = _PoisonedEmbedding(16, "a b c d fact", value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates("a b c d fact", _ABCD, relations_of(_ABCD), EngineConfig(), embedder, ConstantRerank())
+        score_candidates(
+            "a b c d fact", _ABCD, relations_of(_ABCD), scoring_pipe(EngineConfig(), embedder, ConstantRerank())
+        )
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
@@ -514,13 +491,17 @@ def test_score_candidates_rejects_non_finite_rerank_score(value):
 
 
 class _ReplyEmbedding(EmbeddingProvider):
-    """Answers every call with the same rows."""
+    """Answers a request for the query ``"q"`` with the first of ``rows``,
+    and any other, the candidates' one request, with the rest. Its
+    dimension is the first row's length."""
 
     def __init__(self, rows):
         self.rows = rows
+        self.dimension = len(rows[0]) if rows else 0
 
     def embed(self, texts):
-        return [[float(x) for x in row] for row in self.rows]
+        rows = self.rows[:1] if list(texts) == ["q"] else self.rows[1:]
+        return [[float(x) for x in row] for row in rows]
 
 
 class _ReplyRerank(RerankProvider):
@@ -647,8 +628,11 @@ def test_a_pool_within_top_n_is_reranked_before_the_embedding_returns():
     cfg = EngineConfig(top_n=5)
     embedder = _LoggingEmbedding(log, reranked, patience=5)
     result = _score(_QUERY, candidates, cfg, embedder, _LoggingRerank(log, reranked))
-    assert log == [("rerank", [c.text for c in candidates]), "embedding reply"]
-    assert result == score_candidates(_QUERY, candidates, relations_of(candidates), cfg, HashEmbedding(16), OverlapRerank())
+    # the query's and the candidates' embedding requests
+    assert log == [("rerank", [c.text for c in candidates]), "embedding reply", "embedding reply"]
+    assert result == score_candidates(
+        _QUERY, candidates, relations_of(candidates), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank())
+    )
 
 
 def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embedding():
@@ -660,7 +644,7 @@ def test_a_pool_over_top_n_reranks_top_n_texts_in_cosine_order_after_the_embeddi
     vectors = HashEmbedding(16).embed([_QUERY] + texts)
     cos = {c.key(): cos for c, cos in zip(candidates, _cosines(vectors[0], vectors[1:]))}
     by_cosine = sorted(zip(candidates, texts), key=lambda pair: (-cos[pair[0].key()], pair[0].key()))
-    assert log == ["embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
+    assert log == ["embedding reply", "embedding reply", ("rerank", [text for _, text in by_cosine[:5]])]
 
 
 class _DownRerank(RerankProvider):
@@ -670,7 +654,7 @@ class _DownRerank(RerankProvider):
 
 def test_an_embedding_error_wins_over_an_early_rerank_error():
     reranker = CountingRerank(_DownRerank())
-    with pytest.raises(ProviderError, match="embedder returned 5 vectors"):
+    with pytest.raises(ProviderError, match="embedder returned 4 vectors"):
         _score("topic", _facts(5), EngineConfig(), _ShortEmbedding(16), reranker)
     assert len(reranker.batches) == 1  # the early rerank was sent, and finished first
 
@@ -679,14 +663,16 @@ def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
     cfg = EngineConfig(top_n=5)
     facts = _facts(20)
-    score_candidates("query", facts, relations_of(facts), cfg, HashEmbedding(32), counting)
+    score_candidates("query", facts, relations_of(facts), scoring_pipe(cfg, HashEmbedding(32), counting))
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 5
 
 
 def test_identical_texts_share_scores_and_sort_by_id():
     candidates = [Triple(EntityRef(f"Q{i}", "same"), RelationRef("P1", "text"), LiteralValue("x")) for i in (3, 1, 2)]
-    result = score_candidates("same text", candidates, relations_of(candidates), EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
+    result = score_candidates(
+        "same text", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
+    )
     assert len({c.combined for c in result}) == 1
     assert [c.payload.key() for c in result] == ["Q1|P1|x", "Q2|P1|x", "Q3|P1|x"]
 
@@ -694,7 +680,9 @@ def test_identical_texts_share_scores_and_sort_by_id():
 def test_rerank_scores_clamped():
     candidates = [_fact(1, "alpha"), _fact(2, "beta")]
     mapping = MappingRerank({candidates[0].text: 7.0, candidates[1].text: -3.0})
-    result = score_candidates("alpha", candidates, relations_of(candidates), EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
+    result = score_candidates(
+        "alpha", candidates, relations_of(candidates), scoring_pipe(EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
+    )
     by_key = {c.payload: c for c in result}
     assert by_key[candidates[0]].rerank == 1.0
     assert by_key[candidates[1]].rerank == 0.0
@@ -726,7 +714,7 @@ def _poisoned(value):
 _FAULTS = {
     "error": (_down, "down"),
     "row count": (lambda rows: rows[:-1], "embedder returned"),
-    "shapes": (lambda rows: rows[:-1] + [rows[-1][:-1]], "different shapes"),
+    "shapes": (lambda rows: rows[:-1] + [rows[-1][:-1]], "not of its dimension"),
     "nan": (_poisoned(float("nan")), "NaN or infinite"),
     "inf": (_poisoned(float("inf")), "NaN or infinite"),
     "1e200": (_poisoned(1e200), "NaN or infinite"),
@@ -739,9 +727,10 @@ def test_embedding_cache_never_keeps_a_failed_fill_and_asks_again(fault):
     spoil, message = _FAULTS[fault]
     texts = tuple(dict.fromkeys(t.text for t in _TOPIC.head + _TOPIC.tail))
     rows = dict(zip(texts, map(pack, HashEmbedding(16).embed(texts))))
-    fills = [(lambda cache: cache.entity_rows(_TOPIC), texts, rows)]
-    if fault != "shapes":  # a one-text request has no second row to differ from
-        fills.append((lambda cache: cache.query_row("q"), ("q",), pack(HashEmbedding(16).embed(["q"])[0])))
+    fills = [
+        (lambda cache: cache.entity_rows(_TOPIC), texts, rows),
+        (lambda cache: cache.query_row("q"), ("q",), pack(HashEmbedding(16).embed(["q"])[0])),
+    ]
     for fill, request, expected in fills:
         inner = RecordingEmbedding(faults=[spoil])
         cache = CachedEmbedder(inner)
@@ -757,9 +746,9 @@ def test_embedding_cache_raises_zero_vector_only_once_the_rows_pass():
     entity_poisoned = CachedEmbedder(RecordingEmbedding(faults=[lambda rows: rows, _poisoned(float("nan"))]))
     entity_poisoned.query_row(query)  # the all-zero row is kept before the entity's rows arrive
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates(query, _TOPIC.head, _TOPIC, cfg, entity_poisoned, ConstantRerank())
+        score_candidates(query, _TOPIC.head, _TOPIC, scoring_pipe(cfg, entity_poisoned, ConstantRerank()))
     with pytest.raises(ZeroVector):
-        score_candidates(query, _TOPIC.head, _TOPIC, cfg, entity_poisoned, ConstantRerank())
+        score_candidates(query, _TOPIC.head, _TOPIC, scoring_pipe(cfg, entity_poisoned, ConstantRerank()))
 
 
 def test_embedding_cache_scores_as_one_uncached_request_does():
@@ -767,8 +756,13 @@ def test_embedding_cache_scores_as_one_uncached_request_does():
     cache = CachedEmbedder(inner)
     cfg = EngineConfig(top_n=2)  # once reranked early, once after the embedding
     for pool in (_TOPIC.head, _TOPIC.head + _TOPIC.tail[1:]):
-        expected = score_candidates(_QUERY, pool, relations_of(pool), cfg, HashEmbedding(16), OverlapRerank())
-        scored = submit_scoring(score_candidates, _QUERY, pool, _TOPIC, cfg, cache, OverlapRerank()).result()
+        # the reference: a cold pipeline whose one request for the entity holds the pool alone
+        expected = score_candidates(
+            _QUERY, pool, relations_of(pool), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank())
+        )
+        scored = submit_scoring(
+            score_candidates, _QUERY, pool, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())
+        ).result()
         assert scored == expected
     assert sorted(inner.requests) == sorted([(_QUERY,), tuple(t.text for t in _facts(3))])
 
@@ -779,6 +773,11 @@ def _kept_bytes(cache):
     return sum(map(scoring._row_bytes, kept))
 
 
+def _keeps(cache, key):
+    """Whether a CachedEmbedder keeps the finished rows of ``key``."""
+    return isinstance(cache._rows._entries.get(key), (bytes, dict))
+
+
 def test_embedding_cache_keeps_at_most_its_bound(monkeypatch):
     row = sys.getsizeof(pack(HashEmbedding(16).embed(["q0"])[0]))  # every one-token row packs alike
     monkeypatch.setattr(scoring, "EMBED_BYTES", 3 * row)
@@ -787,7 +786,7 @@ def test_embedding_cache_keeps_at_most_its_bound(monkeypatch):
     for i in range(8):
         cache.query_row(f"q{i}")
         assert _kept_bytes(cache) == cache._rows._load <= 3 * row
-    assert cache.holds_query("q7") and not cache.holds_query("q4")
+    assert _keeps(cache, "q7") and not _keeps(cache, "q4")
     cache.query_row("q0")  # evicted, so asked again
     assert len(inner.requests) == 9
 
@@ -812,10 +811,10 @@ def test_embedding_cache_bounds_the_bytes_of_dense_rows(monkeypatch):
     for relations in entities:
         assert len(cache.entity_rows(relations)) == 8
         assert _kept_bytes(cache) == cache._rows._load <= 20 * row
-    assert [cache._rows.holds(r.entity) for r in entities] == [False, False, True, True]
+    assert [_keeps(cache, r.entity) for r in entities] == [False, False, True, True]
     wide = RelationSet(EntityRef("Q9", "wide"), _facts(21), [])  # more rows than the bound holds
     assert len(cache.entity_rows(wide)) == 21
-    assert not cache._rows.holds(wide.entity) and cache._rows._load == 0
+    assert not _keeps(cache, wide.entity) and cache._rows._load == 0
 
 
 class _GatedEmbedding(RecordingEmbedding):
@@ -837,14 +836,16 @@ def test_embedding_cache_sends_a_fresh_steps_two_requests_at_once():
     inner = _GatedEmbedding()
     cache = CachedEmbedder(inner)
     cfg = EngineConfig()
-    scoring_step = submit_scoring(score_candidates, _QUERY, _TOPIC.head, _TOPIC, cfg, cache, OverlapRerank())
+    scoring_step = submit_scoring(
+        score_candidates, _QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())
+    )
     deadline = time.monotonic() + 5
     while len(inner.held) < 2 and time.monotonic() < deadline:
         time.sleep(0.001)
     both = Counter([(_QUERY,), tuple(t.text for t in _facts(3))])
     assert Counter(inner.held) == both and not inner.requests  # both in flight, neither answered
     inner.gate.set()
-    expected = score_candidates(_QUERY, _TOPIC.head, _TOPIC, cfg, HashEmbedding(16), OverlapRerank())
+    expected = score_candidates(_QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
     assert scoring_step.result() == expected
     assert Counter(inner.requests) == both
 
@@ -855,9 +856,9 @@ def test_embedding_cache_embeds_texts_of_triples_fetched_again_and_changed():
     cfg = EngineConfig()
     cache.entity_rows(_TOPIC)  # rows kept from the entity's first fetch
     changed = RelationSet(_TOPIC.entity, [_fact(0), _fact(7)], [_fact(1)])  # its triples, fetched again
-    expected = score_candidates(_QUERY, changed.all(), changed, cfg, HashEmbedding(16), OverlapRerank())
+    expected = score_candidates(_QUERY, changed.all(), changed, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
     for _ in range(2):
-        assert score_candidates(_QUERY, changed.all(), changed, cfg, cache, OverlapRerank()) == expected
+        assert score_candidates(_QUERY, changed.all(), changed, scoring_pipe(cfg, cache, OverlapRerank())) == expected
     new = (_fact(7).text,)
     assert inner.requests == [tuple(t.text for t in _facts(3)), new, (_QUERY,), new]  # the new text is not kept
 
