@@ -9,8 +9,10 @@ relation label is asked once, and all labels are asked concurrently on the
 process's leaf executor, ``transport.LEAVES``, through the pipeline's
 ``MemoLLM``: a label whose reply it keeps is scored inline, with no hand-off
 to a leaf thread. Both tracks run both layers through ``scoring.ground``,
-which scores the rule-kept pool while the necessity layer runs and keeps
-the candidates whose label passed.
+which starts the rule-kept pool's embedding fills (and its rerank, when
+Stage I's cut keeps the whole pool) before the necessity layer runs, then
+scores the pool on the same thread and keeps the candidates whose label
+passed.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """

@@ -3,9 +3,11 @@
 Stage I embeds the query and every candidate triple's text and keeps the
 top-N by cosine similarity; Stage II reranks only the survivors and fuses
 both scores with weight ``alpha``. When the cut keeps every candidate, the
-rerank is sent alongside the embedding instead of after it. Embedding and
-rerank providers are pluggable; the built-in hash/overlap providers need no
-model and keep runs deterministic.
+rerank is sent alongside the embedding instead of after it. Both tracks
+score through :func:`ground`, which sends a step's requests from its
+calling thread and scores there. Embedding and rerank providers are
+pluggable; the built-in hash/overlap providers need no model and keep runs
+deterministic.
 
 Every embedding row is checked and packed once, when it arrives (see
 :func:`pack`), and cosines are computed over packed rows only. Every
@@ -229,8 +231,9 @@ class CachedEmbedder:
     ``Pipeline`` wraps its embedder in one, next to its KG cache and LLM
     memo.
 
-    Two kinds of key, each filled by one request, in one map (a ``str``
-    never equals an ``EntityRef``):
+    Two kinds of key, each filled by one request on ``transport.LEAVES``
+    that :meth:`start` begins, in one map (a ``str`` never equals an
+    ``EntityRef``):
 
     - a query text maps to its row, a request of one text;
     - an entity's ``EntityRef`` maps to the rows of every distinct text of
@@ -250,34 +253,31 @@ class CachedEmbedder:
         self.inner = inner
         self._rows = SingleFlightCache(EMBED_BYTES, _row_bytes)
 
-    def query_row(self, text: str) -> bytes:
-        return self._rows.get(text, lambda: embed_packed(self.inner, [text])[0])
-
-    def prefetch_query(self, text: str) -> None:
-        """Start the fill of ``text``'s row on ``transport.LEAVES``, unless
-        it is kept or in flight."""
-        self._rows.start(text, lambda: embed_packed(self.inner, [text])[0])
-
-    def entity_rows(self, relations: RelationSet) -> dict[str, bytes]:
-        """Packed row of each text of the entity's triples, by text."""
+    def start(self, query_text: str, relations: RelationSet) -> tuple:
+        """Start the fills of one grounding step on ``transport.LEAVES``:
+        the query's row, then the entity's rows, each unless it is kept or
+        in flight. Returns the two entries in that order, each a kept value
+        or the future of its fill. A fresh step has both requests in flight
+        at once, a warm one none."""
 
         def fill():
             texts = list(dict.fromkeys(t.text for t in relations.head + relations.tail))
             return dict(zip(texts, embed_packed(self.inner, texts)))
 
-        return self._rows.get(relations.entity, fill)
+        query = self._rows.start(query_text, lambda: embed_packed(self.inner, [query_text])[0])
+        return query, self._rows.start(relations.entity, fill)
 
-    def step_rows(self, query_text: str, relations: RelationSet, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
-        """The packed rows of one grounding step: the query's, and those of
-        ``texts``, texts of the triples of ``relations``. The entity's rows
-        are read first, so that their request is in flight while a query
-        fill started by :meth:`prefetch_query` runs: a fresh step waits on
-        one round trip, a warm one on none."""
-        by_text = self.entity_rows(relations)
+    def rows(self, started: tuple, texts: Sequence[str]) -> tuple[bytes, list[bytes]]:
+        """The query's row and the rows of ``texts``, read from the entries
+        that :meth:`start` returned, so a failed fill is never sent again.
+        The entity's entry is read first: its error wins over the query's.
+        A text its rows lack is embedded here, for this step only."""
+        query, entity = started
+        by_text = entity.result() if isinstance(entity, Future) else entity
         missing = [text for text in texts if text not in by_text]
         if missing:
             by_text = by_text | dict(zip(missing, embed_packed(self.inner, missing)))
-        return self.query_row(query_text), [by_text[text] for text in texts]
+        return (query.result() if isinstance(query, Future) else query), [by_text[text] for text in texts]
 
 
 class RerankProvider:
@@ -326,26 +326,20 @@ class HttpRerank(RerankProvider):
 def score_candidates(
     query_text: str,
     candidates: Sequence[Triple],
-    relations: RelationSet,
     pipe: Pipeline,
+    started: tuple,
     early_rerank: Future | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the query and return them sorted by the fused
     score, descending.
 
-    Candidates cut in Stage I are never shown to the reranker; with the
-    default config that bounds every rerank call to 50 texts. With
-    ``early_rerank``, the future of the whole pool's rerank sent by
-    :func:`submit_scoring`, the reranker is not called again: each
-    candidate's Stage II score is read from that reply by its index, once
-    the embedding has returned. Both tracks score through :func:`ground`,
-    which runs this on a leaf thread while the necessity prompts run, so one
-    grounding step can have embedding, rerank and necessity requests in
-    flight at once.
-
-    ``candidates`` are drawn from ``relations``, one entity's triples; the
-    pipeline's :meth:`CachedEmbedder.step_rows` gives their rows and the
-    query's.
+    ``started`` is what the pipeline's :meth:`CachedEmbedder.start` returned
+    for the query and the entity whose triples ``candidates`` are; their
+    rows are read from it. Candidates cut in Stage I are never shown to the
+    reranker; with the default config that bounds every rerank call to 50
+    texts. With ``early_rerank``, the future of the whole pool's rerank
+    that :func:`ground` sent, the reranker is not called again: each
+    candidate's Stage II score is read from that reply by its index.
 
     An embedding error wins over a rerank error, and either is raised only
     once the early rerank has finished. An embedder or reranker reply with
@@ -360,7 +354,7 @@ def score_candidates(
     texts = [c.text for c in candidates]
     ids = [c.key() for c in candidates]
     try:
-        query, rows = pipe.embedder.step_rows(query_text, relations, texts)
+        query, rows = pipe.embedder.rows(started, texts)
     finally:
         if early_rerank is not None:
             wait([early_rerank])
@@ -386,38 +380,6 @@ def score_candidates(
     return [fused[j] for j in order]
 
 
-def submit_scoring(
-    score: Callable[..., list[ScoredCandidate]],
-    query_text: str,
-    candidates: Sequence[Triple],
-    relations: RelationSet,
-    pipe: Pipeline,
-) -> Future:
-    """Run ``score`` (:func:`score_candidates`, or a tracer's wrapper of it)
-    on ``transport.LEAVES`` and return its future.
-
-    When the pool holds at most ``top_n`` candidates, Stage I's cut keeps
-    all of them, so the rerank input is known before the embedding returns.
-    The whole pool's rerank, in candidate order, is then submitted first and
-    handed to ``score`` as ``early_rerank``: the step waits on one round trip
-    instead of two. A larger pool is reranked after the embedding, its top
-    ``top_n`` in cosine order.
-
-    :meth:`CachedEmbedder.prefetch_query` is called before ``score`` is
-    submitted: it starts the query row's fill unless the row is kept or in
-    flight, and ``score`` fills the entity's rows meanwhile, so a fresh step
-    sends both requests at once.
-
-    The scoring task waits only on tasks submitted before it, which
-    ``LEAVES`` has started by then.
-    """
-    early = None
-    if 0 < len(candidates) <= pipe.config.top_n:
-        early = LEAVES.submit(pipe.reranker.rerank, query_text, [c.text for c in candidates])
-    pipe.embedder.prefetch_query(query_text)
-    return LEAVES.submit(score, query_text, candidates, relations, pipe, early)
-
-
 def ground(
     query_text: str,
     triples: Sequence[Triple],
@@ -427,7 +389,7 @@ def ground(
     denoise: Callable[..., list[Triple]],
 ) -> list[ScoredCandidate]:
     """One grounding step, the same on both tracks: the keyword rule, then
-    scoring and the necessity layer at once. ``triples`` are drawn from
+    the necessity layer and scoring. ``triples`` are drawn from
     ``relations``, the entity's fetched triples, whose rows the pipeline's
     embedding cache keeps. Returns the scored rule-kept triples whose label
     passed necessity, best fused score first.
@@ -435,20 +397,27 @@ def ground(
     ``score`` and ``denoise`` are the caller's module names
     (:func:`score_candidates` and ``denoise.denoise``), which a tracer
     rebinds there. An empty rule-kept pool returns ``[]`` with nothing
-    submitted. Otherwise necessity reads only labels, so the pool is scored
-    on leaf threads while ``denoise`` asks each distinct label once on this
-    one; it sees the whole pool, before Stage I's top-N cut. A scoring error
-    wins, raised once both have finished.
+    sent. Otherwise the step's requests start from this thread before any
+    is waited on: the embedding fills of the query and the entity
+    (:meth:`CachedEmbedder.start`), the whole pool's rerank when the pool
+    holds at most ``top_n`` triples, since Stage I's cut then keeps all of
+    them, and the necessity prompts, which ``denoise`` sends and waits for.
+    ``score`` then runs on this thread too, so a step with a small pool
+    waits on one round trip. A larger pool is reranked, its top ``top_n``
+    in cosine order, once the necessity replies are in: a second round
+    trip. Necessity sees the whole pool, before Stage I's cut. A scoring
+    error wins, raised once both halves have finished.
     """
     cfg = pipe.config
     rule_verdicts: dict[str, bool] = {}  # both calls share it: the rule judges each label once a step
     pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
-    scoring = submit_scoring(score, query_text, pool, relations, pipe)
+    started = pipe.embedder.start(query_text, relations)
+    early = LEAVES.submit(pipe.reranker.rerank, query_text, [t.text for t in pool]) if len(pool) <= cfg.top_n else None
     try:
         kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
     finally:
-        scored = scoring.result()
+        scored = score(query_text, pool, pipe, started, early)
     necessary = {t.key() for t in kept}
     return [c for c in scored if c.payload.key() in necessary]

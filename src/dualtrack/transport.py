@@ -38,17 +38,14 @@ HTTP_BACKOFF_S = 1.0
 CLAIM_THREADS = 32
 CLAIMS = ThreadPoolExecutor(CLAIM_THREADS, thread_name_prefix="claim")
 
-# Every leaf task of the process runs on ``LEAVES``: necessity prompts, tail
-# fetches, early Stage II reranks, query embedding fills, and Stage I/II
-# scoring while the necessity prompts are in flight. Question and claim
-# threads share it. That is safe because a task on it never submits to an
-# executor and waits only on work that has started: a cache read on the
-# first call for its key, or a scoring task on its early rerank and its
-# query's fill, submitted just before it. Tasks start in the
-# order they were submitted, so that rerank is running or done, and no task
-# waits for one queued behind it. ``LEAVES`` checks the first rule: a submit
-# from one of its own threads raises ``RuntimeError`` instead of queueing a
-# task that could wait for a free leaf thread forever.
+# Every leaf task of the process runs on ``LEAVES``, and each is one
+# provider request: a necessity prompt, a tail fetch, an embedding fill or
+# an early Stage II rerank. Question and claim threads share it, and those
+# threads wait on the tasks they started. That is safe because a leaf task
+# never submits to an executor and never waits on another task, so no task
+# waits for one queued behind it. ``LEAVES`` checks the first rule: a
+# submit from one of its own threads raises ``RuntimeError`` instead of
+# queueing a task that could wait for a free leaf thread forever.
 LEAF_THREADS = 64
 
 
@@ -83,8 +80,8 @@ class SingleFlightCache:
 
     - Single-flight: a call for a key already in flight waits for the first
       call's result instead of calling ``fetch`` again, so the number of
-      fetches does not depend on thread timing. The wait is safe on
-      ``LEAVES``, since the first call is running, not queued.
+      fetches does not depend on thread timing. Only question and claim
+      threads wait on a fill: a leaf task never waits on another task.
     - An error is never kept: the key is dropped, so the next call fetches
       again, and the calls already waiting on it get the same error.
     - The kept values weigh at most ``bound`` in all, the least recently

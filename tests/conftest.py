@@ -5,12 +5,18 @@ import threading
 
 import pytest
 import requests
+from hypothesis import settings
 
 from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, RelationSet, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
-from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider
+from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider, ground, score_candidates
+
+# No per-example time limit: a wall-clock deadline fails a sound property
+# when the machine is loaded. Example counts stay as each test sets them.
+settings.register_profile("dualtrack", deadline=None)
+settings.load_profile("dualtrack")
 
 MOVIE_LINES = [
     "QF1|Inception|PF1|director|QF2|Christopher Nolan",
@@ -90,12 +96,40 @@ def relations_of(triples) -> RelationSet:
     return RelationSet(EntityRef("Q0", "pool"), list(triples), [])
 
 
+_PACKAGED_TEMPLATES = load_templates(PACKAGED_PROMPTS)
+
+
 def scoring_pipe(cfg, embedder, reranker) -> Pipeline:
     """A pipeline for scoring steps alone: ``cfg`` and the two scoring
-    providers, with an empty store and a silent stub LLM."""
+    providers, with an empty store, a silent stub LLM and the packaged
+    templates."""
     return Pipeline(
-        store=InMemoryTripleStore([]), llm=StubLLM(), templates={}, embedder=embedder, reranker=reranker, config=cfg
+        store=InMemoryTripleStore([]),
+        llm=StubLLM(),
+        templates=_PACKAGED_TEMPLATES,
+        embedder=embedder,
+        reranker=reranker,
+        config=cfg,
     )
+
+
+def score_pool(query, candidates, relations, pipe):
+    """``score_candidates`` over ``candidates``, triples of ``relations``,
+    with the step's embedding fills started and no early rerank, so Stage
+    I's cut always runs first."""
+    return score_candidates(query, candidates, pipe, pipe.embedder.start(query, relations))
+
+
+def _keep_all(pool, *args, **kwargs):
+    """A ``denoise`` that keeps every candidate: no rule, no necessity."""
+    return list(pool)
+
+
+def ground_pool(query, candidates, relations, pipe):
+    """``candidates`` scored as both tracks score them, through
+    ``scoring.ground``, with both denoising layers keeping everything: a
+    pool of at most ``top_n`` candidates has its rerank sent early."""
+    return ground(query, candidates, relations, pipe, score_candidates, _keep_all)
 
 
 class MappingEmbedding(EmbeddingProvider):
@@ -187,18 +221,19 @@ class GatedEmbedding(HashEmbedding):
 
 class RecordingEmbedding(HashEmbedding):
     """Hash embeddings that record the texts of every request in
-    ``requests``, and spoil the replies to the first ``len(faults)``
-    requests with ``faults`` in turn."""
+    ``requests``. ``faults`` maps a request's texts, as a tuple, to a
+    function that spoils the rows of the first reply to that request."""
 
-    def __init__(self, dimension: int = 16, faults=()):
+    def __init__(self, dimension: int = 16, faults=None):
         super().__init__(dimension)
         self.requests = []
-        self.faults = list(faults)
+        self.faults = dict(faults or {})
 
     def embed(self, texts):
         self.requests.append(tuple(texts))
         rows = super().embed(texts)
-        return self.faults.pop(0)(rows) if self.faults else rows
+        spoil = self.faults.pop(tuple(texts), None)
+        return spoil(rows) if spoil else rows
 
 
 class FailingLLM(LLMProvider):

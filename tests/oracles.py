@@ -122,7 +122,9 @@ def enumerate_paths(
             if t.relation.label and keyword_rule(t.relation.label, k_invalid):
                 continue
             filtered.append((t, direction, far))
-        scored = score_candidates(question_text, [t for t, _, _ in filtered], relations, pipe)
+        scored = score_candidates(
+            question_text, [t for t, _, _ in filtered], pipe, pipe.embedder.start(question_text, relations)
+        )
         scored = [c for c in scored if necessity.get(c.payload.relation.label, 1.0) >= theta_necessity]
         by_key = {t.key(): (direction, far) for t, direction, far in filtered}
         keep = [c for c in scored if c.combined >= theta]
@@ -263,7 +265,7 @@ def _verify_one(fact, pipe) -> VerificationResult:
     pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
     if not pool:
         return result(VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, relations, pipe)
+    scored = score_candidates(fact.text, pool, pipe, pipe.embedder.start(fact.text, relations))
     necessary = serial_denoise(pool, fact.text, (), cfg.theta_necessity, pipe.llm, templates["necessity"])
     keys = {t.key() for t in necessary}
     best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]

@@ -18,7 +18,9 @@ from conftest import (
     FailingLLM,
     MappingEmbedding,
     MappingRerank,
+    ground_pool,
     relations_of,
+    score_pool,
     scoring_pipe,
 )
 from dualtrack.chain import Hop, ReasoningPath, path_score, search_paths
@@ -39,7 +41,7 @@ from dualtrack.kg import (
     tail_relations_query,
 )
 from dualtrack.llm import MemoLLM, StubLLM
-from dualtrack.scoring import HashEmbedding, OverlapRerank, score_candidates, submit_scoring
+from dualtrack.scoring import HashEmbedding, OverlapRerank
 from dualtrack.verify import VerificationStatus, verify_fact
 from oracles import build_store, enumerate_paths, random_graph_lines, random_question
 from test_chain import CHAIN_MAPPING, CHAIN_SCRIPT
@@ -107,9 +109,7 @@ def test_02_scoring_math_oracle():
         embedder = MappingEmbedding({"q": [scale, 0]} | {t.text: row[:2] for t, row in zip(triples, rows)})
         reranker = CountingRerank(MappingRerank({t.text: r for t, r in zip(triples, reranks)}))
 
-        result = submit_scoring(
-            score_candidates, "q", triples, relations_of(triples), scoring_pipe(cfg, embedder, reranker)
-        ).result()
+        result = ground_pool("q", triples, relations_of(triples), scoring_pipe(cfg, embedder, reranker))
 
         cos = {
             t.key(): float(Fraction(scale * a, abs(scale) * norm)) if norm else 0.0
@@ -147,7 +147,7 @@ def test_03_top_n_default_honored(templates):
 
     counting = CountingRerank(ConstantRerank(0.5))
     candidates = parse_triples([f"QF1|Hub|P{i}|topic{i}|QF{i + 10}|spoke{i}" for i in range(120)])
-    score_candidates(
+    score_pool(
         "which topic?", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), HashEmbedding(32), counting)
     )
     assert len(counting.batches) == 1

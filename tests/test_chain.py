@@ -519,7 +519,7 @@ def test_search_matches_enumeration_oracle_spot(templates):
         _check_search_against_oracle(templates, rng, theta_necessity=0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_search_with_necessity_matches_enumeration_oracle(templates, seed):
     _check_search_against_oracle(templates, random.Random(seed), theta_necessity=0.5)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOVIE_LINES, DownSession, RecordingEmbedding, RecordingStore
-from dualtrack import transport
+from dualtrack import chain, scoring, transport, verify
 from dualtrack.classifier import Question, QuestionType
 from dualtrack.cli import main
 from dualtrack.config import EngineConfig, load_config
@@ -26,7 +26,7 @@ from dualtrack.engine import PACKAGED_PROMPTS, Engine, Pipeline
 from dualtrack.evaluation import evaluate
 from dualtrack.kg import CachedStore, InMemoryTripleStore, SparqlClient, parse_triples
 from dualtrack.llm import MemoLLM, StubLLM
-from dualtrack.scoring import CachedEmbedder, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank
+from dualtrack.scoring import CachedEmbedder, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank, cosines, ground
 from dualtrack.transport import ProviderError
 from oracles import RELATION_WORDS, build_store, necessity_script, random_graph_lines, random_necessity, random_question
 
@@ -271,6 +271,36 @@ def test_leaves_refuses_a_submit_from_a_leaf_task(workspace):
     assert sorted(r.status.value for r in parallel.verification) == ["revised", "verified"]
 
 
+def test_grounding_scores_on_the_thread_that_called_ground(workspace, monkeypatch):
+    """Every leaf task is one provider request: the cosines of both movie
+    questions are taken off the leaf executor, and each step's
+    ``score_candidates`` runs on the thread that called ``ground``."""
+    cosine_threads = []  # the name of the thread of each cosines call
+    score_threads = []  # (thread that called ground, thread that scored)
+
+    def recorded_cosines(*args):
+        cosine_threads.append(threading.current_thread().name)
+        return cosines(*args)
+
+    def recorded_ground(query_text, triples, relations, pipe, score, denoise):
+        caller = threading.current_thread().name
+
+        def recorded_score(*args):
+            score_threads.append((caller, threading.current_thread().name))
+            return score(*args)
+
+        return ground(query_text, triples, relations, pipe, recorded_score, denoise)
+
+    monkeypatch.setattr(scoring, "cosines", recorded_cosines)
+    for module in (chain, verify):
+        monkeypatch.setattr(module, "ground", recorded_ground)
+    engine = _engine(workspace, theta_necessity=0.5)
+    engine.answer(Question(id="c", text=CHAINED_Q))
+    engine.answer(Question(id="p", text=PARALLEL_Q))
+    assert cosine_threads and not [name for name in cosine_threads if name.startswith("leaf")]
+    assert score_threads and all(caller == scorer for caller, scorer in score_threads)
+
+
 def test_engine_sends_each_kg_query_once_per_run(workspace):
     questions = [Question(id="c", text=CHAINED_Q), Question(id="p", text=PARALLEL_Q)]
     store = RecordingStore(InMemoryTripleStore.from_file(workspace / "movies.triples"))
@@ -367,7 +397,7 @@ def _random_questions(rng: random.Random, node_count: int) -> tuple[list[str], l
     return texts, script
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
     rng = random.Random(seed)
@@ -415,7 +445,7 @@ def test_engine_answers_alike_with_a_cold_warm_or_shared_kg_cache(seed):
     assert Counter(shared_embedder.requests) == Counter(expected)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_engine_evaluate_gives_the_same_records_at_parallelism_one_and_four(seed):
     rng = random.Random(seed)

@@ -1,5 +1,6 @@
 """Two-stage scoring: cosine, fusion and the top-N cut (each driven through
-``score_candidates``), provider doubles, and the stage-ordering contract."""
+``score_candidates``), provider doubles, the stage-ordering contract, and
+the engine's embedding cache."""
 
 import math
 import random
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given
@@ -19,7 +21,9 @@ from conftest import (
     MappingEmbedding,
     MappingRerank,
     RecordingEmbedding,
+    ground_pool,
     relations_of,
+    score_pool,
     scoring_pipe,
 )
 from dualtrack import scoring
@@ -37,8 +41,6 @@ from dualtrack.scoring import (
     ZeroVector,
     cosines,
     pack,
-    score_candidates,
-    submit_scoring,
 )
 from oracles import hash_embedding_rows
 
@@ -248,7 +250,7 @@ def test_top_n_matches_sort_oracle():
         expected = sorted(triples, key=lambda t: (-cos[t.key()], t.key()))[:n]
         embedder = MappingEmbedding({"q": rows[0]} | {t.text: row for t, row in zip(triples, rows[1:])})
         reranker = CountingRerank(ConstantRerank(0.5))
-        result = score_candidates(
+        result = score_pool(
             "q", triples, relations_of(triples), scoring_pipe(EngineConfig(top_n=n), embedder, reranker)
         )
         assert reranker.batches == [[t.text for t in expected]]
@@ -368,15 +370,13 @@ def _facts(n):
 
 
 def _score(query, candidates, cfg, embedder, reranker):
-    """``score_candidates`` as both tracks run it, through ``submit_scoring``:
+    """``candidates`` scored as both tracks score them, through ``ground``:
     a pool of at most ``cfg.top_n`` candidates has its rerank sent early."""
-    return submit_scoring(
-        score_candidates, query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker)
-    ).result()
+    return ground_pool(query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker))
 
 
 def test_score_candidates_empty():
-    assert score_candidates(
+    assert score_pool(
         "q", [], relations_of([]), scoring_pipe(EngineConfig(), HashEmbedding(16), ConstantRerank())
     ) == []
 
@@ -400,7 +400,7 @@ def test_score_candidates_matches_independent_recompute():
     ]
     expected_combined = {cid: 0.7 * 0.5 + 0.3 * cos_by_id[cid] for cid in expected_ids}
 
-    result = score_candidates(query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker))
+    result = score_pool(query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker))
     assert sorted(c.payload.key() for c in result) == sorted(expected_ids)
     for c in result:
         assert c.combined == pytest.approx(expected_combined[c.payload.key()], abs=1e-9)
@@ -417,7 +417,7 @@ class _ShortEmbedding(HashEmbedding):
 def test_score_candidates_rejects_missing_embedding_rows():
     facts = _facts(5)
     with pytest.raises(ProviderError, match="embedder returned 4 vectors for 5 texts"):
-        score_candidates(
+        score_pool(
             "topic", facts, relations_of(facts), scoring_pipe(EngineConfig(), _ShortEmbedding(16), ConstantRerank())
         )
 
@@ -426,13 +426,13 @@ def test_score_candidates_rejects_embedding_row_of_another_shape():
     embedder = _ReplyEmbedding([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0]])
     facts = _facts(2)
     with pytest.raises(ProviderError, match="embedder returned a row that is not of its dimension 3"):
-        score_candidates("q", facts, relations_of(facts), scoring_pipe(EngineConfig(), embedder, ConstantRerank()))
+        score_pool("q", facts, relations_of(facts), scoring_pipe(EngineConfig(), embedder, ConstantRerank()))
 
 
 def test_score_candidates_ranks_a_zero_candidate_row_last():
     embedder = _ReplyEmbedding([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     facts = _facts(3)
-    result = score_candidates(
+    result = score_pool(
         "q", facts, relations_of(facts), scoring_pipe(EngineConfig(), embedder, ConstantRerank(0.5))
     )
     keys = [c.key() for c in _facts(3)]
@@ -466,7 +466,7 @@ def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
     candidates = [_ABCD["abcd".index(name)] for name in order]
     embedder = _PoisonedEmbedding(16, _C_TEXT, value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates(
+        score_pool(
             "a b c d fact", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), embedder, ConstantRerank())
         )
 
@@ -475,7 +475,7 @@ def test_score_candidates_rejects_non_finite_candidate_embedding(value, order):
 def test_score_candidates_rejects_non_finite_query_embedding(value):
     embedder = _PoisonedEmbedding(16, "a b c d fact", value)
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates(
+        score_pool(
             "a b c d fact", _ABCD, relations_of(_ABCD), scoring_pipe(EngineConfig(), embedder, ConstantRerank())
         )
 
@@ -630,7 +630,7 @@ def test_a_pool_within_top_n_is_reranked_before_the_embedding_returns():
     result = _score(_QUERY, candidates, cfg, embedder, _LoggingRerank(log, reranked))
     # the query's and the candidates' embedding requests
     assert log == [("rerank", [c.text for c in candidates]), "embedding reply", "embedding reply"]
-    assert result == score_candidates(
+    assert result == score_pool(
         _QUERY, candidates, relations_of(candidates), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank())
     )
 
@@ -663,14 +663,14 @@ def test_stage_two_never_sees_stage_one_rejects():
     counting = CountingRerank(ConstantRerank(0.5))
     cfg = EngineConfig(top_n=5)
     facts = _facts(20)
-    score_candidates("query", facts, relations_of(facts), scoring_pipe(cfg, HashEmbedding(32), counting))
+    score_pool("query", facts, relations_of(facts), scoring_pipe(cfg, HashEmbedding(32), counting))
     assert len(counting.batches) == 1
     assert len(counting.batches[0]) == 5
 
 
 def test_identical_texts_share_scores_and_sort_by_id():
     candidates = [Triple(EntityRef(f"Q{i}", "same"), RelationRef("P1", "text"), LiteralValue("x")) for i in (3, 1, 2)]
-    result = score_candidates(
+    result = score_pool(
         "same text", candidates, relations_of(candidates), scoring_pipe(EngineConfig(), HashEmbedding(16), ConstantRerank(0.5))
     )
     assert len({c.combined for c in result}) == 1
@@ -680,7 +680,7 @@ def test_identical_texts_share_scores_and_sort_by_id():
 def test_rerank_scores_clamped():
     candidates = [_fact(1, "alpha"), _fact(2, "beta")]
     mapping = MappingRerank({candidates[0].text: 7.0, candidates[1].text: -3.0})
-    result = score_candidates(
+    result = score_pool(
         "alpha", candidates, relations_of(candidates), scoring_pipe(EngineConfig(alpha=1.0), HashEmbedding(16), mapping)
     )
     by_key = {c.payload: c for c in result}
@@ -720,35 +720,54 @@ _FAULTS = {
     "1e200": (_poisoned(1e200), "NaN or infinite"),
 }
 _TOPIC = RelationSet(EntityRef("Q00", "topic0"), _facts(2), [_fact(1), _fact(2)])
+_TOPIC_TEXTS = tuple(dict.fromkeys(t.text for t in _TOPIC.head + _TOPIC.tail))  # the entity's one request
+
+
+def _step(cache, query, relations):
+    """One grounding step's rows read through ``cache``: the query's, and
+    those of every triple of ``relations``."""
+    return cache.rows(cache.start(query, relations), [t.text for t in relations.all()])
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
 def test_embedding_cache_never_keeps_a_failed_fill_and_asks_again(fault):
     spoil, message = _FAULTS[fault]
-    texts = tuple(dict.fromkeys(t.text for t in _TOPIC.head + _TOPIC.tail))
-    rows = dict(zip(texts, map(pack, HashEmbedding(16).embed(texts))))
-    fills = [
-        (lambda cache: cache.entity_rows(_TOPIC), texts, rows),
-        (lambda cache: cache.query_row("q"), ("q",), pack(HashEmbedding(16).embed(["q"])[0])),
-    ]
-    for fill, request, expected in fills:
-        inner = RecordingEmbedding(faults=[spoil])
+    rows = dict(zip(_TOPIC_TEXTS, map(pack, HashEmbedding(16).embed(_TOPIC_TEXTS))))
+    expected = (pack(HashEmbedding(16).embed(["q"])[0]), [rows[t.text] for t in _TOPIC.all()])
+    for spoiled, kept in (("q",), _TOPIC_TEXTS), (_TOPIC_TEXTS, ("q",)):
+        inner = RecordingEmbedding(faults={spoiled: spoil})
         cache = CachedEmbedder(inner)
         with pytest.raises(ProviderError, match=message):
-            fill(cache)
-        assert fill(cache) == expected == fill(cache)
-        assert inner.requests == [request, request]  # asked again once, then kept
+            _step(cache, "q", _TOPIC)
+        assert _step(cache, "q", _TOPIC) == expected == _step(cache, "q", _TOPIC)
+        assert Counter(inner.requests) == Counter([spoiled, spoiled, kept])  # asked again once, then kept
+
+
+def test_a_step_whose_query_embedding_fails_sends_the_query_once():
+    inner = RecordingEmbedding(faults={(_QUERY,): _down})
+    with pytest.raises(ProviderError, match="down"):
+        ground_pool(_QUERY, _TOPIC.head, _TOPIC, scoring_pipe(EngineConfig(), inner, OverlapRerank()))
+    assert Counter(inner.requests) == Counter([(_QUERY,), _TOPIC_TEXTS])
+
+
+def test_a_steps_entity_embedding_error_wins_over_its_query_error():
+    def refused(rows):
+        raise ProviderError("embedding endpoint failed: query refused")
+
+    inner = RecordingEmbedding(faults={(_QUERY,): refused, _TOPIC_TEXTS: _down})
+    with pytest.raises(ProviderError, match="down"):
+        ground_pool(_QUERY, _TOPIC.head, _TOPIC, scoring_pipe(EngineConfig(), inner, OverlapRerank()))
+    assert Counter(inner.requests) == Counter([(_QUERY,), _TOPIC_TEXTS])
 
 
 def test_embedding_cache_raises_zero_vector_only_once_the_rows_pass():
     query = "¿??"  # no word token: an all-zero hash row
-    cfg = EngineConfig()
-    entity_poisoned = CachedEmbedder(RecordingEmbedding(faults=[lambda rows: rows, _poisoned(float("nan"))]))
-    entity_poisoned.query_row(query)  # the all-zero row is kept before the entity's rows arrive
+    entity_poisoned = RecordingEmbedding(faults={_TOPIC_TEXTS: _poisoned(float("nan"))})
+    pipe = scoring_pipe(EngineConfig(), entity_poisoned, ConstantRerank())
     with pytest.raises(ProviderError, match="NaN or infinite"):
-        score_candidates(query, _TOPIC.head, _TOPIC, scoring_pipe(cfg, entity_poisoned, ConstantRerank()))
+        score_pool(query, _TOPIC.head, _TOPIC, pipe)
     with pytest.raises(ZeroVector):
-        score_candidates(query, _TOPIC.head, _TOPIC, scoring_pipe(cfg, entity_poisoned, ConstantRerank()))
+        score_pool(query, _TOPIC.head, _TOPIC, pipe)
 
 
 def test_embedding_cache_scores_as_one_uncached_request_does():
@@ -757,14 +776,9 @@ def test_embedding_cache_scores_as_one_uncached_request_does():
     cfg = EngineConfig(top_n=2)  # once reranked early, once after the embedding
     for pool in (_TOPIC.head, _TOPIC.head + _TOPIC.tail[1:]):
         # the reference: a cold pipeline whose one request for the entity holds the pool alone
-        expected = score_candidates(
-            _QUERY, pool, relations_of(pool), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank())
-        )
-        scored = submit_scoring(
-            score_candidates, _QUERY, pool, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())
-        ).result()
-        assert scored == expected
-    assert sorted(inner.requests) == sorted([(_QUERY,), tuple(t.text for t in _facts(3))])
+        expected = score_pool(_QUERY, pool, relations_of(pool), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
+        assert ground_pool(_QUERY, pool, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())) == expected
+    assert sorted(inner.requests) == sorted([(_QUERY,), _TOPIC_TEXTS])
 
 
 def _kept_bytes(cache):
@@ -783,12 +797,13 @@ def test_embedding_cache_keeps_at_most_its_bound(monkeypatch):
     monkeypatch.setattr(scoring, "EMBED_BYTES", 3 * row)
     inner = RecordingEmbedding()
     cache = CachedEmbedder(inner)
+    bare = RelationSet(EntityRef("Q99", "bare"), [], [])  # no triples: its rows weigh nothing
     for i in range(8):
-        cache.query_row(f"q{i}")
+        _step(cache, f"q{i}", bare)
         assert _kept_bytes(cache) == cache._rows._load <= 3 * row
     assert _keeps(cache, "q7") and not _keeps(cache, "q4")
-    cache.query_row("q0")  # evicted, so asked again
-    assert len(inner.requests) == 9
+    _step(cache, "q0", bare)  # evicted, so asked again
+    assert Counter(inner.requests) == Counter([()] + [(f"q{i}",) for i in range(8)] + [("q0",)])
 
 
 class _DenseEmbedding(RecordingEmbedding):
@@ -808,12 +823,12 @@ def test_embedding_cache_bounds_the_bytes_of_dense_rows(monkeypatch):
     inner = _DenseEmbedding()
     cache = CachedEmbedder(inner)
     entities = [RelationSet(EntityRef(f"Q{i}", f"e{i}"), _facts(8), []) for i in range(4)]
-    for relations in entities:
-        assert len(cache.entity_rows(relations)) == 8
+    for relations in entities:  # each step moves the query's one row past the entities kept
+        assert len(_step(cache, "q", relations)[1]) == 8
         assert _kept_bytes(cache) == cache._rows._load <= 20 * row
     assert [_keeps(cache, r.entity) for r in entities] == [False, False, True, True]
     wide = RelationSet(EntityRef("Q9", "wide"), _facts(21), [])  # more rows than the bound holds
-    assert len(cache.entity_rows(wide)) == 21
+    assert len(_step(cache, "q", wide)[1]) == 21
     assert not _keeps(cache, wide.entity) and cache._rows._load == 0
 
 
@@ -834,19 +849,17 @@ class _GatedEmbedding(RecordingEmbedding):
 
 def test_embedding_cache_sends_a_fresh_steps_two_requests_at_once():
     inner = _GatedEmbedding()
-    cache = CachedEmbedder(inner)
     cfg = EngineConfig()
-    scoring_step = submit_scoring(
-        score_candidates, _QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())
-    )
-    deadline = time.monotonic() + 5
-    while len(inner.held) < 2 and time.monotonic() < deadline:
-        time.sleep(0.001)
-    both = Counter([(_QUERY,), tuple(t.text for t in _facts(3))])
-    assert Counter(inner.held) == both and not inner.requests  # both in flight, neither answered
-    inner.gate.set()
-    expected = score_candidates(_QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
-    assert scoring_step.result() == expected
+    with ThreadPoolExecutor(1) as caller:  # a question's thread
+        step = caller.submit(ground_pool, _QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, inner, OverlapRerank()))
+        deadline = time.monotonic() + 5
+        while len(inner.held) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        both = Counter([(_QUERY,), _TOPIC_TEXTS])
+        assert Counter(inner.held) == both and not inner.requests  # both in flight, neither answered
+        inner.gate.set()
+        expected = ground_pool(_QUERY, _TOPIC.head, _TOPIC, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
+        assert step.result(timeout=10) == expected
     assert Counter(inner.requests) == both
 
 
@@ -854,13 +867,14 @@ def test_embedding_cache_embeds_texts_of_triples_fetched_again_and_changed():
     inner = RecordingEmbedding()
     cache = CachedEmbedder(inner)
     cfg = EngineConfig()
-    cache.entity_rows(_TOPIC)  # rows kept from the entity's first fetch
+    _step(cache, _QUERY, _TOPIC)  # rows kept from the entity's first fetch
     changed = RelationSet(_TOPIC.entity, [_fact(0), _fact(7)], [_fact(1)])  # its triples, fetched again
-    expected = score_candidates(_QUERY, changed.all(), changed, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
+    expected = score_pool(_QUERY, changed.all(), changed, scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
     for _ in range(2):
-        assert score_candidates(_QUERY, changed.all(), changed, scoring_pipe(cfg, cache, OverlapRerank())) == expected
+        assert score_pool(_QUERY, changed.all(), changed, scoring_pipe(cfg, cache, OverlapRerank())) == expected
     new = (_fact(7).text,)
-    assert inner.requests == [tuple(t.text for t in _facts(3)), new, (_QUERY,), new]  # the new text is not kept
+    assert Counter(inner.requests[:2]) == Counter([(_QUERY,), _TOPIC_TEXTS])
+    assert inner.requests[2:] == [new, new]  # the new text is not kept
 
 
 class _SlowEmbedding(RecordingEmbedding):
@@ -879,8 +893,7 @@ def test_embedding_cache_sends_one_request_per_key_from_many_threads():
 
     def work(k):
         for j in range(40):
-            cache.query_row(f"q{(k + j) % 5}")
-            cache.entity_rows(entities[(k * j) % 4])
+            _step(cache, f"q{(k + j) % 5}", entities[(k * j) % 4])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

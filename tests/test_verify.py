@@ -649,7 +649,7 @@ def _random_fault(rng, claims, node_count):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_run_parallel_branch_matches_the_serial_oracle(templates, seed):
     rng = random.Random(seed)
