@@ -11,6 +11,12 @@ width cut, so the order stays as it is.
 After every expansion the freshly extended path is checked for
 sufficiency; a "yes" ends the search immediately. The final answer is
 generated strictly from the triples of the best-scoring paths.
+
+Each expansion grounds its triples through ``scoring.ground`` with
+``theta_search`` as the floor: the step scores first and asks necessity
+only for the relations that clear it. The sufficiency prompt of the best
+such relation's child goes out with those necessity prompts, so the check
+the search makes next costs no round trip of its own.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from .classifier import Answer, Question, QuestionType
 from .denoise import denoise
 from .kg import EntityRef, ObjectTerm, Triple, term_label
 from .linking import LinkFailure, link_surface
-from .llm import Unparseable, ask, parse_yes_no
+from .llm import CompletionRequest, Unparseable, ask, parse_yes_no, render
 from .scoring import ScoredCandidate, ground, score_candidates
+from .transport import entry_value
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -118,10 +125,18 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
     return link_surface(surface, pipe.store, pipe.config.link_floor)
 
 
-def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[ReasoningPath]:
-    """One expansion step: retrieve, ground (``scoring.ground``), prune,
-    extend. Returns one extended path per surviving relation, best score
-    first.
+def expand(
+    path: ReasoningPath, question: Question, pipe: Pipeline, checks: dict | None = None
+) -> list[ReasoningPath]:
+    """One expansion step: retrieve, ground (``scoring.ground``, which keeps
+    the candidates at or above ``theta_search``), prune, extend. Returns one
+    extended path per surviving relation, best score first.
+
+    With ``checks``, the sufficiency prompt of the best candidate's child is
+    started alongside the step's necessity prompts (``MemoLLM.start``), and
+    its entry is stored in ``checks`` under that child. It is the next check
+    :func:`search_paths` makes when the candidate survives, and
+    :func:`check_sufficiency` reads that entry instead of sending it again.
     """
     cfg = pipe.config
     tip = path.tip()
@@ -141,21 +156,28 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline) -> list[Reas
                 direction_by_key[key] = direction
                 candidates.append(triple)
 
-    scored = ground(question.text, candidates, relations, pipe, score_candidates, denoise)
-    # ground returns best first, and the theta cut keeps that order
-    survivors = [c for c in scored if c.combined >= cfg.theta_search][: cfg.w_max]
+    def child(candidate: ScoredCandidate) -> ReasoningPath:
+        triple = candidate.payload
+        return path.extend(Hop(triple=triple, direction=direction_by_key[triple.key()], score=candidate.combined))
+
+    def start_check(best: ScoredCandidate) -> None:
+        first = child(best)
+        checks[first] = pipe.llm.start(_sufficiency_request(first, question, pipe))
+
+    # ground returns best first, so the width cut keeps the best w_max
+    survivors = ground(
+        question.text,
+        candidates,
+        relations,
+        pipe,
+        score_candidates,
+        denoise,
+        cfg.theta_search,
+        None if checks is None else start_check,
+    )[: cfg.w_max]
     if len(survivors) > LLM_SELECT_TRIGGER:
         survivors = _llm_select(survivors, question, pipe)
-    return [
-        path.extend(
-            Hop(
-                triple=c.payload,
-                direction=direction_by_key[c.payload.key()],
-                score=c.combined,
-            )
-        )
-        for c in survivors
-    ]
+    return [child(c) for c in survivors]
 
 
 def _llm_select(survivors: list[ScoredCandidate], question: Question, pipe: Pipeline) -> list[ScoredCandidate]:
@@ -171,10 +193,19 @@ def _llm_select(survivors: list[ScoredCandidate], question: Question, pipe: Pipe
     return picked[:3]
 
 
-def check_sufficiency(path: ReasoningPath, question: Question, pipe: Pipeline) -> bool:
+def _sufficiency_request(path: ReasoningPath, question: Question, pipe: Pipeline) -> CompletionRequest:
+    bindings = {"question": question.text, "path": path.verbalize()}
+    return CompletionRequest(prompt=render(pipe.templates["sufficiency"], bindings))
+
+
+def check_sufficiency(path: ReasoningPath, question: Question, pipe: Pipeline, started=None) -> bool:
     """LLM judgment: does the path already hold every fact the question
-    needs? Unparseable replies mean "keep searching"."""
-    reply = ask(pipe.llm, pipe.templates["sufficiency"], question=question.text, path=path.verbalize())
+    needs? Unparseable replies mean "keep searching". ``started`` is the
+    entry that :func:`expand` started for this path's prompt, if it did: it
+    is read, so a prompt whose early send failed is not sent again."""
+    if started is None:
+        started = pipe.llm.complete(_sufficiency_request(path, question, pipe)).text
+    reply = entry_value(started)
     try:
         return parse_yes_no(reply)
     except Unparseable:
@@ -194,6 +225,7 @@ def search_paths(
     """
     cfg = pipe.config
     completed: list[ReasoningPath] = []
+    checks: dict[ReasoningPath, object] = {}  # sufficiency prompts started by expand, by child
     expansions = 0
     stopped = False
 
@@ -207,7 +239,7 @@ def search_paths(
                 completed.append(path)
             return
         expansions += 1
-        children = expand(path, question, pipe)
+        children = expand(path, question, pipe, checks)
         if not children:
             if path.depth():
                 completed.append(path)  # dead end: maximal as-is
@@ -217,7 +249,7 @@ def search_paths(
                 return
             if trace is not None:
                 trace.append((child.depth(), child.hops[-1].describe(), child.hops[-1].score))
-            if check_sufficiency(child, question, pipe):
+            if check_sufficiency(child, question, pipe, checks.pop(child, None)):
                 completed.append(child)
                 stopped = True
                 return

@@ -3,16 +3,17 @@
 Layer one is a provider-free keyword rule that drops administrative
 relations ("entity ID", "data source", ...): a label that holds a keyword
 as whole words. Its verdict depends only on the label, so it is taken once
-per label. Layer two asks the LLM for a necessity score of each remaining
-relation against the question and drops the ones below a threshold. The scores are independent, so each distinct
-relation label is asked once, and all labels are asked concurrently on the
-process's leaf executor, ``transport.LEAVES``, through the pipeline's
-``MemoLLM``: a label whose reply it keeps is scored inline, with no hand-off
-to a leaf thread. Both tracks run both layers through ``scoring.ground``,
-which starts the rule-kept pool's embedding fills (and its rerank, when
-Stage I's cut keeps the whole pool) before the necessity layer runs, then
-scores the pool on the same thread and keeps the candidates whose label
-passed.
+per label. Layer two asks the LLM for a necessity score of each relation
+it is given against the question and drops the ones below a threshold.
+The scores are independent, so each distinct relation label is asked
+once, and all labels are asked concurrently on the process's leaf
+executor, ``transport.LEAVES``, through the pipeline's ``MemoLLM``: a
+label whose reply it keeps is scored inline, with no hand-off to a leaf
+thread. Both tracks run both layers through ``scoring.ground``. A claim
+asks necessity for every rule-kept relation while its pool is scored; a
+chain step asks only for the relations whose fused score is at least
+``theta_search``, once the scores are in, since no other relation can
+become a child.
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
@@ -27,6 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .kg import RelationRef, Triple, term_label
 from .llm import CompletionRequest, MemoLLM, PromptTemplate, ProviderError, Unparseable, parse_score, render
+from .transport import entry_value
 
 if TYPE_CHECKING:
     from .config import EngineConfig
@@ -55,9 +57,13 @@ def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     return _keyword_pattern(tuple(cfg.k_invalid)).search(relation.label.lower()) is not None
 
 
-def _rule_kept(candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[str, bool]) -> list[Triple]:
+def rule_kept(
+    candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[str, bool] | None = None
+) -> list[Triple]:
     """The candidates the keyword rule keeps, in input order. ``rule_filter``
-    runs only for a label not yet in ``verdicts``, which gets its verdict."""
+    runs once per label: only for a label not yet in ``verdicts``, which
+    gets its verdict."""
+    verdicts = {} if verdicts is None else verdicts
     kept = []
     for candidate in candidates:
         relation = candidate.relation
@@ -74,7 +80,7 @@ def _necessary(relation: RelationRef, reply: str | Future, cfg: EngineConfig) ->
     scored because the provider failed or its reply does not parse.
     ``reply`` is what ``MemoLLM.start`` returned for the relation's prompt."""
     try:
-        reply = reply.result() if isinstance(reply, Future) else reply
+        reply = entry_value(reply)
     except ProviderError as exc:
         log.warning("necessity scoring failed for %s (%s); keeping", relation.id, exc)
         return True
@@ -114,7 +120,7 @@ def denoise(
     Any other error raised is the one for the earliest such label in input
     order, raised once every label has finished: no label is cancelled.
     """
-    kept = _rule_kept(candidates, cfg, {} if rule_verdicts is None else rule_verdicts)
+    kept = rule_kept(candidates, cfg, rule_verdicts)
     if llm is None or template is None or cfg.theta_necessity == 0.0:
         return kept
     labels = [term_label(c.relation) for c in kept]

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
-from .transport import ProviderError, SingleFlightCache, http_session, request_json
+from .transport import ProviderError, SingleFlightCache, entry_value, http_session, request_json
 
 log = logging.getLogger(__name__)
 
@@ -216,7 +216,7 @@ class CachedStore(KGStore):
         finally:
             if isinstance(tail, Future):
                 wait([tail])
-        return RelationSet(entity, head, list(tail.result() if isinstance(tail, Future) else tail))
+        return RelationSet(entity, head, list(entry_value(tail)))
 
 
 # ---------------------------------------------------------------------------

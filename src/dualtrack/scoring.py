@@ -30,8 +30,9 @@ from itertools import compress, repeat
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from .denoise import rule_kept
 from .kg import RelationSet, Triple
-from .transport import LEAVES, ProviderError, SingleFlightCache, http_session, request_json
+from .transport import LEAVES, ProviderError, SingleFlightCache, entry_value, http_session, request_json
 
 if TYPE_CHECKING:
     from .engine import Pipeline
@@ -237,9 +238,10 @@ class CachedEmbedder:
 
     - a query text maps to its row, a request of one text;
     - an entity's ``EntityRef`` maps to the rows of every distinct text of
-      its ``RelationSet``, head then tail. A text the kept rows lack, from
-      triples fetched again since and found changed, is embedded for its
-      step only.
+      its ``RelationSet``, head then tail, that the filling step can score:
+      the keyword rule's drops are never embedded. A text the kept rows
+      lack, from triples fetched again since and found changed or from a
+      pipeline whose rule keeps more, is embedded for its step only.
 
     The keys live in a ``transport.SingleFlightCache``, so the embedder is
     sent one request per distinct key, whatever the thread timing; an
@@ -253,15 +255,23 @@ class CachedEmbedder:
         self.inner = inner
         self._rows = SingleFlightCache(EMBED_BYTES, _row_bytes)
 
-    def start(self, query_text: str, relations: RelationSet) -> tuple:
+    def start(
+        self,
+        query_text: str,
+        relations: RelationSet,
+        kept: Callable[[list[Triple]], list[Triple]] | None = None,
+    ) -> tuple:
         """Start the fills of one grounding step on ``transport.LEAVES``:
         the query's row, then the entity's rows, each unless it is kept or
-        in flight. Returns the two entries in that order, each a kept value
-        or the future of its fill. A fresh step has both requests in flight
-        at once, a warm one none."""
+        in flight. The entity's fill embeds the texts of the triples that
+        ``kept`` (``denoise.rule_kept``, in :func:`ground`) returns, or of
+        all of them. Returns the two entries in that order, each a kept
+        value or the future of its fill. A fresh step has both requests in
+        flight at once, a warm one none."""
 
         def fill():
-            texts = list(dict.fromkeys(t.text for t in relations.head + relations.tail))
+            triples = relations.head + relations.tail
+            texts = list(dict.fromkeys(t.text for t in (triples if kept is None else kept(triples))))
             return dict(zip(texts, embed_packed(self.inner, texts)))
 
         query = self._rows.start(query_text, lambda: embed_packed(self.inner, [query_text])[0])
@@ -273,11 +283,11 @@ class CachedEmbedder:
         The entity's entry is read first: its error wins over the query's.
         A text its rows lack is embedded here, for this step only."""
         query, entity = started
-        by_text = entity.result() if isinstance(entity, Future) else entity
+        by_text = entry_value(entity)
         missing = [text for text in texts if text not in by_text]
         if missing:
             by_text = by_text | dict(zip(missing, embed_packed(self.inner, missing)))
-        return (query.result() if isinstance(query, Future) else query), [by_text[text] for text in texts]
+        return entry_value(query), [by_text[text] for text in texts]
 
 
 class RerankProvider:
@@ -387,37 +397,57 @@ def ground(
     pipe: Pipeline,
     score: Callable[..., list[ScoredCandidate]],
     denoise: Callable[..., list[Triple]],
+    floor: float | None = None,
+    on_best: Callable[[ScoredCandidate], None] | None = None,
 ) -> list[ScoredCandidate]:
-    """One grounding step, the same on both tracks: the keyword rule, then
-    the necessity layer and scoring. ``triples`` are drawn from
-    ``relations``, the entity's fetched triples, whose rows the pipeline's
-    embedding cache keeps. Returns the scored rule-kept triples whose label
-    passed necessity, best fused score first.
+    """One grounding step for both tracks: the keyword rule, then scoring
+    and the necessity layer. ``triples`` are drawn from ``relations``, the
+    entity's fetched triples, whose rule-kept rows the pipeline's embedding
+    cache keeps. Returns the scored rule-kept triples whose label passed
+    necessity, best fused score first.
 
     ``score`` and ``denoise`` are the caller's module names
     (:func:`score_candidates` and ``denoise.denoise``), which a tracer
     rebinds there. An empty rule-kept pool returns ``[]`` with nothing
-    sent. Otherwise the step's requests start from this thread before any
-    is waited on: the embedding fills of the query and the entity
-    (:meth:`CachedEmbedder.start`), the whole pool's rerank when the pool
-    holds at most ``top_n`` triples, since Stage I's cut then keeps all of
-    them, and the necessity prompts, which ``denoise`` sends and waits for.
-    ``score`` then runs on this thread too, so a step with a small pool
-    waits on one round trip. A larger pool is reranked, its top ``top_n``
-    in cosine order, once the necessity replies are in: a second round
-    trip. Necessity sees the whole pool, before Stage I's cut. A scoring
+    sent. Otherwise the step's scoring requests start from this thread
+    before any is waited on: the embedding fills of the query and the
+    entity (:meth:`CachedEmbedder.start`), and the whole pool's rerank when
+    the pool holds at most ``top_n`` triples, since Stage I's cut then
+    keeps all of them. A larger pool is reranked, its top ``top_n`` in
+    cosine order, once its rows are in. ``score`` runs on this thread.
+
+    Without a ``floor`` (the parallel track), necessity is asked for every
+    rule-kept label while the scoring requests are in flight, and a scoring
     error wins, raised once both halves have finished.
+
+    With a ``floor`` (the chain's ``theta_search``), scoring comes first,
+    and only the candidates whose fused score is at least ``floor`` are
+    returned: necessity is asked for their labels alone, as no other
+    candidate can be used. ``on_best`` is then called with the best of
+    them just before their necessity prompts are sent, so that a request
+    it starts shares their round trip. A scoring error is raised before
+    any necessity prompt is sent.
     """
     cfg = pipe.config
     rule_verdicts: dict[str, bool] = {}  # both calls share it: the rule judges each label once a step
     pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
     if not pool:
         return []
-    started = pipe.embedder.start(query_text, relations)
+    started = pipe.embedder.start(query_text, relations, functools.partial(rule_kept, cfg=cfg))
     early = LEAVES.submit(pipe.reranker.rerank, query_text, [t.text for t in pool]) if len(pool) <= cfg.top_n else None
-    try:
-        kept = denoise(pool, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
-    finally:
-        scored = score(query_text, pool, pipe, started, early)
+
+    def necessity(candidates: Sequence[Triple]) -> list[Triple]:
+        return denoise(candidates, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
+
+    if floor is None:
+        try:
+            kept = necessity(pool)
+        finally:
+            scored = score(query_text, pool, pipe, started, early)
+    else:
+        scored = [c for c in score(query_text, pool, pipe, started, early) if c.combined >= floor]
+        if scored and on_best is not None:
+            on_best(scored[0])
+        kept = necessity([c.payload for c in scored])
     necessary = {t.key() for t in kept}
     return [c for c in scored if c.payload.key() in necessary]

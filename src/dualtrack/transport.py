@@ -39,11 +39,12 @@ CLAIM_THREADS = 32
 CLAIMS = ThreadPoolExecutor(CLAIM_THREADS, thread_name_prefix="claim")
 
 # Every leaf task of the process runs on ``LEAVES``, and each is one
-# provider request: a necessity prompt, a tail fetch, an embedding fill or
-# an early Stage II rerank. Question and claim threads share it, and those
-# threads wait on the tasks they started. That is safe because a leaf task
-# never submits to an executor and never waits on another task, so no task
-# waits for one queued behind it. ``LEAVES`` checks the first rule: a
+# provider request: a necessity prompt, a chain step's early sufficiency
+# prompt, a tail fetch, an embedding fill or an early Stage II rerank.
+# Question and claim threads share it, and those threads wait on the tasks
+# they started. That is safe because a leaf task never submits to an
+# executor and never waits on another task, so no task waits for one
+# queued behind it. ``LEAVES`` checks the first rule: a
 # submit from one of its own threads raises ``RuntimeError`` instead of
 # queueing a task that could wait for a free leaf thread forever.
 LEAF_THREADS = 64
@@ -147,7 +148,7 @@ class SingleFlightCache:
         entry, claimed = self._claim(key)
         if claimed:
             return self._fill(key, entry, fetch)
-        return entry.result() if isinstance(entry, Future) else entry
+        return entry_value(entry)
 
     def start(self, key, fetch):
         """Claim ``key`` and fill it on ``LEAVES``, unless it is kept or in
@@ -164,6 +165,13 @@ class SingleFlightCache:
                 self._drop(key, entry, exc)
                 raise
         return entry
+
+
+def entry_value(entry):
+    """The value of an entry that :meth:`SingleFlightCache.start` returned:
+    the kept value itself, or its fill's result, waited for. A failed fill
+    raises its error."""
+    return entry.result() if isinstance(entry, Future) else entry
 
 
 def http_session(parallelism: int = 1):

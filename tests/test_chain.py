@@ -3,17 +3,20 @@ and the full search against a brute-force enumeration oracle."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MOVIE_LINES, NECESSITY, GatedEmbedding, MappingRerank, NecessityGateLLM
+from dualtrack import chain
 from dualtrack.chain import (
     HEAD,
     LLM_SELECT_TRIGGER,
@@ -32,7 +35,7 @@ from dualtrack.engine import Engine, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.linking import LinkFailure
 from dualtrack.llm import ProviderError, StubLLM
-from dualtrack.scoring import HashEmbedding, OverlapRerank
+from dualtrack.scoring import HashEmbedding, OverlapRerank, score_candidates
 from oracles import (
     build_store,
     enumerate_paths,
@@ -274,7 +277,7 @@ def test_expand_applies_rule_denoise(movie_store, templates):
 
 
 def _gated_pipe(templates, store, gate, embed_error=None, necessity_error=None):
-    """Necessity layer on; the embedder waits for a necessity prompt."""
+    """Necessity layer on; the embedder waits for ``gate``."""
     stub = NecessityGateLLM(gate, necessity_error, script=[(NECESSITY, "0.9")], default="no")
     return Pipeline(
         store=store,
@@ -286,17 +289,64 @@ def _gated_pipe(templates, store, gate, embed_error=None, necessity_error=None):
     )
 
 
-def test_expand_scores_while_the_necessity_prompts_are_in_flight(templates):
-    pipe = _gated_pipe(templates, _star_store(["alpha", "beta"]), threading.Event())
-    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
-    assert sorted(c.hops[-1].triple.relation.label for c in children) == ["alpha", "beta"]
+SUFFICIENT = "Sufficient (yes/no)"
+
+
+class _WaveLLM(StubLLM):
+    """Each necessity or sufficiency prompt waits, at most 2 s, until one of
+    the other kind has arrived too, and records in ``met`` whether it did.
+    A necessity prompt that arrives before ``scored`` is set is recorded in
+    ``unscored``."""
+
+    def __init__(self, scored: threading.Event, **stub):
+        super().__init__(**stub)
+        self.scored = scored
+        self.arrived = {NECESSITY: threading.Event(), SUFFICIENT: threading.Event()}
+        self.met, self.unscored = [], []
+
+    def complete(self, request):
+        for kind, other in ((NECESSITY, SUFFICIENT), (SUFFICIENT, NECESSITY)):
+            if kind in request.prompt:
+                if kind == NECESSITY and not self.scored.is_set():
+                    self.unscored.append(request.prompt)
+                self.arrived[kind].set()
+                self.met.append(self.arrived[other].wait(timeout=2))
+        return super().complete(request)
+
+
+def test_expand_asks_necessity_once_scored_with_the_first_sufficiency_check_alongside(templates, monkeypatch):
+    scored = threading.Event()
+
+    def scoring(*args):
+        try:
+            return score_candidates(*args)
+        finally:
+            scored.set()
+
+    monkeypatch.setattr(chain, "score_candidates", scoring)
+    mapping = {"hub alpha spoke0": 0.9, "hub beta spoke1": 0.6}
+    stub = _WaveLLM(scored, script=[(NECESSITY, "0.9")], default="no")
+    pipe = _expand_pipe(templates, _star_store(["alpha", "beta"]), MappingRerank(mapping), stub)
+    pipe = replace(pipe, config=replace(pipe.config, theta_necessity=0.5))
+    checks = {}
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, checks)
+    assert [c.hops[-1].triple.relation.label for c in children] == ["alpha", "beta"]
+    assert list(checks) == children[:1]  # the best child's check, read by check_sufficiency, not sent again
+    assert check_sufficiency(children[0], QUESTION, pipe, checks[children[0]]) is False
+    assert stub.unscored == []  # no necessity prompt before the step's scores exist
+    assert stub.met == [True, True, True]  # two necessity prompts and one sufficiency prompt, all in flight at once
+    assert [c for c in stub.calls if SUFFICIENT in c] == [c for c in stub.calls if "hub, alpha, spoke0" in c]
 
 
 def test_expand_raises_the_scoring_error_over_a_necessity_error(templates):
+    # on the chain, necessity is asked once the scores are in: never, when scoring fails
+    opened = threading.Event()
+    opened.set()  # the embedder fails at once
     store = _star_store(["alpha", "beta"])
-    pipe = _gated_pipe(templates, store, threading.Event(), ProviderError("embedder down"), ValueError("bad"))
+    pipe = _gated_pipe(templates, store, opened, ProviderError("embedder down"), ValueError("bad"))
     with pytest.raises(ProviderError, match="embedder down"):
-        expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+        expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, {})
+    assert not any(NECESSITY in c or SUFFICIENT in c for c in pipe.llm.inner.calls)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +478,59 @@ def test_chain_sends_each_necessity_prompt_once(templates):
     pipe = replace(pipe, config=replace(pipe.config, theta_necessity=0.5))
     answer = run_chain_branch(QUESTION, pipe)
     necessity = [c for c in stub.calls if NECESSITY in c]
-    # director, publication date, genre, cast member, nominated for, spouse, birthdate
-    assert len(necessity) == len(set(necessity)) == 7
+    # only labels at or above theta_search are asked: director, spouse, birthdate
+    assert len(necessity) == len(set(necessity)) == 3
     assert answer.text == "Emma Thomas was born on 1975-05-26."
     assert [p.verbalize() for p in answer.supporting_paths] == [
         "(Inception, director, Christopher Nolan) -> (Christopher Nolan, spouse, Emma Thomas)"
         " -> (Emma Thomas, birthdate, 1975-05-26)"
     ]
     assert answer.flags == set()
+
+
+class _FailingSufficiencyLLM(StubLLM):
+    """A scripted stub whose sufficiency prompts fail with a ``ProviderError``."""
+
+    def complete(self, request):
+        if SUFFICIENT in request.prompt:
+            self.calls.append(request.prompt)
+            raise ProviderError("judge down")
+        return super().complete(request)
+
+
+def test_a_failed_early_sufficiency_check_is_raised_once_and_sent_once(movie_store, templates):
+    stub = _FailingSufficiencyLLM(script=CHAIN_SCRIPT + [(NECESSITY, "0.9")], default="no")
+    pipe = _pipe(movie_store, templates, stub=stub)
+    pipe = replace(pipe, config=replace(pipe.config, theta_necessity=0.5))
+    with pytest.raises(ProviderError, match="judge down"):
+        search_paths(EntityRef("QF1", "Inception"), QUESTION, pipe)
+    # the director child's check, started alongside the director prompt
+    assert [c for c in stub.calls if SUFFICIENT in c] == [c for c in stub.calls if "Inception, director" in c]
+    assert len([c for c in stub.calls if SUFFICIENT in c]) == 1
+
+
+def _movie_run(templates, lines, script, mapping=CHAIN_MAPPING):
+    """(answer, sufficiency prompts sent, checks made) of the movie question
+    over ``lines`` with the necessity layer on."""
+    stub = StubLLM(script=CHAIN_SCRIPT + [(NECESSITY, "0.9")] + script, default="no")
+    checks = []
+    pipe = _pipe(InMemoryTripleStore(parse_triples(lines)), templates, stub, mapping)
+    pipe = replace(pipe, config=replace(pipe.config, theta_necessity=0.5))
+    answer = run_chain_branch(QUESTION, pipe, checks)
+    return answer.to_dict(), [c for c in stub.calls if SUFFICIENT in c], len(checks)
+
+
+def test_a_best_label_that_fails_necessity_costs_one_sufficiency_prompt(templates):
+    # "award received" scores best at Inception, and necessity drops it
+    award = "Inception award received Oscar"
+    lines = MOVIE_LINES + ["QF1|Inception|PF9|award received|QF10|Oscar"]
+    dropped = [(f"Relation: award received\n\nQuestion:\n{QUESTION.text}", "0.1")]
+    plain, plain_prompts, plain_checks = _movie_run(templates, MOVIE_LINES, [])
+    answer, prompts, checks = _movie_run(templates, lines, dropped, {**CHAIN_MAPPING, award: 0.99})
+    assert answer == plain
+    assert checks == plain_checks == len(plain_prompts)
+    assert len(prompts) == len(plain_prompts) + 1
+    assert [p for p in prompts if p not in plain_prompts] == [p for p in prompts if "award received" in p]
 
 
 def test_engine_memo_lives_for_the_engine(movie_store):
@@ -474,7 +569,10 @@ def test_search_config_validation():
 def _check_search_against_oracle(templates, rng, theta_necessity):
     """Draws a graph, a question and a necessity map from ``rng``; the
     search's maximal paths must equal the enumeration oracle's, searched
-    cold and then again on the same, warm pipeline."""
+    cold and then again on the same, warm pipeline. Every necessity prompt
+    must name a label that has a candidate at or above ``theta_search`` in
+    the step that sends it: a step's prompts are sent once its scores are
+    in, before the next step scores."""
     lines, n = random_graph_lines(rng, max_nodes=18)
     store = build_store(lines)
     question = Question(id="r", text=random_question(rng, n))
@@ -484,17 +582,23 @@ def _check_search_against_oracle(templates, rng, theta_necessity):
     )
     embedder = HashEmbedding(dimension=48)
     reranker = OverlapRerank()
-    pipe = Pipeline(
-        store=store,
-        llm=StubLLM(script=necessity_script(necessity), default="no"),
-        templates=templates,
-        embedder=embedder,
-        reranker=reranker,
-        config=config,
-    )
+    stub = StubLLM(script=necessity_script(necessity), default="no")
+    pipe = Pipeline(store=store, llm=stub, templates=templates, embedder=embedder, reranker=reranker, config=config)
+    steps = []  # (prompts sent when the step's scores were in, labels at or above theta_search)
+
+    def scoring(*args):
+        scored = score_candidates(*args)
+        steps.append((len(stub.calls), {c.payload.relation.label for c in scored if c.combined >= 0.12}))
+        return scored
+
     origin = EntityRef("Q1", "node1")
-    cold, _ = search_paths(origin, question, pipe)
-    warm, _ = search_paths(origin, question, pipe)
+    with mock.patch.object(chain, "score_candidates", scoring):
+        cold, _ = search_paths(origin, question, pipe)
+        warm, _ = search_paths(origin, question, pipe)
+    bounds = [sent for sent, _ in steps[1:]] + [len(stub.calls)]
+    for (sent, labels), bound in zip(steps, bounds):
+        asked = [_NECESSITY_LABEL.search(c).group(1) for c in stub.calls[sent:bound] if NECESSITY in c]
+        assert set(asked) <= labels, (asked, labels)
     expected = enumerate_paths(
         store,
         origin,
@@ -511,6 +615,9 @@ def _check_search_against_oracle(templates, rng, theta_necessity):
     )
     assert {p.signature() for p in cold} == expected
     assert {p.signature() for p in warm} == expected
+
+
+_NECESSITY_LABEL = re.compile(r"Relation: (.*)\n")
 
 
 def test_search_matches_enumeration_oracle_spot(templates):

@@ -7,6 +7,8 @@ as it is and check that every hook still resolves and records its span.
 
 import importlib
 import importlib.util
+import json
+import math
 import sys
 import threading
 from collections import Counter
@@ -22,6 +24,7 @@ from dualtrack.config import EngineConfig
 from dualtrack.engine import Engine
 from dualtrack.kg import EntityRef, InMemoryTripleStore, parse_triples
 from dualtrack.llm import StubLLM
+from oracles import keyword_rule
 from test_cli import CHAINED_Q, PARALLEL_Q, STUB_SCRIPT
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -97,6 +100,33 @@ def test_traced_movie_questions_record_every_layer(tracing, capsys):
     assert tracks == ["chained", "parallel"]
 
 
+# per-layer names that perfbench/worker.py adds beside layer_metrics' own
+WORKER_LAYERS = {"evaluation.invalid", "trace.overhead_ms"}
+
+
+def test_layer_metrics_name_every_declared_per_layer_metric(tracing, monkeypatch, templates):
+    """A traced run reports each ``per_layer`` name of BENCHMARK.json with a
+    finite number: names built from the packaged templates and from the
+    rebound package names must not drift from the declared ones."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # scripted.py imports workloads
+    providers, scripted = _load("providers"), _load("scripted")
+    tracer, ledger = tracing.Tracer(), providers.Ledger()
+    index = scripted.TemplateIndex(templates)
+    engine = Engine(
+        EngineConfig(theta_search=0.0),
+        store=providers.CountingStore(InMemoryTripleStore(parse_triples(MOVIE_LINES)), 0, ledger, tracer),
+        llm=providers.CountingLLM(StubLLM(script=SCRIPT), 0, ledger, index, tracer),
+    )
+    with tracing.instrument(tracer):
+        for question in (Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)):
+            engine.answer(question)
+    layers = tracing.layer_metrics(tracer.spans, ledger.snapshot(), index.names, 1.0, 1)
+
+    declared = {m["name"] for m in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["per_layer"]}
+    assert set(layers) | WORKER_LAYERS == declared
+    assert all(type(v) in (int, float) and math.isfinite(v) for v in layers.values()), layers
+
+
 def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):
     """Call budget: within a question every distinct prompt reaches the LLM
     once, so each template's call count equals its distinct-prompt count."""
@@ -121,9 +151,10 @@ def test_movie_questions_send_no_prompt_twice(monkeypatch, templates):
 def test_movie_questions_embed_each_query_and_entity_once():
     """Embedding budget: over both questions each distinct query text and
     each distinct entity reaches the embedder once, in one request: a
-    query's one text, or every distinct text of the entity's triples. The
-    chain grounds Inception, Christopher Nolan and Emma Thomas; both claims
-    are about Inception, whose rows the chain already fetched."""
+    query's one text, or every distinct text of the entity's triples that
+    the keyword rule keeps (Inception's ``wikidata:id`` is never embedded).
+    The chain grounds Inception, Christopher Nolan and Emma Thomas; both
+    claims are about Inception, whose rows the chain already fetched."""
     embedder = RecordingEmbedding(256)
     engine = _engine(embedder=embedder)
     engine.answer(Question(id="q1", text=CHAINED_Q))
@@ -133,7 +164,10 @@ def test_movie_questions_embed_each_query_and_entity_once():
 
     def entity_texts(qid, label):
         entity = EntityRef(qid, label)
-        return tuple(dict.fromkeys(t.text for t in store.head_relations(entity) + store.tail_relations(entity)))
+        triples = store.head_relations(entity) + store.tail_relations(entity)
+        return tuple(dict.fromkeys(t.text for t in triples if not keyword_rule(t.relation.label, k_invalid)))
+
+    k_invalid = engine.config.k_invalid
 
     expected = [(CHAINED_Q,)] + [(claim,) for claim in claims] + [
         entity_texts("QF1", "Inception"),
@@ -141,6 +175,7 @@ def test_movie_questions_embed_each_query_and_entity_once():
         entity_texts("QF3", "Emma Thomas"),
     ]
     assert len(claims) == 2
+    assert not any("wikidata:id" in text for request in embedder.requests for text in request)
     assert Counter(embedder.requests) == Counter(expected)
 
 

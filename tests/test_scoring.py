@@ -28,6 +28,7 @@ from conftest import (
 )
 from dualtrack import scoring
 from dualtrack.config import EngineConfig
+from dualtrack.denoise import denoise
 from dualtrack.kg import EntityRef, LiteralValue, RelationRef, RelationSet, Triple, term_label
 from dualtrack.llm import ProviderError
 from dualtrack.scoring import (
@@ -40,7 +41,9 @@ from dualtrack.scoring import (
     RerankProvider,
     ZeroVector,
     cosines,
+    ground,
     pack,
+    score_candidates,
 )
 from oracles import hash_embedding_rows
 
@@ -779,6 +782,23 @@ def test_embedding_cache_scores_as_one_uncached_request_does():
         expected = score_pool(_QUERY, pool, relations_of(pool), scoring_pipe(cfg, HashEmbedding(16), OverlapRerank()))
         assert ground_pool(_QUERY, pool, _TOPIC, scoring_pipe(cfg, cache, OverlapRerank())) == expected
     assert sorted(inner.requests) == sorted([(_QUERY,), _TOPIC_TEXTS])
+
+
+def test_an_entity_fill_embeds_only_what_the_keyword_rule_keeps():
+    inner = RecordingEmbedding()
+    cache = CachedEmbedder(inner)
+
+    def grounded(k_invalid, embedder):
+        pipe = scoring_pipe(EngineConfig(k_invalid=k_invalid, theta_necessity=0.0), embedder, OverlapRerank())
+        return ground(_QUERY, _TOPIC.all(), _TOPIC, pipe, score_candidates, denoise)
+
+    narrow = grounded(["word2"], cache)  # the rule drops word2, the third text
+    assert Counter(inner.requests) == Counter([(_QUERY,), _TOPIC_TEXTS[:2]])
+    # a pipeline whose rule keeps word2 reads the same rows, and embeds its text for each step
+    wide = [grounded(["version"], cache) for _ in range(2)]
+    assert wide == [grounded(["version"], HashEmbedding(16))] * 2
+    assert Counter(inner.requests) == Counter([(_QUERY,), _TOPIC_TEXTS[:2], _TOPIC_TEXTS[2:], _TOPIC_TEXTS[2:]])
+    assert narrow == [c for c in wide[0] if c.payload.relation.label != "word2"]
 
 
 def _kept_bytes(cache):
