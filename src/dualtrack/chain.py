@@ -125,16 +125,14 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
     return link_surface(surface, pipe.store, pipe.config.link_floor)
 
 
-def expand(
-    path: ReasoningPath, question: Question, pipe: Pipeline, checks: dict | None = None
-) -> list[ReasoningPath]:
+def expand(path: ReasoningPath, question: Question, pipe: Pipeline, checks: dict) -> list[ReasoningPath]:
     """One expansion step: retrieve, ground (``scoring.ground``, which keeps
     the candidates at or above ``theta_search``), prune, extend. Returns one
     extended path per surviving relation, best score first.
 
-    With ``checks``, the sufficiency prompt of the best candidate's child is
-    started alongside the step's necessity prompts (``MemoLLM.start``), and
-    its entry is stored in ``checks`` under that child. It is the next check
+    The sufficiency prompt of the best candidate's child is started
+    alongside the step's necessity prompts (``MemoLLM.start``), and its
+    entry is stored in ``checks`` under that child. It is the next check
     :func:`search_paths` makes when the candidate survives, and
     :func:`check_sufficiency` reads that entry instead of sending it again.
     """
@@ -173,7 +171,7 @@ def expand(
         score_candidates,
         denoise,
         cfg.theta_search,
-        None if checks is None else start_check,
+        start_check,
     )[: cfg.w_max]
     if len(survivors) > LLM_SELECT_TRIGGER:
         survivors = _llm_select(survivors, question, pipe)

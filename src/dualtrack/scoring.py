@@ -255,23 +255,17 @@ class CachedEmbedder:
         self.inner = inner
         self._rows = SingleFlightCache(EMBED_BYTES, _row_bytes)
 
-    def start(
-        self,
-        query_text: str,
-        relations: RelationSet,
-        kept: Callable[[list[Triple]], list[Triple]] | None = None,
-    ) -> tuple:
+    def start(self, query_text: str, relations: RelationSet, kept: Callable[[list[Triple]], list[Triple]]) -> tuple:
         """Start the fills of one grounding step on ``transport.LEAVES``:
         the query's row, then the entity's rows, each unless it is kept or
         in flight. The entity's fill embeds the texts of the triples that
-        ``kept`` (``denoise.rule_kept``, in :func:`ground`) returns, or of
-        all of them. Returns the two entries in that order, each a kept
-        value or the future of its fill. A fresh step has both requests in
-        flight at once, a warm one none."""
+        ``kept`` (``denoise.rule_kept``, in :func:`ground`) returns. Returns
+        the two entries in that order, each a kept value or the future of
+        its fill. A fresh step has both requests in flight at once, a warm
+        one none."""
 
         def fill():
-            triples = relations.head + relations.tail
-            texts = list(dict.fromkeys(t.text for t in (triples if kept is None else kept(triples))))
+            texts = list(dict.fromkeys(t.text for t in kept(relations.head + relations.tail)))
             return dict(zip(texts, embed_packed(self.inner, texts)))
 
         query = self._rows.start(query_text, lambda: embed_packed(self.inner, [query_text])[0])
@@ -423,10 +417,10 @@ def ground(
     With a ``floor`` (the chain's ``theta_search``), scoring comes first,
     and only the candidates whose fused score is at least ``floor`` are
     returned: necessity is asked for their labels alone, as no other
-    candidate can be used. ``on_best`` is then called with the best of
-    them just before their necessity prompts are sent, so that a request
-    it starts shares their round trip. A scoring error is raised before
-    any necessity prompt is sent.
+    candidate can be used. ``on_best``, which a floor requires, is called
+    with the best of them just before their necessity prompts are sent,
+    so that a request it starts shares their round trip. A scoring error
+    is raised before any necessity prompt is sent.
     """
     cfg = pipe.config
     rule_verdicts: dict[str, bool] = {}  # both calls share it: the rule judges each label once a step
@@ -446,7 +440,7 @@ def ground(
             scored = score(query_text, pool, pipe, started, early)
     else:
         scored = [c for c in score(query_text, pool, pipe, started, early) if c.combined >= floor]
-        if scored and on_best is not None:
+        if scored:
             on_best(scored[0])
         kept = necessity([c.payload for c in scored])
     necessary = {t.key() for t in kept}

@@ -116,8 +116,9 @@ def scoring_pipe(cfg, embedder, reranker) -> Pipeline:
 def score_pool(query, candidates, relations, pipe):
     """``score_candidates`` over ``candidates``, triples of ``relations``,
     with the step's embedding fills started and no early rerank, so Stage
-    I's cut always runs first."""
-    return score_candidates(query, candidates, pipe, pipe.embedder.start(query, relations))
+    I's cut always runs first. The entity's fill embeds every triple's
+    text: no keyword rule applies."""
+    return score_candidates(query, candidates, pipe, pipe.embedder.start(query, relations, list))
 
 
 def _keep_all(pool, *args, **kwargs):

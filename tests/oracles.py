@@ -123,7 +123,7 @@ def enumerate_paths(
                 continue
             filtered.append((t, direction, far))
         scored = score_candidates(
-            question_text, [t for t, _, _ in filtered], pipe, pipe.embedder.start(question_text, relations)
+            question_text, [t for t, _, _ in filtered], pipe, pipe.embedder.start(question_text, relations, list)
         )
         scored = [c for c in scored if necessity.get(c.payload.relation.label, 1.0) >= theta_necessity]
         by_key = {t.key(): (direction, far) for t, direction, far in filtered}
@@ -265,7 +265,7 @@ def _verify_one(fact, pipe) -> VerificationResult:
     pool = serial_denoise(pool, fact.text, cfg.k_invalid, 0.0, None, None)
     if not pool:
         return result(VerificationStatus.UNVERIFIABLE)
-    scored = score_candidates(fact.text, pool, pipe, pipe.embedder.start(fact.text, relations))
+    scored = score_candidates(fact.text, pool, pipe, pipe.embedder.start(fact.text, relations, list))
     necessary = serial_denoise(pool, fact.text, (), cfg.theta_necessity, pipe.llm, templates["necessity"])
     keys = {t.key() for t in necessary}
     best = [c.payload for c in scored if c.payload.key() in keys][: cfg.verify_top_k]

@@ -167,7 +167,7 @@ def test_expand_threshold_and_scores(templates):
     mapping = {f"hub {label} spoke{i}": s for i, (label, s) in enumerate(zip(labels, [0.9, 0.7, 0.4, 0.2]))}
     path = ReasoningPath(origin=EntityRef("Q1", "hub"))
     pipe = _expand_pipe(templates, store, MappingRerank(mapping), theta_search=0.5, w_max=5)
-    children = expand(path, QUESTION, pipe)
+    children = expand(path, QUESTION, pipe, {})
     assert pipe.llm.inner.calls == []  # necessity off and no crowd to select from
     assert len(children) == 2
     assert [c.hops[-1].triple.relation.label for c in children] == ["alpha", "beta"]
@@ -178,7 +178,7 @@ def test_expand_threshold_and_scores(templates):
 def test_expand_all_below_threshold_dead_end(templates):
     store = _star_store(["alpha", "beta"])
     pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.1), theta_search=0.9)
-    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, {})
     assert children == []
 
 
@@ -187,7 +187,7 @@ def test_expand_width_cut(templates):
     store = _star_store(labels)
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(labels)}
     pipe = _expand_pipe(templates, store, MappingRerank(mapping), theta_search=0.1, w_max=3)
-    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, {})
     assert len(children) == 3
     assert [c.hops[-1].triple.relation.label for c in children] == ["relh", "relg", "relf"]
 
@@ -207,7 +207,7 @@ def _select_from_nine(templates, w_max):
     stub = StubLLM(script=[(_SELECT, "epsilon, theta, beta")], default="no")
     reranker = MappingRerank({}, default=0.8)
     pipe = _expand_pipe(templates, _star_store(_GREEK), reranker, stub, theta_search=0.1, w_max=w_max)
-    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, {})
     return len(_selection_prompts(stub)), sorted(c.hops[-1].triple.relation.label for c in children)
 
 
@@ -226,7 +226,7 @@ def test_expand_llm_selection_fallback_keeps_top_three(templates):
     mapping = {f"hub {label} spoke{i}": 0.5 + i / 100 for i, label in enumerate(_GREEK)}
     stub = StubLLM(script=[(_SELECT, "none of those words")], default="no")
     pipe = _expand_pipe(templates, _star_store(_GREEK), MappingRerank(mapping), stub, theta_search=0.1, w_max=9)
-    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe)
+    children = expand(ReasoningPath(origin=EntityRef("Q1", "hub")), QUESTION, pipe, {})
     assert len(_selection_prompts(stub)) == 1
     assert [c.hops[-1].triple.relation.label for c in children] == ["iota", "theta", "eta"]
 
@@ -243,12 +243,12 @@ def test_expand_never_revisits_entities(templates):
     )
     path = ReasoningPath(origin=EntityRef("Q1", "a"))
     pipe = _expand_pipe(templates, store, MappingRerank({}, default=0.5), theta_search=0.0)
-    children = expand(path, QUESTION, pipe)
+    children = expand(path, QUESTION, pipe, {})
     # two distinct triples reach Q2: the head edge and the inverse of Q2->Q1
     assert len(children) == 2
     assert all(isinstance(c.tip(), EntityRef) and c.tip().id == "Q2" for c in children)
     for child in children:
-        grandchildren = expand(child, QUESTION, pipe)
+        grandchildren = expand(child, QUESTION, pipe, {})
         # from Q2 both edges back to the visited Q1 are barred
         assert len(grandchildren) == 1
         assert grandchildren[0].hops[-1].triple.object.id == "Q3"
@@ -259,18 +259,18 @@ def test_expand_guards_on_literal_tip_and_depth(movie_store, templates):
         Hop(triple=movie_store.head_relations(EntityRef("QF3"))[0], direction=HEAD, score=1.0)
     )
     pipe = _expand_pipe(templates, movie_store, MappingRerank({}, default=0.5), d_max=3)
-    assert expand(literal_tip, QUESTION, pipe) == []
+    assert expand(literal_tip, QUESTION, pipe, {}) == []
 
     deep = ReasoningPath(origin=EntityRef("QF1", "Inception"))
     for i in range(3):
         deep = deep.extend(_hop(0.5, f"Q{i + 1}", f"P{i}", f"Q{i + 2}"))
-    assert expand(deep, QUESTION, pipe) == []
+    assert expand(deep, QUESTION, pipe, {}) == []
     assert pipe.llm.inner.calls == []
 
 
 def test_expand_applies_rule_denoise(movie_store, templates):
     pipe = _expand_pipe(templates, movie_store, MappingRerank(CHAIN_MAPPING, default=0.5), theta_search=0.0)
-    children = expand(ReasoningPath(origin=EntityRef("QF1", "Inception")), QUESTION, pipe)
+    children = expand(ReasoningPath(origin=EntityRef("QF1", "Inception")), QUESTION, pipe, {})
     labels = [c.hops[-1].triple.relation.label for c in children]
     assert "wikidata:id" not in labels
     assert len(children) == 4

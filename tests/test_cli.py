@@ -282,23 +282,27 @@ def test_grounding_scores_on_the_thread_that_called_ground(workspace, monkeypatc
         cosine_threads.append(threading.current_thread().name)
         return cosines(*args)
 
-    def recorded_ground(query_text, triples, relations, pipe, score, denoise):
-        caller = threading.current_thread().name
+    def recorded_ground(track):
+        def recorded(query_text, triples, relations, pipe, score, denoise, *rest):
+            caller = threading.current_thread().name
 
-        def recorded_score(*args):
-            score_threads.append((caller, threading.current_thread().name))
-            return score(*args)
+            def recorded_score(*args):
+                score_threads.append((track, caller, threading.current_thread().name))
+                return score(*args)
 
-        return ground(query_text, triples, relations, pipe, recorded_score, denoise)
+            return ground(query_text, triples, relations, pipe, recorded_score, denoise, *rest)
+
+        return recorded
 
     monkeypatch.setattr(scoring, "cosines", recorded_cosines)
-    for module in (chain, verify):
-        monkeypatch.setattr(module, "ground", recorded_ground)
+    for track, module in (("chained", chain), ("parallel", verify)):
+        monkeypatch.setattr(module, "ground", recorded_ground(track))
     engine = _engine(workspace, theta_necessity=0.5)
-    engine.answer(Question(id="c", text=CHAINED_Q))
-    engine.answer(Question(id="p", text=PARALLEL_Q))
+    answers = [engine.answer(Question(id="c", text=CHAINED_Q)), engine.answer(Question(id="p", text=PARALLEL_Q))]
+    assert [answer.flags for answer in answers] == [set(), set()]
     assert cosine_threads and not [name for name in cosine_threads if name.startswith("leaf")]
-    assert score_threads and all(caller == scorer for caller, scorer in score_threads)
+    assert {track for track, _, _ in score_threads} == {"chained", "parallel"}
+    assert all(caller == scorer for _, caller, scorer in score_threads)
 
 
 def test_engine_sends_each_kg_query_once_per_run(workspace):

@@ -728,8 +728,8 @@ _TOPIC_TEXTS = tuple(dict.fromkeys(t.text for t in _TOPIC.head + _TOPIC.tail))  
 
 def _step(cache, query, relations):
     """One grounding step's rows read through ``cache``: the query's, and
-    those of every triple of ``relations``."""
-    return cache.rows(cache.start(query, relations), [t.text for t in relations.all()])
+    those of every triple of ``relations``, all in the entity's fill."""
+    return cache.rows(cache.start(query, relations, list), [t.text for t in relations.all()])
 
 
 @pytest.mark.parametrize("fault", sorted(_FAULTS))
