@@ -12,11 +12,12 @@ After every expansion the freshly extended path is checked for
 sufficiency; a "yes" ends the search immediately. The final answer is
 generated strictly from the triples of the best-scoring paths.
 
-Each expansion grounds its triples through ``scoring.ground`` with
-``theta_search`` as the floor: the step scores first and asks necessity
-only for the relations that clear it. The sufficiency prompt of the best
-such relation's child goes out with those necessity prompts, so the check
-the search makes next costs no round trip of its own.
+Each expansion grounds its triples in this order: the keyword rule, then
+scoring, then necessity for only the relations whose fused score clears
+``theta_search``, since no other relation can become a child. The
+sufficiency prompt of the best such relation's child goes out with those
+necessity prompts, so the check the search makes next costs no round trip
+of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .denoise import denoise
 from .kg import EntityRef, ObjectTerm, Triple, term_label
 from .linking import LinkFailure, link_surface
 from .llm import CompletionRequest, Unparseable, ask, parse_yes_no, render
-from .scoring import ScoredCandidate, ground, score_candidates
+from .scoring import ScoredCandidate, score_candidates, start_scoring
 from .transport import entry_value
 
 if TYPE_CHECKING:
@@ -126,13 +127,17 @@ def extract_central_entity(question: Question, pipe: Pipeline) -> EntityRef:
 
 
 def expand(path: ReasoningPath, question: Question, pipe: Pipeline, checks: dict) -> list[ReasoningPath]:
-    """One expansion step: retrieve, ground (``scoring.ground``, which keeps
-    the candidates at or above ``theta_search``), prune, extend. Returns one
-    extended path per surviving relation, best score first.
+    """One expansion step: retrieve, ground in the order the module
+    docstring gives, prune, extend. Returns one extended path per surviving
+    relation, best score first.
 
-    The sufficiency prompt of the best candidate's child is started
-    alongside the step's necessity prompts (``MemoLLM.start``), and its
-    entry is stored in ``checks`` under that child. It is the next check
+    The keyword rule is ``denoise`` without an LLM and necessity is
+    ``denoise`` with one; scoring (``scoring.start_scoring`` and
+    ``score_candidates``) runs on this thread, and a scoring error is raised
+    before any necessity prompt is sent. The sufficiency prompt of the best
+    candidate at or above ``theta_search`` is started just before the
+    necessity prompts (``MemoLLM.start``), and its entry is stored in
+    ``checks`` under that candidate's child. It is the next check
     :func:`search_paths` makes when the candidate survives, and
     :func:`check_sufficiency` reads that entry instead of sending it again.
     """
@@ -158,21 +163,19 @@ def expand(path: ReasoningPath, question: Question, pipe: Pipeline, checks: dict
         triple = candidate.payload
         return path.extend(Hop(triple=triple, direction=direction_by_key[triple.key()], score=candidate.combined))
 
-    def start_check(best: ScoredCandidate) -> None:
-        first = child(best)
+    pool = denoise(candidates, question.text, cfg)
+    if not pool:
+        return []
+    requests = start_scoring(question.text, pool, relations, pipe)
+    scored = [c for c in score_candidates(question.text, pool, pipe, *requests) if c.combined >= cfg.theta_search]
+    if scored:
+        first = child(scored[0])
         checks[first] = pipe.llm.start(_sufficiency_request(first, question, pipe))
-
-    # ground returns best first, so the width cut keeps the best w_max
-    survivors = ground(
-        question.text,
-        candidates,
-        relations,
-        pipe,
-        score_candidates,
-        denoise,
-        cfg.theta_search,
-        start_check,
-    )[: cfg.w_max]
+    # called with an empty list too, which sends nothing: perfbench's tracer counts this call's span
+    kept = denoise([c.payload for c in scored], question.text, cfg, pipe.llm, pipe.templates["necessity"])
+    necessary = {t.key() for t in kept}
+    # scored is best first, so the width cut keeps the best w_max
+    survivors = [c for c in scored if c.payload.key() in necessary][: cfg.w_max]
     if len(survivors) > LLM_SELECT_TRIGGER:
         survivors = _llm_select(survivors, question, pipe)
     return [child(c) for c in survivors]

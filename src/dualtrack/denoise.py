@@ -2,18 +2,17 @@
 
 Layer one is a provider-free keyword rule that drops administrative
 relations ("entity ID", "data source", ...): a label that holds a keyword
-as whole words. Its verdict depends only on the label, so it is taken once
-per label. Layer two asks the LLM for a necessity score of each relation
-it is given against the question and drops the ones below a threshold.
-The scores are independent, so each distinct relation label is asked
-once, and all labels are asked concurrently on the process's leaf
+as whole words. Its verdict depends only on the label and the keyword set,
+so the process judges each (label, keyword set) once and keeps the verdict
+in a bounded memo. Layer two asks the LLM for a necessity score of each
+relation it is given against the question and drops the ones below a
+threshold. The scores are independent, so each distinct relation label is
+asked once, and all labels are asked concurrently on the process's leaf
 executor, ``transport.LEAVES``, through the pipeline's ``MemoLLM``: a
 label whose reply it keeps is scored inline, with no hand-off to a leaf
-thread. Both tracks run both layers through ``scoring.ground``. A claim
-asks necessity for every rule-kept relation while its pool is scored; a
-chain step asks only for the relations whose fused score is at least
-``theta_search``, once the scores are in, since no other relation can
-become a child.
+thread. Each track calls :func:`denoise` twice a grounding step, once for
+the rule alone and once for necessity, in its own order (see
+``chain.expand`` and ``verify.verify_fact``).
 Failures never drop evidence: unresolved labels, unparseable scores and
 provider errors all keep the item and log a warning.
 """
@@ -37,6 +36,11 @@ log = logging.getLogger(__name__)
 
 DEFAULT_INVALID_KEYWORDS = ("id", "source", "version", "metadata")
 
+# (label, keyword set) verdicts the keyword rule's memo keeps, least
+# recently used evicted first. Every benchmark graph has at most 16 labels
+# under one keyword set; an entry costs about 0.2 KB beside its label.
+RULE_VERDICTS = 4096
+
 
 @functools.lru_cache(maxsize=16)
 def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
@@ -47,32 +51,34 @@ def _keyword_pattern(keywords: tuple[str, ...]) -> re.Pattern:
     return re.compile(rf"\b(?:{phrases})\b" if phrases else "(?!)")
 
 
+@functools.lru_cache(maxsize=RULE_VERDICTS)
+def _rule_drops(label: str, keywords: tuple[str, ...]) -> bool:
+    """The keyword rule's verdict on a non-empty label, taken once per
+    (label, keyword set) in the process."""
+    return _keyword_pattern(keywords).search(label.lower()) is not None
+
+
 def rule_filter(relation: RelationRef, cfg: EngineConfig) -> bool:
     """True when the relation should be dropped by the keyword rule: some
     keyword's words occur in its label as whole words, in order ("id" drops
-    "wikidata:id" and "Entity ID", not "width" or "place of residence")."""
+    "wikidata:id" and "Entity ID", not "width" or "place of residence").
+    A relation with no label is kept, with a warning at every call."""
     if not relation.label:
         log.warning("relation %s has no label; keeping it unfiltered", relation.id)
         return False
-    return _keyword_pattern(tuple(cfg.k_invalid)).search(relation.label.lower()) is not None
+    return _rule_drops(relation.label, tuple(cfg.k_invalid))
 
 
-def rule_kept(
-    candidates: Sequence[Triple], cfg: EngineConfig, verdicts: dict[str, bool] | None = None
-) -> list[Triple]:
-    """The candidates the keyword rule keeps, in input order. ``rule_filter``
-    runs once per label: only for a label not yet in ``verdicts``, which
-    gets its verdict."""
-    verdicts = {} if verdicts is None else verdicts
-    kept = []
+def rule_kept(candidates: Sequence[Triple], cfg: EngineConfig) -> list[Triple]:
+    """The candidates the keyword rule keeps, in input order.
+    :func:`rule_filter` runs once per distinct label of the call, so an
+    unlabelled relation is warned about once a call, not once a triple."""
+    dropped: dict[str, bool] = {}
     for candidate in candidates:
-        relation = candidate.relation
-        dropped = verdicts.get(relation.label)
-        if dropped is None:
-            dropped = verdicts[relation.label] = rule_filter(relation, cfg)
-        if not dropped:
-            kept.append(candidate)
-    return kept
+        label = candidate.relation.label
+        if label not in dropped:
+            dropped[label] = rule_filter(candidate.relation, cfg)
+    return [c for c in candidates if not dropped[c.relation.label]]
 
 
 def _necessary(relation: RelationRef, reply: str | Future, cfg: EngineConfig) -> bool:
@@ -101,15 +107,9 @@ def denoise(
     cfg: EngineConfig,
     llm: MemoLLM | None = None,
     template: PromptTemplate | None = None,
-    rule_verdicts: dict[str, bool] | None = None,
 ) -> list[Triple]:
     """Apply the keyword rule, then (when an LLM is supplied) the necessity
     threshold. Survivor order follows input order.
-
-    The rule judges each distinct label once. ``rule_verdicts`` holds its
-    verdicts by label and gets those of the labels it judges: a caller that
-    passes one dict to several calls has each label judged once in all of
-    them, as ``scoring.ground`` does for its two calls of one step.
 
     With no LLM, or with ``theta_necessity`` at 0, only the rule layer runs
     and no task is submitted. Otherwise candidates that share a label share
@@ -120,7 +120,7 @@ def denoise(
     Any other error raised is the one for the earliest such label in input
     order, raised once every label has finished: no label is cancelled.
     """
-    kept = rule_kept(candidates, cfg, rule_verdicts)
+    kept = rule_kept(candidates, cfg)
     if llm is None or template is None or cfg.theta_necessity == 0.0:
         return kept
     labels = [term_label(c.relation) for c in kept]

@@ -3,11 +3,12 @@
 Stage I embeds the query and every candidate triple's text and keeps the
 top-N by cosine similarity; Stage II reranks only the survivors and fuses
 both scores with weight ``alpha``. When the cut keeps every candidate, the
-rerank is sent alongside the embedding instead of after it. Both tracks
-score through :func:`ground`, which sends a step's requests from its
-calling thread and scores there. Embedding and rerank providers are
-pluggable; the built-in hash/overlap providers need no model and keep runs
-deterministic.
+rerank is sent alongside the embedding instead of after it. A grounding
+step starts its requests with :func:`start_scoring` and scores them with
+:func:`score_candidates`, both on the thread that grounds; each track
+decides where its necessity layer goes around them. Embedding and rerank
+providers are pluggable; the built-in hash/overlap providers need no model
+and keep runs deterministic.
 
 Every embedding row is checked and packed once, when it arrives (see
 :func:`pack`), and cosines are computed over packed rows only. Every
@@ -259,10 +260,10 @@ class CachedEmbedder:
         """Start the fills of one grounding step on ``transport.LEAVES``:
         the query's row, then the entity's rows, each unless it is kept or
         in flight. The entity's fill embeds the texts of the triples that
-        ``kept`` (``denoise.rule_kept``, in :func:`ground`) returns. Returns
-        the two entries in that order, each a kept value or the future of
-        its fill. A fresh step has both requests in flight at once, a warm
-        one none."""
+        ``kept`` (``denoise.rule_kept``, in :func:`start_scoring`) returns.
+        Returns the two entries in that order, each a kept value or the
+        future of its fill. A fresh step has both requests in flight at
+        once, a warm one none."""
 
         def fill():
             texts = list(dict.fromkeys(t.text for t in kept(relations.head + relations.tail)))
@@ -342,7 +343,7 @@ def score_candidates(
     rows are read from it. Candidates cut in Stage I are never shown to the
     reranker; with the default config that bounds every rerank call to 50
     texts. With ``early_rerank``, the future of the whole pool's rerank
-    that :func:`ground` sent, the reranker is not called again: each
+    that :func:`start_scoring` sent, the reranker is not called again: each
     candidate's Stage II score is read from that reply by its index.
 
     An embedding error wins over a rerank error, and either is raised only
@@ -384,64 +385,17 @@ def score_candidates(
     return [fused[j] for j in order]
 
 
-def ground(
-    query_text: str,
-    triples: Sequence[Triple],
-    relations: RelationSet,
-    pipe: Pipeline,
-    score: Callable[..., list[ScoredCandidate]],
-    denoise: Callable[..., list[Triple]],
-    floor: float | None = None,
-    on_best: Callable[[ScoredCandidate], None] | None = None,
-) -> list[ScoredCandidate]:
-    """One grounding step for both tracks: the keyword rule, then scoring
-    and the necessity layer. ``triples`` are drawn from ``relations``, the
-    entity's fetched triples, whose rule-kept rows the pipeline's embedding
-    cache keeps. Returns the scored rule-kept triples whose label passed
-    necessity, best fused score first.
-
-    ``score`` and ``denoise`` are the caller's module names
-    (:func:`score_candidates` and ``denoise.denoise``), which a tracer
-    rebinds there. An empty rule-kept pool returns ``[]`` with nothing
-    sent. Otherwise the step's scoring requests start from this thread
-    before any is waited on: the embedding fills of the query and the
-    entity (:meth:`CachedEmbedder.start`), and the whole pool's rerank when
-    the pool holds at most ``top_n`` triples, since Stage I's cut then
-    keeps all of them. A larger pool is reranked, its top ``top_n`` in
-    cosine order, once its rows are in. ``score`` runs on this thread.
-
-    Without a ``floor`` (the parallel track), necessity is asked for every
-    rule-kept label while the scoring requests are in flight, and a scoring
-    error wins, raised once both halves have finished.
-
-    With a ``floor`` (the chain's ``theta_search``), scoring comes first,
-    and only the candidates whose fused score is at least ``floor`` are
-    returned: necessity is asked for their labels alone, as no other
-    candidate can be used. ``on_best``, which a floor requires, is called
-    with the best of them just before their necessity prompts are sent,
-    so that a request it starts shares their round trip. A scoring error
-    is raised before any necessity prompt is sent.
-    """
+def start_scoring(query_text: str, pool: Sequence[Triple], relations: RelationSet, pipe: Pipeline) -> tuple:
+    """Start one grounding step's scoring requests from the calling thread,
+    before any is waited on. These are the embedding fills of the query and
+    of the entity whose fetched triples are ``relations``
+    (:meth:`CachedEmbedder.start`, which embeds the keyword rule's
+    survivors), and the rerank of the whole rule-kept ``pool`` when it
+    holds at most ``top_n`` triples, since Stage I's cut then keeps all of
+    them. A larger pool is reranked by :func:`score_candidates`, its top
+    ``top_n`` in cosine order, once its rows are in. Returns the arguments
+    that :func:`score_candidates` takes after ``pipe``."""
     cfg = pipe.config
-    rule_verdicts: dict[str, bool] = {}  # both calls share it: the rule judges each label once a step
-    pool = denoise(triples, query_text, cfg, rule_verdicts=rule_verdicts)  # rule layer only
-    if not pool:
-        return []
     started = pipe.embedder.start(query_text, relations, functools.partial(rule_kept, cfg=cfg))
     early = LEAVES.submit(pipe.reranker.rerank, query_text, [t.text for t in pool]) if len(pool) <= cfg.top_n else None
-
-    def necessity(candidates: Sequence[Triple]) -> list[Triple]:
-        return denoise(candidates, query_text, cfg, pipe.llm, pipe.templates["necessity"], rule_verdicts=rule_verdicts)
-
-    if floor is None:
-        try:
-            kept = necessity(pool)
-        finally:
-            scored = score(query_text, pool, pipe, started, early)
-    else:
-        scored = [c for c in score(query_text, pool, pipe, started, early) if c.combined >= floor]
-        if scored:
-            on_best(scored[0])
-        kept = necessity([c.payload for c in scored])
-    necessary = {t.key() for t in kept}
-    return [c for c in scored if c.payload.key() in necessary]
+    return started, early

@@ -19,7 +19,7 @@ from .denoise import denoise
 from .kg import Triple
 from .linking import LinkFailure, link_surface
 from .llm import LLMProvider, PromptTemplate, Unparseable, ask, parse_yes_no
-from .scoring import ground, score_candidates
+from .scoring import score_candidates, start_scoring
 from .transport import CLAIMS
 
 if TYPE_CHECKING:
@@ -94,26 +94,42 @@ def decompose(response: str, llm: LLMProvider, templates: dict[str, PromptTempla
 
 def verify_fact(fact: AtomicFact, pipe: Pipeline) -> VerificationResult:
     """Ground one claim: link its subject, retrieve the entity's triples,
-    ground them (``scoring.ground``, as ``chain.expand`` does), and let the
-    LLM judge the best ones against the claim.
+    ground them, and let the LLM judge the best ones against the claim.
+
+    Grounding runs the keyword rule (``denoise`` with no LLM), starts the
+    rule-kept triples' scoring requests (``scoring.start_scoring``), asks
+    necessity (``denoise`` with the LLM) for every rule-kept label while
+    they are in flight, and then scores on this thread
+    (``score_candidates``). Scoring runs in a ``finally``, so a scoring
+    error wins over a necessity error. The evidence is the scored triples
+    whose label passed necessity, best fused score first.
 
     Unlinkable subjects (``LinkFailure``) and empty grounded sets come back
     unverifiable; any other error propagates. A mismatch triggers the
     rewrite prompt. The rewrite must actually change the claim, otherwise
     the result is downgraded to unverifiable.
     """
+    cfg = pipe.config
     try:
-        entity = link_surface(fact.subject_surface, pipe.store, pipe.config.link_floor)
+        entity = link_surface(fact.subject_surface, pipe.store, cfg.link_floor)
     except LinkFailure as exc:
         log.info("fact %d unverifiable: %s", fact.origin_index, exc)
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
     relations = pipe.store.relations(entity)
-    scored = ground(fact.text, relations.all(), relations, pipe, score_candidates, denoise)
-    if not scored:
+    pool = denoise(relations.all(), fact.text, cfg)
+    if not pool:
+        return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
+    requests = start_scoring(fact.text, pool, relations, pipe)
+    try:
+        kept = denoise(pool, fact.text, cfg, pipe.llm, pipe.templates["necessity"])
+    finally:
+        scored = score_candidates(fact.text, pool, pipe, *requests)
+    necessary = {t.key() for t in kept}
+    best = [c.payload for c in scored if c.payload.key() in necessary][: cfg.verify_top_k]
+    if not best:
         return VerificationResult(fact=fact, status=VerificationStatus.UNVERIFIABLE)
 
-    best = [c.payload for c in scored[: pipe.config.verify_top_k]]
     evidence = "\n".join(t.text for t in best)
     reply = ask(pipe.llm, pipe.templates["judge"], fact=fact.text, triples=evidence)
     try:

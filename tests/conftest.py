@@ -11,7 +11,7 @@ from dualtrack import transport
 from dualtrack.engine import PACKAGED_PROMPTS, Pipeline
 from dualtrack.kg import EntityRef, InMemoryTripleStore, KGStore, RelationSet, parse_triples
 from dualtrack.llm import CompletionRequest, LLMProvider, ProviderError, StubLLM, load_templates
-from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider, ground, score_candidates
+from dualtrack.scoring import EmbeddingProvider, HashEmbedding, RerankProvider, score_candidates, start_scoring
 
 # No per-example time limit: a wall-clock deadline fails a sound property
 # when the machine is loaded. Example counts stay as each test sets them.
@@ -121,16 +121,11 @@ def score_pool(query, candidates, relations, pipe):
     return score_candidates(query, candidates, pipe, pipe.embedder.start(query, relations, list))
 
 
-def _keep_all(pool, *args, **kwargs):
-    """A ``denoise`` that keeps every candidate: no rule, no necessity."""
-    return list(pool)
-
-
 def ground_pool(query, candidates, relations, pipe):
     """``candidates`` scored as both tracks score them, through
-    ``scoring.ground``, with both denoising layers keeping everything: a
-    pool of at most ``top_n`` candidates has its rerank sent early."""
-    return ground(query, candidates, relations, pipe, score_candidates, _keep_all)
+    ``scoring.start_scoring`` and ``score_candidates``, with no denoising:
+    a pool of at most ``top_n`` candidates has its rerank sent early."""
+    return score_candidates(query, candidates, pipe, *start_scoring(query, candidates, relations, pipe))
 
 
 class MappingEmbedding(EmbeddingProvider):

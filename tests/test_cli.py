@@ -26,7 +26,7 @@ from dualtrack.engine import PACKAGED_PROMPTS, Engine, Pipeline
 from dualtrack.evaluation import evaluate
 from dualtrack.kg import CachedStore, InMemoryTripleStore, SparqlClient, parse_triples
 from dualtrack.llm import MemoLLM, StubLLM
-from dualtrack.scoring import CachedEmbedder, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank, cosines, ground
+from dualtrack.scoring import CachedEmbedder, HashEmbedding, HttpEmbedding, HttpRerank, OverlapRerank, cosines
 from dualtrack.transport import ProviderError
 from oracles import RELATION_WORDS, build_store, necessity_script, random_graph_lines, random_necessity, random_question
 
@@ -274,29 +274,38 @@ def test_leaves_refuses_a_submit_from_a_leaf_task(workspace):
 def test_grounding_scores_on_the_thread_that_called_ground(workspace, monkeypatch):
     """Every leaf task is one provider request: the cosines of both movie
     questions are taken off the leaf executor, and each step's
-    ``score_candidates`` runs on the thread that called ``ground``."""
+    ``score_candidates`` runs on the thread that grounds the step, the one
+    that called ``chain.expand`` or ``verify.verify_fact``."""
     cosine_threads = []  # the name of the thread of each cosines call
-    score_threads = []  # (thread that called ground, thread that scored)
+    grounding = threading.local()  # the track and thread of the step this thread grounds
+    score_threads = []  # (track, thread that grounds, thread that scored)
 
     def recorded_cosines(*args):
         cosine_threads.append(threading.current_thread().name)
         return cosines(*args)
 
-    def recorded_ground(track):
-        def recorded(query_text, triples, relations, pipe, score, denoise, *rest):
-            caller = threading.current_thread().name
+    def recorded_step(track, step):
+        def recorded(*args):
+            grounding.step = (track, threading.current_thread().name)
+            try:
+                return step(*args)
+            finally:
+                del grounding.step  # scoring outside a step raises, and flags its answer
 
-            def recorded_score(*args):
-                score_threads.append((track, caller, threading.current_thread().name))
-                return score(*args)
+        return recorded
 
-            return ground(query_text, triples, relations, pipe, recorded_score, denoise, *rest)
+    def recorded_score(score):
+        def recorded(*args):
+            score_threads.append((*grounding.step, threading.current_thread().name))
+            return score(*args)
 
         return recorded
 
     monkeypatch.setattr(scoring, "cosines", recorded_cosines)
-    for track, module in (("chained", chain), ("parallel", verify)):
-        monkeypatch.setattr(module, "ground", recorded_ground(track))
+    monkeypatch.setattr(chain, "expand", recorded_step("chained", chain.expand))
+    monkeypatch.setattr(verify, "verify_fact", recorded_step("parallel", verify.verify_fact))
+    for module in (chain, verify):
+        monkeypatch.setattr(module, "score_candidates", recorded_score(module.score_candidates))
     engine = _engine(workspace, theta_necessity=0.5)
     answers = [engine.answer(Question(id="c", text=CHAINED_Q)), engine.answer(Question(id="p", text=PARALLEL_Q))]
     assert [answer.flags for answer in answers] == [set(), set()]

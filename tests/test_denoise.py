@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import CountingLeaves, FailingLLM
+from dualtrack import denoise as denoise_module
 from dualtrack import transport
 from dualtrack.config import EngineConfig
 from dualtrack.denoise import denoise, rule_filter
@@ -92,6 +93,39 @@ def test_rule_filter_monotone_in_keyword_set(label, base, extra):
     big = EngineConfig(k_invalid=sorted(base | extra))
     if rule_filter(relation, small):
         assert rule_filter(relation, big)
+
+
+def test_pipelines_with_different_keywords_each_get_their_own_verdict():
+    """The rule memo is keyed by label and keyword set: the configs of two
+    pipelines in one process that disagree on a label keep disagreeing,
+    whichever runs first."""
+    ids, spouses = EngineConfig(k_invalid=["id"]), EngineConfig(k_invalid=["spouse"])
+    triples = _triples([RelationRef("P1", "spouse id"), RelationRef("P2", "spouse"), RelationRef("P3", "entity id")])
+    for _ in range(2):
+        assert [t.relation.id for t in denoise(triples, "q", ids)] == ["P2"]
+        assert [t.relation.id for t in denoise(triples, "q", spouses)] == ["P3"]
+
+
+def test_rule_memo_judges_each_label_once_per_keyword_set(cfg):
+    memo = denoise_module._rule_drops
+    memo.cache_clear()
+    labels = ["spouse", "wikidata:id", "director", "spouse"]
+    triples = _triples([RelationRef(f"P{i}", label) for i, label in enumerate(labels)])
+    for config in (cfg, EngineConfig(k_invalid=["spouse"])):
+        for _ in range(3):
+            denoise(triples, "q", config)
+    info = memo.cache_info()
+    assert (info.misses, info.currsize) == (2 * 3, 2 * 3)  # 3 distinct labels under each of 2 keyword sets
+    assert info.hits == 2 * 3 * 2  # each later call reads every distinct label from the memo
+
+
+def test_rule_memo_never_holds_more_than_its_bound(cfg):
+    memo = denoise_module._rule_drops
+    memo.cache_clear()
+    bound = denoise_module.RULE_VERDICTS
+    for i in range(bound + 10):
+        assert rule_filter(RelationRef("P1", f"relation {i}"), cfg) is False
+    assert memo.cache_info().maxsize == memo.cache_info().currsize == bound
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,12 @@ import importlib.util
 import json
 import math
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import MOVIE_LINES, RecordingEmbedding
-from dualtrack import chain, verify
 from dualtrack import denoise as denoise_module
 from dualtrack.classifier import Question
 from dualtrack.config import EngineConfig
@@ -179,38 +177,47 @@ def test_movie_questions_embed_each_query_and_entity_once():
     assert Counter(embedder.requests) == Counter(expected)
 
 
-def test_movie_questions_stay_within_the_grounding_work_budget(monkeypatch):
-    """Work budget: within each grounding step the keyword rule runs at most
-    once per distinct relation label."""
-    rule_calls = []  # (thread, label)
-    rule_filter = denoise_module.rule_filter
-
-    def counted_rule(relation, cfg):
-        rule_calls.append((threading.get_ident(), relation.label))
-        return rule_filter(relation, cfg)
-
-    monkeypatch.setattr(denoise_module, "rule_filter", counted_rule)
-
-    steps = []  # (rule labels seen in the step, the step's relation labels)
-
-    def counted(ground):
-        def wrapper(query_text, triples, *rest):
-            me, before = threading.get_ident(), len(rule_calls)
-            try:
-                return ground(query_text, triples, *rest)
-            finally:  # claims ground on several threads at once
-                seen = [label for thread, label in rule_calls[before:] if thread == me]
-                steps.append((seen, {t.relation.label for t in triples}))
-
-        return wrapper
-
-    for module in (chain, verify):
-        monkeypatch.setattr(module, "ground", counted(module.ground))
-
+def test_movie_questions_stay_within_the_grounding_work_budget():
+    """Work budget: across both movie questions the keyword rule judges
+    each (label, keyword set) at most once. Every miss of the rule's memo
+    is one judgment, so a label judged twice, or a verdict evicted and
+    judged again, leaves more misses than verdicts kept."""
+    memo = denoise_module._rule_drops
+    memo.cache_clear()
     engine = _engine()
     for question in (Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)):
         engine.answer(question)
 
-    assert len(steps) > 2 and sum(len(seen) for seen, _ in steps) > 0
-    for seen, labels in steps:
-        assert len(seen) == len(set(seen)) and set(seen) <= labels, (seen, labels)
+    info = memo.cache_info()
+    labels = {t.relation.label for t in parse_triples(MOVIE_LINES)}
+    assert 0 < info.misses == info.currsize <= len(labels)
+    assert info.hits > 0
+
+
+def test_each_track_grounds_in_its_own_layer_order(tracing):
+    """Ordered by start, the grounding layers under each traced step are the
+    keyword rule, scoring, then necessity on the chain, and the keyword
+    rule, necessity, then scoring for a claim."""
+    engine = _engine()
+    with tracing.instrument(tracing.Tracer()) as tracer:
+        for question in (Question(id="q1", text=CHAINED_Q), Question(id="q2", text=PARALLEL_Q)):
+            assert engine.answer(question).flags == set()
+    children: dict[int, list] = {}
+    for span in tracer.spans:
+        children.setdefault(span.parent, []).append(span)
+
+    def layers(step):
+        return [
+            ("necessity" if s.attrs["necessity"] else "rule") if s.name == "denoise" else s.name
+            for s in sorted(children.get(step.id, []), key=lambda s: s.start)
+            if s.name in ("denoise", "scoring")
+        ]
+
+    orders = {
+        "chain.expand": ["rule", "scoring", "necessity"],
+        "verify.fact": ["rule", "necessity", "scoring"],
+    }
+    for name, order in orders.items():
+        steps = [s for s in tracer.spans if s.name == name]
+        assert steps, name
+        assert [layers(step) for step in steps] == [order] * len(steps), name

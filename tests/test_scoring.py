@@ -41,9 +41,7 @@ from dualtrack.scoring import (
     RerankProvider,
     ZeroVector,
     cosines,
-    ground,
     pack,
-    score_candidates,
 )
 from oracles import hash_embedding_rows
 
@@ -373,7 +371,7 @@ def _facts(n):
 
 
 def _score(query, candidates, cfg, embedder, reranker):
-    """``candidates`` scored as both tracks score them, through ``ground``:
+    """``candidates`` scored as both tracks score them, through ``ground_pool``:
     a pool of at most ``cfg.top_n`` candidates has its rerank sent early."""
     return ground_pool(query, candidates, relations_of(candidates), scoring_pipe(cfg, embedder, reranker))
 
@@ -789,8 +787,8 @@ def test_an_entity_fill_embeds_only_what_the_keyword_rule_keeps():
     cache = CachedEmbedder(inner)
 
     def grounded(k_invalid, embedder):
-        pipe = scoring_pipe(EngineConfig(k_invalid=k_invalid, theta_necessity=0.0), embedder, OverlapRerank())
-        return ground(_QUERY, _TOPIC.all(), _TOPIC, pipe, score_candidates, denoise)
+        pipe = scoring_pipe(EngineConfig(k_invalid=k_invalid), embedder, OverlapRerank())
+        return ground_pool(_QUERY, denoise(_TOPIC.all(), _QUERY, pipe.config), _TOPIC, pipe)  # the rule, then scoring
 
     narrow = grounded(["word2"], cache)  # the rule drops word2, the third text
     assert Counter(inner.requests) == Counter([(_QUERY,), _TOPIC_TEXTS[:2]])
